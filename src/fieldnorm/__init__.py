@@ -12,6 +12,7 @@ from .bootstrap import (
 from .corpus import (
     WORLD,
     ArticleSet,
+    CellSummary,
     Corpus,
     CorpusError,
     ExclusionPolicy,
@@ -37,11 +38,10 @@ from .indicators import (
     compute_baseline,
     emnpc,
     equalised_proportion,
+    indicator_estimate,
     mnlcs,
     mnpc,
     normalize_log,
-    normalize_lundberg,
-    normalize_raw,
     proportion_cited,
 )
 from .intervals import (

@@ -1,11 +1,16 @@
 """Percentile bootstrap intervals and formula-vs-bootstrap comparisons.
 
 Replicates resample every group cell with replacement at its original size;
-when ``resample_world`` is set the world cells are resampled too and the
-normalisation baselines recomputed per replicate.  Replicate r draws from an
-independent substream derived from (seed, r), so results do not depend on
-execution order, and cells are snapshotted in a canonical sorted order, so
-results do not depend on the input article order either.
+when ``resample_world`` is set the world cells are resampled too.  Replicate
+r draws from an independent substream derived from (seed, r), so results do
+not depend on execution order, and the draws index each cell's counts in
+ascending order, so results do not depend on the input article order either.
+
+A replicate is the ``CellSummary.resample`` of each cell's cached summary at
+its index draw, and its value comes from the same kernel as every point
+estimate, ``indicators.indicator_estimate``.  A replicate computes only the
+statistics its indicator reads: cited counts as ``idx >= first cited
+position``, ln(1+c) means gathered from the cell's precomputed values.
 """
 
 from __future__ import annotations
@@ -13,21 +18,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import ArticleSet, Corpus, FieldYearKey
-from .indicators import (
-    EMNPC,
-    EQ_PROP_CITED,
-    LUNDBERG_Z,
-    MNCS,
-    MNLCS,
-    MNPC,
-    PROP_CITED,
-    PROPORTION_INDICATORS,
-)
+from .corpus import ArticleSet, Corpus
+from .indicators import PROPORTION_INDICATORS, UndefinedNormalizationError, indicator_estimate
 from .intervals import BOOTSTRAP_PERCENTILE, IntervalEstimate
 from .scopes import formula_interval, indicator_value
 
@@ -66,86 +62,6 @@ def percentile(sorted_replicates: Sequence[float], q: float) -> float:
     return sorted_replicates[rank]
 
 
-def point_estimate(
-    indicator: str,
-    group_counts: Mapping[FieldYearKey, np.ndarray],
-    world_counts: Mapping[FieldYearKey, np.ndarray],
-) -> float | None:
-    """Indicator point estimate from raw per-cell count arrays.
-
-    Returns None where the indicator is undefined (zero world baseline for a
-    mean indicator, all world proportions zero for EMNPC, cited articles
-    over a zero world proportion for MNPC, zero world log-sd for the
-    Lundberg variant).
-    """
-    keys = sorted(group_counts)
-    if indicator == PROP_CITED:
-        total = sum(len(group_counts[k]) for k in keys)
-        cited = sum(int(np.count_nonzero(group_counts[k])) for k in keys)
-        return cited / total
-    if indicator == EQ_PROP_CITED:
-        props = [np.count_nonzero(group_counts[k]) / len(group_counts[k]) for k in keys]
-        return float(sum(props) / len(props))
-    if indicator == EMNPC:
-        sum_g = sum(np.count_nonzero(group_counts[k]) / len(group_counts[k]) for k in keys)
-        sum_w = sum(np.count_nonzero(world_counts[k]) / len(world_counts[k]) for k in keys)
-        if sum_w == 0.0:
-            return None
-        return float(sum_g / sum_w)
-    if indicator == MNPC:
-        n_group = sum(len(group_counts[k]) for k in keys)
-        total = 0.0
-        for k in keys:
-            p_g = np.count_nonzero(group_counts[k]) / len(group_counts[k])
-            p_w = np.count_nonzero(world_counts[k]) / len(world_counts[k])
-            weight = len(group_counts[k]) / n_group
-            if p_w == 0.0:
-                if p_g == 0.0:
-                    total += weight  # 0/0 cell ratio counts as 1
-                    continue
-                return None
-            total += weight * (p_g / p_w)
-        return float(total)
-    if indicator in (MNLCS, MNCS, LUNDBERG_Z):
-        n_total = sum(len(group_counts[k]) for k in keys)
-        acc = 0.0
-        for k in keys:
-            group = group_counts[k]
-            world = world_counts[k]
-            if indicator == MNCS:
-                baseline = float(np.mean(world))
-                if baseline <= 0.0:
-                    return None
-                acc += float(np.sum(group)) / baseline
-                continue
-            logs_w = np.log1p(world)
-            log_mean = float(logs_w.mean())
-            logs_g = np.log1p(group)
-            if indicator == MNLCS:
-                if log_mean <= 0.0:
-                    return None
-                acc += float(logs_g.sum()) / log_mean
-            else:
-                if len(world) < 2:
-                    return None
-                log_sd = float(logs_w.std(ddof=1))
-                if log_sd <= 0.0:
-                    return None
-                acc += (float(logs_g.sum()) - len(group) * log_mean) / log_sd
-        return acc / n_total
-    raise ValueError(f"unknown indicator {indicator!r}")
-
-
-def _snapshots(sets: Sequence[ArticleSet]) -> dict[FieldYearKey, np.ndarray]:
-    cells: dict[FieldYearKey, np.ndarray] = {}
-    for aset in sets:
-        if aset.key in cells:
-            raise ValueError(f"duplicate cell key {aset.key}")
-        # Sorted snapshot: output is invariant under input article order.
-        cells[aset.key] = np.sort(aset.counts_array())
-    return cells
-
-
 def bootstrap_indicator(
     group_sets: Sequence[ArticleSet],
     world_sets: Sequence[ArticleSet],
@@ -158,43 +74,38 @@ def bootstrap_indicator(
     than alpha/2 of all replicates are undefined the interval itself is
     flagged undefined.
     """
-    group_counts = _snapshots(group_sets)
-    world_all = _snapshots(world_sets)
-    missing = set(group_counts) - set(world_all)
+    group = {a.key: a.summary for a in group_sets}
+    world = {a.key: a.summary for a in world_sets}
+    if len(group) != len(group_sets) or len(world) != len(world_sets):
+        raise ValueError("duplicate cell keys")
+    missing = set(group) - set(world)
     if missing:
         raise ValueError(f"missing world cells for {sorted(missing)}")
-    if indicator in PROPORTION_INDICATORS and set(world_all) != set(group_counts):
+    if indicator in PROPORTION_INDICATORS and set(world) != set(group):
         raise ValueError("group and world must cover the same cell keys")
-    world_counts = {k: world_all[k] for k in group_counts}
+    keys = sorted(group)
+    group_cells = [group[k] for k in keys]
+    world_cells = [world[k] for k in keys]
+    try:
+        original, _ = indicator_estimate(indicator, keys, group_cells, world_cells)
+    except UndefinedNormalizationError:
+        raise ValueError(f"{indicator} is undefined on the original data") from None
 
-    original = point_estimate(indicator, group_counts, world_counts)
-    if original is None:
-        raise ValueError(f"{indicator} is undefined on the original data")
-
-    keys = sorted(group_counts)
     seed_entropy = spec.seed & (2**64 - 1)
     estimates: list[float] = []
     undefined = 0
     for r in range(spec.iterations):
         rng = np.random.default_rng(np.random.SeedSequence([seed_entropy, r]))
-        rep_group = {}
-        for k in keys:
-            arr = group_counts[k]
-            rep_group[k] = arr[rng.integers(0, len(arr), len(arr))]
+        rep_group = [c.resample(rng.integers(0, c.n, c.n)) for c in group_cells]
+        rep_world = world_cells
         if spec.resample_world:
-            rep_world = {}
-            for k in keys:
-                arr = world_counts[k]
-                rep_world[k] = arr[rng.integers(0, len(arr), len(arr))]
-        else:
-            rep_world = world_counts
-        value = point_estimate(indicator, rep_group, rep_world)
-        if value is None:
+            rep_world = [c.resample(rng.integers(0, c.n, c.n)) for c in world_cells]
+        try:
+            estimates.append(indicator_estimate(indicator, keys, rep_group, rep_world)[0])
+        except UndefinedNormalizationError:
             undefined += 1
-        else:
-            estimates.append(value)
 
-    n_articles = sum(len(group_counts[k]) for k in keys)
+    n_articles = sum(c.n for c in group_cells)
     note = f"resample_world={'true' if spec.resample_world else 'false'}"
     if undefined:
         note += f"; {undefined} undefined replicates excluded"

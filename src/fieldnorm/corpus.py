@@ -8,12 +8,17 @@ combination, stored as one tab-separated file named
 with a header row ``article_id<TAB>count``.  The group label ``WORLD`` is
 reserved for the reference set; every (field, year) present for any group
 must also have a WORLD cell, otherwise normalisation is impossible.
+
+Each ArticleSet caches one CellSummary of its counts, the statistics every
+indicator and analytic interval is computed from.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -68,6 +73,67 @@ class ArticleSet:
 
     def counts_array(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=np.int64)
+
+    @cached_property
+    def summary(self) -> "CellSummary":
+        """The cell's statistics, computed once."""
+        counts = np.sort(self.counts_array())
+        return CellSummary(counts, np.log1p(counts), int(np.searchsorted(counts, 0, side="right")))
+
+
+class CellSummary:
+    """n, cited (count > 0), and the mean and M2 of c and of ln(1+c) for one cell.
+
+    M2 is the sum of squared deviations from the mean.  A summary reads the
+    cell's counts in ascending order, their precomputed ln(1+c) values and
+    the position of the first count above zero: all articles, or those at
+    the positions ``idx`` of one bootstrap index draw (``resample``).  Each
+    statistic is computed the first time it is read, so a replicate pays
+    only for what its indicator reads.
+    """
+
+    def __init__(self, counts: np.ndarray, logs: np.ndarray, first_cited: int, idx=None) -> None:
+        self._counts, self._logs, self._first_cited, self._idx = counts, logs, first_cited, idx
+        self.n = len(counts) if idx is None else len(idx)
+
+    def resample(self, idx: np.ndarray) -> "CellSummary":
+        """Summary of the articles at positions ``idx`` of the whole cell."""
+        return CellSummary(self._counts, self._logs, self._first_cited, idx)
+
+    @cached_property
+    def cited(self) -> int:
+        if self._idx is None:
+            return self.n - self._first_cited
+        return int(np.count_nonzero(self._idx >= self._first_cited))
+
+    @cached_property
+    def _raw(self) -> np.ndarray:
+        return self._counts if self._idx is None else self._counts[self._idx]
+
+    @cached_property
+    def _log(self) -> np.ndarray:
+        return self._logs if self._idx is None else self._logs[self._idx]
+
+    @cached_property
+    def raw_mean(self) -> float:
+        return float(self._raw.mean())
+
+    @cached_property
+    def raw_m2(self) -> float:
+        return float(np.sum((self._raw - self.raw_mean) ** 2))
+
+    @cached_property
+    def log_mean(self) -> float:
+        return float(self._log.mean())
+
+    @cached_property
+    def log_m2(self) -> float:
+        return float(np.sum((self._log - self.log_mean) ** 2))
+
+    @property
+    def log_sd(self) -> float | None:
+        """Sample sd of ln(1+c); None for a single article."""
+        return math.sqrt(self.log_m2 / (self.n - 1)) if self.n > 1 else None
 
 
 @dataclass(frozen=True)
@@ -171,7 +237,8 @@ def read_cell(path: Path) -> ArticleSet:
     with open(path, encoding="utf-8", newline=None) as fh:
         header = fh.readline().rstrip("\n")
         if header != _HEADER:
-            raise CorpusError(f"{path.name}: expected header {_HEADER!r}, got {header!r}")
+            bom = " (the file starts with a UTF-8 BOM)" if header.startswith("\ufeff") else ""
+            raise CorpusError(f"{path.name}:1: expected header {_HEADER!r}, got {header!r}{bom}")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -179,15 +246,15 @@ def read_cell(path: Path) -> ArticleSet:
             article_id, sep, count_text = line.partition("\t")
             if not sep:
                 raise CorpusError(f"{path.name}:{lineno}: expected two tab-separated columns")
-            try:
-                count = int(count_text)
-            except ValueError:
+            digits = count_text.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
                 raise CorpusError(
                     f"{path.name}:{lineno}: count {count_text!r} is not an integer"
-                ) from None
-            if count < 0:
-                raise CorpusError(f"{path.name}:{lineno}: negative count {count}")
-            counts.append(count)
+                    " (ASCII digits 0-9 only)"
+                )
+            if digits != count_text:
+                raise CorpusError(f"{path.name}:{lineno}: negative count {count_text}")
+            counts.append(int(digits))
             ids.append(article_id)
     if not counts:
         raise CorpusError(f"{path.name}: cell contains no articles")
@@ -198,8 +265,10 @@ def read_cell(path: Path) -> ArticleSet:
 def load_corpus(directory: Path | str) -> Corpus:
     """Load every ``*.tsv`` cell file under ``directory`` into a Corpus."""
     directory = Path(directory)
-    sets = [read_cell(p) for p in sorted(directory.glob("*.tsv"))]
-    return Corpus.from_cells(sets)
+    paths = sorted(directory.glob("*.tsv"))
+    if not paths:
+        raise CorpusError(f"no cell files (*.tsv) found in {directory}")
+    return Corpus.from_cells(read_cell(p) for p in paths)
 
 
 def write_cell(aset: ArticleSet, directory: Path | str) -> Path:

@@ -1,18 +1,32 @@
 """Point estimates of the field/year-normalised indicators.
 
-Mean-type indicators transform each article count c and average the result:
+Every indicator is a function of a few statistics per (group, field, year)
+cell, held in the cell's cached ``CellSummary``: n, the number cited
+(c > 0), and the mean and M2 of both c and ln(1+c).  One kernel works on
+these summaries: ``indicator_estimate`` computes all seven indicators, and
+``score_moments``/``pooled_moments`` and ``log_moments`` give the moments
+behind the NORMAL_T and Fieller intervals.  Point estimates, analytic
+intervals and bootstrap replicates all call it.
 
-* MNLCS     ln(1+c) divided by the world mean of ln(1+c) for the cell
-* MNCS      c divided by the world mean count for the cell
-* Lundberg  (ln(1+c) - world log-mean) / world log-sd, a difference score
+Mean-type indicators average a per-article score over all N articles of a
+scope.  Each cell contributes a term, and the terms are summed and divided
+by N (mean_w and sd_w are the world cell's):
+
+* MNLCS     n_g * mean_g / mean_w               over ln(1+c)
+* MNCS      n_g * mean_g / mean_w               over c
+* Lundberg  n_g * (mean_g - mean_w) / sd_w      over ln(1+c), a difference score
 
 Proportion-type indicators compare shares of articles with c > 0:
 
+* PROP_CITED     pooled share cited
+* EQ_PROP_CITED  unweighted average of per-cell shares (equalised)
 * EMNPC     ratio of equalised (unweighted across cells) proportions cited
 * MNPC      cell-size-weighted sum of per-cell proportion ratios
 
-The world set scores exactly 1 against itself for every ratio indicator and
-exactly 0 for the Lundberg variant.
+The world set scores exactly 1 against itself for MNLCS, MNCS and EMNPC,
+exactly 0 for the Lundberg variant, and 1 up to rounding for MNPC.
+
+``normalize_log`` and ``mnlcs`` keep the per-article MNLCS as a reference.
 """
 
 from __future__ import annotations
@@ -22,13 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import WORLD, ArticleSet, FieldYearKey
-
-# Transform tags for per-article normalised scores.
-LOG_RATIO = "log_ratio"
-RAW_RATIO = "raw_ratio"
-Z_SCORE = "z_score"
-CITED_RECIPROCAL = "cited_reciprocal"
+from .corpus import WORLD, ArticleSet, CellSummary, FieldYearKey
+from .intervals import SampleMoments
 
 # Indicator tags.
 MNLCS = "MNLCS"
@@ -42,11 +51,9 @@ EQ_PROP_CITED = "EQ_PROP_CITED"
 MEAN_INDICATORS = (MNLCS, MNCS, LUNDBERG_Z)
 PROPORTION_INDICATORS = (EMNPC, MNPC, PROP_CITED, EQ_PROP_CITED)
 
-_TRANSFORM_INDICATOR = {LOG_RATIO: MNLCS, RAW_RATIO: MNCS, Z_SCORE: LUNDBERG_Z}
-
 
 class UndefinedNormalizationError(ValueError):
-    """Raised when a world baseline cannot support a transform."""
+    """Raised when an indicator is undefined on its data; the message is the note."""
 
 
 @dataclass(frozen=True)
@@ -67,10 +74,11 @@ class NormalizationBaseline:
 
 @dataclass(frozen=True)
 class NormalizedScores:
+    """Per-article ln(1+c) / world log-mean scores of one cell."""
+
     group: str
     key: FieldYearKey
     values: np.ndarray
-    transform: str
 
 
 @dataclass(frozen=True)
@@ -80,20 +88,15 @@ class ProportionSummary:
     group: str
     key: FieldYearKey
     cited: int
-    total: int
+    n: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.cited <= self.total or self.total < 1:
-            raise ValueError(f"invalid proportion summary {self.cited}/{self.total}")
-
-    @property
-    def proportion(self) -> float:
-        return self.cited / self.total
+        if not 0 <= self.cited <= self.n or self.n < 1:
+            raise ValueError(f"invalid proportion summary {self.cited}/{self.n}")
 
     @classmethod
     def from_articles(cls, aset: ArticleSet) -> "ProportionSummary":
-        counts = aset.counts_array()
-        return cls(aset.group, aset.key, int(np.count_nonzero(counts)), len(counts))
+        return cls(aset.group, aset.key, aset.summary.cited, aset.summary.n)
 
 
 @dataclass(frozen=True)
@@ -110,17 +113,137 @@ def compute_baseline(world: ArticleSet) -> NormalizationBaseline:
     """World-cell statistics: natural-log mean/sd, raw mean, proportion cited."""
     if world.group != WORLD:
         raise ValueError(f"baseline requires a {WORLD} cell, got group {world.group!r}")
-    counts = world.counts_array()
-    logs = np.log1p(counts)
-    n = len(counts)
-    return NormalizationBaseline(
-        key=world.key,
-        log_mean=float(logs.mean()),
-        log_sd=float(logs.std(ddof=1)) if n > 1 else None,
-        raw_mean=float(counts.mean()),
-        prop_cited=float(np.count_nonzero(counts)) / n,
-        n_world=n,
-    )
+    s = world.summary
+    return NormalizationBaseline(world.key, s.log_mean, s.log_sd, s.raw_mean, s.cited / s.n, s.n)
+
+
+# ---------------------------------------------------------------- kernel
+
+
+def _normaliser(indicator: str, key: FieldYearKey, world: CellSummary) -> tuple[float, float]:
+    """(shift, scale) that turn a cell's x into the scores (x - shift) / scale."""
+    if indicator == MNLCS:
+        if world.log_mean <= 0.0:
+            raise UndefinedNormalizationError(
+                f"undefined normalisation: all world counts zero for {key}"
+            )
+        return 0.0, world.log_mean
+    if indicator == MNCS:
+        if world.raw_mean <= 0.0:
+            raise UndefinedNormalizationError(
+                f"undefined normalisation: world mean count is zero for {key}"
+            )
+        return 0.0, world.raw_mean
+    log_sd = world.log_sd
+    if log_sd is None or log_sd <= 0.0:
+        raise UndefinedNormalizationError(
+            f"undefined standardisation: world log-sd is zero or undefined for {key}"
+        )
+    return world.log_mean, log_sd
+
+
+def _score_mean(indicator: str, key: FieldYearKey, group: CellSummary, world: CellSummary) -> float:
+    shift, scale = _normaliser(indicator, key, world)
+    return ((group.raw_mean if indicator == MNCS else group.log_mean) - shift) / scale
+
+
+def indicator_estimate(
+    indicator: str,
+    keys: Sequence[FieldYearKey],
+    group: Sequence[CellSummary],
+    world: Sequence[CellSummary],
+) -> tuple[float, str]:
+    """Point estimate of ``indicator`` over a scope, with its note.
+
+    ``group[i]`` and ``world[i]`` summarise the cells of ``keys[i]``; only
+    the statistics the indicator needs are read, so the proportion
+    indicators also take ProportionSummary objects.  Raises
+    UndefinedNormalizationError when the indicator is undefined: a zero
+    world baseline (log-mean, mean or log-sd) for a mean indicator, all
+    world proportions zero for EMNPC, cited articles over a zero world
+    proportion for MNPC.
+    """
+    if indicator in MEAN_INDICATORS:
+        total = sum(g.n * _score_mean(indicator, k, g, w) for k, g, w in zip(keys, group, world))
+        return total / sum(g.n for g in group), ""
+    if indicator == PROP_CITED:
+        return sum(g.cited for g in group) / sum(g.n for g in group), ""
+    if indicator == EQ_PROP_CITED:
+        return sum(g.cited / g.n for g in group) / len(group), ""
+    if indicator == EMNPC:
+        sum_world = sum(w.cited / w.n for w in world)
+        if sum_world == 0.0:
+            raise UndefinedNormalizationError("all world proportions zero")
+        return sum(g.cited / g.n for g in group) / sum_world, ""
+    if indicator == MNPC:
+        n_group = sum(g.n for g in group)
+        total = 0.0
+        notes: list[str] = []
+        for key, g, w in zip(keys, group, world):
+            weight = g.n / n_group
+            if w.cited == 0:
+                if g.cited == 0:
+                    total += weight
+                    notes.append(f"0/0 field ratio replaced by 1 for {key}")
+                    continue
+                raise UndefinedNormalizationError(
+                    f"positive numerator over zero world proportion for {key}"
+                )
+            total += weight * ((g.cited / g.n) / (w.cited / w.n))
+        return total, "; ".join(notes)
+    raise ValueError(f"unknown indicator {indicator!r}")
+
+
+def score_moments(
+    indicator: str,
+    keys: Sequence[FieldYearKey],
+    group: Sequence[CellSummary],
+    world: Sequence[CellSummary],
+) -> list[tuple[int, float, float]]:
+    """(n, mean, M2) of each group cell's scores under a mean indicator."""
+    moments = []
+    for key, g, w in zip(keys, group, world):
+        scale = _normaliser(indicator, key, w)[1]
+        m2 = g.raw_m2 if indicator == MNCS else g.log_m2
+        moments.append((g.n, _score_mean(indicator, key, g, w), m2 / (scale * scale)))
+    return moments
+
+
+def pooled_moments(cells: Sequence[tuple[int, float, float]]) -> tuple[int, float, float]:
+    """(N, mean, M2) of the union of cells given as (n, mean, M2).
+
+    The k-way form of the parallel-variance update of Chan, Golub & LeVeque
+    (1983): within-cell M2s plus n_k (mean_k - mean)^2, never a raw sum of
+    squares.  The mean is the one ``indicator_estimate`` computes.
+    """
+    n = sum(n_k for n_k, _, _ in cells)
+    mean = sum(n_k * mean_k for n_k, mean_k, _ in cells) / n
+    m2 = sum(m2_k + n_k * (mean_k - mean) ** 2 for n_k, mean_k, m2_k in cells)
+    return n, mean, m2
+
+
+def log_moments(cell: CellSummary) -> SampleMoments:
+    """Moments of one cell's ln(1+c) values, as the Fieller interval takes them."""
+    return SampleMoments.from_m2(cell.n, cell.log_mean, cell.log_m2)
+
+
+def indicator_result(
+    indicator: str,
+    group_label: str,
+    keys: Sequence[FieldYearKey],
+    group: Sequence[CellSummary],
+    world: Sequence[CellSummary],
+) -> IndicatorValue:
+    """``indicator_estimate`` as a value that is flagged, not raised, when undefined."""
+    scope = frozenset(keys)
+    try:
+        estimate, note = indicator_estimate(indicator, keys, group, world)
+    except UndefinedNormalizationError as exc:
+        return IndicatorValue(group_label, scope, indicator, None, defined=False, note=str(exc))
+    return IndicatorValue(group_label, scope, indicator, estimate, note=note)
+
+
+# ------------------------------------------------- per-article reference
 
 
 def _check_key(aset: ArticleSet, baseline: NormalizationBaseline) -> None:
@@ -135,94 +258,36 @@ def normalize_log(aset: ArticleSet, baseline: NormalizationBaseline) -> Normaliz
             f"undefined normalisation: all world counts zero for {baseline.key}"
         )
     values = np.log1p(aset.counts_array()) / baseline.log_mean
-    return NormalizedScores(aset.group, aset.key, values, LOG_RATIO)
+    return NormalizedScores(aset.group, aset.key, values)
 
 
-def normalize_lundberg(aset: ArticleSet, baseline: NormalizationBaseline) -> NormalizedScores:
-    _check_key(aset, baseline)
-    if baseline.log_sd is None or baseline.log_sd <= 0.0:
-        raise UndefinedNormalizationError(
-            f"undefined standardisation: world log-sd is zero or undefined for {baseline.key}"
-        )
-    values = (np.log1p(aset.counts_array()) - baseline.log_mean) / baseline.log_sd
-    return NormalizedScores(aset.group, aset.key, values, Z_SCORE)
-
-
-def normalize_raw(aset: ArticleSet, baseline: NormalizationBaseline) -> NormalizedScores:
-    _check_key(aset, baseline)
-    if baseline.raw_mean <= 0.0:
-        raise UndefinedNormalizationError(
-            f"undefined normalisation: world mean count is zero for {baseline.key}"
-        )
-    values = aset.counts_array() / baseline.raw_mean
-    return NormalizedScores(aset.group, aset.key, values, RAW_RATIO)
-
-
-def normalize_cited_reciprocal(
-    aset: ArticleSet, baseline: NormalizationBaseline
-) -> NormalizedScores:
-    """Per-article scores: 1/(world proportion cited) if cited, else 0."""
-    _check_key(aset, baseline)
-    counts = aset.counts_array()
-    if baseline.prop_cited <= 0.0:
-        if np.any(counts > 0):
-            raise UndefinedNormalizationError(
-                f"cited articles over a zero world proportion for {baseline.key}"
-            )
-        values = np.zeros(len(counts))
-    else:
-        values = np.where(counts > 0, 1.0 / baseline.prop_cited, 0.0)
-    return NormalizedScores(aset.group, aset.key, values, CITED_RECIPROCAL)
-
-
-def mnlcs(scores: Sequence[NormalizedScores]) -> IndicatorValue:
-    """Flat mean of normalised scores over every article in every cell.
-
-    With log_ratio input this is the MNLCS; raw_ratio input yields the MNCS
-    and z_score input the mean Lundberg z-score.
-    """
-    if not scores:
-        raise ValueError("no scores supplied")
-    transforms = {s.transform for s in scores}
-    if len(transforms) > 1:
-        raise ValueError(f"mixed transforms {sorted(transforms)}")
-    transform = transforms.pop()
-    if transform not in _TRANSFORM_INDICATOR:
-        raise ValueError(f"unsupported transform {transform!r}")
-    groups = {s.group for s in scores}
-    if len(groups) > 1:
-        raise ValueError(f"mixed groups {sorted(groups)}")
-    keys = [s.key for s in scores]
-    if len(keys) != len(set(keys)):
-        raise ValueError("overlapping scopes: duplicate cell keys")
-    values = np.concatenate([s.values for s in scores])
-    return IndicatorValue(
-        group=groups.pop(),
-        scope=frozenset(keys),
-        indicator=_TRANSFORM_INDICATOR[transform],
-        estimate=float(values.mean()),
-    )
-
-
-def _common_group(sets: Sequence[ProportionSummary]) -> str:
+def _common_group(sets: Sequence[NormalizedScores | ProportionSummary]) -> str:
     groups = {s.group for s in sets}
     if len(groups) > 1:
         raise ValueError(f"mixed groups {sorted(groups)}")
     return groups.pop()
 
 
+def mnlcs(scores: Sequence[NormalizedScores]) -> IndicatorValue:
+    """Flat mean of per-article log-ratio scores over every article in every cell."""
+    if not scores:
+        raise ValueError("no scores supplied")
+    group = _common_group(scores)
+    keys = [s.key for s in scores]
+    if len(keys) != len(set(keys)):
+        raise ValueError("overlapping scopes: duplicate cell keys")
+    values = np.concatenate([s.values for s in scores])
+    return IndicatorValue(group, frozenset(keys), MNLCS, float(values.mean()))
+
+
+# ------------------------------------------ proportion-summary front end
+
+
 def proportion_cited(sets: Sequence[ProportionSummary]) -> IndicatorValue:
     """Pooled proportion cited: total cited over total articles."""
     if not sets:
         raise ValueError("no proportion summaries supplied")
-    cited = sum(s.cited for s in sets)
-    total = sum(s.total for s in sets)
-    return IndicatorValue(
-        group=_common_group(sets),
-        scope=frozenset(s.key for s in sets),
-        indicator=PROP_CITED,
-        estimate=cited / total,
-    )
+    return indicator_result(PROP_CITED, _common_group(sets), [s.key for s in sets], sets, ())
 
 
 def equalised_proportion(sets: Sequence[ProportionSummary]) -> tuple[IndicatorValue, float]:
@@ -236,27 +301,26 @@ def equalised_proportion(sets: Sequence[ProportionSummary]) -> tuple[IndicatorVa
     keys = [s.key for s in sets]
     if len(keys) != len(set(keys)):
         raise ValueError("duplicate cell keys in equalised proportion")
-    estimate = sum(s.proportion for s in sets) / len(sets)
-    n_equalised = sum(s.total for s in sets) / len(sets)
-    value = IndicatorValue(
-        group=_common_group(sets),
-        scope=frozenset(keys),
-        indicator=EQ_PROP_CITED,
-        estimate=estimate,
-    )
-    return value, n_equalised
+    value = indicator_result(EQ_PROP_CITED, _common_group(sets), keys, sets, ())
+    return value, sum(s.n for s in sets) / len(sets)
 
 
-def _match_keys(
-    group_sets: Sequence[ProportionSummary], world_sets: Sequence[ProportionSummary]
-) -> dict[FieldYearKey, tuple[ProportionSummary, ProportionSummary]]:
+def _paired(
+    indicator: str,
+    group_sets: Sequence[ProportionSummary],
+    world_sets: Sequence[ProportionSummary],
+) -> IndicatorValue:
     group_by_key = {s.key: s for s in group_sets}
     world_by_key = {s.key: s for s in world_sets}
     if len(group_by_key) != len(group_sets) or len(world_by_key) != len(world_sets):
         raise ValueError("duplicate cell keys")
     if group_by_key.keys() != world_by_key.keys():
         raise ValueError("group and world summaries cover different cell keys")
-    return {k: (group_by_key[k], world_by_key[k]) for k in sorted(group_by_key)}
+    keys = sorted(group_by_key)
+    return indicator_result(
+        indicator, _common_group(group_sets), keys,
+        [group_by_key[k] for k in keys], [world_by_key[k] for k in keys],
+    )
 
 
 def emnpc(
@@ -266,16 +330,7 @@ def emnpc(
 
     Undefined (flagged, not raised) only when every world proportion is zero.
     """
-    pairs = _match_keys(group_sets, world_sets)
-    group = _common_group(group_sets)
-    scope = frozenset(pairs)
-    sum_group = sum(g.proportion for g, _ in pairs.values())
-    sum_world = sum(w.proportion for _, w in pairs.values())
-    if sum_world == 0.0:
-        return IndicatorValue(
-            group, scope, EMNPC, None, defined=False, note="all world proportions zero"
-        )
-    return IndicatorValue(group, scope, EMNPC, sum_group / sum_world)
+    return _paired(EMNPC, group_sets, world_sets)
 
 
 def mnpc(
@@ -286,26 +341,4 @@ def mnpc(
     A 0/0 cell ratio is replaced by 1 and noted; a cell with cited group
     articles over a zero world proportion makes the whole value undefined.
     """
-    pairs = _match_keys(group_sets, world_sets)
-    group = _common_group(group_sets)
-    scope = frozenset(pairs)
-    n_group = sum(g.total for g, _ in pairs.values())
-    total = 0.0
-    notes: list[str] = []
-    for key, (g, w) in pairs.items():
-        weight = g.total / n_group
-        if w.cited == 0:
-            if g.cited == 0:
-                total += weight
-                notes.append(f"0/0 field ratio replaced by 1 for {key}")
-                continue
-            return IndicatorValue(
-                group,
-                scope,
-                MNPC,
-                None,
-                defined=False,
-                note=f"positive numerator over zero world proportion for {key}",
-            )
-        total += weight * (g.proportion / w.proportion)
-    return IndicatorValue(group, scope, MNPC, total, note="; ".join(notes))
+    return _paired(MNPC, group_sets, world_sets)

@@ -56,6 +56,14 @@ class SampleMoments:
         sd = float(values.std(ddof=1))
         return cls(mean=float(values.mean()), sd=sd, se=sd / math.sqrt(n), n=n)
 
+    @classmethod
+    def from_m2(cls, n: int, mean: float, m2: float) -> "SampleMoments":
+        """From the size, mean and sum of squared deviations of the values."""
+        if n < 2:
+            raise ValueError("at least two values are needed for a sample sd")
+        sd = math.sqrt(m2 / (n - 1))
+        return cls(mean=mean, sd=sd, se=sd / math.sqrt(n), n=n)
+
 
 @dataclass(frozen=True)
 class IntervalEstimate:
@@ -94,7 +102,11 @@ def z_critical(alpha: float) -> float:
 
 def mnlcs_normal_ci(values: np.ndarray, alpha: float = 0.05) -> IntervalEstimate:
     """t-based limits for the mean of concatenated normalised scores."""
-    moments = SampleMoments.from_values(values)
+    return normal_t_ci(SampleMoments.from_values(values), alpha)
+
+
+def normal_t_ci(moments: SampleMoments, alpha: float = 0.05) -> IntervalEstimate:
+    """t-based limits for a mean, from the moments of its values."""
     half = t_critical(moments.n - 1, alpha) * moments.se
     return IntervalEstimate(
         estimate=moments.mean,

@@ -1,16 +1,16 @@
 """Assembly of indicator values and intervals over a scope of cells.
 
-A scope is a set of field/year keys for one group.  These helpers gather
-the per-cell scores or proportion summaries, compute the point estimate as
-a flagged value (never raising for data-dependent degeneracies), and attach
-whichever analytic interval belongs to the indicator.
+A scope is a set of field/year keys for one group.  Each helper reads the
+cached ``CellSummary`` of every group and world cell in the scope, in sorted
+key order, and hands them to the kernel in ``indicators``: for the point
+estimate as a flagged value (never raising for data-dependent
+degeneracies), and for the moments or counts of whichever analytic interval
+belongs to the indicator.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .corpus import WORLD, Corpus, FieldYearKey
+from .corpus import CellSummary, Corpus, FieldYearKey
 from .indicators import (
     EMNPC,
     EQ_PROP_CITED,
@@ -21,18 +21,12 @@ from .indicators import (
     MNPC,
     PROP_CITED,
     IndicatorValue,
-    NormalizedScores,
-    ProportionSummary,
     UndefinedNormalizationError,
-    compute_baseline,
-    emnpc,
-    equalised_proportion,
-    mnlcs,
-    mnpc,
-    normalize_log,
-    normalize_lundberg,
-    normalize_raw,
-    proportion_cited,
+    indicator_estimate,
+    indicator_result,
+    log_moments,
+    pooled_moments,
+    score_moments,
 )
 from .intervals import (
     FIELLER,
@@ -46,14 +40,12 @@ from .intervals import (
     SampleMoments,
     fieller_ci,
     heuristic_expanded_ci,
-    mnlcs_normal_ci,
     mnpc_combined_ci,
     mnpc_field_ci,
+    normal_t_ci,
     risk_ratio_ci,
     wilson_ci,
 )
-
-_TRANSFORMS = {MNLCS: normalize_log, MNCS: normalize_raw, LUNDBERG_Z: normalize_lundberg}
 
 # Analytic method attached to each indicator by the formula route.
 FORMULA_METHOD = {
@@ -69,22 +61,16 @@ FORMULA_METHOD = {
 CONTINUITY_MODES = ("auto", "on", "off")
 
 
-def collect_scores(
-    corpus: Corpus, group: str, keys: set[FieldYearKey], indicator: str
-) -> list[NormalizedScores]:
-    """Per-cell normalised scores for a mean-type indicator, sorted by key."""
-    normalize = _TRANSFORMS[indicator]
-    scores = []
-    for key in sorted(keys):
-        baseline = compute_baseline(corpus.world(key))
-        scores.append(normalize(corpus.cell(group, key), baseline))
-    return scores
-
-
-def collect_proportions(
+def _summaries(
     corpus: Corpus, group: str, keys: set[FieldYearKey]
-) -> list[ProportionSummary]:
-    return [ProportionSummary.from_articles(corpus.cell(group, k)) for k in sorted(keys)]
+) -> tuple[list[FieldYearKey], list[CellSummary], list[CellSummary]]:
+    """Sorted keys with the group's and the world's cell summaries."""
+    ordered = sorted(keys)
+    return (
+        ordered,
+        [corpus.cell(group, k).summary for k in ordered],
+        [corpus.world(k).summary for k in ordered],
+    )
 
 
 def indicator_value(
@@ -93,30 +79,13 @@ def indicator_value(
     """Point estimate over a scope, flagged rather than raised when undefined."""
     if not keys:
         raise ValueError("empty scope")
-    if indicator in MEAN_INDICATORS:
-        try:
-            return mnlcs(collect_scores(corpus, group, keys, indicator))
-        except UndefinedNormalizationError as exc:
-            return IndicatorValue(
-                group, frozenset(keys), indicator, None, defined=False, note=str(exc)
-            )
-    group_sets = collect_proportions(corpus, group, keys)
-    if indicator == PROP_CITED:
-        return proportion_cited(group_sets)
-    if indicator == EQ_PROP_CITED:
-        return equalised_proportion(group_sets)[0]
-    world_sets = collect_proportions(corpus, WORLD, keys)
-    if indicator == EMNPC:
-        return emnpc(group_sets, world_sets)
-    if indicator == MNPC:
-        return mnpc(group_sets, world_sets)
-    raise ValueError(f"unknown indicator {indicator!r}")
+    return indicator_result(indicator, group, *_summaries(corpus, group, keys))
 
 
 def resolve_continuity(
     mode: str,
-    group_sets: list[ProportionSummary],
-    world_sets: list[ProportionSummary],
+    group_sets: list[CellSummary],
+    world_sets: list[CellSummary],
 ) -> bool:
     """'auto' switches the correction on once any cell's cited count drops below 5."""
     if mode not in CONTINUITY_MODES:
@@ -133,6 +102,10 @@ def _undefined(method: str, alpha: float, note: str) -> IntervalEstimate:
     )
 
 
+def _equalised(cells: list[CellSummary]) -> float:
+    return indicator_estimate(EQ_PROP_CITED, (), cells, ())[0]
+
+
 def formula_interval(
     corpus: Corpus,
     group: str,
@@ -142,49 +115,41 @@ def formula_interval(
     continuity: str = "auto",
 ) -> IntervalEstimate:
     """The analytic interval belonging to ``indicator`` over the scope."""
+    ordered, group_cells, world_cells = _summaries(corpus, group, keys)
     if indicator in MEAN_INDICATORS:
         try:
-            scores = collect_scores(corpus, group, keys, indicator)
+            n, mean, m2 = pooled_moments(
+                score_moments(indicator, ordered, group_cells, world_cells)
+            )
         except UndefinedNormalizationError as exc:
             return _undefined(NORMAL_T, alpha, str(exc))
-        values = np.concatenate([s.values for s in scores])
-        if len(values) < 2:
+        if n < 2:
             return _undefined(NORMAL_T, alpha, "fewer than two articles in scope")
-        return mnlcs_normal_ci(values, alpha)
+        return normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha)
 
-    group_sets = collect_proportions(corpus, group, keys)
+    n_group = sum(s.n for s in group_cells)
     if indicator == PROP_CITED:
-        return wilson_ci(sum(s.cited for s in group_sets), sum(s.total for s in group_sets), alpha)
+        return wilson_ci(sum(s.cited for s in group_cells), n_group, alpha)
     if indicator == EQ_PROP_CITED:
-        value, _ = equalised_proportion(group_sets)
-        total = sum(s.total for s in group_sets)
-        return wilson_ci(round(value.estimate * total), total, alpha)
+        return wilson_ci(round(_equalised(group_cells) * n_group), n_group, alpha)
 
-    world_sets = collect_proportions(corpus, WORLD, keys)
-    correct = resolve_continuity(continuity, group_sets, world_sets)
+    correct = resolve_continuity(continuity, group_cells, world_cells)
     if indicator == EMNPC:
-        p_g = sum(s.proportion for s in group_sets) / len(group_sets)
-        p_w = sum(s.proportion for s in world_sets) / len(world_sets)
-        n_g = sum(s.total for s in group_sets)
-        n_w = sum(s.total for s in world_sets)
-        return risk_ratio_ci((p_g * n_g, n_g), (p_w * n_w, n_w), alpha, correct)
+        p_group, p_world = _equalised(group_cells), _equalised(world_cells)
+        n_world = sum(s.n for s in world_cells)
+        return risk_ratio_ci(
+            (p_group * n_group, n_group), (p_world * n_world, n_world), alpha, correct
+        )
     if indicator == MNPC:
-        n_group = sum(s.total for s in group_sets)
         per_field = []
-        for g, w in zip(group_sets, world_sets):
-            cell = mnpc_field_ci((g.cited, g.total), (w.cited, w.total), alpha, correct)
+        for key, g, w in zip(ordered, group_cells, world_cells):
+            cell = mnpc_field_ci((g.cited, g.n), (w.cited, w.n), alpha, correct)
             if not cell.defined:
-                return _undefined(MNPC_WEIGHTED, alpha, f"{cell.note} for {g.key}")
-            per_field.append((g.total / n_group, g.proportion / w.proportion, cell))
-        point = mnpc(group_sets, world_sets)
-        if not point.defined:
-            return _undefined(MNPC_WEIGHTED, alpha, point.note)
-        return mnpc_combined_ci(per_field, point.estimate)
+                return _undefined(MNPC_WEIGHTED, alpha, f"{cell.note} for {key}")
+            per_field.append((g.n / n_group, cell.estimate, cell))
+        point, _ = indicator_estimate(MNPC, ordered, group_cells, world_cells)
+        return mnpc_combined_ci(per_field, point)
     raise ValueError(f"no formula interval for indicator {indicator!r}")
-
-
-def _log_moments(corpus: Corpus, group: str, key: FieldYearKey) -> SampleMoments:
-    return SampleMoments.from_values(np.log1p(corpus.cell(group, key).counts_array()))
 
 
 def fieller_interval(
@@ -200,20 +165,22 @@ def fieller_interval(
     ratio are those of the ln(1+c) values.
     """
     method = FIELLER if len(keys) == 1 else HEURISTIC_EXPANSION
+    ordered, group_cells, world_cells = _summaries(corpus, group, keys)
     try:
-        scores = collect_scores(corpus, group, keys, MNLCS)
+        cells = score_moments(MNLCS, ordered, group_cells, world_cells)
         if len(keys) == 1:
-            key = next(iter(keys))
-            return fieller_ci(_log_moments(corpus, group, key), _log_moments(corpus, WORLD, key), alpha)
-        per_cell = []
-        for s in scores:
-            cell_normal = mnlcs_normal_ci(s.values, alpha)
-            cell_fieller = fieller_ci(
-                _log_moments(corpus, group, s.key), _log_moments(corpus, WORLD, s.key), alpha
+            return fieller_ci(log_moments(group_cells[0]), log_moments(world_cells[0]), alpha)
+        per_cell = [
+            (
+                n,
+                normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha),
+                fieller_ci(log_moments(g), log_moments(w), alpha),
+                mean,
             )
-            per_cell.append((len(s.values), cell_normal, cell_fieller, float(s.values.mean())))
-        values = np.concatenate([s.values for s in scores])
-        combined = mnlcs_normal_ci(values, alpha)
-        return heuristic_expanded_ci(per_cell, combined, float(values.mean()), expansion_mode)
+            for (n, mean, m2), g, w in zip(cells, group_cells, world_cells)
+        ]
+        n, mean, m2 = pooled_moments(cells)
+        combined = normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha)
+        return heuristic_expanded_ci(per_cell, combined, mean, expansion_mode)
     except (UndefinedNormalizationError, ValueError) as exc:
         return _undefined(method, alpha, str(exc))

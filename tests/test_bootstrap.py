@@ -9,7 +9,6 @@ from fieldnorm.bootstrap import (
     compare_ci,
     comparison_suite,
     percentile,
-    point_estimate,
     summarize_comparisons,
 )
 from fieldnorm.corpus import WORLD, ArticleSet, Corpus, FieldYearKey
@@ -46,42 +45,43 @@ class TestPercentile:
 
 
 class TestPointEstimate:
+    """The bootstrap's point estimate is the one the report prints."""
+
     def pin(self, indicator):
         group, world = demo_sets()
-        g = {a.key: a.counts_array() for a in group}
-        w = {a.key: a.counts_array() for a in world}
+        boot = bootstrap_indicator(group, world, indicator, BootstrapSpec(100, seed=0))
         ops_value = indicator_value(
             Corpus.from_cells(group + world), "G", {KEY_A, KEY_B}, indicator
         )
-        return point_estimate(indicator, g, w), ops_value.estimate
+        return boot.estimate, ops_value.estimate
 
     @pytest.mark.parametrize("indicator", [MNLCS, MNCS, LUNDBERG_Z, EMNPC, MNPC])
     def test_matches_operation_path(self, indicator):
-        fast, reference = self.pin(indicator)
-        assert fast == pytest.approx(reference, rel=1e-12)
+        boot, reference = self.pin(indicator)
+        assert boot == reference
 
     def test_random_corpora_agreement(self):
-        rng = np.random.default_rng(8)
+        spec = BootstrapSpec(100, seed=8)
         for corpus in scenario_grid([0.8, 1.4], [1.0], [0.0, 0.4], [120], base_seed=3):
-            keys = corpus.keys_for("G1")
-            g = {k: corpus.cell("G1", k).counts_array() for k in keys}
-            w = {k: corpus.world(k).counts_array() for k in keys}
+            keys = sorted(corpus.keys_for("G1"))
+            group = [corpus.cell("G1", k) for k in keys]
+            world = [corpus.world(k) for k in keys]
             for indicator in (MNLCS, MNCS, LUNDBERG_Z, EMNPC, MNPC):
-                reference = indicator_value(corpus, "G1", keys, indicator)
-                fast = point_estimate(indicator, g, w)
+                reference = indicator_value(corpus, "G1", set(keys), indicator)
                 if reference.defined:
-                    assert fast == pytest.approx(reference.estimate, rel=1e-12)
+                    boot = bootstrap_indicator(group, world, indicator, spec)
+                    assert boot.estimate == reference.estimate
                 else:
-                    assert fast is None
+                    with pytest.raises(ValueError, match="undefined"):
+                        bootstrap_indicator(group, world, indicator, spec)
 
     def test_undefined_cases(self):
         key = FieldYearKey("F", 2015)
-        g = {key: np.array([1, 2, 0])}
-        w = {key: np.array([0, 0, 0])}
-        assert point_estimate(MNLCS, g, w) is None
-        assert point_estimate(MNCS, g, w) is None
-        assert point_estimate(MNPC, g, w) is None
-        assert point_estimate(EMNPC, g, w) is None
+        group = [ArticleSet("G", key, (1, 2, 0))]
+        world = [ArticleSet(WORLD, key, (0, 0, 0))]
+        for indicator in (MNLCS, MNCS, MNPC, EMNPC):
+            with pytest.raises(ValueError, match="undefined on the original data"):
+                bootstrap_indicator(group, world, indicator, BootstrapSpec(100, seed=0))
 
 
 class TestBootstrapIndicator:

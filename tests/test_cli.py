@@ -50,6 +50,20 @@ class TestCompute:
         assert status == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_input_dir_fails(self, tmp_path, capsys):
+        indir = tmp_path / "cells"
+        indir.mkdir()
+        out = tmp_path / "report.csv"
+        argvs = [
+            ["compute", "--input-dir", indir, "--output", out],
+            ["sample", "--input-dir", indir, "--output-dir", tmp_path / "sampled"],
+            ["compare-ci", "--input-dir", indir, "--output", tmp_path / "summary.csv"],
+        ]
+        for argv in argvs:
+            assert run(argv) == 1
+            assert "no cell files (*.tsv) found in" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_reruns(self, tmp_path, demo_corpus):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"

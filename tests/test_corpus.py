@@ -83,6 +83,27 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="not an integer"):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            ("article_id\tcount\na\t1\nb\t+3\n", ":3: count '\\+3' is not an integer"),
+            ("article_id\tcount\na\t1\nb\t 7 \n", ":3: count ' 7 ' is not an integer"),
+            ("article_id\tcount\na\t1\nb\t1_000\n", ":3: count '1_000' is not an integer"),
+            ("article_id\tcount\na\t1\nb\t\u0663\n", ":3: count '\u0663' is not an integer"),
+            ("article_id\tcount\na\t1\nb\t\n", ":3: count '' is not an integer"),
+            ("\ufeffarticle_id\tcount\na\t1\n", ":1: .*UTF-8 BOM"),
+        ],
+        ids=["plus", "spaces", "underscore", "arabic-indic", "empty", "bom"],
+    )
+    def test_strict_input_contract(self, tmp_path, content, error):
+        (tmp_path / "WORLD__BIOC__2013.tsv").write_text(content, encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"^WORLD__BIOC__2013\.tsv" + error):
+            load_corpus(tmp_path)
+
+    def test_leading_zeros_accepted(self, tmp_path):
+        write_tsv(tmp_path, "WORLD__BIOC__2013.tsv", ["a\t007", "b\t0"])
+        assert load_corpus(tmp_path).world(FieldYearKey("BIOC", 2013)).counts == (7, 0)
+
     def test_malformed_filename(self, tmp_path):
         write_tsv(tmp_path, "WORLD_BIOC_2013.tsv", ["a\t1"])
         with pytest.raises(CorpusError, match="malformed"):

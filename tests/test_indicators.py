@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from fieldnorm.corpus import WORLD, ArticleSet, FieldYearKey
+from fieldnorm.corpus import WORLD, ArticleSet, Corpus, FieldYearKey
 from fieldnorm.indicators import (
+    EMNPC,
     LUNDBERG_Z,
     MNCS,
     MNLCS,
+    MNPC,
     ProportionSummary,
     UndefinedNormalizationError,
     compute_baseline,
@@ -17,18 +19,28 @@ from fieldnorm.indicators import (
     equalised_proportion,
     mnlcs,
     mnpc,
-    normalize_cited_reciprocal,
     normalize_log,
-    normalize_lundberg,
-    normalize_raw,
+    pooled_moments,
     proportion_cited,
+    score_moments,
 )
+from fieldnorm.intervals import mnlcs_normal_ci
+from fieldnorm.scopes import formula_interval, indicator_value
+from fieldnorm.synthetic import scenario_grid
 
 from conftest import GROUP_A, GROUP_B, KEY_A, KEY_B, WORLD_A, WORLD_B, make_cell
 
 
 def world_cell(key, counts):
     return ArticleSet(WORLD, key, tuple(counts))
+
+
+def one_cell(indicator, group_counts, world_counts, key=KEY_A):
+    """indicator_value of one group cell against one world cell."""
+    corpus = Corpus.from_cells(
+        [ArticleSet("G", key, tuple(group_counts)), world_cell(key, world_counts)]
+    )
+    return indicator_value(corpus, "G", {key}, indicator)
 
 
 def summaries(group, spec):
@@ -90,53 +102,42 @@ class TestTransforms:
         assert scores.values.mean() == pytest.approx(1.0, abs=1e-12)
 
     def test_lundberg_standardisation_identity(self):
-        cell = world_cell(KEY_B, WORLD_B)
-        scores = normalize_lundberg(cell, compute_baseline(cell))
-        assert scores.values.mean() == pytest.approx(0.0, abs=1e-12)
-        assert scores.values.std(ddof=1) == pytest.approx(1.0, abs=1e-12)
+        # the world cell's own z-scores have mean 0 and sample sd 1
+        s = world_cell(KEY_B, WORLD_B).summary
+        [(n, mean, m2)] = score_moments(LUNDBERG_Z, [KEY_B], [s], [s])
+        assert mean == 0.0
+        assert math.sqrt(m2 / (n - 1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_lundberg_centring(self):
-        baseline = compute_baseline(world_cell(KEY_A, [1, 1, 3]))
-        count = round(math.exp(baseline.log_mean)) - 1  # ln(1+c) == log_mean
-        if abs(math.log1p(count) - baseline.log_mean) < 1e-12:
-            scores = normalize_lundberg(make_cell("G", "A", 2013, [count]), baseline)
-            assert scores.values[0] == pytest.approx(0.0, abs=1e-12)
+        # a group cell with the world's own counts sits exactly at the centre
+        assert one_cell(LUNDBERG_Z, WORLD_A, WORLD_A).estimate == 0.0
 
     def test_lundberg_group_mean_is_shifted_cell_mean(self):
         baseline = compute_baseline(world_cell(KEY_A, WORLD_A))
-        group = make_cell("G", "A", 2013, GROUP_A)
-        scores = normalize_lundberg(group, baseline)
         logs = np.log1p(np.asarray(GROUP_A))
         expected = (logs.mean() - baseline.log_mean) / baseline.log_sd
-        assert scores.values.mean() == pytest.approx(expected, rel=1e-12)
+        value = one_cell(LUNDBERG_Z, GROUP_A, WORLD_A)
+        assert value.estimate == pytest.approx(expected, rel=1e-12)
 
     def test_raw_scores_against_stated_baseline(self):
-        from fieldnorm.indicators import NormalizationBaseline
-
-        baseline = NormalizationBaseline(KEY_A, 0.6387, None, 1.9, 0.5, 10)
-        scores = normalize_raw(make_cell("G", "A", 2013, GROUP_A), baseline)
-        np.testing.assert_allclose(
-            scores.values, [0, 0, 0.526, 1.053, 5.263], atol=5e-4
-        )
+        # group mean 13/5 over the world mean 17/10
+        assert one_cell(MNCS, GROUP_A, WORLD_A).estimate == pytest.approx(2.6 / 1.7, rel=1e-12)
 
     def test_raw_world_self_mean_one(self):
-        cell = world_cell(KEY_A, WORLD_A)
-        scores = normalize_raw(cell, compute_baseline(cell))
-        assert scores.values.mean() == pytest.approx(1.0, abs=1e-12)
+        assert one_cell(MNCS, WORLD_A, WORLD_A).estimate == 1.0
 
     def test_cited_reciprocal_world_mean_one(self):
-        cell = world_cell(KEY_A, WORLD_A)
-        scores = normalize_cited_reciprocal(cell, compute_baseline(cell))
-        assert scores.values.mean() == pytest.approx(1.0, abs=1e-12)
+        # MNPC is the mean per-article score 1/(world share cited) if cited, else 0
+        assert one_cell(MNPC, WORLD_A, WORLD_A).estimate == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMeanIndicators:
-    def scores(self, counts_by_key, transform=normalize_log, group="G"):
+    def scores(self, counts_by_key, group="G"):
         worlds = {KEY_A: WORLD_A, KEY_B: WORLD_B}
         out = []
         for key, counts in counts_by_key.items():
             baseline = compute_baseline(world_cell(key, worlds[key]))
-            out.append(transform(ArticleSet(group, key, tuple(counts)), baseline))
+            out.append(normalize_log(ArticleSet(group, key, tuple(counts)), baseline))
         return out
 
     def test_worked_example_mnlcs(self):
@@ -166,12 +167,6 @@ class TestMeanIndicators:
         manual = sum(m * n for m, n in per_cell) / sum(n for _, n in per_cell)
         assert combined == pytest.approx(manual, rel=1e-12)
 
-    def test_mixed_transforms_rejected(self):
-        log_scores = self.scores({KEY_A: GROUP_A})
-        raw_scores = self.scores({KEY_B: GROUP_B}, transform=normalize_raw)
-        with pytest.raises(ValueError, match="transform"):
-            mnlcs(log_scores + raw_scores)
-
     def test_duplicate_scope_rejected(self):
         scores = self.scores({KEY_A: GROUP_A})
         with pytest.raises(ValueError, match="scope"):
@@ -182,12 +177,17 @@ class TestMeanIndicators:
             mnlcs([])
 
     def test_raw_transform_yields_mncs(self):
-        value = mnlcs(self.scores({KEY_A: GROUP_A}, transform=normalize_raw))
+        value = one_cell(MNCS, GROUP_A, WORLD_A)
         assert value.indicator == MNCS
+        per_article = np.asarray(GROUP_A) / np.mean(WORLD_A)
+        assert value.estimate == pytest.approx(per_article.mean(), rel=1e-12)
 
     def test_zscore_transform_yields_lundberg(self):
-        value = mnlcs(self.scores({KEY_A: GROUP_A}, transform=normalize_lundberg))
+        value = one_cell(LUNDBERG_Z, GROUP_A, WORLD_A)
         assert value.indicator == LUNDBERG_Z
+        logs_w = np.log1p(WORLD_A)
+        per_article = (np.log1p(GROUP_A) - logs_w.mean()) / logs_w.std(ddof=1)
+        assert value.estimate == pytest.approx(per_article.mean(), rel=1e-12)
 
 
 class TestProportions:
@@ -293,12 +293,11 @@ class TestCrossIndicatorProperties:
             world_sum = [ProportionSummary.from_articles(c) for c in world_cells]
             value = mnpc(group_sum, world_sum)
 
-            binarised_scores = []
-            for g_cell, w_cell in zip(group_cells, world_cells):
-                g_bin = ArticleSet("G", g_cell.key, tuple(min(c, 1) for c in g_cell.counts))
-                w_bin = ArticleSet(WORLD, w_cell.key, tuple(min(c, 1) for c in w_cell.counts))
-                binarised_scores.append(normalize_raw(g_bin, compute_baseline(w_bin)))
-            mncs_value = mnlcs(binarised_scores)
+            binarised = Corpus.from_cells(
+                ArticleSet(c.group, c.key, tuple(min(x, 1) for x in c.counts))
+                for c in group_cells + world_cells
+            )
+            mncs_value = indicator_value(binarised, "G", set(keys), MNCS)
             assert value.estimate == pytest.approx(mncs_value.estimate, rel=1e-12)
 
     def test_weighted_sum_matches_per_article_mean(self):
@@ -318,7 +317,7 @@ class TestCrossIndicatorProperties:
         )
         per_article = np.concatenate(
             [
-                normalize_cited_reciprocal(g, compute_baseline(w)).values
+                np.where(g.counts_array() > 0, 1.0 / compute_baseline(w).prop_cited, 0.0)
                 for g, w in zip(group_cells, world_cells)
             ]
         )
@@ -327,7 +326,60 @@ class TestCrossIndicatorProperties:
     def test_emnpc_mnpc_world_identity(self):
         world = summaries(WORLD, [("A", 5, 10), ("B", 8, 10)])
         world_as_group = [
-            ProportionSummary("X", s.key, s.cited, s.total) for s in world
+            ProportionSummary("X", s.key, s.cited, s.n) for s in world
         ]
         assert emnpc(world_as_group, world).estimate == pytest.approx(1.0)
         assert mnpc(world_as_group, world).estimate == pytest.approx(1.0)
+
+
+def per_article(indicator, group_cells, world_cells):
+    """Per-article normalised scores of a mean indicator, concatenated over cells."""
+    scores = []
+    for g, w in zip(group_cells, world_cells):
+        counts, logs_w = g.counts_array(), np.log1p(w.counts_array())
+        if indicator == MNLCS:
+            scores.append(np.log1p(counts) / logs_w.mean())
+        elif indicator == MNCS:
+            scores.append(counts / w.counts_array().mean())
+        else:
+            scores.append((np.log1p(counts) - logs_w.mean()) / logs_w.std(ddof=1))
+    return np.concatenate(scores)
+
+
+class TestKernel:
+    """The per-cell kernel against per-article scores computed directly."""
+
+    @pytest.mark.parametrize("indicator", [MNLCS, MNCS, LUNDBERG_Z])
+    def test_estimate_and_normal_limits_match_per_article_scores(self, indicator):
+        for corpus in scenario_grid([0.8, 1.4], [1.0], [0.0, 0.4], [120, 7], base_seed=3):
+            keys = corpus.keys_for("G1")
+            ordered = sorted(keys)
+            values = per_article(
+                indicator,
+                [corpus.cell("G1", k) for k in ordered],
+                [corpus.world(k) for k in ordered],
+            )
+            value = indicator_value(corpus, "G1", keys, indicator)
+            assert value.estimate == pytest.approx(values.mean(), rel=1e-12, abs=1e-14)
+            reference = mnlcs_normal_ci(values)
+            interval = formula_interval(corpus, "G1", keys, indicator)
+            assert interval.lower == pytest.approx(reference.lower, rel=1e-12, abs=1e-14)
+            assert interval.upper == pytest.approx(reference.upper, rel=1e-12, abs=1e-14)
+
+    def test_pooled_moments_match_concatenation(self):
+        rng = np.random.default_rng(12)
+        parts = [rng.lognormal(0.0, 1.0, n) for n in (1, 4, 30)]
+        cells = []
+        for values in parts:
+            deviations = values - values.mean()
+            cells.append((len(values), values.mean(), float(deviations @ deviations)))
+        n, mean, m2 = pooled_moments(cells)
+        together = np.concatenate(parts)
+        assert n == len(together)
+        assert mean == pytest.approx(together.mean(), rel=1e-12)
+        assert m2 / (n - 1) == pytest.approx(together.var(ddof=1), rel=1e-12)
+
+    def test_undefined_over_zero_world(self):
+        for indicator in (MNLCS, MNCS, LUNDBERG_Z, MNPC, EMNPC):
+            value = one_cell(indicator, [1, 2, 0], [0, 0, 0])
+            assert not value.defined and value.estimate is None
