@@ -6,11 +6,19 @@ r draws from an independent substream derived from (seed, r), so results do
 not depend on execution order, and the draws index each cell's counts in
 ascending order, so results do not depend on the input article order either.
 
-A replicate is the ``CellSummary.resample`` of each cell's cached summary at
-its index draw, and its value comes from the same kernel as every point
-estimate, ``indicators.indicator_estimate``.  A replicate computes only the
-statistics its indicator reads: cited counts as ``idx >= first cited
-position``, ln(1+c) means gathered from the cell's precomputed values.
+Seeding.  Replicate r's generator is ``default_rng(SeedSequence([seed, r]))``
+and draws ``integers(0, n, n)`` for each group cell in sorted key order,
+then for each world cell.  ``seed_words`` computes the SeedSequence output
+of all R replicates in one pass over uint32 lanes, and ``pcg64_state`` turns
+each into the PCG64 state that generator starts from, so one reused
+``Generator(PCG64())`` is re-seeded per replicate through its
+``bit_generator.state``, with the same draws.
+
+Evaluation.  Each cell keeps only the statistics its indicator reads
+(``indicators.CELL_STATISTICS``) as ``CellReplicates`` arrays with one entry
+per replicate, filled from the index draws.  The kernel that computes every
+point estimate, ``indicators.indicator_estimate``, then evaluates all R
+replicates at once; undefined replicates come back as NaN and are counted.
 """
 
 from __future__ import annotations
@@ -22,10 +30,84 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ArticleSet, Corpus
-from .indicators import PROPORTION_INDICATORS, UndefinedNormalizationError, indicator_estimate
+from .corpus import ArticleSet, CellReplicates, CellSummary, Corpus, FieldYearKey
+from .indicators import (
+    CELL_STATISTICS,
+    PROPORTION_INDICATORS,
+    UndefinedNormalizationError,
+    indicator_estimate,
+)
 from .intervals import BOOTSTRAP_PERCENTILE, IntervalEstimate
 from .scopes import formula_interval, indicator_value
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx) and the PCG64
+# seeding step pcg_setseq_128_srandom_r (numpy/random/src/pcg64), restated.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def seed_words(seed: int, replicates: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, r]).generate_state(4, np.uint64)`` for each r, as rows.
+
+    ``seed`` lies in [0, 2**64) and ``replicates`` is a uint64 array.  The
+    entropy is then at most four 32-bit words, the pool size: the seed's
+    words, low word first, then r's.  The pool treats missing words as
+    zeros, so r's high word can always be included, zero or not.
+    """
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must lie in [0, 2**64)")
+    replicates = np.asarray(replicates, dtype=np.uint64)
+    u32 = np.uint32
+    seed_lanes = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(len(replicates), w, dtype=u32) for w in seed_lanes]
+    entropy.append((replicates & np.uint64(_MASK32)).astype(u32))
+    entropy.append((replicates >> np.uint64(32)).astype(u32))
+    entropy += [np.zeros(len(replicates), dtype=u32)] * (4 - len(entropy))
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = u32(_MIX_MULT_L) * pool[dst] - u32(_MIX_MULT_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> u32(16))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ u32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * u32(hash_const)
+        state.append((value ^ (value >> u32(16))).astype(np.uint64))
+    return np.stack([state[i] | (state[i + 1] << np.uint64(32)) for i in range(0, 8, 2)], axis=1)
+
+
+def pcg64_state(words: Sequence[int]) -> dict:
+    """The ``bit_generator.state`` of a PCG64 seeded with four seed words.
+
+    ``words`` is a row of ``seed_words(...).tolist()``, as Python ints.
+    """
+    s_high, s_low, i_high, i_low = words
+    inc = (i_high << 65 | i_low << 1 | 1) & _MASK128
+    state = ((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True)
@@ -62,6 +144,37 @@ def percentile(sorted_replicates: Sequence[float], q: float) -> float:
     return sorted_replicates[rank]
 
 
+def replicate_values(
+    keys: Sequence[FieldYearKey],
+    group_cells: Sequence[CellSummary],
+    world_cells: Sequence[CellSummary],
+    indicator: str,
+    spec: BootstrapSpec,
+) -> np.ndarray:
+    """``indicator`` on each of the ``spec.iterations`` replicates, NaN where undefined.
+
+    ``group_cells[i]`` and ``world_cells[i]`` summarise the cells of
+    ``keys[i]``, in sorted key order.
+    """
+    group_stats, world_stats = CELL_STATISTICS[indicator]
+    rep_group = [CellReplicates(c, group_stats, spec.iterations) for c in group_cells]
+    rep_world = world_cells
+    drawn = rep_group
+    # World draws come after every group draw, so they are skipped, not
+    # shifted, when the indicator reads nothing from the world cells.
+    if spec.resample_world and world_stats:
+        rep_world = [CellReplicates(c, world_stats, spec.iterations) for c in world_cells]
+        drawn = rep_group + rep_world
+    bit_generator = np.random.PCG64(0)
+    integers = np.random.Generator(bit_generator).integers
+    words = seed_words(spec.seed & (2**64 - 1), np.arange(spec.iterations, dtype=np.uint64))
+    for r, row in enumerate(words.tolist()):
+        bit_generator.state = pcg64_state(row)
+        for cell in drawn:
+            cell.record(r, integers(0, cell.n, cell.n))
+    return indicator_estimate(indicator, keys, rep_group, rep_world)[0]
+
+
 def bootstrap_indicator(
     group_sets: Sequence[ArticleSet],
     world_sets: Sequence[ArticleSet],
@@ -91,19 +204,9 @@ def bootstrap_indicator(
     except UndefinedNormalizationError:
         raise ValueError(f"{indicator} is undefined on the original data") from None
 
-    seed_entropy = spec.seed & (2**64 - 1)
-    estimates: list[float] = []
-    undefined = 0
-    for r in range(spec.iterations):
-        rng = np.random.default_rng(np.random.SeedSequence([seed_entropy, r]))
-        rep_group = [c.resample(rng.integers(0, c.n, c.n)) for c in group_cells]
-        rep_world = world_cells
-        if spec.resample_world:
-            rep_world = [c.resample(rng.integers(0, c.n, c.n)) for c in world_cells]
-        try:
-            estimates.append(indicator_estimate(indicator, keys, rep_group, rep_world)[0])
-        except UndefinedNormalizationError:
-            undefined += 1
+    replicates = replicate_values(keys, group_cells, world_cells, indicator, spec)
+    undefined_mask = np.isnan(replicates)
+    undefined = int(np.count_nonzero(undefined_mask))
 
     n_articles = sum(c.n for c in group_cells)
     note = f"resample_world={'true' if spec.resample_world else 'false'}"
@@ -115,11 +218,12 @@ def bootstrap_indicator(
             method=BOOTSTRAP_PERCENTILE, defined=False, n=n_articles,
             note=note + "; undefined replicates exceed alpha/2",
         )
-    estimates.sort()
+    # A stable sort, like list.sort, so that equal values keep their order.
+    estimates = np.sort(replicates[~undefined_mask], kind="stable")
     return IntervalEstimate(
         estimate=original,
-        lower=percentile(estimates, spec.alpha / 2.0),
-        upper=percentile(estimates, 1.0 - spec.alpha / 2.0),
+        lower=float(percentile(estimates, spec.alpha / 2.0)),
+        upper=float(percentile(estimates, 1.0 - spec.alpha / 2.0)),
         alpha=spec.alpha,
         method=BOOTSTRAP_PERCENTILE,
         n=n_articles,

@@ -10,7 +10,8 @@ reserved for the reference set; every (field, year) present for any group
 must also have a WORLD cell, otherwise normalisation is impossible.
 
 Each ArticleSet caches one CellSummary of its counts, the statistics every
-indicator and analytic interval is computed from.
+indicator and analytic interval is computed from; CellReplicates holds the
+same statistics over the bootstrap replicates of a cell.
 """
 
 from __future__ import annotations
@@ -84,56 +85,79 @@ class ArticleSet:
 class CellSummary:
     """n, cited (count > 0), and the mean and M2 of c and of ln(1+c) for one cell.
 
-    M2 is the sum of squared deviations from the mean.  A summary reads the
+    M2 is the sum of squared deviations from the mean.  A summary holds the
     cell's counts in ascending order, their precomputed ln(1+c) values and
-    the position of the first count above zero: all articles, or those at
-    the positions ``idx`` of one bootstrap index draw (``resample``).  Each
-    statistic is computed the first time it is read, so a replicate pays
-    only for what its indicator reads.
+    the position of the first count above zero; each mean and M2 is
+    computed the first time it is read.
     """
 
-    def __init__(self, counts: np.ndarray, logs: np.ndarray, first_cited: int, idx=None) -> None:
-        self._counts, self._logs, self._first_cited, self._idx = counts, logs, first_cited, idx
-        self.n = len(counts) if idx is None else len(idx)
-
-    def resample(self, idx: np.ndarray) -> "CellSummary":
-        """Summary of the articles at positions ``idx`` of the whole cell."""
-        return CellSummary(self._counts, self._logs, self._first_cited, idx)
-
-    @cached_property
-    def cited(self) -> int:
-        if self._idx is None:
-            return self.n - self._first_cited
-        return int(np.count_nonzero(self._idx >= self._first_cited))
-
-    @cached_property
-    def _raw(self) -> np.ndarray:
-        return self._counts if self._idx is None else self._counts[self._idx]
-
-    @cached_property
-    def _log(self) -> np.ndarray:
-        return self._logs if self._idx is None else self._logs[self._idx]
+    def __init__(self, counts: np.ndarray, logs: np.ndarray, first_cited: int) -> None:
+        self._counts, self._logs, self._first_cited = counts, logs, first_cited
+        self.n = len(counts)
+        self.cited = self.n - first_cited
 
     @cached_property
     def raw_mean(self) -> float:
-        return float(self._raw.mean())
+        return float(self._counts.mean())
 
     @cached_property
     def raw_m2(self) -> float:
-        return float(np.sum((self._raw - self.raw_mean) ** 2))
+        return float(np.sum((self._counts - self.raw_mean) ** 2))
 
     @cached_property
     def log_mean(self) -> float:
-        return float(self._log.mean())
+        return float(self._logs.mean())
 
     @cached_property
     def log_m2(self) -> float:
-        return float(np.sum((self._log - self.log_mean) ** 2))
+        return float(np.sum((self._logs - self.log_mean) ** 2))
 
     @property
     def log_sd(self) -> float | None:
         """Sample sd of ln(1+c); None for a single article."""
         return math.sqrt(self.log_m2 / (self.n - 1)) if self.n > 1 else None
+
+
+class CellReplicates:
+    """One cell's statistics over R bootstrap replicates, as length-R arrays.
+
+    Only the statistics named in ``stats`` (of ``cited``, ``raw_mean``,
+    ``log_mean`` and ``log_m2``) are kept; the others are None.
+    ``record(r, idx)`` sets entry r from the articles at positions ``idx`` of
+    the cell's sorted counts, in draw order: cited as ``idx >= first cited
+    position``, means as sums divided by n (bit-identical to
+    ``ndarray.mean``), M2 as the sum of squared deviations from that mean.
+    """
+
+    def __init__(self, cell: CellSummary, stats: Iterable[str], replicates: int) -> None:
+        stats = set(stats)
+        if "log_m2" in stats:
+            stats.add("log_mean")
+        self._cell = cell
+        self.n = cell.n
+        self.cited = np.empty(replicates, np.int64) if "cited" in stats else None
+        self.raw_mean, self.log_mean, self.log_m2 = (
+            np.empty(replicates) if name in stats else None
+            for name in ("raw_mean", "log_mean", "log_m2")
+        )
+
+    def record(self, r: int, idx: np.ndarray) -> None:
+        cell, n = self._cell, self.n
+        if self.cited is not None:
+            self.cited[r] = np.count_nonzero(idx >= cell._first_cited)
+        if self.raw_mean is not None:
+            self.raw_mean[r] = np.add.reduce(cell._counts[idx], dtype=np.float64) / n
+        if self.log_mean is not None:
+            logs = cell._logs[idx]
+            mean = np.add.reduce(logs) / n
+            self.log_mean[r] = mean
+            if self.log_m2 is not None:
+                self.log_m2[r] = np.add.reduce((logs - mean) ** 2)
+
+    @property
+    def log_sd(self) -> np.ndarray | None:
+        """Sample sd of ln(1+c) per replicate; None for a single article."""
+        return np.sqrt(self.log_m2 / (self.n - 1)) if self.n > 1 else None
 
 
 @dataclass(frozen=True)

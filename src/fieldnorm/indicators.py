@@ -6,7 +6,9 @@ cell, held in the cell's cached ``CellSummary``: n, the number cited
 these summaries: ``indicator_estimate`` computes all seven indicators, and
 ``score_moments``/``pooled_moments`` and ``log_moments`` give the moments
 behind the NORMAL_T and Fieller intervals.  Point estimates, analytic
-intervals and bootstrap replicates all call it.
+intervals and bootstrap replicates all call it; for the bootstrap,
+``indicator_estimate`` takes ``CellReplicates`` (each statistic an array with
+one entry per replicate) and evaluates every replicate in one call.
 
 Mean-type indicators average a per-article score over all N articles of a
 scope.  Each cell contributes a term, and the terms are summed and divided
@@ -31,12 +33,13 @@ exactly 0 for the Lundberg variant, and 1 up to rounding for MNPC.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import WORLD, ArticleSet, CellSummary, FieldYearKey
+from .corpus import WORLD, ArticleSet, CellReplicates, CellSummary, FieldYearKey
 from .intervals import SampleMoments
 
 # Indicator tags.
@@ -119,79 +122,122 @@ def compute_baseline(world: ArticleSet) -> NormalizationBaseline:
 
 # ---------------------------------------------------------------- kernel
 
+# The statistics ``indicator_estimate`` reads from the group and from the
+# world cells, besides n.
+CELL_STATISTICS = {
+    MNLCS: ({"log_mean"}, {"log_mean"}),
+    MNCS: ({"raw_mean"}, {"raw_mean"}),
+    LUNDBERG_Z: ({"log_mean"}, {"log_mean", "log_m2"}),
+    EMNPC: ({"cited"}, {"cited"}),
+    MNPC: ({"cited"}, {"cited"}),
+    PROP_CITED: ({"cited"}, set()),
+    EQ_PROP_CITED: ({"cited"}, set()),
+}
 
-def _normaliser(indicator: str, key: FieldYearKey, world: CellSummary) -> tuple[float, float]:
+
+def _check(bad, masks: list | None, message: str, key: FieldYearKey | None = None) -> None:
+    """Flag where the indicator is undefined.
+
+    A single estimate (``masks`` None) raises UndefinedNormalizationError
+    when ``bad``; replicate arrays record ``bad`` in ``masks``, and a scalar
+    ``bad`` then holds for every replicate.
+    """
+    if masks is None:
+        if bad:
+            raise UndefinedNormalizationError(message.format(key))
+    else:
+        masks.append(bad)
+
+
+def _where(condition, if_true, if_false):
+    """``if_true`` where ``condition`` holds, else ``if_false``, per replicate for arrays.
+
+    The kernel divides by ``_where(bad, 1.0, divisor)``, so that no
+    replicate flagged by ``_check`` divides by zero.
+    """
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, if_true, if_false)
+    return if_true if condition else if_false
+
+
+def _normaliser(indicator: str, key: FieldYearKey, world: CellSummary, masks=None):
     """(shift, scale) that turn a cell's x into the scores (x - shift) / scale."""
     if indicator == MNLCS:
-        if world.log_mean <= 0.0:
-            raise UndefinedNormalizationError(
-                f"undefined normalisation: all world counts zero for {key}"
-            )
-        return 0.0, world.log_mean
-    if indicator == MNCS:
-        if world.raw_mean <= 0.0:
-            raise UndefinedNormalizationError(
-                f"undefined normalisation: world mean count is zero for {key}"
-            )
-        return 0.0, world.raw_mean
-    log_sd = world.log_sd
-    if log_sd is None or log_sd <= 0.0:
-        raise UndefinedNormalizationError(
-            f"undefined standardisation: world log-sd is zero or undefined for {key}"
-        )
-    return world.log_mean, log_sd
+        scale = world.log_mean
+        message = "undefined normalisation: all world counts zero for {}"
+    elif indicator == MNCS:
+        scale = world.raw_mean
+        message = "undefined normalisation: world mean count is zero for {}"
+    else:
+        scale = world.log_sd
+        message = "undefined standardisation: world log-sd is zero or undefined for {}"
+    bad = True if scale is None else scale <= 0.0
+    _check(bad, masks, message, key)
+    shift = world.log_mean if indicator == LUNDBERG_Z else 0.0
+    return shift, _where(bad, 1.0, scale)
 
 
-def _score_mean(indicator: str, key: FieldYearKey, group: CellSummary, world: CellSummary) -> float:
-    shift, scale = _normaliser(indicator, key, world)
+def _score_mean(
+    indicator: str, key: FieldYearKey, group: CellSummary, world: CellSummary, masks=None
+):
+    shift, scale = _normaliser(indicator, key, world, masks)
     return ((group.raw_mean if indicator == MNCS else group.log_mean) - shift) / scale
 
 
 def indicator_estimate(
     indicator: str,
     keys: Sequence[FieldYearKey],
-    group: Sequence[CellSummary],
-    world: Sequence[CellSummary],
-) -> tuple[float, str]:
+    group: Sequence[CellSummary | CellReplicates],
+    world: Sequence[CellSummary | CellReplicates],
+) -> tuple[float | np.ndarray, str]:
     """Point estimate of ``indicator`` over a scope, with its note.
 
     ``group[i]`` and ``world[i]`` summarise the cells of ``keys[i]``; only
-    the statistics the indicator needs are read, so the proportion
+    the statistics ``CELL_STATISTICS`` names are read, so the proportion
     indicators also take ProportionSummary objects.  Raises
     UndefinedNormalizationError when the indicator is undefined: a zero
     world baseline (log-mean, mean or log-sd) for a mean indicator, all
     world proportions zero for EMNPC, cited articles over a zero world
     proportion for MNPC.
+
+    Given CellReplicates (length-R statistic arrays of bootstrap
+    replicates), the estimate is an array with one entry per replicate and
+    NaN where the indicator is undefined, instead of raising.
     """
+    masks = [] if any(isinstance(g, CellReplicates) for g in group) else None
+    notes: list[str] = []
     if indicator in MEAN_INDICATORS:
-        total = sum(g.n * _score_mean(indicator, k, g, w) for k, g, w in zip(keys, group, world))
-        return total / sum(g.n for g in group), ""
-    if indicator == PROP_CITED:
-        return sum(g.cited for g in group) / sum(g.n for g in group), ""
-    if indicator == EQ_PROP_CITED:
-        return sum(g.cited / g.n for g in group) / len(group), ""
-    if indicator == EMNPC:
+        value = sum(
+            g.n * _score_mean(indicator, k, g, w, masks) for k, g, w in zip(keys, group, world)
+        ) / sum(g.n for g in group)
+    elif indicator == PROP_CITED:
+        value = sum(g.cited for g in group) / sum(g.n for g in group)
+    elif indicator == EQ_PROP_CITED:
+        value = sum(g.cited / g.n for g in group) / len(group)
+    elif indicator == EMNPC:
         sum_world = sum(w.cited / w.n for w in world)
-        if sum_world == 0.0:
-            raise UndefinedNormalizationError("all world proportions zero")
-        return sum(g.cited / g.n for g in group) / sum_world, ""
-    if indicator == MNPC:
+        bad = sum_world == 0.0
+        _check(bad, masks, "all world proportions zero")
+        value = sum(g.cited / g.n for g in group) / _where(bad, 1.0, sum_world)
+    elif indicator == MNPC:
         n_group = sum(g.n for g in group)
-        total = 0.0
-        notes: list[str] = []
+        value = 0.0
         for key, g, w in zip(keys, group, world):
             weight = g.n / n_group
-            if w.cited == 0:
-                if g.cited == 0:
-                    total += weight
-                    notes.append(f"0/0 field ratio replaced by 1 for {key}")
-                    continue
-                raise UndefinedNormalizationError(
-                    f"positive numerator over zero world proportion for {key}"
-                )
-            total += weight * ((g.cited / g.n) / (w.cited / w.n))
-        return total, "; ".join(notes)
-    raise ValueError(f"unknown indicator {indicator!r}")
+            zero = w.cited == 0
+            _check(
+                zero & (g.cited > 0), masks,
+                "positive numerator over zero world proportion for {}", key,
+            )
+            if masks is None and zero and g.cited == 0:
+                notes.append(f"0/0 field ratio replaced by 1 for {key}")
+            ratio = (g.cited / g.n) / (_where(zero, 1, w.cited) / w.n)
+            value = value + _where(zero, weight, weight * ratio)
+    else:
+        raise ValueError(f"unknown indicator {indicator!r}")
+    if masks:
+        value = np.where(functools.reduce(np.logical_or, masks), np.nan, value)
+    return value, "; ".join(notes)
 
 
 def score_moments(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,27 @@ from fieldnorm.bootstrap import (
     bootstrap_indicator,
     compare_ci,
     comparison_suite,
+    pcg64_state,
     percentile,
+    replicate_values,
+    seed_words,
     summarize_comparisons,
 )
 from fieldnorm.corpus import WORLD, ArticleSet, Corpus, FieldYearKey
-from fieldnorm.indicators import EMNPC, LUNDBERG_Z, MNCS, MNLCS, MNPC
+from fieldnorm.indicators import (
+    EMNPC,
+    EQ_PROP_CITED,
+    LUNDBERG_Z,
+    MNCS,
+    MNLCS,
+    MNPC,
+    PROP_CITED,
+    UndefinedNormalizationError,
+    indicator_estimate,
+)
 from fieldnorm.intervals import IntervalEstimate, NORMAL_T
 from fieldnorm.scopes import indicator_value
-from fieldnorm.synthetic import scenario_grid
+from fieldnorm.synthetic import LognormalSpec, generate_cell, scenario_grid
 
 from conftest import GROUP_A, GROUP_B, KEY_A, KEY_B, WORLD_A, WORLD_B
 
@@ -231,3 +246,157 @@ class TestComparisonSuite:
         a = comparison_suite(scenarios, [MNLCS, MNCS], spec)
         b = comparison_suite(scenarios, [MNLCS, MNCS], spec)
         assert a == b
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -12345 & (2**64 - 1)]
+REPLICATES = [0, 1, 999, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestSeeding:
+    """All replicate generators seeded at once equal default_rng(SeedSequence([seed, r]))."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_words_match_seed_sequence(self, seed):
+        words = seed_words(seed, np.array(REPLICATES, dtype=np.uint64))
+        for r, row in zip(REPLICATES, words):
+            expected = np.random.SeedSequence([seed, r]).generate_state(4, np.uint64)
+            assert row.dtype == np.uint64
+            assert row.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_draws_match_default_rng(self, seed):
+        bit_generator = np.random.PCG64(0)
+        generator = np.random.Generator(bit_generator)
+        words = seed_words(seed, np.array(REPLICATES, dtype=np.uint64)).tolist()
+        for r, row in zip(REPLICATES, words):
+            bit_generator.state = pcg64_state(row)
+            reference = np.random.default_rng(np.random.SeedSequence([seed, r]))
+            for n in (1, 7, 100, 5000):
+                assert generator.integers(0, n, n).tolist() == reference.integers(0, n, n).tolist()
+            assert bit_generator.state == reference.bit_generator.state
+
+    def test_seed_outside_64_bits_rejected(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                seed_words(seed, np.arange(3, dtype=np.uint64))
+
+
+def sorted_counts(aset):
+    return np.sort(np.asarray(aset.counts, dtype=np.int64))
+
+
+class DrawnCell:
+    """The statistics of the articles at positions ``idx`` of sorted ``counts``."""
+
+    def __init__(self, counts, idx):
+        raw = counts[idx]
+        logs = np.log1p(counts)[idx]
+        self.n = len(idx)
+        self.cited = int(np.count_nonzero(raw > 0))
+        self.raw_mean = float(raw.mean())
+        self.log_mean = float(logs.mean())
+        self.log_m2 = float(np.sum((logs - self.log_mean) ** 2))
+        self.log_sd = math.sqrt(self.log_m2 / (self.n - 1)) if self.n > 1 else None
+
+
+def per_replicate_loop(group_sets, world_sets, indicator, spec):
+    """The reference: one default_rng per replicate, one draw per cell, the scalar kernel.
+
+    Group cells are drawn in sorted key order, then world cells when the
+    world is resampled, whatever the indicator reads.
+    """
+    keys = sorted(a.key for a in group_sets)
+    group = {a.key: sorted_counts(a) for a in group_sets}
+    world = {a.key: a for a in world_sets}
+    fixed_world = [world[k].summary for k in keys]
+    values, undefined = [], 0
+    for r in range(spec.iterations):
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed & (2**64 - 1), r]))
+        rep_group = [DrawnCell(group[k], rng.integers(0, len(group[k]), len(group[k]))) for k in keys]
+        rep_world = fixed_world
+        if spec.resample_world:
+            rep_world = []
+            for k in keys:
+                counts = sorted_counts(world[k])
+                rep_world.append(DrawnCell(counts, rng.integers(0, len(counts), len(counts))))
+        try:
+            values.append(indicator_estimate(indicator, keys, rep_group, rep_world)[0])
+        except UndefinedNormalizationError:
+            undefined += 1
+    return sorted(values), undefined
+
+
+def vectorised(group_sets, world_sets, indicator, spec):
+    keys = sorted(a.key for a in group_sets)
+    group = {a.key: a.summary for a in group_sets}
+    world = {a.key: a.summary for a in world_sets}
+    values = replicate_values(keys, [group[k] for k in keys], [world[k] for k in keys],
+                              indicator, spec)
+    undefined = np.isnan(values)
+    return sorted(values[~undefined].tolist()), int(np.count_nonzero(undefined))
+
+
+def mixed_scope():
+    """Three cells: sparse, zero-inflated and single-article group cells."""
+    cells = []
+    shapes = [(0.4, 1.2, 0.5, 30, 60), (1.0, 1.0, 0.0, 45, 90), (0.2, 0.8, 0.7, 1, 25)]
+    for i, (mu, sigma, zero_inflation, n_group, n_world) in enumerate(shapes):
+        key = FieldYearKey(f"F{i}", 2015)
+        cells.append(generate_cell(LognormalSpec(mu, sigma, zero_inflation, n_group, 100 + i),
+                                   key, "G"))
+        cells.append(generate_cell(LognormalSpec(mu, sigma, zero_inflation, n_world, 200 + i),
+                                   key, WORLD))
+    return [c for c in cells if c.group == "G"], [c for c in cells if c.group == WORLD]
+
+
+ALL_INDICATORS = [MNLCS, MNCS, LUNDBERG_Z, EMNPC, MNPC, PROP_CITED, EQ_PROP_CITED]
+
+
+class TestReplicateOracle:
+    """Replicate values equal the per-replicate loop's, exactly, with the same undefined count."""
+
+    def check(self, group, world, indicator, spec):
+        expected = per_replicate_loop(group, world, indicator, spec)
+        assert vectorised(group, world, indicator, spec) == expected
+        return expected
+
+    @pytest.mark.parametrize("resample_world", [True, False])
+    @pytest.mark.parametrize("indicator", ALL_INDICATORS)
+    def test_mixed_scope(self, indicator, resample_world):
+        group, world = mixed_scope()
+        spec = BootstrapSpec(300, seed=-7, resample_world=resample_world)
+        self.check(group, world, indicator, spec)
+
+    @pytest.mark.parametrize("indicator", [MNCS, MNLCS, MNPC])
+    def test_large_cell(self, indicator):
+        # draws and reductions over tens of thousands of articles
+        key = FieldYearKey("F", 2015)
+        group = [generate_cell(LognormalSpec(1.0, 1.3, 0.2, 20_000, 1), key, "G")]
+        world = [generate_cell(LognormalSpec(1.0, 1.3, 0.2, 9_000, 2), key, WORLD)]
+        self.check(group, world, indicator, BootstrapSpec(100, seed=2**40 + 3))
+
+    def test_undefined_mnpc_replicates(self):
+        key = FieldYearKey("F", 2015)
+        group = [ArticleSet("G", key, (1, 1, 0, 0))]
+        world = [ArticleSet(WORLD, key, (1, 0, 0, 0, 0, 0, 0, 0))]
+        _, undefined = self.check(group, world, MNPC, BootstrapSpec(400, seed=2))
+        assert undefined > 10
+
+    @pytest.mark.parametrize("resample_world", [True, False])
+    @pytest.mark.parametrize("indicator", ALL_INDICATORS)
+    def test_single_article_world_cell(self, indicator, resample_world):
+        key_a, key_b = FieldYearKey("A", 2015), FieldYearKey("B", 2015)
+        group = [ArticleSet("G", key_a, (0, 2, 5, 1)), ArticleSet("G", key_b, (3, 0, 1))]
+        world = [ArticleSet(WORLD, key_a, (0, 2, 5, 1, 4, 0)), ArticleSet(WORLD, key_b, (2,))]
+        spec = BootstrapSpec(200, seed=5, resample_world=resample_world)
+        values, undefined = self.check(group, world, indicator, spec)
+        if indicator == LUNDBERG_Z:
+            assert (values, undefined) == ([], 200)
+
+    def test_constant_world_cell_lundberg(self):
+        # a two-article world cell often resamples to one value: sd zero
+        key = FieldYearKey("F", 2015)
+        group = [ArticleSet("G", key, (0, 3, 8, 1, 2))]
+        world = [ArticleSet(WORLD, key, (0, 4))]
+        _, undefined = self.check(group, world, LUNDBERG_Z, BootstrapSpec(200, seed=9))
+        assert 0 < undefined < 200

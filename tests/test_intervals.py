@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from fieldnorm.intervals import (
     EXPAND_FROM_MEAN,
@@ -42,6 +43,24 @@ class TestCriticalValues:
 
     def test_z(self):
         assert z_critical(0.05) == pytest.approx(1.959964, abs=1e-5)
+
+    def test_equal_to_scipy_ppf(self):
+        for alpha in (0.001, 0.01, 0.05, 0.1, 0.3, 0.9):
+            q = 1.0 - alpha / 2.0
+            assert z_critical(alpha) == float(stats.norm.ppf(q))
+            for df in (1, 2, 3, 7, 30, 99, 398, 4999, 10**5, 10**6):
+                assert t_critical(df, alpha) == float(stats.t.ppf(q, df))
+
+    def test_invalid_arguments_raise_every_time(self):
+        t_critical(5, 0.05)
+        z_critical(0.05)
+        for _ in range(2):
+            for df, alpha in ((0, 0.05), (-3, 0.05), (5, 0.0), (5, 1.0), (5, float("nan"))):
+                with pytest.raises(ValueError):
+                    t_critical(df, alpha)
+            for alpha in (0.0, 1.0, -0.1, float("nan")):
+                with pytest.raises(ValueError):
+                    z_critical(alpha)
 
 
 class TestNormalCi:
