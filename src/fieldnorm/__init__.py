@@ -12,7 +12,6 @@ from .bootstrap import (
 from .corpus import (
     WORLD,
     ArticleSet,
-    CellSummary,
     Corpus,
     CorpusError,
     ExclusionPolicy,

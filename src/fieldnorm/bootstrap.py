@@ -14,11 +14,13 @@ each into the PCG64 state that generator starts from, so one reused
 ``Generator(PCG64())`` is re-seeded per replicate through its
 ``bit_generator.state``, with the same draws.
 
-Evaluation.  Each cell keeps only the statistics its indicator reads
-(``indicators.CELL_STATISTICS``) as ``CellReplicates`` arrays with one entry
-per replicate, filled from the index draws.  The kernel that computes every
-point estimate, ``indicators.indicator_estimate``, then evaluates all R
-replicates at once; undefined replicates come back as NaN and are counted.
+Evaluation.  The draws index the sorted counts and ln(1+c) values each
+``ArticleSet`` computes once.  Each cell keeps only the statistics its
+indicator reads (``indicators.CELL_STATISTICS``) as ``CellReplicates``
+arrays with one entry per replicate, filled from the index draws.  The
+kernel that computes every point estimate, ``indicators.indicator_estimate``,
+then evaluates all R replicates at once; undefined replicates come back as
+NaN and are counted.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ArticleSet, CellReplicates, CellSummary, Corpus, FieldYearKey
+from .corpus import ArticleSet, CellReplicates, Corpus, FieldYearKey
 from .indicators import (
     CELL_STATISTICS,
     PROPORTION_INDICATORS,
@@ -146,15 +148,15 @@ def percentile(sorted_replicates: Sequence[float], q: float) -> float:
 
 def replicate_values(
     keys: Sequence[FieldYearKey],
-    group_cells: Sequence[CellSummary],
-    world_cells: Sequence[CellSummary],
+    group_cells: Sequence[ArticleSet],
+    world_cells: Sequence[ArticleSet],
     indicator: str,
     spec: BootstrapSpec,
 ) -> np.ndarray:
     """``indicator`` on each of the ``spec.iterations`` replicates, NaN where undefined.
 
-    ``group_cells[i]`` and ``world_cells[i]`` summarise the cells of
-    ``keys[i]``, in sorted key order.
+    ``group_cells[i]`` and ``world_cells[i]`` are the cells of ``keys[i]``,
+    in sorted key order.
     """
     group_stats, world_stats = CELL_STATISTICS[indicator]
     rep_group = [CellReplicates(c, group_stats, spec.iterations) for c in group_cells]
@@ -187,8 +189,8 @@ def bootstrap_indicator(
     than alpha/2 of all replicates are undefined the interval itself is
     flagged undefined.
     """
-    group = {a.key: a.summary for a in group_sets}
-    world = {a.key: a.summary for a in world_sets}
+    group = {a.key: a for a in group_sets}
+    world = {a.key: a for a in world_sets}
     if len(group) != len(group_sets) or len(world) != len(world_sets):
         raise ValueError("duplicate cell keys")
     missing = set(group) - set(world)
@@ -231,19 +233,12 @@ def bootstrap_indicator(
     )
 
 
-def compare_ci(
-    formula: IntervalEstimate,
-    boot: IntervalEstimate,
-    point: float,
-    half_width_basis: bool = False,
-) -> CiComparison:
+def compare_ci(formula: IntervalEstimate, boot: IntervalEstimate, point: float) -> CiComparison:
     """Per-side half-width differences relative to the bootstrap width.
 
-    Each side's difference is (bootstrap half - formula half); the default
-    denominator is the full bootstrap width, so positive values mean the
-    formula is narrower on that side.  ``half_width_basis`` divides each
-    side by that side's bootstrap half width instead, as a sensitivity
-    variant; ``basis`` always reports the full bootstrap width.
+    Each side's difference is (bootstrap half - formula half) divided by the
+    full bootstrap width, reported as ``basis``, so positive values mean
+    the formula is narrower on that side.
     """
     if not formula.defined or not boot.defined:
         raise ValueError("both intervals must be defined")
@@ -254,12 +249,6 @@ def compare_ci(
         raise ValueError("zero-width bootstrap interval")
     lower_diff = (point - boot.lower) - (point - formula.lower)
     upper_diff = (boot.upper - point) - (formula.upper - point)
-    if half_width_basis:
-        return CiComparison(
-            lower_pct_diff=lower_diff / (point - boot.lower),
-            upper_pct_diff=upper_diff / (boot.upper - point),
-            basis=width,
-        )
     return CiComparison(
         lower_pct_diff=lower_diff / width, upper_pct_diff=upper_diff / width, basis=width
     )
@@ -345,13 +334,11 @@ def comparison_suite(
     return rows
 
 
-def summarize_comparisons(rows: Sequence[ComparisonRow], key=None) -> list[ComparisonSummary]:
-    """Signed average, absolute average and maximum per side, per label."""
-    if key is None:
-        key = lambda row: row.indicator
+def summarize_comparisons(rows: Sequence[ComparisonRow]) -> list[ComparisonSummary]:
+    """Signed average, absolute average and maximum per side, per indicator."""
     by_label: dict[str, list[ComparisonRow]] = {}
     for row in rows:
-        by_label.setdefault(key(row), []).append(row)
+        by_label.setdefault(row.indicator, []).append(row)
     summaries = []
     for label in sorted(by_label):
         group_rows = by_label[label]

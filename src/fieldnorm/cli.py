@@ -242,7 +242,9 @@ def cmd_compare_ci(args: argparse.Namespace) -> int:
             resample = indicator not in MEAN_INDICATORS
         else:
             resample = args.resample_world == "on"
-        iterations = args.iterations or BOOTSTRAP_ITERATIONS_DEFAULT[indicator]
+        iterations = args.iterations
+        if iterations is None:
+            iterations = BOOTSTRAP_ITERATIONS_DEFAULT[indicator]
         spec = BootstrapSpec(
             iterations=iterations, seed=args.seed, resample_world=resample, alpha=args.alpha
         )

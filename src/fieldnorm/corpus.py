@@ -9,9 +9,10 @@ with a header row ``article_id<TAB>count``.  The group label ``WORLD`` is
 reserved for the reference set; every (field, year) present for any group
 must also have a WORLD cell, otherwise normalisation is impossible.
 
-Each ArticleSet caches one CellSummary of its counts, the statistics every
-indicator and analytic interval is computed from; CellReplicates holds the
-same statistics over the bootstrap replicates of a cell.
+An ArticleSet is the one cell object from parse to kernel: it holds the
+cell's counts as a read-only int64 array and computes, once, the statistics
+every indicator and analytic interval is computed from; CellReplicates holds
+the same statistics over the bootstrap replicates of a cell.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ WORLD = "WORLD"
 
 _NAME_SEP = "__"
 _HEADER = "article_id\tcount"
+_COUNT_MAX = 2**63 - 1  # counts are held as int64
 
 
 class CorpusError(ValueError):
@@ -52,57 +54,66 @@ class FieldYearKey:
         return f"{self.field}/{self.year}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArticleSet:
-    """Counts (one per article) for a single (group, field, year) cell."""
+    """Counts (one per article) for a single (group, field, year) cell.
+
+    ``counts`` is built once from any integer sequence as a private,
+    read-only int64 array in input order.  The statistics every indicator
+    and analytic interval is computed from are read off the cell itself:
+    n, cited (count > 0), and the mean and M2 (sum of squared deviations
+    from the mean) of c and of ln(1+c).  Each is computed on first read,
+    over one sorted snapshot of the counts and its ln(1+c) values.
+
+    Equality is identity (``eq=False``): an array has no single truth
+    value, so a field-by-field ``==`` could not give one.
+    """
 
     group: str
     key: FieldYearKey
-    counts: tuple[int, ...]
+    counts: np.ndarray
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.counts) < 1:
+        counts = np.array(self.counts, dtype=np.int64)
+        if counts.size < 1:
             raise ValueError(f"cell {self.group}/{self.key} is empty")
-        if any(c < 0 for c in self.counts):
+        if counts.min() < 0:
             raise ValueError(f"cell {self.group}/{self.key} contains a negative count")
-        if self.ids is not None and len(self.ids) != len(self.counts):
+        if self.ids is not None and len(self.ids) != counts.size:
             raise ValueError(f"cell {self.group}/{self.key}: ids and counts differ in length")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return self.counts.size
 
     def counts_array(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=np.int64)
+        return self.counts
+
+    @property
+    def n(self) -> int:
+        return self.counts.size
 
     @cached_property
-    def summary(self) -> "CellSummary":
-        """The cell's statistics, computed once."""
-        counts = np.sort(self.counts_array())
-        return CellSummary(counts, np.log1p(counts), int(np.searchsorted(counts, 0, side="right")))
+    def _sorted(self) -> np.ndarray:
+        return np.sort(self.counts)
 
+    @cached_property
+    def _logs(self) -> np.ndarray:
+        return np.log1p(self._sorted)
 
-class CellSummary:
-    """n, cited (count > 0), and the mean and M2 of c and of ln(1+c) for one cell.
-
-    M2 is the sum of squared deviations from the mean.  A summary holds the
-    cell's counts in ascending order, their precomputed ln(1+c) values and
-    the position of the first count above zero; each mean and M2 is
-    computed the first time it is read.
-    """
-
-    def __init__(self, counts: np.ndarray, logs: np.ndarray, first_cited: int) -> None:
-        self._counts, self._logs, self._first_cited = counts, logs, first_cited
-        self.n = len(counts)
-        self.cited = self.n - first_cited
+    @cached_property
+    def cited(self) -> int:
+        return self.n - int(np.searchsorted(self._sorted, 0, side="right"))
 
     @cached_property
     def raw_mean(self) -> float:
-        return float(self._counts.mean())
+        return float(self._sorted.mean())
 
     @cached_property
     def raw_m2(self) -> float:
-        return float(np.sum((self._counts - self.raw_mean) ** 2))
+        return float(np.sum((self._sorted - self.raw_mean) ** 2))
 
     @cached_property
     def log_mean(self) -> float:
@@ -124,12 +135,12 @@ class CellReplicates:
     Only the statistics named in ``stats`` (of ``cited``, ``raw_mean``,
     ``log_mean`` and ``log_m2``) are kept; the others are None.
     ``record(r, idx)`` sets entry r from the articles at positions ``idx`` of
-    the cell's sorted counts, in draw order: cited as ``idx >= first cited
-    position``, means as sums divided by n (bit-identical to
+    the cell's sorted counts, in draw order: cited as ``idx >= n - cited``
+    (the first cited position), means as sums divided by n (bit-identical to
     ``ndarray.mean``), M2 as the sum of squared deviations from that mean.
     """
 
-    def __init__(self, cell: CellSummary, stats: Iterable[str], replicates: int) -> None:
+    def __init__(self, cell: ArticleSet, stats: Iterable[str], replicates: int) -> None:
         stats = set(stats)
         if "log_m2" in stats:
             stats.add("log_mean")
@@ -144,9 +155,9 @@ class CellReplicates:
     def record(self, r: int, idx: np.ndarray) -> None:
         cell, n = self._cell, self.n
         if self.cited is not None:
-            self.cited[r] = np.count_nonzero(idx >= cell._first_cited)
+            self.cited[r] = np.count_nonzero(idx >= n - cell.cited)
         if self.raw_mean is not None:
-            self.raw_mean[r] = np.add.reduce(cell._counts[idx], dtype=np.float64) / n
+            self.raw_mean[r] = np.add.reduce(cell._sorted[idx], dtype=np.float64) / n
         if self.log_mean is not None:
             logs = cell._logs[idx]
             mean = np.add.reduce(logs) / n
@@ -242,12 +253,10 @@ def _parse_filename(path: Path) -> tuple[str, FieldYearKey]:
     if len(parts) != 3 or not all(parts):
         raise CorpusError(f"{path.name}: malformed cell filename")
     group, field, year_text = parts
+    if not (len(year_text) == 4 and year_text.isascii() and year_text.isdigit()):
+        raise CorpusError(f"{path.name}: year {year_text!r} is not four ASCII digits")
     try:
-        year = int(year_text)
-    except ValueError:
-        raise CorpusError(f"{path.name}: year {year_text!r} is not an integer") from None
-    try:
-        return group, FieldYearKey(field, year)
+        return group, FieldYearKey(field, int(year_text))
     except ValueError as exc:
         raise CorpusError(f"{path.name}: {exc}") from None
 
@@ -278,12 +287,15 @@ def read_cell(path: Path) -> ArticleSet:
                 )
             if digits != count_text:
                 raise CorpusError(f"{path.name}:{lineno}: negative count {count_text}")
-            counts.append(int(digits))
+            count = int(digits)
+            if count > _COUNT_MAX:
+                raise CorpusError(f"{path.name}:{lineno}: count {count_text} exceeds 2**63-1")
+            counts.append(count)
             ids.append(article_id)
     if not counts:
         raise CorpusError(f"{path.name}: cell contains no articles")
     has_ids = any(ids)
-    return ArticleSet(group, key, tuple(counts), tuple(ids) if has_ids else None)
+    return ArticleSet(group, key, counts, tuple(ids) if has_ids else None)
 
 
 def load_corpus(directory: Path | str) -> Corpus:
@@ -300,9 +312,9 @@ def write_cell(aset: ArticleSet, directory: Path | str) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / cell_filename(aset.group, aset.key)
-    ids = aset.ids if aset.ids is not None else [""] * len(aset.counts)
+    ids = aset.ids if aset.ids is not None else [""] * aset.n
     lines = [_HEADER]
-    lines.extend(f"{i}\t{c}" for i, c in zip(ids, aset.counts))
+    lines.extend(f"{i}\t{c}" for i, c in zip(ids, aset.counts.tolist()))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 
@@ -326,14 +338,12 @@ def sample_cell(aset: ArticleSet, spec: SampleSpec) -> ArticleSet:
     Cells already at or below the target size are returned unchanged.
     The relative article order of the input is preserved.
     """
-    n = len(aset.counts)
-    if spec.size >= n:
+    if spec.size >= aset.n:
         return aset
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed & (2**64 - 1)))
-    idx = np.sort(rng.choice(n, size=spec.size, replace=False))
-    counts = tuple(aset.counts[i] for i in idx)
+    idx = np.sort(rng.choice(aset.n, size=spec.size, replace=False))
     ids = tuple(aset.ids[i] for i in idx) if aset.ids is not None else None
-    return ArticleSet(aset.group, aset.key, counts, ids)
+    return ArticleSet(aset.group, aset.key, aset.counts[idx], ids)
 
 
 def apply_exclusion(corpus: Corpus, group: str, policy: ExclusionPolicy) -> set[FieldYearKey]:

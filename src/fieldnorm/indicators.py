@@ -1,14 +1,15 @@
 """Point estimates of the field/year-normalised indicators.
 
 Every indicator is a function of a few statistics per (group, field, year)
-cell, held in the cell's cached ``CellSummary``: n, the number cited
-(c > 0), and the mean and M2 of both c and ln(1+c).  One kernel works on
-these summaries: ``indicator_estimate`` computes all seven indicators, and
-``score_moments``/``pooled_moments`` and ``log_moments`` give the moments
-behind the NORMAL_T and Fieller intervals.  Point estimates, analytic
-intervals and bootstrap replicates all call it; for the bootstrap,
-``indicator_estimate`` takes ``CellReplicates`` (each statistic an array with
-one entry per replicate) and evaluates every replicate in one call.
+cell, which each ``ArticleSet`` computes once: n, the number cited (c > 0),
+and the mean and M2 of both c and ln(1+c).  One kernel reads these
+statistics straight off the cells: ``indicator_estimate`` computes all
+seven indicators, and ``score_moments``/``pooled_moments`` and
+``log_moments`` give the moments behind the NORMAL_T and Fieller intervals.
+Point estimates, analytic intervals and bootstrap replicates all call it;
+for the bootstrap, ``indicator_estimate`` takes ``CellReplicates`` (each
+statistic an array with one entry per replicate) and evaluates every
+replicate in one call.
 
 Mean-type indicators average a per-article score over all N articles of a
 scope.  Each cell contributes a term, and the terms are summed and divided
@@ -39,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import WORLD, ArticleSet, CellReplicates, CellSummary, FieldYearKey
+from .corpus import WORLD, ArticleSet, CellReplicates, FieldYearKey
 from .intervals import SampleMoments
 
 # Indicator tags.
@@ -97,9 +98,9 @@ class ProportionSummary:
         if not 0 <= self.cited <= self.n or self.n < 1:
             raise ValueError(f"invalid proportion summary {self.cited}/{self.n}")
 
-    @classmethod
-    def from_articles(cls, aset: ArticleSet) -> "ProportionSummary":
-        return cls(aset.group, aset.key, aset.summary.cited, aset.summary.n)
+
+# What the proportion front end takes: cells or bare cited/n summaries.
+ProportionCells = Sequence[ProportionSummary | ArticleSet]
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,9 @@ def compute_baseline(world: ArticleSet) -> NormalizationBaseline:
     """World-cell statistics: natural-log mean/sd, raw mean, proportion cited."""
     if world.group != WORLD:
         raise ValueError(f"baseline requires a {WORLD} cell, got group {world.group!r}")
-    s = world.summary
-    return NormalizationBaseline(world.key, s.log_mean, s.log_sd, s.raw_mean, s.cited / s.n, s.n)
+    return NormalizationBaseline(
+        world.key, world.log_mean, world.log_sd, world.raw_mean, world.cited / world.n, world.n
+    )
 
 
 # ---------------------------------------------------------------- kernel
@@ -160,7 +162,7 @@ def _where(condition, if_true, if_false):
     return if_true if condition else if_false
 
 
-def _normaliser(indicator: str, key: FieldYearKey, world: CellSummary, masks=None):
+def _normaliser(indicator: str, key: FieldYearKey, world: ArticleSet, masks=None):
     """(shift, scale) that turn a cell's x into the scores (x - shift) / scale."""
     if indicator == MNLCS:
         scale = world.log_mean
@@ -178,7 +180,7 @@ def _normaliser(indicator: str, key: FieldYearKey, world: CellSummary, masks=Non
 
 
 def _score_mean(
-    indicator: str, key: FieldYearKey, group: CellSummary, world: CellSummary, masks=None
+    indicator: str, key: FieldYearKey, group: ArticleSet, world: ArticleSet, masks=None
 ):
     shift, scale = _normaliser(indicator, key, world, masks)
     return ((group.raw_mean if indicator == MNCS else group.log_mean) - shift) / scale
@@ -187,13 +189,13 @@ def _score_mean(
 def indicator_estimate(
     indicator: str,
     keys: Sequence[FieldYearKey],
-    group: Sequence[CellSummary | CellReplicates],
-    world: Sequence[CellSummary | CellReplicates],
+    group: Sequence[ArticleSet | CellReplicates],
+    world: Sequence[ArticleSet | CellReplicates],
 ) -> tuple[float | np.ndarray, str]:
     """Point estimate of ``indicator`` over a scope, with its note.
 
-    ``group[i]`` and ``world[i]`` summarise the cells of ``keys[i]``; only
-    the statistics ``CELL_STATISTICS`` names are read, so the proportion
+    ``group[i]`` and ``world[i]`` are the cells of ``keys[i]``; only the
+    statistics ``CELL_STATISTICS`` names are read, so the proportion
     indicators also take ProportionSummary objects.  Raises
     UndefinedNormalizationError when the indicator is undefined: a zero
     world baseline (log-mean, mean or log-sd) for a mean indicator, all
@@ -243,8 +245,8 @@ def indicator_estimate(
 def score_moments(
     indicator: str,
     keys: Sequence[FieldYearKey],
-    group: Sequence[CellSummary],
-    world: Sequence[CellSummary],
+    group: Sequence[ArticleSet],
+    world: Sequence[ArticleSet],
 ) -> list[tuple[int, float, float]]:
     """(n, mean, M2) of each group cell's scores under a mean indicator."""
     moments = []
@@ -268,7 +270,7 @@ def pooled_moments(cells: Sequence[tuple[int, float, float]]) -> tuple[int, floa
     return n, mean, m2
 
 
-def log_moments(cell: CellSummary) -> SampleMoments:
+def log_moments(cell: ArticleSet) -> SampleMoments:
     """Moments of one cell's ln(1+c) values, as the Fieller interval takes them."""
     return SampleMoments.from_m2(cell.n, cell.log_mean, cell.log_m2)
 
@@ -277,8 +279,8 @@ def indicator_result(
     indicator: str,
     group_label: str,
     keys: Sequence[FieldYearKey],
-    group: Sequence[CellSummary],
-    world: Sequence[CellSummary],
+    group: Sequence[ArticleSet],
+    world: Sequence[ArticleSet],
 ) -> IndicatorValue:
     """``indicator_estimate`` as a value that is flagged, not raised, when undefined."""
     scope = frozenset(keys)
@@ -307,7 +309,7 @@ def normalize_log(aset: ArticleSet, baseline: NormalizationBaseline) -> Normaliz
     return NormalizedScores(aset.group, aset.key, values)
 
 
-def _common_group(sets: Sequence[NormalizedScores | ProportionSummary]) -> str:
+def _common_group(sets: Sequence[NormalizedScores] | ProportionCells) -> str:
     groups = {s.group for s in sets}
     if len(groups) > 1:
         raise ValueError(f"mixed groups {sorted(groups)}")
@@ -329,14 +331,14 @@ def mnlcs(scores: Sequence[NormalizedScores]) -> IndicatorValue:
 # ------------------------------------------ proportion-summary front end
 
 
-def proportion_cited(sets: Sequence[ProportionSummary]) -> IndicatorValue:
+def proportion_cited(sets: ProportionCells) -> IndicatorValue:
     """Pooled proportion cited: total cited over total articles."""
     if not sets:
         raise ValueError("no proportion summaries supplied")
     return indicator_result(PROP_CITED, _common_group(sets), [s.key for s in sets], sets, ())
 
 
-def equalised_proportion(sets: Sequence[ProportionSummary]) -> tuple[IndicatorValue, float]:
+def equalised_proportion(sets: ProportionCells) -> tuple[IndicatorValue, float]:
     """Unweighted average of per-cell proportions, plus the equalised cell size.
 
     The second return value is the mean cell size, needed when an interval
@@ -352,9 +354,7 @@ def equalised_proportion(sets: Sequence[ProportionSummary]) -> tuple[IndicatorVa
 
 
 def _paired(
-    indicator: str,
-    group_sets: Sequence[ProportionSummary],
-    world_sets: Sequence[ProportionSummary],
+    indicator: str, group_sets: ProportionCells, world_sets: ProportionCells
 ) -> IndicatorValue:
     group_by_key = {s.key: s for s in group_sets}
     world_by_key = {s.key: s for s in world_sets}
@@ -369,9 +369,7 @@ def _paired(
     )
 
 
-def emnpc(
-    group_sets: Sequence[ProportionSummary], world_sets: Sequence[ProportionSummary]
-) -> IndicatorValue:
+def emnpc(group_sets: ProportionCells, world_sets: ProportionCells) -> IndicatorValue:
     """Ratio of group to world equalised proportions (a ratio of sums).
 
     Undefined (flagged, not raised) only when every world proportion is zero.
@@ -379,9 +377,7 @@ def emnpc(
     return _paired(EMNPC, group_sets, world_sets)
 
 
-def mnpc(
-    group_sets: Sequence[ProportionSummary], world_sets: Sequence[ProportionSummary]
-) -> IndicatorValue:
+def mnpc(group_sets: ProportionCells, world_sets: ProportionCells) -> IndicatorValue:
     """Size-weighted sum of per-cell proportion ratios (a sum of ratios).
 
     A 0/0 cell ratio is replaced by 1 and noted; a cell with cited group

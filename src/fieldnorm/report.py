@@ -143,7 +143,9 @@ def _interval_for(
     resample = config.resample_world
     if resample is None:
         resample = RESAMPLE_WORLD_DEFAULT[indicator]
-    iterations = config.bootstrap_iterations or BOOTSTRAP_ITERATIONS_DEFAULT[indicator]
+    iterations = config.bootstrap_iterations
+    if iterations is None:
+        iterations = BOOTSTRAP_ITERATIONS_DEFAULT[indicator]
     spec = BootstrapSpec(
         iterations=iterations,
         seed=derive_stream_seed(config.seed, group, scope_label, indicator),

@@ -1,16 +1,15 @@
 """Assembly of indicator values and intervals over a scope of cells.
 
-A scope is a set of field/year keys for one group.  Each helper reads the
-cached ``CellSummary`` of every group and world cell in the scope, in sorted
-key order, and hands them to the kernel in ``indicators``: for the point
-estimate as a flagged value (never raising for data-dependent
-degeneracies), and for the moments or counts of whichever analytic interval
-belongs to the indicator.
+A scope is a set of field/year keys for one group.  Each helper takes the
+group's and the world's cells of the scope, in sorted key order, and hands
+them to the kernel in ``indicators``: for the point estimate as a flagged
+value (never raising for data-dependent degeneracies), and for the moments
+or counts of whichever analytic interval belongs to the indicator.
 """
 
 from __future__ import annotations
 
-from .corpus import CellSummary, Corpus, FieldYearKey
+from .corpus import ArticleSet, Corpus, FieldYearKey
 from .indicators import (
     EMNPC,
     EQ_PROP_CITED,
@@ -61,16 +60,12 @@ FORMULA_METHOD = {
 CONTINUITY_MODES = ("auto", "on", "off")
 
 
-def _summaries(
+def _cells(
     corpus: Corpus, group: str, keys: set[FieldYearKey]
-) -> tuple[list[FieldYearKey], list[CellSummary], list[CellSummary]]:
-    """Sorted keys with the group's and the world's cell summaries."""
+) -> tuple[list[FieldYearKey], list[ArticleSet], list[ArticleSet]]:
+    """Sorted keys with the group's and the world's cells."""
     ordered = sorted(keys)
-    return (
-        ordered,
-        [corpus.cell(group, k).summary for k in ordered],
-        [corpus.world(k).summary for k in ordered],
-    )
+    return ordered, [corpus.cell(group, k) for k in ordered], [corpus.world(k) for k in ordered]
 
 
 def indicator_value(
@@ -79,13 +74,13 @@ def indicator_value(
     """Point estimate over a scope, flagged rather than raised when undefined."""
     if not keys:
         raise ValueError("empty scope")
-    return indicator_result(indicator, group, *_summaries(corpus, group, keys))
+    return indicator_result(indicator, group, *_cells(corpus, group, keys))
 
 
 def resolve_continuity(
     mode: str,
-    group_sets: list[CellSummary],
-    world_sets: list[CellSummary],
+    group_sets: list[ArticleSet],
+    world_sets: list[ArticleSet],
 ) -> bool:
     """'auto' switches the correction on once any cell's cited count drops below 5."""
     if mode not in CONTINUITY_MODES:
@@ -102,7 +97,7 @@ def _undefined(method: str, alpha: float, note: str) -> IntervalEstimate:
     )
 
 
-def _equalised(cells: list[CellSummary]) -> float:
+def _equalised(cells: list[ArticleSet]) -> float:
     return indicator_estimate(EQ_PROP_CITED, (), cells, ())[0]
 
 
@@ -115,7 +110,7 @@ def formula_interval(
     continuity: str = "auto",
 ) -> IntervalEstimate:
     """The analytic interval belonging to ``indicator`` over the scope."""
-    ordered, group_cells, world_cells = _summaries(corpus, group, keys)
+    ordered, group_cells, world_cells = _cells(corpus, group, keys)
     if indicator in MEAN_INDICATORS:
         try:
             n, mean, m2 = pooled_moments(
@@ -165,7 +160,7 @@ def fieller_interval(
     ratio are those of the ln(1+c) values.
     """
     method = FIELLER if len(keys) == 1 else HEURISTIC_EXPANSION
-    ordered, group_cells, world_cells = _summaries(corpus, group, keys)
+    ordered, group_cells, world_cells = _cells(corpus, group, keys)
     try:
         cells = score_moments(MNLCS, ordered, group_cells, world_cells)
         if len(keys) == 1:

@@ -40,7 +40,7 @@ def generate_cell(spec: LognormalSpec, key: FieldYearKey, group: str) -> Article
     counts = np.clip(np.rint(np.expm1(x)), 0, None).astype(np.int64)
     if spec.zero_inflation > 0.0:
         counts[rng.random(spec.n) < spec.zero_inflation] = 0
-    return ArticleSet(group, key, tuple(int(c) for c in counts))
+    return ArticleSet(group, key, counts)
 
 
 def scenario_label(mu: float, sigma: float, zero_inflation: float, n: int) -> str:

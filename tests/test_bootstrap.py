@@ -195,19 +195,13 @@ class TestCompareCi:
         out = compare_ci(formula, boot, 1.0)
         assert out.lower_pct_diff == pytest.approx(0.25)
         assert out.upper_pct_diff == pytest.approx(0.25)
+        assert out.basis == pytest.approx(0.4)
 
     def test_wider_formula_lower_half(self):
         boot = self.interval(0.8, 1.2)  # width 0.4
         formula = self.interval(0.7, 1.2)
         out = compare_ci(formula, boot, 1.0)
         assert out.lower_pct_diff == pytest.approx(-0.25)
-
-    def test_half_width_basis(self):
-        boot = self.interval(0.8, 1.2)
-        formula = self.interval(0.9, 1.1)
-        out = compare_ci(formula, boot, 1.0, half_width_basis=True)
-        assert out.lower_pct_diff == pytest.approx(0.5)
-        assert out.basis == pytest.approx(0.4)
 
     def test_zero_width_bootstrap_rejected(self):
         boot = self.interval(1.0, 1.0)
@@ -308,7 +302,7 @@ def per_replicate_loop(group_sets, world_sets, indicator, spec):
     keys = sorted(a.key for a in group_sets)
     group = {a.key: sorted_counts(a) for a in group_sets}
     world = {a.key: a for a in world_sets}
-    fixed_world = [world[k].summary for k in keys]
+    fixed_world = [world[k] for k in keys]
     values, undefined = [], 0
     for r in range(spec.iterations):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed & (2**64 - 1), r]))
@@ -328,8 +322,8 @@ def per_replicate_loop(group_sets, world_sets, indicator, spec):
 
 def vectorised(group_sets, world_sets, indicator, spec):
     keys = sorted(a.key for a in group_sets)
-    group = {a.key: a.summary for a in group_sets}
-    world = {a.key: a.summary for a in world_sets}
+    group = {a.key: a for a in group_sets}
+    world = {a.key: a for a in world_sets}
     values = replicate_values(keys, [group[k] for k in keys], [world[k] for k in keys],
                               indicator, spec)
     undefined = np.isnan(values)

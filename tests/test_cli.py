@@ -50,6 +50,13 @@ class TestCompute:
         assert status == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_bootstrap_iterations_fail(self, tmp_path, demo_corpus, capsys):
+        indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
+        status = run(["compute", "--input-dir", indir, "--output", tmp_path / "r.csv",
+                      "--ci", "bootstrap", "--bootstrap-iters", "0"])
+        assert status == 1
+        assert "at least 100 bootstrap iterations are required" in capsys.readouterr().err
+
     def test_empty_input_dir_fails(self, tmp_path, capsys):
         indir = tmp_path / "cells"
         indir.mkdir()
@@ -156,6 +163,12 @@ class TestCompareCi:
         assert lines[0].startswith("label,cells,gaps")
         assert lines[1].startswith("MNLCS,1,0")
         assert details.exists()
+
+    def test_zero_iterations_fail(self, tmp_path, capsys):
+        status = run(["compare-ci", "--output", tmp_path / "summary.csv", "--n", "100",
+                      "--iterations", "0"])
+        assert status == 1
+        assert "at least 100 bootstrap iterations are required" in capsys.readouterr().err
 
     def test_existing_corpus_input(self, tmp_path, demo_corpus, capsys):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,18 @@ class TestKeysAndCells:
             ArticleSet("G", key, (1, -2))
         with pytest.raises(ValueError):
             ArticleSet("G", key, (1, 2), ids=("a",))
+
+    def test_counts_are_a_private_read_only_int64_array(self):
+        source = np.array([3, 0, 1])
+        cell = ArticleSet("G", FieldYearKey("BIOC", 2013), source)
+        source[0] = 9
+        assert cell.counts.dtype == np.int64 and cell.counts.tolist() == [3, 0, 1]
+        assert cell.counts_array() is cell.counts
+        with pytest.raises(ValueError, match="read-only"):
+            cell.counts[0] = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cell.counts = np.array([1])
+        assert (cell.n, cell.cited, cell.raw_mean) == (3, 2, 4 / 3)
 
     def test_corpus_requires_world_cell(self):
         with pytest.raises(CorpusError, match="missing world cell"):
@@ -102,7 +117,24 @@ class TestLoadCorpus:
 
     def test_leading_zeros_accepted(self, tmp_path):
         write_tsv(tmp_path, "WORLD__BIOC__2013.tsv", ["a\t007", "b\t0"])
-        assert load_corpus(tmp_path).world(FieldYearKey("BIOC", 2013)).counts == (7, 0)
+        assert tuple(load_corpus(tmp_path).world(FieldYearKey("BIOC", 2013)).counts) == (7, 0)
+
+    @pytest.mark.parametrize(
+        "year", ["2_014", "+2014", "\u0662\u0660\u0661\u0665", " 2014", "20145", "214"]
+    )
+    def test_filename_year_is_four_ascii_digits(self, tmp_path, year):
+        name = f"WORLD__BIOC__{year}.tsv"
+        write_tsv(tmp_path, name, ["a\t1"])
+        with pytest.raises(CorpusError, match=f"^{re.escape(name)}: .*not four ASCII digits"):
+            load_corpus(tmp_path)
+
+    def test_count_bound_is_int64(self, tmp_path):
+        path = write_tsv(tmp_path, "WORLD__BIOC__2013.tsv", [f"a\t{2**63 - 1}"])
+        assert read_cell(path).counts.tolist() == [2**63 - 1]
+        write_tsv(tmp_path, "WORLD__BIOC__2013.tsv", ["a\t1", f"b\t{2**63}"])
+        error = r"^WORLD__BIOC__2013\.tsv:3: count 9223372036854775808 exceeds 2\*\*63-1$"
+        with pytest.raises(CorpusError, match=error):
+            load_corpus(tmp_path)
 
     def test_malformed_filename(self, tmp_path):
         write_tsv(tmp_path, "WORLD_BIOC_2013.tsv", ["a\t1"])
@@ -117,14 +149,14 @@ class TestLoadCorpus:
     def test_crlf_accepted(self, tmp_path):
         (tmp_path / "WORLD__BIOC__2013.tsv").write_bytes(b"article_id\tcount\r\na\t2\r\n")
         corpus = load_corpus(tmp_path)
-        assert corpus.world(FieldYearKey("BIOC", 2013)).counts == (2,)
+        assert tuple(corpus.world(FieldYearKey("BIOC", 2013)).counts) == (2,)
 
     def test_round_trip_is_lossless(self, tmp_path, demo_corpus):
         write_corpus(demo_corpus, tmp_path)
         reloaded = load_corpus(tmp_path)
         assert set(reloaded.cells) == set(demo_corpus.cells)
         for ck, aset in demo_corpus.cells.items():
-            assert reloaded.cells[ck].counts == aset.counts
+            assert np.array_equal(reloaded.cells[ck].counts, aset.counts)
 
     def test_ids_preserved(self, tmp_path):
         cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), (1, 0), ids=("x", "y"))
@@ -141,7 +173,7 @@ class TestSampleCell:
         cell = make_cell("G", "F", 2013, list(range(1000)))
         first = sample_cell(cell, SampleSpec(500, seed=42))
         second = sample_cell(cell, SampleSpec(500, seed=42))
-        assert first.counts == second.counts
+        assert np.array_equal(first.counts, second.counts)
         assert len(first) == 500
 
     def test_multiset_subset(self):

@@ -103,7 +103,7 @@ class TestTransforms:
 
     def test_lundberg_standardisation_identity(self):
         # the world cell's own z-scores have mean 0 and sample sd 1
-        s = world_cell(KEY_B, WORLD_B).summary
+        s = world_cell(KEY_B, WORLD_B)
         [(n, mean, m2)] = score_moments(LUNDBERG_Z, [KEY_B], [s], [s])
         assert mean == 0.0
         assert math.sqrt(m2 / (n - 1)) == pytest.approx(1.0, abs=1e-12)
@@ -281,20 +281,18 @@ class TestCrossIndicatorProperties:
         rng = np.random.default_rng(4)
         for _ in range(20):
             keys = [FieldYearKey(f, 2015) for f in ("U", "V", "W")]
-            group_cells, world_cells, group_sum, world_sum = [], [], [], []
+            group_cells, world_cells = [], []
             for key in keys:
                 g = rng.integers(0, 4, rng.integers(5, 40))
                 w = np.concatenate([g, rng.integers(0, 4, rng.integers(5, 40))])
                 if not np.any(w > 0):
                     w[0] = 1
-                group_cells.append(ArticleSet("G", key, tuple(int(x) for x in g)))
-                world_cells.append(ArticleSet(WORLD, key, tuple(int(x) for x in w)))
-            group_sum = [ProportionSummary.from_articles(c) for c in group_cells]
-            world_sum = [ProportionSummary.from_articles(c) for c in world_cells]
-            value = mnpc(group_sum, world_sum)
+                group_cells.append(ArticleSet("G", key, g))
+                world_cells.append(ArticleSet(WORLD, key, w))
+            value = mnpc(group_cells, world_cells)
 
             binarised = Corpus.from_cells(
-                ArticleSet(c.group, c.key, tuple(min(x, 1) for x in c.counts))
+                ArticleSet(c.group, c.key, np.minimum(c.counts, 1))
                 for c in group_cells + world_cells
             )
             mncs_value = indicator_value(binarised, "G", set(keys), MNCS)
@@ -309,12 +307,9 @@ class TestCrossIndicatorProperties:
             w = rng.integers(0, 3, 50)
             if not np.any(w > 0):
                 w[0] = 1
-            group_cells.append(ArticleSet("G", key, tuple(int(x) for x in g)))
-            world_cells.append(ArticleSet(WORLD, key, tuple(int(x) for x in w)))
-        value = mnpc(
-            [ProportionSummary.from_articles(c) for c in group_cells],
-            [ProportionSummary.from_articles(c) for c in world_cells],
-        )
+            group_cells.append(ArticleSet("G", key, g))
+            world_cells.append(ArticleSet(WORLD, key, w))
+        value = mnpc(group_cells, world_cells)
         per_article = np.concatenate(
             [
                 np.where(g.counts_array() > 0, 1.0 / compute_baseline(w).prop_cited, 0.0)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,13 @@ from fieldnorm.indicators import (
     MNPC,
     PROP_CITED,
 )
-from fieldnorm.scopes import indicator_value
+from fieldnorm.intervals import EXPAND_FROM_MEAN, LITERAL
+from fieldnorm.scopes import (
+    CONTINUITY_MODES,
+    fieller_interval,
+    formula_interval,
+    indicator_value,
+)
 
 ALL_INDICATORS = (MNLCS, MNCS, LUNDBERG_Z, EMNPC, MNPC, PROP_CITED, EQ_PROP_CITED)
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=25, database=None)
@@ -66,7 +73,7 @@ def test_world_scores_exactly_one_or_zero(sets):
 @given(cells(), st.data())
 def test_article_and_cell_order_do_not_matter(sets, data):
     shuffled = [
-        ArticleSet(a.group, a.key, tuple(data.draw(st.permutations(a.counts)))) for a in sets
+        ArticleSet(a.group, a.key, data.draw(st.permutations(a.counts.tolist()))) for a in sets
     ]
     shuffled = data.draw(st.permutations(shuffled))
     for group in ("G", WORLD):
@@ -77,9 +84,33 @@ def test_article_and_cell_order_do_not_matter(sets, data):
 @given(cells(), st.integers(2, 4))
 def test_repeating_every_article_changes_nothing(sets, k):
     before = estimates(sets)
-    after = estimates([ArticleSet(a.group, a.key, a.counts * k) for a in sets])
+    after = estimates([ArticleSet(a.group, a.key, np.tile(a.counts, k)) for a in sets])
     # LUNDBERG_Z is left out: the world sample sd divides by n - 1, so k
     # copies of every article scale it by sqrt(k (n - 1) / (k n - 1)).
     for indicator in ALL_INDICATORS:
         if indicator != LUNDBERG_Z:
             assert math.isclose(after[indicator], before[indicator], rel_tol=1e-12)
+
+
+@SETTINGS
+@given(cells(), st.sampled_from(CONTINUITY_MODES))
+def test_defined_analytic_intervals_bracket_the_estimate(sets, continuity):
+    # Every formula-route interval (NORMAL_T, WILSON, RISK_RATIO,
+    # MNPC_WEIGHTED) and the Fieller/HEURISTIC_EXPANSION interval in both
+    # expansion modes.  Bootstrap limits are left out: percentile limits of
+    # a skewed replicate distribution need not bracket the estimate, and
+    # compare_ci already turns that case into a gap row.
+    corpus = Corpus.from_cells(sets)
+    for group in ("G", WORLD):
+        keys = corpus.keys_for(group)
+        for indicator in ALL_INDICATORS:
+            intervals = [formula_interval(corpus, group, keys, indicator, continuity=continuity)]
+            if indicator == MNLCS:
+                intervals += [
+                    fieller_interval(corpus, group, keys, expansion_mode=mode)
+                    for mode in (LITERAL, EXPAND_FROM_MEAN)
+                ]
+            estimate = indicator_value(corpus, group, keys, indicator).estimate
+            for interval in intervals:
+                if interval.defined:
+                    assert interval.lower <= estimate <= interval.upper, interval
