@@ -25,12 +25,16 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 WORLD = "WORLD"
 
 _NAME_SEP = "__"
 _HEADER = "article_id\tcount"
 _COUNT_MAX = 2**63 - 1  # counts are held as int64
+# Count fields of up to 18 digits are converted in int64 without overflow
+# (10**18 - 1 < 2**63 - 1); longer ones, say with leading zeros, by int().
+_INT64_DIGITS = 18
 
 
 class CorpusError(ValueError):
@@ -261,41 +265,113 @@ def _parse_filename(path: Path) -> tuple[str, FieldYearKey]:
         raise CorpusError(f"{path.name}: {exc}") from None
 
 
+def _line_number(data: bytes, offset: int) -> int:
+    return data.count(b"\n", 0, offset) + 1
+
+
+def _decode(data: bytes, name: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{name}:{_line_number(data, exc.start)}: not valid UTF-8") from None
+
+
+def _count_of(line: str) -> int:
+    """The count on one data line of a cell file; a ValueError says what is wrong."""
+    _, sep, count_text = line.partition("\t")
+    if not sep:
+        raise ValueError("expected two tab-separated columns")
+    digits = count_text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"count {count_text!r} is not an integer (ASCII digits 0-9 only)")
+    if digits != count_text:
+        raise ValueError(f"negative count {count_text}")
+    significant = digits.lstrip("0") or "0"
+    # int() refuses strings of over 4300 digits, so lengths are compared first.
+    if len(significant) > 19 or int(significant) > _COUNT_MAX:
+        raise ValueError(f"count {count_text} exceeds 2**63-1")
+    return int(significant)
+
+
+def _line_offsets(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start, end and first-tab offsets of every non-blank line after the header.
+
+    A line without a tab gets the offset of a later line's tab, or the file
+    size, both past its end.  Offsets are int32 in files under 2 GiB, which
+    halves their memory against numpy's default int64.
+    """
+    offset = np.int32 if buf.size < 2**31 else np.int64
+    ends = np.flatnonzero(buf == ord("\n"))
+    if buf[-1] != ord("\n"):
+        ends = np.append(ends, buf.size)
+    ends = ends.astype(offset)
+    starts = np.append(offset(0), ends[:-1] + 1)
+    articles = starts < ends
+    articles[0] = False  # the header
+    starts, ends = starts[articles], ends[articles]
+    tabs = np.flatnonzero(buf == ord("\t")).astype(offset)
+    first_tabs = np.append(tabs, offset(buf.size))[np.searchsorted(tabs, starts)]
+    return starts, ends, first_tabs
+
+
 def read_cell(path: Path) -> ArticleSet:
-    """Parse one cell file; errors name the file and offending line."""
+    """Parse one cell file; errors name the file and offending line.
+
+    The file is read once as bytes; its lines are split, checked and
+    converted with whole-array operations.  Only the first line that fails
+    the check, and count fields too long for the int64 conversion, are read
+    one by one, by ``_count_of``.  Blank lines are skipped but numbered.
+    """
     path = Path(path)
     group, key = _parse_filename(path)
-    counts: list[int] = []
-    ids: list[str] = []
-    with open(path, encoding="utf-8", newline=None) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _HEADER:
-            bom = " (the file starts with a UTF-8 BOM)" if header.startswith("\ufeff") else ""
-            raise CorpusError(f"{path.name}:1: expected header {_HEADER!r}, got {header!r}{bom}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            article_id, sep, count_text = line.partition("\t")
-            if not sep:
-                raise CorpusError(f"{path.name}:{lineno}: expected two tab-separated columns")
-            digits = count_text.removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
-                raise CorpusError(
-                    f"{path.name}:{lineno}: count {count_text!r} is not an integer"
-                    " (ASCII digits 0-9 only)"
-                )
-            if digits != count_text:
-                raise CorpusError(f"{path.name}:{lineno}: negative count {count_text}")
-            count = int(digits)
-            if count > _COUNT_MAX:
-                raise CorpusError(f"{path.name}:{lineno}: count {count_text} exceeds 2**63-1")
-            counts.append(count)
-            ids.append(article_id)
-    if not counts:
-        raise CorpusError(f"{path.name}: cell contains no articles")
-    has_ids = any(ids)
-    return ArticleSet(group, key, counts, tuple(ids) if has_ids else None)
+    name = path.name
+    data = path.read_bytes().replace(b"\r\n", b"\n")
+    lone_cr = data.find(b"\r")
+    if lone_cr >= 0:
+        raise CorpusError(
+            f"{name}:{_line_number(data, lone_cr)}: carriage return without a line feed"
+            " (lines must end in LF or CRLF)"
+        )
+    header = data.partition(b"\n")[0]
+    if header != _HEADER.encode():
+        text = _decode(header, name)
+        bom = " (the file starts with a UTF-8 BOM)" if text.startswith("\ufeff") else ""
+        raise CorpusError(f"{name}:1: expected header {_HEADER!r}, got {text!r}{bom}")
+    _decode(data, name)  # the whole file must be UTF-8, not only the lines read one by one
+
+    buf = np.frombuffer(data, np.uint8)
+    starts, ends, first_tabs = _line_offsets(buf)
+    if starts.size == 0:
+        raise CorpusError(f"{name}: cell contains no articles")
+    widths = np.maximum(ends - first_tabs - 1, 0)  # of the count fields; 0 without a tab
+
+    # The last `width` bytes of every line, right-aligned on the line ends,
+    # with the bytes before each count field set to 0.  No row starts
+    # before the file does: the header precedes every line.
+    width = min(int(widths.max()), _INT64_DIGITS)
+    digits = sliding_window_view(buf, width)[ends - width]
+    digits -= ord("0")  # a non-digit reads above 9
+    digits *= np.arange(width, 0, -1) <= widths[:, None]
+    valid = (widths > 0) & (digits <= 9).all(axis=1)
+
+    long_counts = {}
+    for i in np.flatnonzero(~valid | (widths > _INT64_DIGITS)):
+        try:
+            long_counts[i] = _count_of(data[starts[i] : ends[i]].decode("utf-8"))
+        except ValueError as exc:
+            raise CorpusError(f"{name}:{_line_number(data, starts[i])}: {exc}") from None
+
+    counts = np.zeros(starts.size, np.int64)
+    for column in digits.T:
+        counts = counts * 10 + column
+    if long_counts:
+        counts[list(long_counts)] = list(long_counts.values())
+    ids = None
+    if np.any(first_tabs > starts):
+        ids = tuple(
+            data[s:t].decode("utf-8") for s, t in zip(starts.tolist(), first_tabs.tolist())
+        )
+    return ArticleSet(group, key, counts, ids)
 
 
 def load_corpus(directory: Path | str) -> Corpus:

@@ -86,6 +86,8 @@ class ReportConfig:
             raise ValueError(f"unknown ci methods {sorted(unknown)}")
         if not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 0.5)")
+        if self.bootstrap_iterations is not None:
+            BootstrapSpec(self.bootstrap_iterations)  # checked before any row is computed
 
 
 @dataclass(frozen=True)

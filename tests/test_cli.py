@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from fieldnorm import cli
 from fieldnorm.cli import main
 from fieldnorm.corpus import FieldYearKey, load_corpus, write_corpus
-from fieldnorm.report import read_csv_rows
+from fieldnorm.report import metadata_path, read_csv_rows
 
 
 def write_demo_corpus(directory, demo_corpus):
@@ -50,12 +52,38 @@ class TestCompute:
         assert status == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_invalid_utf8_error_names_file_and_line(self, tmp_path, capsys):
+        indir = tmp_path / "cells"
+        indir.mkdir()
+        (indir / "WORLD__A__2013.tsv").write_bytes(b"article_id\tcount\n\t1\nab\xff\t2\n")
+        status = run(["compute", "--input-dir", indir, "--output", tmp_path / "r.csv"])
+        assert status == 1
+        assert capsys.readouterr().err == "error: WORLD__A__2013.tsv:3: not valid UTF-8\n"
+
     def test_zero_bootstrap_iterations_fail(self, tmp_path, demo_corpus, capsys):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
         status = run(["compute", "--input-dir", indir, "--output", tmp_path / "r.csv",
                       "--ci", "bootstrap", "--bootstrap-iters", "0"])
         assert status == 1
         assert "at least 100 bootstrap iterations are required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ci, iterations", [("formula", "0"), ("all", "5")], ids=["formula-only", "all"]
+    )
+    def test_bootstrap_iterations_checked_before_any_row(
+        self, tmp_path, demo_corpus, capsys, monkeypatch, ci, iterations
+    ):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli, "build_report", no_rows)
+        indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
+        out = tmp_path / "r.csv"
+        status = run(["compute", "--input-dir", indir, "--output", out,
+                      "--ci", ci, "--bootstrap-iters", iterations])
+        assert status == 1
+        assert "at least 100 bootstrap iterations are required" in capsys.readouterr().err
+        assert not out.exists() and not metadata_path(out).exists()
 
     def test_empty_input_dir_fails(self, tmp_path, capsys):
         indir = tmp_path / "cells"

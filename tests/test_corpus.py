@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldnorm.corpus import (
+    _COUNT_MAX,
+    _HEADER,
     WORLD,
     ArticleSet,
     Corpus,
@@ -21,6 +26,7 @@ from fieldnorm.corpus import (
     sample_cell,
     write_cell,
     write_corpus,
+    _parse_filename,
 )
 
 from conftest import make_cell
@@ -162,6 +168,180 @@ class TestLoadCorpus:
         cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), (1, 0), ids=("x", "y"))
         write_cell(cell, tmp_path)
         assert read_cell(tmp_path / cell_filename(WORLD, cell.key)).ids == ("x", "y")
+
+
+def line_loop_read_cell(path):
+    """The line-by-line parser that read_cell replaced, kept as its reference.
+
+    It reads lone CRs as line ends, and raises the codec's own error on
+    invalid UTF-8 and int()'s own on counts of over 4300 digits; read_cell
+    gives a file:line message for each.
+    """
+    path = Path(path)
+    group, key = _parse_filename(path)
+    counts: list[int] = []
+    ids: list[str] = []
+    with open(path, encoding="utf-8", newline=None) as fh:
+        header = fh.readline().rstrip("\n")
+        if header != _HEADER:
+            bom = " (the file starts with a UTF-8 BOM)" if header.startswith("\ufeff") else ""
+            raise CorpusError(f"{path.name}:1: expected header {_HEADER!r}, got {header!r}{bom}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            article_id, sep, count_text = line.partition("\t")
+            if not sep:
+                raise CorpusError(f"{path.name}:{lineno}: expected two tab-separated columns")
+            digits = count_text.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise CorpusError(
+                    f"{path.name}:{lineno}: count {count_text!r} is not an integer"
+                    " (ASCII digits 0-9 only)"
+                )
+            if digits != count_text:
+                raise CorpusError(f"{path.name}:{lineno}: negative count {count_text}")
+            count = int(digits)
+            if count > _COUNT_MAX:
+                raise CorpusError(f"{path.name}:{lineno}: count {count_text} exceeds 2**63-1")
+            counts.append(count)
+            ids.append(article_id)
+    if not counts:
+        raise CorpusError(f"{path.name}: cell contains no articles")
+    has_ids = any(ids)
+    return ArticleSet(group, key, counts, tuple(ids) if has_ids else None)
+
+
+def parse_outcome(reader, path):
+    """(counts, ids) of a parsed cell, or the CorpusError message."""
+    try:
+        cell = reader(path)
+    except CorpusError as exc:
+        return str(exc)
+    return cell.counts.tolist(), cell.ids
+
+
+ARTICLE_IDS = st.one_of(
+    st.just(""),
+    st.sampled_from(["a1", "10.1/x", " ", "\ufeff", "-3", "\u00e9t\u00e9"]),
+    st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"), max_size=4),
+)
+VALID_COUNTS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.tuples(st.integers(1, 9), st.integers(0, 999)).map(lambda t: "0" * t[0] + str(t[1])),
+    st.integers(10**17, _COUNT_MAX).map(str),
+    st.integers(_COUNT_MAX - 9, _COUNT_MAX).map(str),
+    st.tuples(st.integers(1, 8), st.integers(0, _COUNT_MAX)).map(lambda t: "0" * t[0] + str(t[1])),
+)
+# Long fields and values around 2**63, within the bound or not.
+LONG_COUNTS = st.one_of(
+    st.integers(10**17, 10**25).map(str),
+    st.integers(_COUNT_MAX - 3, _COUNT_MAX + 9).map(str),
+    st.tuples(st.integers(1, 8), st.integers(_COUNT_MAX - 3, 10**20)).map(
+        lambda t: "0" * t[0] + str(t[1])
+    ),
+)
+# Signs, spaces, underscores, other scripts' digits, extra tabs, and "/"
+# and ":", the bytes either side of "0"-"9".
+JUNK_COUNTS = st.one_of(
+    st.sampled_from(["+3", "-1", "-0", "-", "--5", "", " 7 ", "7 ", "1_000", "\u0663", "1\t2"]),
+    st.text("0123456789+-_ \t\u0663/:", max_size=6),
+)
+HEADERS = st.sampled_from(
+    [_HEADER] * 30 + ["\ufeff" + _HEADER, "id,count", "", _HEADER + "\t", "article_id count"]
+)
+
+
+@st.composite
+def cell_files(draw) -> bytes:
+    """Cell file bytes with LF or CRLF ends and no lone CR; valid or not."""
+    ids = ARTICLE_IDS if draw(st.booleans()) else st.just("")
+    valid = st.tuples(ids, VALID_COUNTS).map("\t".join)
+    if draw(st.booleans()):
+        rows = st.one_of(valid, valid, valid, st.just(""))
+    else:
+        long = st.tuples(ids, LONG_COUNTS).map("\t".join)
+        junk = st.tuples(ids, JUNK_COUNTS).map("\t".join)
+        rows = st.one_of(valid, long, junk, st.just(""), ids)  # ids alone: one column
+    lines = [draw(HEADERS)] + draw(st.lists(rows, min_size=1, max_size=8))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final newline
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+class TestParserOracle:
+    """read_cell gives the counts, ids and error messages of the line loop."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(data=cell_files())
+    def test_matches_line_loop(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "G__F__2013.tsv"
+        path.write_bytes(data)
+        assert parse_outcome(read_cell, path) == parse_outcome(line_loop_read_cell, path)
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (b"article_id\tcount\n", "G__F__2013.tsv: cell contains no articles"),
+            (b"article_id\tcount", "G__F__2013.tsv: cell contains no articles"),
+            (b"article_id\tcount\r\n\r\n\n", "G__F__2013.tsv: cell contains no articles"),
+            (b"article_id\tcount\n\t1\n\n\r\n\n\t-2\n", "G__F__2013.tsv:6: negative count -2"),
+            (b"", "G__F__2013.tsv:1: expected header 'article_id\\tcount', got ''"),
+            (b"article_id\tcount\na\t3\n\nb\t0", ([3, 0], ("a", "b"))),
+            (b"article_id\tcount\n\t0000000000000000000000012\n", ([12], None)),
+        ],
+        ids=["header-only", "header-only-no-newline", "blank-lines-only", "after-blank-lines",
+             "empty-file", "no-final-newline", "leading-zeros"],
+    )
+    def test_edge_cases(self, tmp_path, data, expected):
+        path = tmp_path / "G__F__2013.tsv"
+        path.write_bytes(data)
+        assert parse_outcome(read_cell, path) == expected
+        assert parse_outcome(line_loop_read_cell, path) == expected
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"article_id\tcount\r\t1\n", 1),
+            (b"article_id\tcount\n\t1\r\t2\n", 2),
+            (b"article_id\tcount\r\n\t1\r\n\n\t2\r", 4),
+            (b"article_id\tcount\n\t1\r\r\n", 2),
+            (b"article_id\tcount\na\rb\t1\n", 2),
+        ],
+        ids=["header", "between-articles", "last-byte", "cr-before-crlf", "inside-id"],
+    )
+    def test_lone_cr_names_its_line(self, tmp_path, data, line):
+        path = tmp_path / "G__F__2013.tsv"
+        path.write_bytes(data)
+        error = rf"^G__F__2013\.tsv:{line}: carriage return without a line feed"
+        with pytest.raises(CorpusError, match=error):
+            read_cell(path)
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"\xffarticle_id\tcount\n\t1\n", 1),
+            (b"article_id\tcount\n\t1\nab\xff\t2\n", 3),
+            (b"article_id\tcount\r\n\t1\r\n\r\n\t3\xc3\r\n", 4),
+            (b"article_id\tcount\n\t1\n\xed\xa0\x80\t2\n", 3),
+        ],
+        ids=["header", "article-id", "count-after-blank-crlf-line", "surrogate"],
+    )
+    def test_invalid_utf8_names_its_line(self, tmp_path, data, line):
+        path = tmp_path / "G__F__2013.tsv"
+        path.write_bytes(data)
+        with pytest.raises(CorpusError, match=rf"^G__F__2013\.tsv:{line}: not valid UTF-8$"):
+            read_cell(path)
+
+    def test_counts_longer_than_int_text_limit(self, tmp_path):
+        # int() refuses more than 4300 digits; leading zeros still count as 7.
+        path = write_tsv(tmp_path, "G__F__2013.tsv", ["a\t" + "0" * 5000 + "7", "b\t1"])
+        assert read_cell(path).counts.tolist() == [7, 1]
+        write_tsv(tmp_path, "G__F__2013.tsv", ["a\t1", "b\t" + "9" * 5000])
+        error = r"^G__F__2013\.tsv:3: count 9{5000} exceeds 2\*\*63-1$"
+        with pytest.raises(CorpusError, match=error):
+            read_cell(path)
 
 
 class TestSampleCell:
