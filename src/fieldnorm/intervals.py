@@ -22,10 +22,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy import special
+
+from .student_t import t_quantile
 
 NORMAL_T = "NORMAL_T"
 FIELLER = "FIELLER"
@@ -86,10 +88,15 @@ class IntervalEstimate:
 
 
 # The critical values are cached per (df, alpha): a report asks for the same
-# few many times.  ``special.stdtrit`` and ``special.ndtri`` are the functions
-# ``stats.t.ppf`` and ``stats.norm.ppf`` evaluate, without the ~0.1 ms of
-# argument handling those add to every call; not importing ``scipy.stats``
-# also keeps about 0.9 s and 45 MB off the start of every run.
+# few many times.  Both invert p = 1 - alpha/2 as rounded.  z is Wichura's
+# AS241 (``NormalDist.inv_cdf``).  t is ``student_t.t_quantile``: Halley steps
+# from Hill's start (CACM Algorithm 396) on the Student-t tail, a regularised
+# incomplete beta taken from its continued fraction (Numerical Recipes 6.4)
+# or, for df >= 20, from its expansion for large df/2 (DiDonato and Morris
+# 1992); df = 1 and 2 have closed forms.  tests/test_intervals.py holds t
+# within 1e-14 relative of 30-digit references (df 1 to 10^7, alpha 1e-6 to
+# 0.9) and of scipy (alpha down to 1e-12); the largest error measured against
+# the references on a dense grid is 8.6 ulp (2e-15).
 
 
 @functools.lru_cache(maxsize=1024)
@@ -99,7 +106,7 @@ def t_critical(df: int, alpha: float) -> float:
         raise ValueError("degrees of freedom must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return float(special.stdtrit(df, 1.0 - alpha / 2.0))
+    return float(t_quantile(df, 1.0 - alpha / 2.0))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -107,7 +114,8 @@ def z_critical(alpha: float) -> float:
     """Two-tailed standard-normal critical value."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return float(special.ndtri(1.0 - alpha / 2.0))
+    p = 1.0 - alpha / 2.0
+    return math.inf if p == 1.0 else NormalDist().inv_cdf(p)
 
 
 def mnlcs_normal_ci(values: np.ndarray, alpha: float = 0.05) -> IntervalEstimate:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special
 
 from fieldnorm.intervals import (
     EXPAND_FROM_MEAN,
@@ -25,6 +29,169 @@ from fieldnorm.intervals import (
 )
 
 
+# Quantiles at the probability the functions invert, p = 1 - alpha/2 rounded
+# to a double (so the upper tail is exactly 1 - fl(1 - alpha/2), not alpha/2).
+# Computed once with mpmath at 45 digits as the root of I_x(df/2, 1/2) / 2 = 1 - p,
+# x = df / (df + t^2), and checked against the central form I_y(1/2, df/2)
+# and the df = 1 and 2 closed forms.
+REFERENCE_ALPHAS = (1e-6, 0.001, 0.01, 0.05, 0.1, 0.3, 0.9)
+T_REFERENCE = {
+    1: (
+        6.36619772419430312627110794648e+5,
+        636.619248768789729828732576949,
+        63.6567411628715244471573653494,
+        12.706204736174693314101641219,
+        6.31375151467503739792472275197,
+        1.96261050550515024385304281541,
+        1.58384440324536436853438288941e-1,
+    ),
+    2: (
+        999.999250040977099771011114435,
+        31.5990545764453634129815651845,
+        9.92484320091828864033420639284,
+        4.30265272974946178942037599664,
+        2.91998558035372417031255995512,
+        1.38620656016734386037778238254,
+        1.421338109037404170476287453e-1,
+    ),
+    3: (
+        130.154589561927583299185067239,
+        12.9239786366879643224803215056,
+        5.84090930973335541126116662664,
+        3.18244630528370843588399788748,
+        2.35336343480182289896350092238,
+        1.24977810503322509934800329466,
+        1.36598199353699029845454559544e-1,
+    ),
+    5: (
+        28.4784734634552495786433083634,
+        6.86882662588127513182103952701,
+        4.03214298355522717927584805294,
+        2.57058183563631478278854621083,
+        2.01504837333302354174120364778,
+        1.15576734289429291741284308705,
+        1.32175175231687381795574039283e-1,
+    ),
+    10: (
+        10.5164899570085455463099950926,
+        4.58689385870270773846406581387,
+        3.16927267261695071178171187518,
+        2.22813885198627422451986193107,
+        1.81246112281167586925956332814,
+        1.09305807359052584112521787477,
+        1.28890189293273903078148556117e-1,
+    ),
+    30: (
+        6.11907562041373252076785060196,
+        3.64595863504206280794140664246,
+        2.74999565356722496639347483375,
+        2.04227245630123788783499873215,
+        1.69726088659395738368266460937,
+        1.0546623471785600487565017645,
+        1.26729613132073707477610366442e-1,
+    ),
+    99: (
+        5.21716420666891098042614601003,
+        3.39152883336368428576217569796,
+        2.62640545728082718267358906685,
+        1.98421695158641710294116080082,
+        1.66039115601699046323529510772,
+        1.04189075925178328741733141177,
+        1.2598411391620604235968087816e-1,
+    ),
+    398: (
+        4.9692892292088095380157785438,
+        3.31513911449072377969383333118,
+        2.58823840493437481565540866976,
+        1.96594232397626609815927138459,
+        1.64869117395983175446595011346,
+        1.03778551415795250481318398225,
+        1.25741553087291981219498814968e-1,
+    ),
+    1000: (
+        4.92228952344607380245906256939,
+        3.30028264842394415578883821583,
+        2.58075469806595077061326237488,
+        1.96233908082640810388664652233,
+        1.64637881728546428402288692035,
+        1.03697111082739864001534711488,
+        1.25693262518716493015058798488e-1,
+    ),
+    2000: (
+        4.9069223654489597476362733039,
+        3.2953981367297707477859730435,
+        2.57828978755751870066881139394,
+        1.96115082609943765002934772373,
+        1.64561586669890714643707620945,
+        1.0367021800733763070934226698,
+        1.25677303623887107905373134926e-1,
+    ),
+    4999: (
+        4.89774329389173670201536148046,
+        3.29247411305647147687286004535,
+        2.57681316339898195034256844536,
+        1.96043864666152452109124071088,
+        1.64515849858266433442873440716,
+        1.0365409104148631194837271888,
+        1.25667730584025784334619216635e-1,
+    ),
+    10**4: (
+        4.89468861633182420895404755592,
+        3.29149996594163569135854769741,
+        2.57632104666852858532621770044,
+        1.96020123989062587779933730252,
+        1.64500601806924253370648894062,
+        1.03648713639856031678045323561,
+        1.25664538038581855814404695697e-1,
+    ),
+    10**5: (
+        4.89194334073130278547086148647,
+        3.29062403141191365774635500323,
+        2.57587846990837499633957893623,
+        1.95998770753460925865982332759,
+        1.64486886478496930336267423558,
+        1.03643876393205017361330912022,
+        1.25661665969592056840382102954e-1,
+    ),
+    10**6: (
+        4.89166896072657420909436659451,
+        3.29053646124872211654433443452,
+        2.57583422010533384715890591195,
+        1.95996635681410665533760720807,
+        1.64485515072204006202364484935,
+        1.03643392693509345896138168988,
+        1.25661378766487604553152555441e-1,
+    ),
+    3 * 10**6: (
+        4.89164863734859225814278011658,
+        3.29052997473838387095010605738,
+        2.57583094239908163423249616854,
+        1.95996477529744423284359139629,
+        1.64485413487467927590469085174,
+        1.0364335686408285355381352564,
+        1.256613574922110192888328907e-1,
+    ),
+    10**7: (
+        4.89164152420106056955741106408,
+        3.29052770446525343534228164001,
+        2.57582979520374866339884389868,
+        1.95996422176720511044930246372,
+        1.64485377932840124368529410027,
+        1.03643344323789466105335105737,
+        1.25661350046215108890316941157e-1,
+    ),
+}
+Z_REFERENCE = (
+    4.89163847571477902907622848394,
+    3.29052673149192577868253538711,
+    2.5758293035489004538574826715,
+    1.95996398454005385560443064983,
+    1.64485362695147228427631560354,
+    1.03643338949378948448002598823,
+    0.125661346855074146409208196936,
+)
+
+
 def moments(mean, se, n):
     return SampleMoments(mean=mean, sd=se * math.sqrt(n), se=se, n=n)
 
@@ -32,24 +199,78 @@ def moments(mean, se, n):
 class TestCriticalValues:
     def test_large_df_approaches_normal(self):
         assert t_critical(10**6, 0.05) == pytest.approx(1.96, abs=1e-3)
+        for alpha in (0.001, 0.01, 0.05, 0.1, 0.3, 0.9):
+            assert 0.0 < t_critical(10**7, alpha) - z_critical(alpha) < 1e-6
 
     def test_t_table_values(self):
         assert t_critical(1, 0.05) == pytest.approx(12.706, abs=0.01)
         assert t_critical(30, 0.05) == pytest.approx(2.042, abs=0.005)
 
     def test_monotone_decreasing_in_df(self):
-        values = [t_critical(df, 0.05) for df in (1, 2, 5, 10, 100, 10**5)]
-        assert all(a > b for a, b in zip(values, values[1:]))
+        # Decreasing in alpha too, on a grid that crosses every route t_critical takes.
+        dfs = list(range(1, 60)) + [int(v) for v in np.geomspace(60, 10**7, 40)]
+        alphas = (1e-12, 1e-6, 0.001, 0.01, 0.05, 0.1, 0.3, 0.6, 0.9, 0.999)
+        table = [[t_critical(df, alpha) for alpha in alphas] for df in dfs]
+        for row in table:
+            assert all(a > b for a, b in zip(row, row[1:]))
+        for column in zip(*table):
+            assert all(a > b for a, b in zip(column, column[1:]))
 
     def test_z(self):
         assert z_critical(0.05) == pytest.approx(1.959964, abs=1e-5)
 
-    def test_equal_to_scipy_ppf(self):
-        for alpha in (0.001, 0.01, 0.05, 0.1, 0.3, 0.9):
-            q = 1.0 - alpha / 2.0
-            assert z_critical(alpha) == float(stats.norm.ppf(q))
-            for df in (1, 2, 3, 7, 30, 99, 398, 4999, 10**5, 10**6):
-                assert t_critical(df, alpha) == float(stats.t.ppf(q, df))
+    def test_matches_reference_quantiles(self):
+        for df, row in T_REFERENCE.items():
+            for alpha, expected in zip(REFERENCE_ALPHAS, row):
+                assert t_critical(df, alpha) == pytest.approx(expected, rel=1e-14, abs=0)
+        for alpha, expected in zip(REFERENCE_ALPHAS, Z_REFERENCE):
+            assert z_critical(alpha) == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_agrees_with_scipy_on_dense_grid(self):
+        dfs = list(range(1, 201)) + sorted({int(v) for v in np.geomspace(201, 10**7, 120)})
+        alphas = np.geomspace(1e-12, 0.9, 20).tolist()
+        for alpha in alphas:
+            p = 1.0 - alpha / 2.0
+            assert z_critical(alpha) == pytest.approx(float(special.ndtri(p)), rel=1e-14, abs=0)
+            for df in dfs:
+                expected = float(special.stdtrit(df, p))
+                assert t_critical(df, alpha) == pytest.approx(expected, rel=1e-14, abs=0), df
+
+    def test_closed_forms_at_one_and_two_df(self):
+        # The closed-form upper tail q and central probability c = 1 - 2q at
+        # the returned t: q pins large t, c pins small t.
+        for alpha in (1e-9, 1e-6, 0.001, 0.05, 0.3, 0.5, 0.9, 0.999):
+            p = 1.0 - alpha / 2.0
+            q, c = 1.0 - p, 2.0 * p - 1.0
+            t = t_critical(1, alpha)
+            assert math.atan(1.0 / t) / math.pi == pytest.approx(q, rel=1e-14, abs=0)
+            assert 2.0 * math.atan(t) / math.pi == pytest.approx(c, rel=1e-14, abs=0)
+            t = t_critical(2, alpha)
+            root = math.sqrt(2.0 + t * t)
+            assert 1.0 / (root * (root + t)) == pytest.approx(q, rel=1e-14, abs=0)
+            assert t / root == pytest.approx(c, rel=1e-14, abs=0)
+
+    def test_extreme_alpha(self):
+        for df in (1, 2, 3, 4, 7, 19, 20, 21, 40, 500, 10**5, 10**7, 10**9):
+            for alpha in (1e-12, 0.999):
+                value = t_critical(df, alpha)
+                assert math.isfinite(value) and value > 0.0
+            # 1 - alpha/2 rounds to 1 or to 1/2: the quantile is inf or 0.
+            assert t_critical(df, 1e-17) == math.inf
+            assert t_critical(df, math.nextafter(1.0, 0.0)) == 0.0
+        for alpha in (1e-12, 0.999):
+            assert math.isfinite(z_critical(alpha)) and z_critical(alpha) > 0.0
+        assert z_critical(1e-17) == math.inf
+        assert z_critical(math.nextafter(1.0, 0.0)) == 0.0
+
+    def test_cli_import_does_not_load_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import fieldnorm.cli, sys; print('scipy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
     def test_invalid_arguments_raise_every_time(self):
         t_critical(5, 0.05)
