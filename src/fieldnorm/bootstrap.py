@@ -10,17 +10,28 @@ Seeding.  Replicate r's generator is ``default_rng(SeedSequence([seed, r]))``
 and draws ``integers(0, n, n)`` for each group cell in sorted key order,
 then for each world cell.  ``seed_words`` computes the SeedSequence output
 of all R replicates in one pass over uint32 lanes, and ``pcg64_state`` turns
-each into the PCG64 state that generator starts from, so one reused
-``Generator(PCG64())`` is re-seeded per replicate through its
-``bit_generator.state``, with the same draws.
+each into the PCG64 state that generator starts from.
 
-Evaluation.  The draws index the sorted counts and ln(1+c) values each
+Drawing.  ``integers`` itself is never called.  Replicates are drawn in
+blocks whose size is set by ``_BLOCK_WORDS``.  For each replicate of a block,
+one reused ``PCG64`` is set to its state and ``random_raw`` gives all its
+words at once, with spare words for rejections; ``replicate_words`` splits
+them into the 32-bit words ``next_uint32`` hands out, low half first, one
+row per replicate.  Per cell, numpy's bounded draw (Lemire 2019, *Fast
+random integer generation in an interval*) is restated on the block's
+``(rows, n)`` window: word u draws index ``(u * n) >> 32`` and is rejected
+where ``(u * n) mod 2**32 < 2**32 mod n``; a one-article cell draws nothing.
+A rejected word is dropped from its row in place, so only that row's later
+words move up, and a row that runs out of spare words is drawn again with
+more.  The indices are those ``integers`` would draw, bit for bit.
+
+Evaluation.  The words index the sorted counts and ln(1+c) values each
 ``ArticleSet`` computes once.  Each cell keeps only the statistics its
 indicator reads (``indicators.CELL_STATISTICS``) as ``CellReplicates``
-arrays with one entry per replicate, filled from the index draws.  The
-kernel that computes every point estimate, ``indicators.indicator_estimate``,
-then evaluates all R replicates at once; undefined replicates come back as
-NaN and are counted.
+arrays with one entry per replicate, filled a block at a time from the
+words.  The kernel that computes every point estimate,
+``indicators.indicator_estimate``, then evaluates all R replicates at once;
+undefined replicates come back as NaN and are counted.
 """
 
 from __future__ import annotations
@@ -50,6 +61,16 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Replicates are drawn in blocks of at most this many 32-bit words, or of one
+# replicate.  The count covers the block's words and its scratch, four words
+# per article of the largest cell, so it bounds the memory a block takes.
+_BLOCK_WORDS = 2**18
+# Spare words per replicate for rejected draws, per expected rejection plus
+# one; a replicate that runs out is drawn again with more.
+_SLACK = 8
+# Raw words are drawn in chunks of this many 32-bit words (128 KB).
+_RAW_CHUNK = 2**15
 
 
 def seed_words(seed: int, replicates: np.ndarray) -> np.ndarray:
@@ -146,6 +167,99 @@ def percentile(sorted_replicates: Sequence[float], q: float) -> float:
     return sorted_replicates[rank]
 
 
+def replicate_words(
+    bit_generator: np.random.PCG64, states: Sequence[dict], words: np.ndarray
+) -> None:
+    """Fill row i of ``words`` with the first 32-bit draws of a PCG64 started from ``states[i]``.
+
+    These are the words ``next_uint32`` hands out: each raw 64-bit output
+    gives its low half, then its high half.  Each raw word is laid out as
+    little-endian bytes and read back as two little-endian 32-bit halves,
+    which is that split on any byte order.  The words are drawn in chunks
+    of ``_RAW_CHUNK``, so a long row needs no row-sized temporary.
+    """
+    for row, state in zip(words, states):
+        bit_generator.state = state
+        for lo in range(0, row.size, _RAW_CHUNK):
+            part = row[lo:lo + _RAW_CHUNK]
+            raw = bit_generator.random_raw((part.size + 1) // 2)
+            part[:] = raw.astype("<u8", copy=False).view("<u4")[:part.size]
+
+
+def _repair(
+    row: np.ndarray, start: int, n: int, threshold: int, rejected: np.ndarray, spare: int
+) -> int:
+    """Drop the rejected words at positions ``rejected`` of ``row[start:start + n]``.
+
+    Every later word of the row moves up, as ``integers`` would read it
+    next, and the words that move into the window are checked in turn.
+    Returns the number of words dropped; as many words at the row's end are
+    now stale.  It stops once that number exceeds ``spare``, which leaves
+    the row unusable.
+    """
+    end, valid, dropped = start + n, row.size, 0
+    while rejected.size and dropped <= spare:
+        bounds = rejected.tolist() + [valid]
+        for i in range(len(bounds) - 1):
+            row[bounds[i] - i:bounds[i + 1] - i - 1] = row[bounds[i] + 1:bounds[i + 1]]
+        valid -= rejected.size
+        dropped += rejected.size
+        fresh = end - rejected.size
+        rejected = fresh + np.flatnonzero(row[fresh:end] * np.uint32(n) < threshold)
+    return dropped
+
+
+def _record_block(
+    cells: Sequence[CellReplicates],
+    bit_generator: np.random.PCG64,
+    seeds: list,
+    rows: np.ndarray,
+    words: np.ndarray,
+    index: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray:
+    """Record replicates ``rows`` in every cell; return the rows that ran out of words.
+
+    Row i of ``words`` is filled with the words of replicate ``rows[i]``,
+    whose seed words are ``seeds[rows[i]]``: one per article of every cell
+    with more than one article, then spare words for rejected draws.
+    ``index`` (int64) and ``values`` (float64) are flat scratch arrays with
+    room for ``len(rows)`` rows of the largest cell.  A row whose
+    rejections exceed its spare words is returned unrecorded, to be drawn
+    again with more.
+    """
+    words = words[:len(rows)]
+    replicate_words(bit_generator, [pcg64_state(seeds[r]) for r in rows], words)
+    spare = words.shape[1] - sum(c.n for c in cells if c.n > 1)
+    dropped = [0] * len(rows)
+    short: set[int] = set()
+    start = 0
+    for cell in cells:
+        n = cell.n
+        if n == 1:
+            # integers(0, 1, 1) draws nothing; a zero word gives index 0.
+            cell.record_block(rows, np.zeros((len(rows), 1), np.uint32), index, values)
+            continue
+        window = words[:, start:start + n]
+        # Lemire's step rejects u where (u * n) mod 2**32 < 2**32 mod n.  The
+        # products go to the index scratch, unused until the cell's record.
+        threshold = 2**32 % n
+        low = index.view(np.uint32)[:window.size].reshape(window.shape)
+        np.multiply(window, np.uint32(n), out=low)
+        if threshold and np.minimum.reduce(low, axis=None) < threshold:
+            rejected = low < threshold
+            for b in np.flatnonzero(rejected.any(axis=1)).tolist():
+                if b not in short:
+                    row = words[b, :words.shape[1] - dropped[b]]
+                    positions = start + np.flatnonzero(rejected[b])
+                    dropped[b] += _repair(row, start, n, threshold, positions, spare - dropped[b])
+                    if dropped[b] > spare:
+                        short.add(b)
+        cell.record_block(rows, window, index, values)
+        start += n
+    return rows[sorted(short)]
+
+
 def replicate_values(
     keys: Sequence[FieldYearKey],
     group_cells: Sequence[ArticleSet],
@@ -167,13 +281,25 @@ def replicate_values(
     if spec.resample_world and world_stats:
         rep_world = [CellReplicates(c, world_stats, spec.iterations) for c in world_cells]
         drawn = rep_group + rep_world
+    seeds = seed_words(spec.seed & (2**64 - 1), np.arange(spec.iterations, dtype=np.uint64))
+    seeds = seeds.tolist()
+    width = sum(c.n for c in drawn if c.n > 1)
+    largest = max((c.n for c in drawn), default=1)
+    # A draw from [0, n) rejects a word with probability (2**32 mod n) / 2**32.
+    expected = sum(c.n * (2**32 % c.n) for c in drawn) / 2**32
+    spare = math.ceil(_SLACK * (1 + expected))
     bit_generator = np.random.PCG64(0)
-    integers = np.random.Generator(bit_generator).integers
-    words = seed_words(spec.seed & (2**64 - 1), np.arange(spec.iterations, dtype=np.uint64))
-    for r, row in enumerate(words.tolist()):
-        bit_generator.state = pcg64_state(row)
-        for cell in drawn:
-            cell.record(r, integers(0, cell.n, cell.n))
+    todo = np.arange(spec.iterations)
+    while todo.size:
+        per_block = min(todo.size, max(1, _BLOCK_WORDS // (width + spare + 4 * largest)))
+        words = np.empty((per_block, width + spare), np.uint32)
+        index = np.empty(per_block * largest, np.int64)
+        values = np.empty(per_block * largest)
+        todo = np.concatenate([
+            _record_block(drawn, bit_generator, seeds, todo[i:i + per_block], words, index, values)
+            for i in range(0, todo.size, per_block)
+        ])
+        spare = 2 * spare + 1
     return indicator_estimate(indicator, keys, rep_group, rep_world)[0]
 
 

@@ -10,9 +10,12 @@ reserved for the reference set; every (field, year) present for any group
 must also have a WORLD cell, otherwise normalisation is impossible.
 
 An ArticleSet is the one cell object from parse to kernel: it holds the
-cell's counts as a read-only int64 array and computes, once, the statistics
-every indicator and analytic interval is computed from; CellReplicates holds
-the same statistics over the bootstrap replicates of a cell.
+cell's counts as a read-only int64 array, built from integers only, and
+computes, once, the statistics every indicator and analytic interval is
+computed from.  CellReplicates holds the same statistics over the bootstrap
+replicates of a cell, recorded a block of replicates at a time from the
+32-bit words of numpy's bounded draw, without an index array where the
+statistic needs none.
 """
 
 from __future__ import annotations
@@ -62,12 +65,14 @@ class FieldYearKey:
 class ArticleSet:
     """Counts (one per article) for a single (group, field, year) cell.
 
-    ``counts`` is built once from any integer sequence as a private,
-    read-only int64 array in input order.  The statistics every indicator
-    and analytic interval is computed from are read off the cell itself:
-    n, cited (count > 0), and the mean and M2 (sum of squared deviations
-    from the mean) of c and of ln(1+c).  Each is computed on first read,
-    over one sorted snapshot of the counts and its ln(1+c) values.
+    ``counts`` is built once from a sequence of Python ints or a numpy
+    integer array as a private, read-only int64 array in input order;
+    floats, bools, strings and values beyond int64 are rejected, not
+    converted.  The statistics every indicator and analytic interval is
+    computed from are read off the cell itself: n, cited (count > 0), and
+    the mean and M2 (sum of squared deviations from the mean) of c and of
+    ln(1+c).  Each is computed on first read, over one sorted snapshot of
+    the counts and its ln(1+c) values.
 
     Equality is identity (``eq=False``): an array has no single truth
     value, so a field-by-field ``==`` could not give one.
@@ -79,13 +84,24 @@ class ArticleSet:
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=np.int64)
+        cell = f"cell {self.group}/{self.key}"
+        counts = np.asarray(self.counts)
+        # Checked first: an empty sequence converts to a float64 array.
         if counts.size < 1:
-            raise ValueError(f"cell {self.group}/{self.key} is empty")
+            raise ValueError(f"{cell} is empty")
+        if counts.ndim != 1:
+            raise ValueError(f"{cell}: counts must be one flat sequence, got shape {counts.shape}")
+        if counts.dtype.kind not in "iu":
+            raise ValueError(
+                f"{cell}: counts must be integers in [0, 2**63-1], got {counts.dtype} values"
+            )
+        if counts.dtype.kind == "u" and int(counts.max()) > _COUNT_MAX:
+            raise ValueError(f"{cell}: a count exceeds 2**63-1")
+        counts = counts.astype(np.int64)
         if counts.min() < 0:
-            raise ValueError(f"cell {self.group}/{self.key} contains a negative count")
+            raise ValueError(f"{cell} contains a negative count")
         if self.ids is not None and len(self.ids) != counts.size:
-            raise ValueError(f"cell {self.group}/{self.key}: ids and counts differ in length")
+            raise ValueError(f"{cell}: ids and counts differ in length")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
@@ -138,10 +154,16 @@ class CellReplicates:
 
     Only the statistics named in ``stats`` (of ``cited``, ``raw_mean``,
     ``log_mean`` and ``log_m2``) are kept; the others are None.
-    ``record(r, idx)`` sets entry r from the articles at positions ``idx`` of
-    the cell's sorted counts, in draw order: cited as ``idx >= n - cited``
-    (the first cited position), means as sums divided by n (bit-identical to
-    ``ndarray.mean``), M2 as the sum of squared deviations from that mean.
+    ``record_block(rows, words, index, values)`` sets the entries ``rows``
+    from one row of 32-bit words each, the accepted words of NumPy's
+    bounded draw ``integers(0, n, n)``: word u draws position
+    ``(u * n) >> 32`` of the cell's sorted counts.  Cited is the number of
+    words drawing a position at or past the first cited one, ``n - cited``,
+    counted on the words themselves.  For the means, ``index`` (int64) and
+    ``values`` (float64) are flat scratch arrays with room for every word;
+    the means are sums along each row divided by n (bit-identical to
+    ``ndarray.mean`` of the drawn values), and M2 is the sum of squared
+    deviations from that mean.
     """
 
     def __init__(self, cell: ArticleSet, stats: Iterable[str], replicates: int) -> None:
@@ -156,18 +178,31 @@ class CellReplicates:
             for name in ("raw_mean", "log_mean", "log_m2")
         )
 
-    def record(self, r: int, idx: np.ndarray) -> None:
+    def record_block(
+        self, rows: np.ndarray, words: np.ndarray, index: np.ndarray, values: np.ndarray
+    ) -> None:
         cell, n = self._cell, self.n
         if self.cited is not None:
-            self.cited[r] = np.count_nonzero(idx >= n - cell.cited)
+            # (u * n) >> 32 >= n - cited  <=>  u >= ceil((n - cited) * 2**32 / n)
+            bound = -(-((n - cell.cited) << 32) // n)
+            self.cited[rows] = np.add.reduce(words >= bound, axis=1) if bound < 2**32 else 0
+        if self.raw_mean is None and self.log_mean is None:
+            return
+        index = np.multiply(words, n, out=index[:words.size].reshape(words.shape), dtype=np.int64)
+        index >>= 32
+        values = values[:words.size].reshape(words.shape)
+        # mode="clip" writes straight into the scratch; every index is below n.
         if self.raw_mean is not None:
-            self.raw_mean[r] = np.add.reduce(cell._sorted[idx], dtype=np.float64) / n
+            drawn = cell._sorted.take(index, out=values.view(np.int64), mode="clip")
+            self.raw_mean[rows] = np.add.reduce(drawn, axis=1, dtype=np.float64) / n
         if self.log_mean is not None:
-            logs = cell._logs[idx]
-            mean = np.add.reduce(logs) / n
-            self.log_mean[r] = mean
+            logs = cell._logs.take(index, out=values, mode="clip")
+            mean = np.add.reduce(logs, axis=1) / n
+            self.log_mean[rows] = mean
             if self.log_m2 is not None:
-                self.log_m2[r] = np.add.reduce((logs - mean) ** 2)
+                logs -= mean[:, None]
+                np.square(logs, out=logs)
+                self.log_m2[rows] = np.add.reduce(logs, axis=1)
 
     @property
     def log_sd(self) -> np.ndarray | None:

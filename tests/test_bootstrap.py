@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fieldnorm.bootstrap
 from fieldnorm.bootstrap import (
     BootstrapSpec,
     bootstrap_indicator,
@@ -13,6 +14,7 @@ from fieldnorm.bootstrap import (
     pcg64_state,
     percentile,
     replicate_values,
+    replicate_words,
     seed_words,
     summarize_comparisons,
 )
@@ -275,6 +277,61 @@ class TestSeeding:
                 seed_words(seed, np.arange(3, dtype=np.uint64))
 
 
+class TestReplicateWords:
+    """The 32-bit words are the ones numpy's ``next_uint32`` hands out."""
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 2**15 - 1, 2**15, 2**15 + 3])
+    def test_matches_next_uint32(self, count):
+        seeds = [0, 2**40 + 7]
+        words = np.empty((len(seeds), count), np.uint32)
+        replicate_words(np.random.PCG64(0), [np.random.PCG64(s).state for s in seeds], words)
+        for row, s in zip(words, seeds):
+            generator = np.random.Generator(np.random.PCG64(s))
+            assert row.tolist() == generator.integers(0, 2**32, count, dtype=np.uint32).tolist()
+
+
+def lemire_rejections(seed, r, sizes):
+    """Words numpy's bounded draw rejects in each ``integers(0, n, n)`` of replicate r.
+
+    Replays replicate r's 32-bit words, the low half of each raw word
+    first, through Lemire's step: u draws (u * n) >> 32 unless
+    (u * n) mod 2**32 < 2**32 mod n, when it is rejected.
+    """
+    bit_generator = np.random.default_rng(np.random.SeedSequence([seed, r])).bit_generator
+    raw = bit_generator.random_raw(sum(sizes) // 2 + 256)
+    words = np.empty(2 * raw.size, np.uint64)
+    words[0::2] = raw & np.uint64(2**32 - 1)
+    words[1::2] = raw >> np.uint64(32)
+    rejected, pos = [], 0
+    for n in sizes:
+        if n == 1:  # integers(0, 1, 1) draws no word
+            rejected.append(0)
+            continue
+        accepted = (words[pos:] * np.uint64(n)) % np.uint64(2**32) >= 2**32 % n
+        used = int(np.searchsorted(np.cumsum(accepted), n)) + 1
+        rejected.append(used - n)
+        pos += used
+    return rejected
+
+
+def test_reference_lemire_matches_integers():
+    # a cell whose draws are often rejected, so the replay is checked on them
+    n, seed, rejections = 102_537, 4, 0
+    for r in range(3):
+        bit_generator = np.random.default_rng(np.random.SeedSequence([seed, r])).bit_generator
+        raw = bit_generator.random_raw(n // 2 + 256)
+        words = np.empty(2 * raw.size, np.uint64)
+        words[0::2] = raw & np.uint64(2**32 - 1)
+        words[1::2] = raw >> np.uint64(32)
+        kept = np.flatnonzero((words * np.uint64(n)) % np.uint64(2**32) >= 2**32 % n)[:n]
+        reference = np.random.default_rng(np.random.SeedSequence([seed, r]))
+        assert ((words[kept] * np.uint64(n)) >> np.uint64(32)).tolist() == \
+            reference.integers(0, n, n).tolist()
+        assert lemire_rejections(seed, r, [n]) == [kept[-1] + 1 - n]
+        rejections += kept[-1] + 1 - n
+    assert rejections > 0
+
+
 def sorted_counts(aset):
     return np.sort(np.asarray(aset.counts, dtype=np.int64))
 
@@ -394,3 +451,44 @@ class TestReplicateOracle:
         world = [ArticleSet(WORLD, key, (0, 4))]
         _, undefined = self.check(group, world, LUNDBERG_Z, BootstrapSpec(200, seed=9))
         assert 0 < undefined < 200
+
+    @staticmethod
+    def middle_cell_scope():
+        """Three keys; the 3,050-article group cell is the second of six draws."""
+        group, world = [], []
+        for i, (n_group, n_world) in enumerate([(40, 80), (3050, 4000), (30, 60)]):
+            key = FieldYearKey(f"F{i}", 2015)
+            group.append(generate_cell(LognormalSpec(1.0, 1.1, 0.2, n_group, 10 + i), key, "G"))
+            world.append(generate_cell(LognormalSpec(1.0, 1.1, 0.2, n_world, 20 + i), key, WORLD))
+        return group, world, [40, 3050, 30, 80, 4000, 60]
+
+    @staticmethod
+    def frequent_rejections():
+        """2**32 mod 102,537 = 102,514: about 2.4 rejected words per replicate."""
+        key = FieldYearKey("F", 2015)
+        group = [generate_cell(LognormalSpec(1.0, 1.3, 0.2, 102_537, 3), key, "G")]
+        world = [generate_cell(LognormalSpec(1.0, 1.3, 0.2, 700, 4), key, WORLD)]
+        return group, world, [102_537, 700]
+
+    @pytest.mark.parametrize("indicator", [MNLCS, LUNDBERG_Z, MNPC])
+    def test_rejection_in_middle_cell(self, indicator):
+        # Replicate 27 of seed 5 rejects a word of the middle cell, so every
+        # later word of that replicate moves up by one.
+        group, world, drawn = self.middle_cell_scope()
+        assert lemire_rejections(5, 27, drawn) == [0, 1, 0, 0, 0, 0]
+        self.check(group, world, indicator, BootstrapSpec(100, seed=5))
+
+    @pytest.mark.parametrize("indicator", [MNLCS, MNCS, PROP_CITED])
+    def test_large_cell_with_frequent_rejections(self, indicator):
+        group, world, drawn = self.frequent_rejections()
+        assert sum(lemire_rejections(4, r, drawn[:1])[0] for r in range(100)) > 100
+        self.check(group, world, indicator, BootstrapSpec(100, seed=4))
+
+    @pytest.mark.parametrize("scope, seed", [("middle_cell_scope", 5), ("frequent_rejections", 4)])
+    def test_spare_words_exhausted(self, monkeypatch, scope, seed):
+        # With no spare words, a replicate with a rejected word runs out and
+        # is drawn again, with more spare words each round.
+        monkeypatch.setattr(fieldnorm.bootstrap, "_SLACK", 0)
+        group, world, drawn = getattr(self, scope)()
+        assert any(sum(lemire_rejections(seed, r, drawn)) for r in range(100))
+        self.check(group, world, MNLCS, BootstrapSpec(100, seed=seed))

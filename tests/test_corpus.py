@@ -55,6 +55,55 @@ class TestKeysAndCells:
         with pytest.raises(ValueError):
             ArticleSet("G", key, (1, 2), ids=("a",))
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [1.5, 2.7],
+            np.array([1.9]),
+            [1.0, 2.0],
+            ["3", "4"],
+            [True, False],
+            np.array([True]),
+            [1, None],
+            [2**64],
+            [-1, 2**63],
+        ],
+    )
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match=r"cell G/BIOC/2013: counts must be integers"):
+            ArticleSet("G", FieldYearKey("BIOC", 2013), counts)
+
+    @pytest.mark.parametrize("counts", [[2**63], np.array([1, 2**63], dtype=np.uint64)])
+    def test_uint64_counts_beyond_int64_rejected(self, counts):
+        with pytest.raises(ValueError, match=r"cell G/BIOC/2013: a count exceeds 2\*\*63-1"):
+            ArticleSet("G", FieldYearKey("BIOC", 2013), counts)
+
+    @pytest.mark.parametrize("counts", [[[0, 5], [3, 0]], np.int64(4), 7])
+    def test_counts_not_one_flat_sequence_rejected(self, counts):
+        with pytest.raises(ValueError, match=r"cell G/BIOC/2013: counts must be one flat sequence"):
+            ArticleSet("G", FieldYearKey("BIOC", 2013), counts)
+
+    def test_empty_counts_rejected_before_their_dtype(self):
+        # np.asarray(()) is float64: the cell must still read as empty
+        for counts in ((), [], np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError, match="cell G/BIOC/2013 is empty"):
+                ArticleSet("G", FieldYearKey("BIOC", 2013), counts)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            (0, 5, _COUNT_MAX),
+            [np.int32(4), np.int64(2)],
+            np.array([4, 2], dtype=np.uint8),
+            np.array([4, _COUNT_MAX], dtype=np.uint64),
+            np.array([7], dtype=np.int16),
+        ],
+    )
+    def test_integer_counts_accepted(self, counts):
+        cell = ArticleSet("G", FieldYearKey("BIOC", 2013), counts)
+        assert cell.counts.dtype == np.int64
+        assert cell.counts.tolist() == [int(c) for c in counts]
+
     def test_counts_are_a_private_read_only_int64_array(self):
         source = np.array([3, 0, 1])
         cell = ArticleSet("G", FieldYearKey("BIOC", 2013), source)
