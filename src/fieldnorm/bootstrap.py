@@ -9,21 +9,27 @@ ascending order, so results do not depend on the input article order either.
 Seeding.  Replicate r's generator is ``default_rng(SeedSequence([seed, r]))``
 and draws ``integers(0, n, n)`` for each group cell in sorted key order,
 then for each world cell.  ``seed_words`` computes the SeedSequence output
-of all R replicates in one pass over uint32 lanes, and ``pcg64_state`` turns
-each into the PCG64 state that generator starts from.
+of all R replicates at once, on a (4, R) pool of uint32 lanes, and
+``pcg64_states`` applies PCG64's seeding step (O'Neill 2014) to all of them
+in uint64 lanes, giving an (R, 4) array of 128-bit states and increments.
 
-Drawing.  ``integers`` itself is never called.  Replicates are drawn in
-blocks whose size is set by ``_BLOCK_WORDS``.  For each replicate of a block,
-one reused ``PCG64`` is set to its state and ``random_raw`` gives all its
-words at once, with spare words for rejections; ``replicate_words`` splits
-them into the 32-bit words ``next_uint32`` hands out, low half first, one
-row per replicate.  Per cell, numpy's bounded draw (Lemire 2019, *Fast
-random integer generation in an interval*) is restated on the block's
-``(rows, n)`` window: word u draws index ``(u * n) >> 32`` and is rejected
-where ``(u * n) mod 2**32 < 2**32 mod n``; a one-article cell draws nothing.
-A rejected word is dropped from its row in place, so only that row's later
-words move up, and a row that runs out of spare words is drawn again with
-more.  The indices are those ``integers`` would draw, bit for bit.
+Drawing.  ``integers`` itself is never called, and neither is the
+``bit_generator.state`` setter per replicate.  ``state_memory`` locates the
+state and increment of one reused ``PCG64`` through its documented
+``ctypes.state_address``, finds their word order once with a probe state,
+and each replicate's state is then written straight into that memory.
+Replicates are drawn in blocks whose size is set by ``_BLOCK_WORDS``: for
+each replicate of a block, ``random_raw`` fills one row of a ``'<u8'``
+matrix with all its words at once, with spare words for rejections, and
+the matrix's ``'<u4'`` view holds the 32-bit words ``next_uint32`` hands
+out, low half first, one row per replicate.  Per cell, numpy's bounded
+draw (Lemire 2019, *Fast random integer generation in an interval*) is
+restated on the block's ``(rows, n)`` window: word u draws index
+``(u * n) >> 32`` and is rejected where ``(u * n) mod 2**32 < 2**32 mod n``;
+a one-article cell draws nothing.  A rejected word is dropped from its row
+in place, so only that row's later words move up, and a row that runs out
+of spare words is drawn again with more.  The indices are those
+``integers`` would draw, bit for bit.
 
 Evaluation.  The words index the sorted counts and ln(1+c) values each
 ``ArticleSet`` computes once.  Each cell keeps only the statistics its
@@ -36,6 +42,7 @@ undefined replicates come back as NaN and are counted.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -50,17 +57,37 @@ from .indicators import (
     UndefinedNormalizationError,
     indicator_estimate,
 )
-from .intervals import BOOTSTRAP_PERCENTILE, IntervalEstimate
+from .intervals import BOOTSTRAP_PERCENTILE, IntervalEstimate, check_alpha
 from .scopes import formula_interval, indicator_value
 
 # NumPy's SeedSequence (numpy/random/bit_generator.pyx) and the PCG64
 # seeding step pcg_setseq_128_srandom_r (numpy/random/src/pcg64), restated.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT_HIGH, _PCG_MULT_LOW = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hash_constants(value: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` values SeedSequence's hash constant takes, as a column."""
+    values = []
+    for _ in range(count):
+        values.append(value)
+        value = value * mult & _MASK32
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+# Hash call k XORs with constant k and multiplies by constant k + 1.  The
+# pool's calls are the four entropy words, then three per source lane; the
+# output's calls are the eight output words.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 1)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8 + 1)
+_MIX_DESTINATIONS = [[d for d in range(4) if d != src] for src in range(4)]
+
+# A PCG64 state with four distinct 64-bit words, in the order numpy's state
+# setter reads them: state high, state low, increment high, increment low.
+_PROBE = (0x0123456789ABCDEF, 0x1032547698BADCFE, 0x2301674589EFCDAB, 0x32107654BA98FEDC)
 
 # Replicates are drawn in blocks of at most this many 32-bit words, or of one
 # replicate.  The count covers the block's words and its scratch, four words
@@ -69,8 +96,19 @@ _BLOCK_WORDS = 2**18
 # Spare words per replicate for rejected draws, per expected rejection plus
 # one; a replicate that runs out is drawn again with more.
 _SLACK = 8
-# Raw words are drawn in chunks of this many 32-bit words (128 KB).
-_RAW_CHUNK = 2**15
+# Raw words are drawn in chunks of this many 64-bit words (128 KB).
+_RAW_CHUNK = 2**14
+
+
+def _hashmix(value: np.ndarray, constants: np.ndarray, first: int, count: int) -> np.ndarray:
+    """SeedSequence's hashmix as hash calls ``first`` to ``first + count - 1``, one per row.
+
+    ``value`` has ``count`` rows, or one that every call hashes.
+    """
+    value = value ^ constants[first:first + count]
+    value *= constants[first + 1:first + count + 1]
+    value ^= value >> np.uint32(16)
+    return value
 
 
 def seed_words(seed: int, replicates: np.ndarray) -> np.ndarray:
@@ -79,58 +117,107 @@ def seed_words(seed: int, replicates: np.ndarray) -> np.ndarray:
     ``seed`` lies in [0, 2**64) and ``replicates`` is a uint64 array.  The
     entropy is then at most four 32-bit words, the pool size: the seed's
     words, low word first, then r's.  The pool treats missing words as
-    zeros, so r's high word can always be included, zero or not.
+    zeros, so r's high word can always be included, zero or not.  The pool
+    is a (4, R) array, one row per word.
     """
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
     replicates = np.asarray(replicates, dtype=np.uint64)
-    u32 = np.uint32
     seed_lanes = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    entropy = [np.full(len(replicates), w, dtype=u32) for w in seed_lanes]
-    entropy.append((replicates & np.uint64(_MASK32)).astype(u32))
-    entropy.append((replicates >> np.uint64(32)).astype(u32))
-    entropy += [np.zeros(len(replicates), dtype=u32)] * (4 - len(entropy))
+    entropy = np.zeros((4, replicates.size), np.uint32)
+    entropy[:len(seed_lanes)] = np.array(seed_lanes, np.uint32)[:, None]
+    entropy[len(seed_lanes)] = (replicates & np.uint64(_MASK32)).astype(np.uint32)
+    entropy[len(seed_lanes) + 1] = (replicates >> np.uint64(32)).astype(np.uint32)
 
-    hash_const = _INIT_A
+    pool = _hashmix(entropy, _HASH_A, 0, 4)
+    for src, dst in enumerate(_MIX_DESTINATIONS):
+        # Lane src is hashed once per destination lane, with successive
+        # constants, and does not change while it is mixed into them.
+        mixed = _MIX_MULT_L * pool[dst]
+        mixed -= _MIX_MULT_R * _hashmix(pool[src], _HASH_A, 4 + 3 * src, 3)
+        mixed ^= mixed >> np.uint32(16)
+        pool[dst] = mixed
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ u32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * u32(hash_const)
-        return value ^ (value >> u32(16))
-
-    pool = [hashmix(word) for word in entropy]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = u32(_MIX_MULT_L) * pool[dst] - u32(_MIX_MULT_R) * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> u32(16))
-
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ u32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * u32(hash_const)
-        state.append((value ^ (value >> u32(16))).astype(np.uint64))
-    return np.stack([state[i] | (state[i + 1] << np.uint64(32)) for i in range(0, 8, 2)], axis=1)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, 0, 8).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
-def pcg64_state(words: Sequence[int]) -> dict:
-    """The ``bit_generator.state`` of a PCG64 seeded with four seed words.
+def pcg64_states(words: np.ndarray) -> np.ndarray:
+    """The 128-bit state and increment of a PCG64 seeded with each row of ``words``.
 
-    ``words`` is a row of ``seed_words(...).tolist()``, as Python ints.
+    ``words`` is ``seed_words`` output: the seed's high and low 64-bit
+    words, then the sequence's.  Seeding sets ``inc = 2 * seq + 1`` and
+    ``state = (inc + seed) * mult + inc``, both mod 2**128, here in uint64
+    lanes.  Row i of the result holds the state's high and low words, then
+    the increment's, the order numpy's ``state`` setter reads them in.
     """
+    s_high, s_low, i_high, i_low = np.asarray(words, dtype=np.uint64).T
+    one, half = np.uint64(1), np.uint64(32)
+    inc_high = i_high << one | i_low >> np.uint64(63)
+    inc_low = i_low << one | one
+    t_low = inc_low + s_low
+    t_high = inc_high + s_high + (t_low < inc_low)
+    # The high word of t_low * mult_low, from 32-bit halves.
+    a0, a1 = t_low & np.uint64(_MASK32), t_low >> half
+    b0, b1 = np.uint64(_PCG_MULT_LOW & _MASK32), np.uint64(_PCG_MULT_LOW >> 32)
+    cross0, cross1 = a0 * b1, a1 * b0
+    middle = (a0 * b0 >> half) + (cross0 & np.uint64(_MASK32)) + (cross1 & np.uint64(_MASK32))
+    carry_high = a1 * b1 + (cross0 >> half) + (cross1 >> half) + (middle >> half)
+    high = carry_high + t_low * np.uint64(_PCG_MULT_HIGH) + t_high * np.uint64(_PCG_MULT_LOW)
+    state_low = t_low * np.uint64(_PCG_MULT_LOW) + inc_low
+    state_high = high + inc_high + (state_low < inc_low)
+    return np.stack([state_high, state_low, inc_high, inc_low], axis=1)
+
+
+def _state_memory(bit_generator: np.random.PCG64) -> ctypes.Array:
+    """The generator's 128-bit state and increment, as four uint64 words in memory order.
+
+    ``ctypes.state_address`` points at numpy's ``pcg64_state``, whose first
+    member points at the ``pcg64_random_t`` that holds the two words.  The
+    array is a view of that memory and does not keep ``bit_generator`` alive.
+    """
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    return (ctypes.c_uint64 * 4).from_address(address)
+
+
+def _set_state(bit_generator: np.random.PCG64, words: Sequence[int]) -> None:
+    """Set a PCG64 through its public setter from ``pcg64_states``-ordered words."""
     s_high, s_low, i_high, i_low = words
-    inc = (i_high << 65 | i_low << 1 | 1) & _MASK128
-    state = ((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK128
-    return {
+    bit_generator.state = {
         "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
+        "state": {"state": s_high << 64 | s_low, "inc": i_high << 64 | i_low},
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def state_memory(bit_generator: np.random.PCG64) -> tuple[ctypes.Array, list[int]]:
+    """The generator's state memory, and where each ``pcg64_states`` column goes in it.
+
+    Writing ``row[order]`` into ``memory[:]``, for a row of ``pcg64_states``,
+    sets ``bit_generator`` to that state; ``has_uint32`` is left as it is,
+    and ``random_raw`` never reads it.  Builds with 128-bit integers keep
+    each 128-bit word as a native integer, low half first on little-endian
+    hosts; builds without them keep a {high, low} struct.  The order is read
+    from a probe state set through the public setter, then confirmed by
+    writing its complement through ``memory`` and reading
+    ``bit_generator.state`` back.  Keep ``bit_generator`` alive while
+    ``memory`` is used.
+    """
+    memory = _state_memory(bit_generator)
+    _set_state(bit_generator, _PROBE)
+    landed = list(memory)
+    if sorted(landed) == sorted(_PROBE):
+        order = [_PROBE.index(word) for word in landed]
+        complement = [word ^ (2**64 - 1) for word in _PROBE]
+        memory[:] = [complement[i] for i in order]
+        state = bit_generator.state["state"]
+        s_high, s_low, i_high, i_low = complement
+        if (state["state"], state["inc"]) == (s_high << 64 | s_low, i_high << 64 | i_low):
+            return memory, order
+    raise RuntimeError(
+        f"cannot locate the PCG64 state in memory under numpy {np.__version__}"
+    )
 
 
 @dataclass(frozen=True)
@@ -143,8 +230,7 @@ class BootstrapSpec:
     def __post_init__(self) -> None:
         if self.iterations < 100:
             raise ValueError("at least 100 bootstrap iterations are required")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -168,22 +254,29 @@ def percentile(sorted_replicates: Sequence[float], q: float) -> float:
 
 
 def replicate_words(
-    bit_generator: np.random.PCG64, states: Sequence[dict], words: np.ndarray
+    bit_generator: np.random.PCG64,
+    memory: ctypes.Array,
+    states: Sequence[Sequence[int]],
+    raw: np.ndarray,
 ) -> None:
-    """Fill row i of ``words`` with the first 32-bit draws of a PCG64 started from ``states[i]``.
+    """Fill row i of ``raw`` with the first raw draws of a PCG64 started from ``states[i]``.
 
-    These are the words ``next_uint32`` hands out: each raw 64-bit output
-    gives its low half, then its high half.  Each raw word is laid out as
-    little-endian bytes and read back as two little-endian 32-bit halves,
-    which is that split on any byte order.  The words are drawn in chunks
-    of ``_RAW_CHUNK``, so a long row needs no row-sized temporary.
+    ``memory`` is ``bit_generator``'s state memory and each row of ``states``
+    is already in its order (``state_memory``).  ``raw`` is a ``'<u8'``
+    matrix, so its ``'<u4'`` view holds the 32-bit words ``next_uint32``
+    hands out: each raw output's low half, then its high half, on any byte
+    order.  A row longer than ``_RAW_CHUNK`` is drawn in chunks of that
+    many words, so it needs no row-sized temporary.
     """
-    for row, state in zip(words, states):
-        bit_generator.state = state
-        for lo in range(0, row.size, _RAW_CHUNK):
-            part = row[lo:lo + _RAW_CHUNK]
-            raw = bit_generator.random_raw((part.size + 1) // 2)
-            part[:] = raw.astype("<u8", copy=False).view("<u4")[:part.size]
+    size = raw.shape[1]
+    for row, state in zip(raw, states):
+        memory[:] = state
+        if size <= _RAW_CHUNK:
+            row[:] = bit_generator.random_raw(size)
+        else:
+            for lo in range(0, size, _RAW_CHUNK):
+                part = row[lo:lo + _RAW_CHUNK]
+                part[:] = bit_generator.random_raw(part.size)
 
 
 def _repair(
@@ -211,8 +304,6 @@ def _repair(
 
 def _record_block(
     cells: Sequence[CellReplicates],
-    bit_generator: np.random.PCG64,
-    seeds: list,
     rows: np.ndarray,
     words: np.ndarray,
     index: np.ndarray,
@@ -220,16 +311,13 @@ def _record_block(
 ) -> np.ndarray:
     """Record replicates ``rows`` in every cell; return the rows that ran out of words.
 
-    Row i of ``words`` is filled with the words of replicate ``rows[i]``,
-    whose seed words are ``seeds[rows[i]]``: one per article of every cell
-    with more than one article, then spare words for rejected draws.
-    ``index`` (int64) and ``values`` (float64) are flat scratch arrays with
-    room for ``len(rows)`` rows of the largest cell.  A row whose
-    rejections exceed its spare words is returned unrecorded, to be drawn
-    again with more.
+    Row i of ``words`` holds the words of replicate ``rows[i]``: one per
+    article of every cell with more than one article, then spare words for
+    rejected draws.  ``index`` (int64) and ``values`` (float64) are flat
+    scratch arrays with room for ``len(rows)`` rows of the largest cell.  A
+    row whose rejections exceed its spare words is returned unrecorded, to
+    be drawn again with more.
     """
-    words = words[:len(rows)]
-    replicate_words(bit_generator, [pcg64_state(seeds[r]) for r in rows], words)
     spare = words.shape[1] - sum(c.n for c in cells if c.n > 1)
     dropped = [0] * len(rows)
     short: set[int] = set()
@@ -281,24 +369,29 @@ def replicate_values(
     if spec.resample_world and world_stats:
         rep_world = [CellReplicates(c, world_stats, spec.iterations) for c in world_cells]
         drawn = rep_group + rep_world
+    bit_generator = np.random.PCG64(0)
+    memory, order = state_memory(bit_generator)
     seeds = seed_words(spec.seed & (2**64 - 1), np.arange(spec.iterations, dtype=np.uint64))
-    seeds = seeds.tolist()
+    states = pcg64_states(seeds)[:, order]
     width = sum(c.n for c in drawn if c.n > 1)
     largest = max((c.n for c in drawn), default=1)
     # A draw from [0, n) rejects a word with probability (2**32 mod n) / 2**32.
     expected = sum(c.n * (2**32 % c.n) for c in drawn) / 2**32
     spare = math.ceil(_SLACK * (1 + expected))
-    bit_generator = np.random.PCG64(0)
     todo = np.arange(spec.iterations)
     while todo.size:
-        per_block = min(todo.size, max(1, _BLOCK_WORDS // (width + spare + 4 * largest)))
-        words = np.empty((per_block, width + spare), np.uint32)
+        columns = width + spare
+        per_block = min(todo.size, max(1, _BLOCK_WORDS // (columns + 4 * largest)))
+        raw = np.empty((per_block, (columns + 1) // 2), "<u8")
+        words = raw.view("<u4")[:, :columns]
         index = np.empty(per_block * largest, np.int64)
         values = np.empty(per_block * largest)
-        todo = np.concatenate([
-            _record_block(drawn, bit_generator, seeds, todo[i:i + per_block], words, index, values)
-            for i in range(0, todo.size, per_block)
-        ])
+        short = []
+        for i in range(0, todo.size, per_block):
+            rows = todo[i:i + per_block]
+            replicate_words(bit_generator, memory, states[rows].tolist(), raw[:rows.size])
+            short.append(_record_block(drawn, rows, words[:rows.size], index, values))
+        todo = np.concatenate(short)
         spare = 2 * spare + 1
     return indicator_estimate(indicator, keys, rep_group, rep_world)[0]
 

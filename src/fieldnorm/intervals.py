@@ -99,6 +99,15 @@ class IntervalEstimate:
 # the references on a dense grid is 8.6 ulp (2e-15).
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a report or comparison level outside (0, 0.5).
+
+    Above 0.5 a two-sided interval no longer contains its point estimate.
+    """
+    if not 0.0 < alpha < 0.5:
+        raise ValueError("alpha must lie in (0, 0.5)")
+
+
 @functools.lru_cache(maxsize=1024)
 def t_critical(df: int, alpha: float) -> float:
     """Two-tailed Student-t critical value."""

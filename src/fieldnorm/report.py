@@ -36,6 +36,7 @@ from .intervals import (
     HEURISTIC_EXPANSION,
     LITERAL,
     IntervalEstimate,
+    check_alpha,
 )
 from .scopes import FORMULA_METHOD, fieller_interval, formula_interval, indicator_value
 
@@ -84,8 +85,7 @@ class ReportConfig:
         unknown = set(self.ci_methods) - set(CI_METHODS)
         if unknown:
             raise ValueError(f"unknown ci methods {sorted(unknown)}")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError("alpha must lie in (0, 0.5)")
+        check_alpha(self.alpha)
         if self.bootstrap_iterations is not None:
             BootstrapSpec(self.bootstrap_iterations)  # checked before any row is computed
 

@@ -7,6 +7,7 @@ An optional extra probability mass at zero mimics sparse web indicators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -25,6 +26,8 @@ class LognormalSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ValueError("mu and sigma must be finite")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
         if not 0.0 <= self.zero_inflation < 1.0:
@@ -37,7 +40,12 @@ def generate_cell(spec: LognormalSpec, key: FieldYearKey, group: str) -> Article
     """One cell of spec.n seeded draws; identical spec gives identical output."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed & (2**64 - 1)))
     x = rng.normal(spec.mu, spec.sigma, spec.n)
-    counts = np.clip(np.rint(np.expm1(x)), 0, None).astype(np.int64)
+    with np.errstate(over="ignore"):
+        counts = np.clip(np.rint(np.expm1(x)), 0, None)
+    # Every float below 2**63 fits in int64; NaN cannot occur for finite mu and sigma.
+    if counts.max() >= 2.0**63:
+        raise ValueError(f"{spec} draws a count above 2**63 - 1")
+    counts = counts.astype(np.int64)
     if spec.zero_inflation > 0.0:
         counts[rng.random(spec.n) < spec.zero_inflation] = 0
     return ArticleSet(group, key, counts)

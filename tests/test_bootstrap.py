@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -11,11 +12,12 @@ from fieldnorm.bootstrap import (
     bootstrap_indicator,
     compare_ci,
     comparison_suite,
-    pcg64_state,
+    pcg64_states,
     percentile,
     replicate_values,
     replicate_words,
     seed_words,
+    state_memory,
     summarize_comparisons,
 )
 from fieldnorm.corpus import WORLD, ArticleSet, Corpus, FieldYearKey
@@ -261,20 +263,95 @@ class TestSeeding:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_first_draws_match_default_rng(self, seed):
-        bit_generator = np.random.PCG64(0)
-        generator = np.random.Generator(bit_generator)
-        words = seed_words(seed, np.array(REPLICATES, dtype=np.uint64)).tolist()
-        for r, row in zip(REPLICATES, words):
-            bit_generator.state = pcg64_state(row)
+        words = seed_words(seed, np.array(REPLICATES, dtype=np.uint64))
+        for r, state in zip(REPLICATES, pcg64_states(words)):
+            bit_generator = np.random.PCG64(0)
+            generator = np.random.Generator(bit_generator)
+            memory, order = state_memory(bit_generator)
+            memory[:] = state[order]
             reference = np.random.default_rng(np.random.SeedSequence([seed, r]))
             for n in (1, 7, 100, 5000):
                 assert generator.integers(0, n, n).tolist() == reference.integers(0, n, n).tolist()
             assert bit_generator.state == reference.bit_generator.state
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pcg64_states_match_reference(self, seed):
+        words = seed_words(seed, np.array(REPLICATES, dtype=np.uint64))
+        states = pcg64_states(words)
+        assert states.dtype == np.uint64 and states.shape == (len(REPLICATES), 4)
+        for row, expected in zip(states.tolist(), words.tolist()):
+            s_high, s_low, i_high, i_low = row
+            assert {"state": s_high << 64 | s_low, "inc": i_high << 64 | i_low} == \
+                pcg64_state(expected)["state"]
+
     def test_seed_outside_64_bits_rejected(self):
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed"):
                 seed_words(seed, np.arange(3, dtype=np.uint64))
+
+
+def pcg64_state(words):
+    """The ``bit_generator.state`` of a PCG64 seeded with four seed words, in Python ints.
+
+    numpy's pcg_setseq_128_srandom_r: ``inc = 2 * seq + 1`` and
+    ``state = (inc + seed) * mult + inc``, both mod 2**128.
+    """
+    s_high, s_low, i_high, i_low = words
+    mask = (1 << 128) - 1
+    inc = (i_high << 65 | i_low << 1 | 1) & mask
+    state = ((inc + (s_high << 64 | s_low)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & mask
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def state_words(state):
+    """A ``bit_generator.state`` dict's state and increment as ``pcg64_states`` orders them."""
+    words = state["state"]
+    return np.array([words["state"] >> 64, words["state"] & (2**64 - 1),
+                     words["inc"] >> 64, words["inc"] & (2**64 - 1)], dtype=np.uint64)
+
+
+class TestStateMemory:
+    """A state written through the generator's memory is the state numpy reads."""
+
+    def test_written_state_reads_back(self):
+        bit_generator = np.random.PCG64(0)
+        memory, order = state_memory(bit_generator)
+        for s in (1, 2**40 + 7, 2**127 + 3):
+            # a generator that has drawn, raw and bounded, holds other words
+            bit_generator.random_raw(3)
+            np.random.Generator(bit_generator).integers(0, 10, 5)
+            expected = np.random.PCG64(s).state
+            memory[:] = state_words(expected)[order]
+            assert bit_generator.state["state"] == expected["state"]
+            assert bit_generator.random_raw(4).tolist() == \
+                np.random.PCG64(s).random_raw(4).tolist()
+
+    def test_view_that_misses_the_state_rejected(self, monkeypatch):
+        # words that are not where the state setter put them
+        monkeypatch.setattr(fieldnorm.bootstrap, "_state_memory",
+                            lambda bit_generator: (ctypes.c_uint64 * 4)())
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            state_memory(np.random.PCG64(0))
+
+    def test_view_detached_from_the_generator_rejected(self, monkeypatch):
+        # a copy that shows the probe state but whose writes never reach the
+        # generator: the order is found, and the check that follows fails
+        real_memory, real_set = fieldnorm.bootstrap._state_memory, fieldnorm.bootstrap._set_state
+        detached = (ctypes.c_uint64 * 4)()
+
+        def set_state(bit_generator, words):
+            real_set(bit_generator, words)
+            detached[:] = real_memory(bit_generator)
+
+        monkeypatch.setattr(fieldnorm.bootstrap, "_state_memory", lambda bit_generator: detached)
+        monkeypatch.setattr(fieldnorm.bootstrap, "_set_state", set_state)
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            state_memory(np.random.PCG64(0))
 
 
 class TestReplicateWords:
@@ -283,8 +360,12 @@ class TestReplicateWords:
     @pytest.mark.parametrize("count", [1, 2, 7, 8, 2**15 - 1, 2**15, 2**15 + 3])
     def test_matches_next_uint32(self, count):
         seeds = [0, 2**40 + 7]
-        words = np.empty((len(seeds), count), np.uint32)
-        replicate_words(np.random.PCG64(0), [np.random.PCG64(s).state for s in seeds], words)
+        bit_generator = np.random.PCG64(0)
+        memory, order = state_memory(bit_generator)
+        states = np.array([state_words(np.random.PCG64(s).state) for s in seeds])[:, order].tolist()
+        raw = np.empty((len(seeds), (count + 1) // 2), "<u8")
+        replicate_words(bit_generator, memory, states, raw)
+        words = raw.view("<u4")[:, :count]
         for row, s in zip(words, seeds):
             generator = np.random.Generator(np.random.PCG64(s))
             assert row.tolist() == generator.integers(0, 2**32, count, dtype=np.uint32).tolist()

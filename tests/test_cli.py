@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,27 @@ class TestCompareCi:
                       "--iterations", "0"])
         assert status == 1
         assert "at least 100 bootstrap iterations are required" in capsys.readouterr().err
+
+    def test_alpha_above_half_fails(self, tmp_path, capsys):
+        status = run(["compare-ci", "--output", tmp_path / "summary.csv", "--n", "100",
+                      "--iterations", "100", "--alpha", "0.9"])
+        assert status == 1
+        assert "alpha must lie in (0, 0.5)" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--mu", "44"], "above 2**63 - 1"),
+        (["--mu", "nan"], "mu and sigma must be finite"),
+        (["--sigma", "inf"], "mu and sigma must be finite"),
+    ])
+    def test_grid_that_cannot_give_counts_fails(self, tmp_path, capsys, flags, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = run(["compare-ci", "--output", tmp_path / "summary.csv", "--n", "100",
+                          "--iterations", "100", *flags])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert message in err and "negative count" not in err
 
     def test_existing_corpus_input(self, tmp_path, demo_corpus, capsys):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)

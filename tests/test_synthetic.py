@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,24 @@ class TestGenerateCell:
             LognormalSpec(1.0, 1.0, zero_inflation=1.0)
         with pytest.raises(ValueError):
             LognormalSpec(1.0, 1.0, n=0)
+
+    @pytest.mark.parametrize("mu, sigma", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                           (1.0, math.inf)])
+    def test_non_finite_parameters_rejected(self, mu, sigma):
+        with pytest.raises(ValueError, match="mu and sigma must be finite"):
+            LognormalSpec(mu, sigma)
+
+    @pytest.mark.parametrize("mu", [44.0, 800.0])
+    def test_count_above_int64_rejected(self, mu):
+        # exp(44) is about 1.3e19 > 2**63 - 1; exp(800) overflows to inf
+        spec = LognormalSpec(mu, 0.7, 0.0, 50, seed=1)
+        with pytest.raises(ValueError, match=r"LognormalSpec\(mu=%s.*above 2\*\*63 - 1" % mu):
+            generate_cell(spec, KEY, "G")
+
+    def test_largest_counts_below_int64_kept(self):
+        # exp(42) is about 1.7e18, below 2**63 - 1
+        counts = generate_cell(LognormalSpec(42.0, 0.1, 0.0, 50, seed=1), KEY, "G").counts_array()
+        assert counts.min() > 10**18
 
 
 class TestScenarioGrid:
