@@ -434,10 +434,9 @@ def bootstrap_indicator(
     if undefined:
         note += f"; {undefined} undefined replicates excluded"
     if undefined > spec.alpha / 2.0 * spec.iterations:
-        return IntervalEstimate(
-            estimate=original, lower=None, upper=None, alpha=spec.alpha,
-            method=BOOTSTRAP_PERCENTILE, defined=False, n=n_articles,
-            note=note + "; undefined replicates exceed alpha/2",
+        return IntervalEstimate.undefined(
+            BOOTSTRAP_PERCENTILE, spec.alpha, note + "; undefined replicates exceed alpha/2",
+            original, n_articles,
         )
     # A stable sort, like list.sort, so that equal values keep their order.
     estimates = np.sort(replicates[~undefined_mask], kind="stable")

@@ -14,16 +14,10 @@ Every command is deterministic given its flags and ``--seed``.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
-from .bootstrap import (
-    BootstrapSpec,
-    ComparisonSummary,
-    comparison_suite,
-    summarize_comparisons,
-)
+from .bootstrap import BootstrapSpec, comparison_suite, summarize_comparisons
 from .corpus import (
     WORLD,
     Corpus,
@@ -53,8 +47,10 @@ from .report import (
     FORMULA,
     ReportConfig,
     build_report,
+    format_field,
     write_csv,
     write_metadata,
+    write_table,
 )
 from .synthetic import scenario_grid
 
@@ -217,20 +213,6 @@ _SUMMARY_HEADER = ("label", "cells", "gaps", "lower_mean", "upper_mean",
                    "lower_abs_mean", "upper_abs_mean", "lower_max_abs", "upper_max_abs")
 
 
-def _write_summaries(summaries: list[ComparisonSummary], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SUMMARY_HEADER)
-        for s in summaries:
-            writer.writerow(
-                [s.label, s.cells, s.gaps]
-                + ["" if v is None else f"{v:.6g}"
-                   for v in (s.lower_mean, s.upper_mean, s.lower_abs_mean,
-                             s.upper_abs_mean, s.lower_max_abs, s.upper_max_abs)]
-            )
-
-
 def cmd_compare_ci(args: argparse.Namespace) -> int:
     if args.input_dir is not None:
         scenarios = [load_corpus(args.input_dir)]
@@ -249,20 +231,20 @@ def cmd_compare_ci(args: argparse.Namespace) -> int:
             iterations=iterations, seed=args.seed, resample_world=resample, alpha=args.alpha
         )
         rows.extend(comparison_suite(scenarios, [indicator], spec, continuity=args.continuity))
-    _write_summaries(summarize_comparisons(rows), args.output)
+    write_table(args.output, _SUMMARY_HEADER, (
+        [s.label, s.cells, s.gaps]
+        + [format_field(v) for v in (s.lower_mean, s.upper_mean, s.lower_abs_mean,
+                                     s.upper_abs_mean, s.lower_max_abs, s.upper_max_abs)]
+        for s in summarize_comparisons(rows)
+    ))
     if args.details is not None:
-        args.details.parent.mkdir(parents=True, exist_ok=True)
-        with open(args.details, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("scenario", "group", "indicator", "lower_pct_diff",
-                             "upper_pct_diff", "defined", "note"))
-            for row in sorted(rows, key=lambda r: (r.scenario, r.group, r.indicator)):
-                writer.writerow(
-                    [row.scenario, row.group, row.indicator,
-                     "" if row.lower_pct_diff is None else f"{row.lower_pct_diff:.6g}",
-                     "" if row.upper_pct_diff is None else f"{row.upper_pct_diff:.6g}",
-                     "true" if row.defined else "false", row.note]
-                )
+        header = ("scenario", "group", "indicator", "lower_pct_diff", "upper_pct_diff",
+                  "defined", "note")
+        write_table(args.details, header, (
+            [row.scenario, row.group, row.indicator, format_field(row.lower_pct_diff),
+             format_field(row.upper_pct_diff), "true" if row.defined else "false", row.note]
+            for row in sorted(rows, key=lambda r: (r.scenario, r.group, r.indicator))
+        ))
     gaps = sum(1 for r in rows if not r.defined)
     print(f"compared {len(rows)} cells ({gaps} gaps) -> {args.output}")
     return 0

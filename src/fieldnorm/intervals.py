@@ -15,6 +15,10 @@ Methods implemented:
 The Fieller limits bracket estimate/(1-h) rather than the raw estimate; h is
 the squared relative uncertainty of the denominator and the interval is
 undefined once h reaches 1.
+
+A result the data leave undefined is flagged, not raised, and is always
+built by ``IntervalEstimate.undefined``: no limits, ``defined`` false and
+the reason in ``note``.  Invalid arguments still raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,6 +83,19 @@ class IntervalEstimate:
     h: float | None = None
     n: int | None = None
     note: str = ""
+
+    @classmethod
+    def undefined(
+        cls,
+        method: str,
+        alpha: float,
+        note: str,
+        estimate: float | None = None,
+        n: int | None = None,
+        h: float | None = None,
+    ) -> "IntervalEstimate":
+        """A flagged result: no limits, with the reason it has none in ``note``."""
+        return cls(estimate, None, None, alpha, method, defined=False, h=h, n=n, note=note)
 
     @property
     def width(self) -> float:
@@ -162,16 +179,9 @@ def fieller_ci(
     estimate = group.mean / world.mean
     h = (t * world.se / world.mean) ** 2
     if h >= 1.0:
-        return IntervalEstimate(
-            estimate=estimate,
-            lower=None,
-            upper=None,
-            alpha=alpha,
-            method=FIELLER,
-            defined=False,
-            h=h,
-            n=group.n + world.n,
-            note="denominator uncertainty too large (h >= 1)",
+        return IntervalEstimate.undefined(
+            FIELLER, alpha, "denominator uncertainty too large (h >= 1)",
+            estimate, group.n + world.n, h,
         )
     centre = estimate / (1.0 - h)
     se_ratio = (
@@ -213,16 +223,14 @@ def heuristic_expanded_ci(
         raise ValueError("no per-cell intervals supplied")
     note = f"expansion_mode={mode}"
     alpha = combined.alpha
-    if any(not fieller.defined for _, _, fieller, _ in per_cell):
-        return IntervalEstimate(
-            estimate=combined_mean,
-            lower=None,
-            upper=None,
-            alpha=alpha,
-            method=HEURISTIC_EXPANSION,
-            defined=False,
-            note=note + "; undefined per-cell Fieller interval",
+
+    def undefined(reason: str) -> IntervalEstimate:
+        return IntervalEstimate.undefined(
+            HEURISTIC_EXPANSION, alpha, f"{note}; {reason}", combined_mean
         )
+
+    if any(not fieller.defined for _, _, fieller, _ in per_cell):
+        return undefined("undefined per-cell Fieller interval")
     n = sum(size for size, _, _, _ in per_cell)
     if combined.n is not None and combined.n != n:
         raise ValueError("per-cell sizes do not sum to the combined sample size")
@@ -236,15 +244,7 @@ def heuristic_expanded_ci(
         if lower_half <= 0.0 or upper_half <= 0.0:
             # Zero-width cell interval: only consistent with a zero overhang.
             if abs(lower_over) > 0.0 or abs(upper_over) > 0.0:
-                return IntervalEstimate(
-                    estimate=combined_mean,
-                    lower=None,
-                    upper=None,
-                    alpha=alpha,
-                    method=HEURISTIC_EXPANSION,
-                    defined=False,
-                    note=note + "; degenerate per-cell normal interval",
-                )
+                return undefined("degenerate per-cell normal interval")
             continue
         lower_rate += size * lower_over / lower_half
         upper_rate += size * upper_over / upper_half
@@ -257,15 +257,7 @@ def heuristic_expanded_ci(
     if lower > upper:
         # Possible when a near-degenerate cell Fieller interval sits beyond
         # the cell's normal limits; an inverted interval is meaningless.
-        return IntervalEstimate(
-            estimate=combined_mean,
-            lower=None,
-            upper=None,
-            alpha=alpha,
-            method=HEURISTIC_EXPANSION,
-            defined=False,
-            note=note + "; expansion produced inverted limits",
-        )
+        return undefined("expansion produced inverted limits")
     return IntervalEstimate(
         estimate=combined_mean,
         lower=lower,
@@ -312,16 +304,43 @@ def _ratio_arm(cited: float, total: float, continuity: bool) -> float:
     return max(total - cited_c, 0.0) / cited_c
 
 
-def _log_ratio_interval(
-    estimate: float, half: float, alpha: float, n: int, note: str, method: str = RISK_RATIO
+def _log_ratio_ci(
+    group: tuple[float, float],
+    world: tuple[float, float],
+    alpha: float,
+    continuity: bool,
+    radicand: Callable[[float, float], float],
 ) -> IntervalEstimate:
+    """Log-scale limits for a ratio of proportions of (cited, total) arms.
+
+    ``radicand`` maps the group's and the world's ``_ratio_arm`` terms to
+    the variance of the log ratio.  The centre is always the uncorrected
+    log ratio, so a zero cited count on either side leaves the interval
+    undefined whatever the continuity setting.
+    """
+    (g_cited, g_total), (w_cited, w_total) = group, world
+    if g_total < 1 or w_total < 1:
+        raise ValueError("totals must be >= 1")
+    n = int(g_total + w_total)
+    note = f"continuity={'on' if continuity else 'off'}"
+    if w_cited <= 0:
+        return IntervalEstimate.undefined(RISK_RATIO, alpha, note + "; zero world cited count", n=n)
+    estimate = (g_cited / g_total) / (w_cited / w_total)
+    if g_cited <= 0:
+        return IntervalEstimate.undefined(
+            RISK_RATIO, alpha, note + "; zero group cited count", estimate, n
+        )
+    variance = radicand(
+        _ratio_arm(g_cited, g_total, continuity), _ratio_arm(w_cited, w_total, continuity)
+    )
+    half = z_critical(alpha) * math.sqrt(variance)
     log_est = math.log(estimate)
     return IntervalEstimate(
         estimate=estimate,
         lower=math.exp(log_est - half),
         upper=math.exp(log_est + half),
         alpha=alpha,
-        method=method,
+        method=RISK_RATIO,
         n=n,
         note=note,
     )
@@ -335,31 +354,11 @@ def risk_ratio_ci(
 ) -> IntervalEstimate:
     """Log-scale limits for a ratio of proportions, one variance term per arm.
 
-    Each arm contributes (n - pn)/(pn)/n inside the radical.  The centre is
-    always the uncorrected log ratio, so a zero cited count on either side
-    leaves the interval undefined whatever the continuity setting.
+    Each arm contributes (n - pn)/(pn)/n inside the radical.
     """
-    (g_cited, g_total), (w_cited, w_total) = group, world
-    if g_total < 1 or w_total < 1:
-        raise ValueError("totals must be >= 1")
-    note = f"continuity={'on' if continuity else 'off'}"
-    if w_cited <= 0:
-        return IntervalEstimate(
-            estimate=None, lower=None, upper=None, alpha=alpha, method=RISK_RATIO,
-            defined=False, n=int(g_total + w_total), note=note + "; zero world cited count",
-        )
-    estimate = (g_cited / g_total) / (w_cited / w_total)
-    if g_cited <= 0:
-        return IntervalEstimate(
-            estimate=estimate, lower=None, upper=None, alpha=alpha, method=RISK_RATIO,
-            defined=False, n=int(g_total + w_total), note=note + "; zero group cited count",
-        )
-    radicand = (
-        _ratio_arm(g_cited, g_total, continuity) / g_total
-        + _ratio_arm(w_cited, w_total, continuity) / w_total
+    return _log_ratio_ci(
+        group, world, alpha, continuity, lambda g, w: g / group[1] + w / world[1]
     )
-    half = z_critical(alpha) * math.sqrt(radicand)
-    return _log_ratio_interval(estimate, half, alpha, int(g_total + w_total), note)
 
 
 def mnpc_field_ci(
@@ -373,27 +372,9 @@ def mnpc_field_ci(
     Differs from risk_ratio_ci in dividing the summed (uncited/cited) terms
     by the pooled n_g + n_w rather than each by its own arm size.
     """
-    (g_cited, g_total), (w_cited, w_total) = group, world
-    if g_total < 1 or w_total < 1:
-        raise ValueError("totals must be >= 1")
-    note = f"continuity={'on' if continuity else 'off'}"
-    if w_cited <= 0:
-        return IntervalEstimate(
-            estimate=None, lower=None, upper=None, alpha=alpha, method=RISK_RATIO,
-            defined=False, n=int(g_total + w_total), note=note + "; zero world cited count",
-        )
-    estimate = (g_cited / g_total) / (w_cited / w_total)
-    if g_cited <= 0:
-        return IntervalEstimate(
-            estimate=estimate, lower=None, upper=None, alpha=alpha, method=RISK_RATIO,
-            defined=False, n=int(g_total + w_total), note=note + "; zero group cited count",
-        )
-    pooled = g_total + w_total
-    radicand = (
-        _ratio_arm(g_cited, g_total, continuity) + _ratio_arm(w_cited, w_total, continuity)
-    ) / pooled
-    half = z_critical(alpha) * math.sqrt(radicand)
-    return _log_ratio_interval(estimate, half, alpha, int(pooled), note)
+    return _log_ratio_ci(
+        group, world, alpha, continuity, lambda g, w: (g + w) / (group[1] + world[1])
+    )
 
 
 def mnpc_combined_ci(
@@ -413,9 +394,8 @@ def mnpc_combined_ci(
         raise ValueError(f"weights sum to {sum(weights)!r}, expected 1")
     alpha = per_field[0][2].alpha
     if any(not interval.defined for _, _, interval in per_field):
-        return IntervalEstimate(
-            estimate=mnpc, lower=None, upper=None, alpha=alpha, method=MNPC_WEIGHTED,
-            defined=False, note="undefined per-field ratio interval",
+        return IntervalEstimate.undefined(
+            MNPC_WEIGHTED, alpha, "undefined per-field ratio interval", mnpc
         )
     lower = mnpc - sum(w * (ratio - ci.lower) for w, ratio, ci in per_field)
     upper = mnpc + sum(w * (ci.upper - ratio) for w, ratio, ci in per_field)

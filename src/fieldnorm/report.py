@@ -18,6 +18,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .bootstrap import BootstrapSpec, bootstrap_indicator, derive_stream_seed
 from .corpus import WORLD, Corpus, ExclusionPolicy, FieldYearKey, apply_exclusion
@@ -32,13 +33,20 @@ from .indicators import (
 )
 from .intervals import (
     BOOTSTRAP_PERCENTILE,
+    EXPAND_FROM_MEAN,
     FIELLER,
     HEURISTIC_EXPANSION,
     LITERAL,
     IntervalEstimate,
     check_alpha,
 )
-from .scopes import FORMULA_METHOD, fieller_interval, formula_interval, indicator_value
+from .scopes import (
+    CONTINUITY_MODES,
+    FORMULA_METHOD,
+    fieller_interval,
+    formula_interval,
+    indicator_value,
+)
 
 CSV_HEADER = ("group", "scope", "n", "indicator", "estimate", "ci_lower", "ci_upper",
               "method", "defined", "notes")
@@ -86,6 +94,10 @@ class ReportConfig:
         if unknown:
             raise ValueError(f"unknown ci methods {sorted(unknown)}")
         check_alpha(self.alpha)
+        if self.continuity not in CONTINUITY_MODES:
+            raise ValueError(f"unknown continuity mode {self.continuity!r}")
+        if self.expansion_mode not in (LITERAL, EXPAND_FROM_MEAN):
+            raise ValueError(f"unknown expansion mode {self.expansion_mode!r}")
         if self.bootstrap_iterations is not None:
             BootstrapSpec(self.bootstrap_iterations)  # checked before any row is computed
 
@@ -176,26 +188,20 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
             for indicator in config.indicators:
                 keys = scope_keys & retained if indicator in EQUALISED_INDICATORS else scope_keys
                 methods = [m for m in config.ci_methods if _method_applies(indicator, m)]
-                if not keys:
-                    for method in methods:
-                        rows.append(
-                            ReportRow(
-                                group, scope_label, 0, indicator, None, None, None,
-                                _method_tag(indicator, method, keys),
-                                defined=False,
-                                notes="no cells retained by exclusion policy",
-                            )
-                        )
-                    continue
-                n = sum(len(corpus.cell(group, k)) for k in keys)
-                point = indicator_value(corpus, group, keys, indicator)
+                # Why no interval can be given for this scope, if none can.
+                if keys:
+                    n = sum(len(corpus.cell(group, k)) for k in keys)
+                    point = indicator_value(corpus, group, keys, indicator)
+                    flag = None if point.defined else point.note
+                else:
+                    n, flag = 0, "no cells retained by exclusion policy"
                 for method in methods:
-                    if not point.defined:
+                    if flag is not None:
                         rows.append(
                             ReportRow(
                                 group, scope_label, n, indicator, None, None, None,
                                 _method_tag(indicator, method, keys),
-                                defined=False, notes=point.note,
+                                defined=False, notes=flag,
                             )
                         )
                         continue
@@ -207,7 +213,7 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
                             group, scope_label, n, indicator,
                             point.estimate, interval.lower, interval.upper,
                             interval.method,
-                            defined=point.defined and interval.defined,
+                            defined=interval.defined,
                             notes=_join_notes(point.note, interval.note),
                         )
                     )
@@ -234,33 +240,30 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
     return IndicatorReport(rows=tuple(rows), metadata=metadata)
 
 
-def _fmt(value: float | None) -> str:
+def format_field(value: float | None) -> str:
+    """A float to 6 significant digits; an undefined value to an empty field."""
     return "" if value is None else f"{value:.6g}"
+
+
+def write_table(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One CSV table: UTF-8, LF line endings, RFC-4180 quoting, parents created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_csv(report: IndicatorReport, path: Path | str) -> None:
     """Stable-ordered CSV per the schema above; rerun gives identical bytes."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     ordered = sorted(report.rows, key=lambda r: (r.group, r.scope, r.indicator, r.method))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in ordered:
-            writer.writerow(
-                [
-                    row.group,
-                    row.scope,
-                    row.n,
-                    row.indicator,
-                    _fmt(row.estimate),
-                    _fmt(row.lower),
-                    _fmt(row.upper),
-                    row.method,
-                    "true" if row.defined else "false",
-                    row.notes,
-                ]
-            )
+    write_table(path, CSV_HEADER, (
+        [row.group, row.scope, row.n, row.indicator, format_field(row.estimate),
+         format_field(row.lower), format_field(row.upper), row.method,
+         "true" if row.defined else "false", row.notes]
+        for row in ordered
+    ))
 
 
 def metadata_path(csv_path: Path | str) -> Path:

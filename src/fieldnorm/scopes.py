@@ -90,13 +90,6 @@ def resolve_continuity(
     return mode == "on"
 
 
-def _undefined(method: str, alpha: float, note: str) -> IntervalEstimate:
-    return IntervalEstimate(
-        estimate=None, lower=None, upper=None, alpha=alpha, method=method,
-        defined=False, note=note,
-    )
-
-
 def _equalised(cells: list[ArticleSet]) -> float:
     return indicator_estimate(EQ_PROP_CITED, (), cells, ())[0]
 
@@ -117,9 +110,9 @@ def formula_interval(
                 score_moments(indicator, ordered, group_cells, world_cells)
             )
         except UndefinedNormalizationError as exc:
-            return _undefined(NORMAL_T, alpha, str(exc))
+            return IntervalEstimate.undefined(NORMAL_T, alpha, str(exc))
         if n < 2:
-            return _undefined(NORMAL_T, alpha, "fewer than two articles in scope")
+            return IntervalEstimate.undefined(NORMAL_T, alpha, "fewer than two articles in scope")
         return normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha)
 
     n_group = sum(s.n for s in group_cells)
@@ -140,7 +133,7 @@ def formula_interval(
         for key, g, w in zip(ordered, group_cells, world_cells):
             cell = mnpc_field_ci((g.cited, g.n), (w.cited, w.n), alpha, correct)
             if not cell.defined:
-                return _undefined(MNPC_WEIGHTED, alpha, f"{cell.note} for {key}")
+                return IntervalEstimate.undefined(MNPC_WEIGHTED, alpha, f"{cell.note} for {key}")
             per_field.append((g.n / n_group, cell.estimate, cell))
         point, _ = indicator_estimate(MNPC, ordered, group_cells, world_cells)
         return mnpc_combined_ci(per_field, point)
@@ -178,4 +171,4 @@ def fieller_interval(
         combined = normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha)
         return heuristic_expanded_ci(per_cell, combined, mean, expansion_mode)
     except (UndefinedNormalizationError, ValueError) as exc:
-        return _undefined(method, alpha, str(exc))
+        return IntervalEstimate.undefined(method, alpha, str(exc))

@@ -165,6 +165,7 @@ class TestBootstrapIndicator:
         ci = bootstrap_indicator(group, world, MNPC, BootstrapSpec(400, seed=2))
         assert not ci.defined
         assert "undefined replicates" in ci.note
+        assert (ci.estimate, ci.n, ci.lower, ci.upper) == (4.0, 4, None, None)
 
     def test_undefined_original_rejected(self):
         key = FieldYearKey("F", 2015)

@@ -221,6 +221,26 @@ class TestCompareCi:
         err = capsys.readouterr().err
         assert message in err and "negative count" not in err
 
+    @pytest.mark.parametrize("indicators, same_as, other", [
+        ("mnlcs,mncs,lundberg", "off", "on"),
+        ("emnpc,mnpc", "on", "off"),
+    ])
+    def test_auto_resamples_world_for_emnpc_and_mnpc_only(
+        self, tmp_path, capsys, indicators, same_as, other
+    ):
+        def details(resample_world):
+            path = tmp_path / resample_world / "details.csv"
+            assert run(["compare-ci", "--output", tmp_path / resample_world / "summary.csv",
+                        "--details", path, "--indicators", indicators,
+                        "--resample-world", resample_world, "--iterations", "100",
+                        "--seed", "8", "--mu", "0.5", "1.5", "--n", "60",
+                        "--group-shift", "0.0", "0.3"]) == 0
+            return path.read_bytes()
+
+        auto = details("auto")
+        assert auto == details(same_as)
+        assert auto != details(other)
+
     def test_existing_corpus_input(self, tmp_path, demo_corpus, capsys):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
         out = tmp_path / "summary.csv"

@@ -47,3 +47,56 @@ def test_criterion_12_pipeline_output_is_pinned(tmp_path, monkeypatch):
         for p in sorted(tmp_path.rglob("*")) if p.is_file()
     }
     assert written == GOLDEN
+
+
+# The run above holds one cell, so neither the multi-cell intervals
+# (HEURISTIC_EXPANSION, the cross-cell MNPC_WEIGHTED combination) nor the
+# rows the exclusion policy leaves without cells appear in it.  This run
+# holds four fields.  Both 40-article cells fall below the policy's floor
+# for EMNPC and EQ_PROP_CITED, and the sparse one is moved to its own year,
+# so that year's scope keeps no cell for those indicators; its Fieller
+# interval is undefined, which flags the expansion over all four fields.
+MULTI_CELL_GOLDEN = {
+    "report.csv": "c6ad45e6bd0f00cb2dcc3877094b15b762ce96a7b5306d0cbd96a17951c6b2d6",
+    "report.meta.json": "cf86bd93e106cc770627f3e2cf63b106b1e344ec752ef3a4d32304e1d5358f3a",
+}
+
+# compare-ci's summary and details tables over every indicator, on a grid
+# whose sparse scenarios leave some intervals undefined.
+COMPARE_CI_GOLDEN = {
+    "details.csv": "3542f758d844bc1d44c4331f521a90788409b1b6a3c7826cf913ecb845be1f40",
+    "summary.csv": "b74a708c7cdc256ca830e6e5aa71dad3ba21770863e582ba0138c01c860f4189",
+}
+
+
+def _digests(directory) -> dict:
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())
+    }
+
+
+def test_multi_cell_compute_output_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--output-dir", "sim", "--mu", "1.5", "--sigma", "1.0",
+                 "--zero-inflation", "0.1", "0.9", "--n", "300", "40",
+                 "--group-shift", "0.2", "--seed", "5"]) == 0
+    cells = tmp_path / "cells"
+    cells.mkdir()
+    for path in sorted((tmp_path / "sim").glob("*/*.tsv")):
+        name = path.name.replace("zi0.9-n40__2000", "zi0.9-n40__2001")
+        (cells / name).write_bytes(path.read_bytes())
+    assert main(["compute", "--input-dir", "cells", "--output", "out/report.csv",
+                 "--indicators", "mnlcs,mncs,lundberg,emnpc,mnpc,prop",
+                 "--ci", "all", "--seed", "5", "--bootstrap-iters", "100"]) == 0
+    assert _digests(tmp_path / "out") == MULTI_CELL_GOLDEN
+
+
+def test_compare_ci_output_is_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert main(["compare-ci", "--output", str(out / "summary.csv"),
+                 "--details", str(out / "details.csv"),
+                 "--indicators", "mnlcs,mncs,lundberg,emnpc,mnpc,prop",
+                 "--iterations", "100", "--seed", "3", "--mu", "0.5", "1.5",
+                 "--sigma", "1.0", "--zero-inflation", "0.0", "0.95", "--n", "30", "40",
+                 "--group-shift", "0.0", "0.3"]) == 0
+    assert _digests(out) == COMPARE_CI_GOLDEN

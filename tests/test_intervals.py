@@ -13,8 +13,11 @@ from scipy import special
 from fieldnorm.intervals import (
     EXPAND_FROM_MEAN,
     FIELLER,
+    HEURISTIC_EXPANSION,
     LITERAL,
+    MNPC_WEIGHTED,
     NORMAL_T,
+    RISK_RATIO,
     IntervalEstimate,
     SampleMoments,
     fieller_ci,
@@ -329,6 +332,8 @@ class TestFieller:
         assert not ci.defined
         assert ci.h > 1.0
         assert ci.lower is None and ci.upper is None
+        assert (ci.estimate, ci.n, ci.method) == (1.0, 200, FIELLER)
+        assert ci.note == "denominator uncertainty too large (h >= 1)"
 
     def test_h_exactly_one_is_undefined(self):
         t = t_critical(198, 0.05)
@@ -426,7 +431,10 @@ class TestHeuristicExpansion:
         out = heuristic_expanded_ci(
             [(size, normal, undefined, mean)], _interval(0.9, 1.1, n=30), 1.0
         )
-        assert not out.defined
+        assert out == IntervalEstimate(
+            1.0, None, None, 0.05, HEURISTIC_EXPANSION, defined=False,
+            note="expansion_mode=literal; undefined per-cell Fieller interval",
+        )
 
     def test_mode_recorded_in_note(self):
         cells = [self.cell(40, 1.0, 0.2)]
@@ -469,6 +477,14 @@ class TestWilson:
             wilson_ci(5, 4)
 
 
+def zero_cited_result(arm: str, continuity: bool) -> IntervalEstimate:
+    """Either ratio interval's flagged result when ``arm`` is (0, 100), the other (5, 100)."""
+    return IntervalEstimate(
+        0.0 if arm == "group" else None, None, None, 0.05, RISK_RATIO, defined=False, n=200,
+        note=f"continuity={'on' if continuity else 'off'}; zero {arm} cited count",
+    )
+
+
 class TestRiskRatio:
     def test_identical_counts_bracket_one(self):
         ci = risk_ratio_ci((50, 100), (50, 100))
@@ -494,10 +510,10 @@ class TestRiskRatio:
     def test_zero_group_cited_undefined_either_way(self):
         for continuity in (False, True):
             ci = risk_ratio_ci((0, 100), (5, 100), continuity=continuity)
-            assert not ci.defined
+            assert ci == zero_cited_result("group", continuity)
 
     def test_zero_world_cited_undefined(self):
-        assert not risk_ratio_ci((5, 100), (0, 100)).defined
+        assert risk_ratio_ci((5, 100), (0, 100)) == zero_cited_result("world", False)
 
     def test_log_symmetry_without_continuity(self):
         ci = risk_ratio_ci((37, 210), (91, 430))
@@ -537,6 +553,13 @@ class TestMnpcFieldCi:
         assert ci.lower <= ci.upper
 
 
+    def test_zero_cited_counts_undefined(self):
+        for continuity in (False, True):
+            ci = mnpc_field_ci((0, 100), (5, 100), continuity=continuity)
+            assert ci == zero_cited_result("group", continuity)
+        assert mnpc_field_ci((5, 100), (0, 100)) == zero_cited_result("world", False)
+
+
 class TestMnpcCombinedCi:
     def field(self, cited_g, n_g, cited_w, n_w, alpha=0.05):
         ci = mnpc_field_ci((cited_g, n_g), (cited_w, n_w), alpha)
@@ -569,7 +592,10 @@ class TestMnpcCombinedCi:
     def test_undefined_field_flags_combined(self):
         undefined = IntervalEstimate(None, None, None, 0.05, "RISK_RATIO", defined=False)
         out = mnpc_combined_ci([(1.0, 1.0, undefined)], mnpc=1.0)
-        assert not out.defined
+        assert out == IntervalEstimate(
+            1.0, None, None, 0.05, MNPC_WEIGHTED, defined=False,
+            note="undefined per-field ratio interval",
+        )
 
     def test_weights_must_sum_to_one(self):
         _, ci = self.field(30, 100, 40, 100)

@@ -42,6 +42,22 @@ def row(report, **match):
     return found[0]
 
 
+class TestReportConfig:
+    @pytest.mark.parametrize("settings, message", [
+        ({"ci_methods": ("fieller",), "expansion_mode": "literall"},
+         "unknown expansion mode 'literall'"),
+        ({"indicators": (EMNPC, MNPC), "continuity": "of"}, "unknown continuity mode 'of'"),
+    ])
+    def test_unknown_mode_rejected(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            ReportConfig(**settings)
+
+    def test_every_mode_accepted(self):
+        for continuity in ("auto", "on", "off"):
+            for expansion_mode in ("literal", "expand_from_mean"):
+                ReportConfig(continuity=continuity, expansion_mode=expansion_mode)
+
+
 class TestBuildReport:
     def test_worked_example_values(self, demo_report):
         combined = row(demo_report, group="G", scope="ALL", indicator=MNLCS)
