@@ -24,11 +24,11 @@ import hashlib
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 WORLD = "WORLD"
 
@@ -38,6 +38,9 @@ _COUNT_MAX = 2**63 - 1  # counts are held as int64
 # Count fields of up to 18 digits are converted in int64 without overflow
 # (10**18 - 1 < 2**63 - 1); longer ones, say with leading zeros, by int().
 _INT64_DIGITS = 18
+# Lines are parsed in blocks of at most this many bytes (a longer line gets
+# a block of its own), which bounds the parser's temporaries.
+_BLOCK_BYTES = 2**16
 
 
 class CorpusError(ValueError):
@@ -328,98 +331,241 @@ def _count_of(line: str) -> int:
     return int(significant)
 
 
-def _line_offsets(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start, end and first-tab offsets of every non-blank line after the header.
+class _CellFile:
+    """One cell file whose bytes passed the whole-file checks, and its parsed pieces.
 
-    A line without a tab gets the offset of a later line's tab, or the file
-    size, both past its end.  Offsets are int32 in files under 2 GiB, which
-    halves their memory against numpy's default int64.
+    ``data`` is the file with CRLF turned into LF, and its lines start at
+    ``body``, after the header.  Each block the lines fall in adds one
+    piece: its counts, and its ids or None where every id is empty.
     """
+
+    def __init__(self, path: Path) -> None:
+        group, key = _parse_filename(path)
+        name = path.name
+        data = path.read_bytes().replace(b"\r\n", b"\n")
+        lone_cr = data.find(b"\r")
+        if lone_cr >= 0:
+            raise CorpusError(
+                f"{name}:{_line_number(data, lone_cr)}: carriage return without a line feed"
+                " (lines must end in LF or CRLF)"
+            )
+        header_end = data.find(b"\n")
+        header = data[:header_end] if header_end >= 0 else data
+        if header != _HEADER.encode():
+            text = _decode(header, name)
+            bom = " (the file starts with a UTF-8 BOM)" if text.startswith("\ufeff") else ""
+            raise CorpusError(f"{name}:1: expected header {_HEADER!r}, got {text!r}{bom}")
+        if not data.isascii():
+            _decode(data, name)  # the whole file must be UTF-8, not only the lines read one by one
+        self.name, self.group, self.key, self.data = name, group, key, data
+        self.body = min(len(header) + 1, len(data))
+        self.counts: list[np.ndarray] = []
+        self.ids: list[tuple[str, ...] | None] = []
+
+    def cell(self) -> ArticleSet:
+        """The cell of all pieces; called once the last piece is parsed."""
+        if not any(part.size for part in self.counts):
+            raise CorpusError(f"{self.name}: cell contains no articles")
+        ids = None
+        if any(part is not None for part in self.ids):
+            ids = tuple(chain.from_iterable(
+                part if part is not None else ("",) * c.size
+                for c, part in zip(self.counts, self.ids)
+            ))
+        counts = np.concatenate(self.counts) if len(self.counts) > 1 else self.counts[0]
+        self.counts.clear()  # the parts go before ArticleSet makes its own copy
+        return ArticleSet(self.group, self.key, counts, ids)
+
+
+# A file's lines in one block: the file, the offset of its first byte in the
+# block and in the file, and whether they are the file's last.
+_Piece = tuple[_CellFile, int, int, bool]
+
+
+class _Block:
+    """The lines of consecutive cell files, at most _BLOCK_BYTES bytes of them.
+
+    ``add`` queues a file's lines, cutting a file that does not fit at an
+    LF; ``flush`` parses the queued lines in one pass.  Both yield, in
+    order, the cells of the files whose last lines were parsed.  A line
+    longer than a block makes a block of its own.
+    """
+
+    def __init__(self) -> None:
+        self._clear()
+
+    def _clear(self) -> None:
+        self.parts: list[bytes | memoryview] = []
+        self.size = 0
+        self.pieces: list[_Piece] = []
+
+    def add(self, source: _CellFile) -> Iterator[ArticleSet]:
+        data, start = source.data, source.body
+        while True:
+            stop = len(data)
+            room = max(_BLOCK_BYTES - self.size, 0)
+            if stop - start > room:
+                cut = data.rfind(b"\n", start, start + room)
+                if cut < 0 and self.pieces:
+                    yield from self.flush()
+                    continue
+                if cut < 0:
+                    cut = data.find(b"\n", start + room)
+                stop = cut + 1 if cut >= 0 else stop
+            self.pieces.append((source, self.size, start, stop == len(data)))
+            if stop > start:
+                self.parts.append(memoryview(data)[start:stop])
+                self.size += stop - start
+                if data[stop - 1] != ord("\n"):  # the file's last line has no LF
+                    self.parts.append(b"\n")
+                    self.size += 1
+            if stop == len(data):
+                return
+            yield from self.flush()
+            start = stop
+
+    def flush(self) -> Iterator[ArticleSet]:
+        if self.pieces:
+            block, pieces = b"".join(self.parts), self.pieces
+            self._clear()
+            yield from _parse_block(block, pieces)
+
+
+def _parse_block(block: bytes, pieces: list[_Piece]) -> Iterator[ArticleSet]:
+    """Convert every line of a block, then hand each piece's lines to its file.
+
+    Lines are split, checked and converted with whole-array operations.
+    Only lines that fail the check, and count fields too long for the int64
+    conversion, are read one by one, by ``_count_of``; the first that fails
+    is reported with its line number in its own file, once the files before
+    it have been yielded.  Blank lines are skipped.
+    """
+    buf = np.frombuffer(block, np.uint8)
+    # Offsets are int32 in blocks under 2 GiB, which halves their memory
+    # against numpy's default int64.
     offset = np.int32 if buf.size < 2**31 else np.int64
-    ends = np.flatnonzero(buf == ord("\n"))
-    if buf[-1] != ord("\n"):
-        ends = np.append(ends, buf.size)
-    ends = ends.astype(offset)
-    starts = np.append(offset(0), ends[:-1] + 1)
-    articles = starts < ends
-    articles[0] = False  # the header
-    starts, ends = starts[articles], ends[articles]
+    ends = np.flatnonzero(buf == ord("\n")).astype(offset)
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    lines = starts < ends
+    starts, ends = starts[lines], ends[lines]
+
     tabs = np.flatnonzero(buf == ord("\t")).astype(offset)
-    first_tabs = np.append(tabs, offset(buf.size))[np.searchsorted(tabs, starts)]
-    return starts, ends, first_tabs
+    # A valid line holds exactly one tab, so the k-th tab is the k-th line's
+    # first up to the first line with none or with more than one.  That
+    # line fails the checks below and is reported before any line after it
+    # is read.  Lines past the last tab get the block size, past their ends.
+    first_tabs = np.full(starts.size, buf.size, offset)
+    aligned = min(tabs.size, starts.size)
+    first_tabs[:aligned] = tabs[:aligned]
+    widths = np.maximum(ends - first_tabs - 1, 0)  # of the count fields; 0 without a tab
+
+    # Horner's rule over the last bytes of every line, one distance from the
+    # line ends at a time, with the bytes before each count field read as 0;
+    # offsets before the block are clipped to its first byte.
+    longest = int(widths.max(initial=0))
+    counts = np.zeros(starts.size, np.int64)
+    top = np.zeros(starts.size, np.uint8)  # the largest digit of each count field
+    for back in range(min(longest, _INT64_DIGITS), 0, -1):
+        digit = buf.take(ends - back, mode="clip")
+        digit -= ord("0")  # a non-digit reads above 9
+        digit *= back <= widths
+        np.maximum(top, digit, out=top)
+        counts *= 10
+        counts += digit
+
+    error = None
+    if longest > _INT64_DIGITS or not widths.all() or top.max(initial=0) > 9:
+        irregular = (widths == 0) | (widths > _INT64_DIGITS) | (top > 9)
+        for i in np.flatnonzero(irregular).tolist():
+            try:
+                counts[i] = _count_of(block[starts[i] : ends[i]].decode("utf-8"))
+            except ValueError as exc:
+                error = i, exc
+                break
+
+    named = first_tabs > starts
+    bounds = np.searchsorted(starts, [at for _, at, _, _ in pieces]).tolist() + [starts.size]
+    for (source, at, data_at, last), a, b in zip(pieces, bounds, bounds[1:]):
+        if error is not None and error[0] < b:
+            i, exc = error
+            line = _line_number(source.data, data_at + int(starts[i]) - at)
+            raise CorpusError(f"{source.name}:{line}: {exc}")
+        ids = None
+        if named[a:b].any():
+            ids = tuple(
+                block[s:t].decode("utf-8")
+                for s, t in zip(starts[a:b].tolist(), first_tabs[a:b].tolist())
+            )
+        source.counts.append(counts[a:b])
+        source.ids.append(ids)
+        if last:
+            yield source.cell()
+
+
+def _read_cells(paths: Iterable[Path]) -> Iterator[ArticleSet]:
+    """The cells of ``paths`` in order, or the first error a file-by-file read meets."""
+    block = _Block()
+    for path in paths:
+        try:
+            source = _CellFile(path)
+        except (CorpusError, OSError) as exc:
+            error = exc
+        else:
+            yield from block.add(source)
+            continue
+        yield from block.flush()  # a bad line in an earlier file is reported first
+        raise error
+    yield from block.flush()
 
 
 def read_cell(path: Path) -> ArticleSet:
     """Parse one cell file; errors name the file and offending line.
 
-    The file is read once as bytes; its lines are split, checked and
-    converted with whole-array operations.  Only the first line that fails
-    the check, and count fields too long for the int64 conversion, are read
-    one by one, by ``_count_of``.  Blank lines are skipped but numbered.
+    The file is read once as bytes and checked whole: its name, lone CRs,
+    the header (and a BOM before it), and UTF-8.  Its lines are then
+    parsed in blocks of at most _BLOCK_BYTES bytes, cut at LFs, so the
+    parser's temporaries stay bounded however large the file; see
+    ``load_corpus``.
     """
-    path = Path(path)
-    group, key = _parse_filename(path)
-    name = path.name
-    data = path.read_bytes().replace(b"\r\n", b"\n")
-    lone_cr = data.find(b"\r")
-    if lone_cr >= 0:
-        raise CorpusError(
-            f"{name}:{_line_number(data, lone_cr)}: carriage return without a line feed"
-            " (lines must end in LF or CRLF)"
-        )
-    header = data.partition(b"\n")[0]
-    if header != _HEADER.encode():
-        text = _decode(header, name)
-        bom = " (the file starts with a UTF-8 BOM)" if text.startswith("\ufeff") else ""
-        raise CorpusError(f"{name}:1: expected header {_HEADER!r}, got {text!r}{bom}")
-    _decode(data, name)  # the whole file must be UTF-8, not only the lines read one by one
-
-    buf = np.frombuffer(data, np.uint8)
-    starts, ends, first_tabs = _line_offsets(buf)
-    if starts.size == 0:
-        raise CorpusError(f"{name}: cell contains no articles")
-    widths = np.maximum(ends - first_tabs - 1, 0)  # of the count fields; 0 without a tab
-
-    # The last `width` bytes of every line, right-aligned on the line ends,
-    # with the bytes before each count field set to 0.  No row starts
-    # before the file does: the header precedes every line.
-    width = min(int(widths.max()), _INT64_DIGITS)
-    digits = sliding_window_view(buf, width)[ends - width]
-    digits -= ord("0")  # a non-digit reads above 9
-    digits *= np.arange(width, 0, -1) <= widths[:, None]
-    valid = (widths > 0) & (digits <= 9).all(axis=1)
-
-    long_counts = {}
-    for i in np.flatnonzero(~valid | (widths > _INT64_DIGITS)):
-        try:
-            long_counts[i] = _count_of(data[starts[i] : ends[i]].decode("utf-8"))
-        except ValueError as exc:
-            raise CorpusError(f"{name}:{_line_number(data, starts[i])}: {exc}") from None
-
-    counts = np.zeros(starts.size, np.int64)
-    for column in digits.T:
-        counts = counts * 10 + column
-    if long_counts:
-        counts[list(long_counts)] = list(long_counts.values())
-    ids = None
-    if np.any(first_tabs > starts):
-        ids = tuple(
-            data[s:t].decode("utf-8") for s, t in zip(starts.tolist(), first_tabs.tolist())
-        )
-    return ArticleSet(group, key, counts, ids)
+    (cell,) = _read_cells([Path(path)])
+    return cell
 
 
 def load_corpus(directory: Path | str) -> Corpus:
-    """Load every ``*.tsv`` cell file under ``directory`` into a Corpus."""
+    """Load every ``*.tsv`` cell file under ``directory`` into a Corpus.
+
+    The files are read in sorted order, each checked whole as by
+    ``read_cell``, and their lines are queued into blocks of at most
+    _BLOCK_BYTES bytes that span files: a small file shares a block with
+    its neighbours, and a large one is cut into several.  Each block is
+    converted in one vectorised pass, and each file gets its own counts
+    and ids.  The error raised is the one a file-by-file read meets first:
+    a bad line names its own file and line, and the block pending when a
+    later file fails its whole-file checks is parsed before that error is
+    raised.
+    """
     directory = Path(directory)
     paths = sorted(directory.glob("*.tsv"))
     if not paths:
         raise CorpusError(f"no cell files (*.tsv) found in {directory}")
-    return Corpus.from_cells(read_cell(p) for p in paths)
+    return Corpus.from_cells(_read_cells(paths))
 
 
 def write_cell(aset: ArticleSet, directory: Path | str) -> Path:
-    """Write one cell in the load_corpus file format (UTF-8, LF)."""
+    """Write one cell in the load_corpus file format (UTF-8, LF).
+
+    An id containing a tab, CR or LF could not be read back, so it is
+    rejected before anything is written.
+    """
+    breaks, joined = "\t\r\n", "".join(aset.ids or ())
+    if any(c in joined for c in breaks):
+        i = next(i for i, id_ in enumerate(aset.ids) if any(c in breaks for c in id_))
+        raise CorpusError(
+            f"cell {aset.group}/{aset.key}: the id of article {i + 1}, {aset.ids[i]!r},"
+            " contains a tab, CR or LF"
+        )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / cell_filename(aset.group, aset.key)

@@ -3,12 +3,14 @@ from __future__ import annotations
 import dataclasses
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldnorm import corpus as corpus_module
 from fieldnorm.corpus import (
     _COUNT_MAX,
     _HEADER,
@@ -30,6 +32,8 @@ from fieldnorm.corpus import (
 )
 
 from conftest import make_cell
+
+BLOCK_BYTES = corpus_module._BLOCK_BYTES
 
 
 def write_tsv(directory, name, rows):
@@ -218,6 +222,38 @@ class TestLoadCorpus:
         write_cell(cell, tmp_path)
         assert read_cell(tmp_path / cell_filename(WORLD, cell.key)).ids == ("x", "y")
 
+    @pytest.mark.parametrize("bad_id", ["\t7\nb", "a\tb", "a\rb", "a\nb", "\r"])
+    def test_id_that_cannot_be_read_back_rejected(self, tmp_path, bad_id):
+        # Written verbatim, "\t7\nb" read back as two articles, counts [7, 3].
+        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), (1, 3), ids=("x", bad_id))
+        error = r"^cell WORLD/BIOC/2013: the id of article 2, .* contains a tab, CR or LF$"
+        with pytest.raises(CorpusError, match=error):
+            write_cell(cell, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(rows=st.lists(
+        st.tuples(
+            st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from("\t\r\n")),
+                    max_size=4),
+            st.integers(0, _COUNT_MAX),
+        ),
+        min_size=1, max_size=6,
+    ))
+    def test_write_read_round_trip(self, tmp_path_factory, rows):
+        ids, counts = zip(*rows)
+        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), counts, ids)
+        path = tmp_path_factory.getbasetemp() / cell_filename(WORLD, cell.key)
+        path.unlink(missing_ok=True)
+        if any(c in article_id for article_id in ids for c in "\t\r\n"):
+            with pytest.raises(CorpusError, match="contains a tab, CR or LF"):
+                write_cell(cell, path.parent)
+            assert not path.exists()
+        else:
+            reread = read_cell(write_cell(cell, path.parent))
+            assert reread.counts.tolist() == list(counts)
+            assert reread.ids == (ids if any(ids) else None)
+
 
 def line_loop_read_cell(path):
     """The line-by-line parser that read_cell replaced, kept as its reference.
@@ -302,17 +338,22 @@ HEADERS = st.sampled_from(
 
 
 @st.composite
-def cell_files(draw) -> bytes:
-    """Cell file bytes with LF or CRLF ends and no lone CR; valid or not."""
+def cell_files(draw, valid_only: bool = False) -> bytes:
+    """Cell file bytes with LF or CRLF ends and no lone CR; valid or not.
+
+    With ``valid_only`` the header and every row are valid, though the file
+    may still hold blank lines only.
+    """
     ids = ARTICLE_IDS if draw(st.booleans()) else st.just("")
     valid = st.tuples(ids, VALID_COUNTS).map("\t".join)
-    if draw(st.booleans()):
+    if valid_only or draw(st.booleans()):
         rows = st.one_of(valid, valid, valid, st.just(""))
     else:
         long = st.tuples(ids, LONG_COUNTS).map("\t".join)
         junk = st.tuples(ids, JUNK_COUNTS).map("\t".join)
         rows = st.one_of(valid, long, junk, st.just(""), ids)  # ids alone: one column
-    lines = [draw(HEADERS)] + draw(st.lists(rows, min_size=1, max_size=8))
+    header = _HEADER if valid_only else draw(HEADERS)
+    lines = [header] + draw(st.lists(rows, min_size=1, max_size=8))
     ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
     if draw(st.booleans()):
         ends[-1] = ""  # no final newline
@@ -391,6 +432,104 @@ class TestParserOracle:
         error = r"^G__F__2013\.tsv:3: count 9{5000} exceeds 2\*\*63-1$"
         with pytest.raises(CorpusError, match=error):
             read_cell(path)
+
+
+def load_outcome(reader, directory):
+    """(cell key, counts, ids) of every cell in corpus order, or the error message."""
+    try:
+        corpus = reader(directory)
+    except CorpusError as exc:
+        return str(exc)
+    return [(ck, cell.counts.tolist(), cell.ids) for ck, cell in corpus.cells.items()]
+
+
+def line_loop_load_corpus(directory):
+    return Corpus.from_cells(line_loop_read_cell(p) for p in sorted(Path(directory).glob("*.tsv")))
+
+
+# One name in eight is malformed, and a G cell may lack its WORLD cell.
+CELL_NAMES = st.sampled_from(["WORLD"] * 5 + ["G", "G", "bad"]).map(
+    lambda group: group + "_F{}" if group == "bad" else group + "__F{}__2013"
+)
+
+
+@st.composite
+def cell_directories(draw) -> list[tuple[str, bytes]]:
+    """1-6 (file name, bytes) pairs with distinct names, valid or not."""
+    files = draw(st.lists(cell_files(valid_only=draw(st.booleans())), min_size=1, max_size=6))
+    return [(draw(CELL_NAMES).format(i) + ".tsv", data) for i, data in enumerate(files)]
+
+
+def write_directory(directory, files):
+    for old in directory.glob("*.tsv"):
+        old.unlink()
+    for name, data in files:
+        (directory / name).write_bytes(data)
+
+
+class TestCorpusOracle:
+    """load_corpus gives the cells, or the first error, of a file-by-file line loop.
+
+    Small block budgets make blocks span files and cut files, inside runs
+    of blank lines and before a last line without an LF.
+    """
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(files=cell_directories(), block_bytes=st.sampled_from([1, 9, 300, BLOCK_BYTES]))
+    def test_matches_line_loop(self, tmp_path_factory, files, block_bytes):
+        directory = tmp_path_factory.getbasetemp() / "corpus"
+        directory.mkdir(exist_ok=True)
+        write_directory(directory, files)
+        expected = load_outcome(line_loop_load_corpus, directory)
+        with mock.patch.object(corpus_module, "_BLOCK_BYTES", block_bytes):
+            assert load_outcome(load_corpus, directory) == expected
+
+    @pytest.mark.parametrize("block_bytes", [1, 40, BLOCK_BYTES])
+    def test_bad_line_before_bad_header(self, tmp_path, block_bytes):
+        write_tsv(tmp_path, "WORLD__A__2013.tsv", ["a\t1", "b\tx", "c\t2"])
+        (tmp_path / "WORLD__B__2013.tsv").write_text("id,count\na,1\n", encoding="utf-8")
+        with mock.patch.object(corpus_module, "_BLOCK_BYTES", block_bytes):
+            with pytest.raises(CorpusError, match=r"^WORLD__A__2013\.tsv:3: count 'x'"):
+                load_corpus(tmp_path)
+
+    # At 10 bytes the first block holds A and B's first line, the second
+    # B's last line and C.
+    @pytest.mark.parametrize("block_bytes", [10, BLOCK_BYTES])
+    def test_ids_in_one_file_of_a_block(self, tmp_path, block_bytes):
+        write_tsv(tmp_path, "WORLD__A__2013.tsv", ["\t1", "\t2"])
+        write_tsv(tmp_path, "WORLD__B__2013.tsv", ["x\t3", "\t4"])
+        write_tsv(tmp_path, "WORLD__C__2013.tsv", ["\t5"])
+        with mock.patch.object(corpus_module, "_BLOCK_BYTES", block_bytes):
+            cells = load_corpus(tmp_path).cells
+        assert [(c.counts.tolist(), c.ids) for c in cells.values()] == [
+            ([1, 2], None), ([3, 4], ("x", "")), ([5], None)
+        ]
+
+    @pytest.mark.parametrize("rows, line", [(["55"], 2), (["a\t1", "77"], 3), (["\t1\t2", "3"], 2)])
+    @pytest.mark.parametrize("block_bytes", [4, BLOCK_BYTES])
+    def test_digits_without_a_tab(self, tmp_path, rows, line, block_bytes):
+        # A line of digits alone, here also at the start of a block, is one column.
+        path = write_tsv(tmp_path, "WORLD__A__2013.tsv", rows)
+        with mock.patch.object(corpus_module, "_BLOCK_BYTES", block_bytes):
+            with pytest.raises(CorpusError) as raised:
+                load_corpus(tmp_path)
+        assert str(raised.value) == parse_outcome(line_loop_read_cell, path)
+        assert str(raised.value).startswith(f"WORLD__A__2013.tsv:{line}: ")
+
+    def test_long_count_inside_a_split_file(self, tmp_path):
+        rows = [f"a{i}\t{i}" for i in range(40)]
+        rows[20] = "a20\t" + "0" * 20 + "12345"
+        path = write_tsv(tmp_path, "WORLD__A__2013.tsv", rows)
+        with mock.patch.object(corpus_module, "_BLOCK_BYTES", 64):
+            assert load_corpus(tmp_path).world(FieldYearKey("A", 2013)).counts.tolist() == (
+                list(range(20)) + [12345] + list(range(21, 40))
+            )
+            rows[30] = "a30\t" + "9" * 19
+            write_tsv(tmp_path, "WORLD__A__2013.tsv", rows)
+            with pytest.raises(CorpusError) as raised:
+                load_corpus(tmp_path)
+        error = f"WORLD__A__2013.tsv:32: count {'9' * 19} exceeds 2**63-1"
+        assert str(raised.value) == parse_outcome(line_loop_read_cell, path) == error
 
 
 class TestSampleCell:
