@@ -31,13 +31,15 @@ in place, so only that row's later words move up, and a row that runs out
 of spare words is drawn again with more.  The indices are those
 ``integers`` would draw, bit for bit.
 
-Evaluation.  The words index the sorted counts and ln(1+c) values each
-``ArticleSet`` computes once.  Each cell keeps only the statistics its
-indicator reads (``indicators.CELL_STATISTICS``) as ``CellReplicates``
-arrays with one entry per replicate, filled a block at a time from the
-words.  The kernel that computes every point estimate,
-``indicators.indicator_estimate``, then evaluates all R replicates at once;
-undefined replicates come back as NaN and are counted.
+Evaluation.  Each drawn cell keeps only the statistics its indicator
+reads (``indicators.CELL_STATISTICS``) as ``CellReplicates`` arrays with
+one entry per replicate, filled a block at a time from the words.  The
+words index sorted counts and ln(1+c) values that belong to the row: its
+``CellReplicates`` build those their statistics read, once per cell, when
+the row starts, and they are freed when it ends, so no ``ArticleSet``
+keeps them.  The kernel that computes every point estimate,
+``indicators.indicator_estimate``, then evaluates all R replicates at
+once; undefined replicates come back as NaN and are counted.
 """
 
 from __future__ import annotations
@@ -361,13 +363,14 @@ def replicate_values(
     in sorted key order.
     """
     group_stats, world_stats = CELL_STATISTICS[indicator]
-    rep_group = [CellReplicates(c, group_stats, spec.iterations) for c in group_cells]
+    arrays: dict = {}  # the row's sorted counts and ln(1+c) values
+    rep_group = [CellReplicates(c, group_stats, spec.iterations, arrays) for c in group_cells]
     rep_world = world_cells
     drawn = rep_group
     # World draws come after every group draw, so they are skipped, not
     # shifted, when the indicator reads nothing from the world cells.
     if spec.resample_world and world_stats:
-        rep_world = [CellReplicates(c, world_stats, spec.iterations) for c in world_cells]
+        rep_world = [CellReplicates(c, world_stats, spec.iterations, arrays) for c in world_cells]
         drawn = rep_group + rep_world
     bit_generator = np.random.PCG64(0)
     memory, order = state_memory(bit_generator)

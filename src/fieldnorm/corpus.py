@@ -12,10 +12,12 @@ must also have a WORLD cell, otherwise normalisation is impossible.
 An ArticleSet is the one cell object from parse to kernel: it holds the
 cell's counts as a read-only int64 array, built from integers only, and
 computes, once, the statistics every indicator and analytic interval is
-computed from.  CellReplicates holds the same statistics over the bootstrap
-replicates of a cell, recorded a block of replicates at a time from the
-32-bit words of numpy's bounded draw, without an index array where the
-statistic needs none.
+computed from, keeping those numbers and no other array.  CellReplicates
+holds the same statistics over the bootstrap replicates of a cell, recorded
+a block of replicates at a time from the 32-bit words of numpy's bounded
+draw, without an index array where the statistic needs none; the sorted
+counts and ln(1+c) values it draws from are its own and live only as long
+as one bootstrap row.
 """
 
 from __future__ import annotations
@@ -74,8 +76,9 @@ class ArticleSet:
     converted.  The statistics every indicator and analytic interval is
     computed from are read off the cell itself: n, cited (count > 0), and
     the mean and M2 (sum of squared deviations from the mean) of c and of
-    ln(1+c).  Each is computed on first read, over one sorted snapshot of
-    the counts and its ln(1+c) values.
+    ln(1+c).  The first read computes all five at once, over a sorted
+    snapshot of the counts that is dropped afterwards, so a cell holds its
+    counts, its ids and five numbers: 8 bytes per article plus the ids.
 
     Equality is identity (``eq=False``): an array has no single truth
     value, so a field-by-field ``==`` could not give one.
@@ -108,6 +111,22 @@ class ArticleSet:
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
+    @classmethod
+    def _adopt(
+        cls, group: str, key: FieldYearKey, counts: np.ndarray, ids: tuple[str, ...] | None
+    ) -> ArticleSet:
+        """The cell over ``counts``, taken over without a copy and made read-only.
+
+        For the parser, which has already checked what the constructor
+        checks: ``counts`` is a flat int64 array of at least one count in
+        [0, 2**63-1], as long as ``ids`` if given, and nothing else writes
+        to it.
+        """
+        counts.flags.writeable = False
+        cell = object.__new__(cls)
+        vars(cell).update(group=group, key=key, counts=counts, ids=ids)
+        return cell
+
     def __len__(self) -> int:
         return self.counts.size
 
@@ -119,32 +138,45 @@ class ArticleSet:
         return self.counts.size
 
     @cached_property
-    def _sorted(self) -> np.ndarray:
-        return np.sort(self.counts)
+    def _moments(self) -> tuple[int, float, float, float, float]:
+        """cited, then the mean and M2 of c and of ln(1+c), in one pass.
 
-    @cached_property
-    def _logs(self) -> np.ndarray:
-        return np.log1p(self._sorted)
+        They are taken over a transient sorted snapshot of the counts, so
+        the sums run in ascending order, as the bootstrap's do.  At most two
+        n-length arrays are alive at once: the snapshot, and one float64
+        array that holds the deviations, then ln(1+c), then theirs.
+        """
+        ordered = np.sort(self.counts)
+        cited = self.n - int(np.searchsorted(ordered, 0, side="right"))
+        raw_mean = float(ordered.mean())
+        work = np.subtract(ordered, raw_mean)
+        raw_m2 = float(np.sum(np.square(work, out=work)))
+        logs = np.log1p(ordered, out=work)
+        del ordered
+        log_mean = float(logs.mean())
+        logs -= log_mean
+        log_m2 = float(np.sum(np.square(logs, out=logs)))
+        return cited, raw_mean, raw_m2, log_mean, log_m2
 
-    @cached_property
+    @property
     def cited(self) -> int:
-        return self.n - int(np.searchsorted(self._sorted, 0, side="right"))
+        return self._moments[0]
 
-    @cached_property
+    @property
     def raw_mean(self) -> float:
-        return float(self._sorted.mean())
+        return self._moments[1]
 
-    @cached_property
+    @property
     def raw_m2(self) -> float:
-        return float(np.sum((self._sorted - self.raw_mean) ** 2))
+        return self._moments[2]
 
-    @cached_property
+    @property
     def log_mean(self) -> float:
-        return float(self._logs.mean())
+        return self._moments[3]
 
-    @cached_property
+    @property
     def log_m2(self) -> float:
-        return float(np.sum((self._logs - self.log_mean) ** 2))
+        return self._moments[4]
 
     @property
     def log_sd(self) -> float | None:
@@ -156,12 +188,18 @@ class CellReplicates:
     """One cell's statistics over R bootstrap replicates, as length-R arrays.
 
     Only the statistics named in ``stats`` (of ``cited``, ``raw_mean``,
-    ``log_mean`` and ``log_m2``) are kept; the others are None.
+    ``log_mean`` and ``log_m2``) are kept; the others are None.  Their
+    draws read arrays that belong to the bootstrap row, 8 bytes per
+    article each: the sorted counts for ``raw_mean``, and their ln(1+c)
+    values for the log statistics; ``cited`` needs neither.  ``arrays``
+    holds them by (cell, kind), one dict per row: construction builds
+    those not yet there, so a cell drawn as both a group and a world cell
+    (the WORLD rows) shares them, and they are freed with the row.
     ``record_block(rows, words, index, values)`` sets the entries ``rows``
     from one row of 32-bit words each, the accepted words of NumPy's
     bounded draw ``integers(0, n, n)``: word u draws position
-    ``(u * n) >> 32`` of the cell's sorted counts.  Cited is the number of
-    words drawing a position at or past the first cited one, ``n - cited``,
+    ``(u * n) >> 32`` of the sorted counts.  Cited is the number of words
+    drawing a position at or past the first cited one, ``n - cited``,
     counted on the words themselves.  For the means, ``index`` (int64) and
     ``values`` (float64) are flat scratch arrays with room for every word;
     the means are sums along each row divided by n (bit-identical to
@@ -169,7 +207,13 @@ class CellReplicates:
     deviations from that mean.
     """
 
-    def __init__(self, cell: ArticleSet, stats: Iterable[str], replicates: int) -> None:
+    def __init__(
+        self,
+        cell: ArticleSet,
+        stats: Iterable[str],
+        replicates: int,
+        arrays: dict[tuple[ArticleSet, str], np.ndarray],
+    ) -> None:
         stats = set(stats)
         if "log_m2" in stats:
             stats.add("log_mean")
@@ -180,6 +224,15 @@ class CellReplicates:
             np.empty(replicates) if name in stats else None
             for name in ("raw_mean", "log_mean", "log_m2")
         )
+        if self.raw_mean is not None and (cell, "sorted") not in arrays:
+            arrays[cell, "sorted"] = np.sort(cell.counts)
+        if self.log_mean is not None and (cell, "logs") not in arrays:
+            # ln(1+c) overwrites a sorted copy of its own, so building it
+            # never takes 16 bytes per article.
+            ordered = np.sort(cell.counts)
+            arrays[cell, "logs"] = np.log1p(ordered, out=ordered.view(np.float64))
+        self._sorted = arrays.get((cell, "sorted"))
+        self._logs = arrays.get((cell, "logs"))
 
     def record_block(
         self, rows: np.ndarray, words: np.ndarray, index: np.ndarray, values: np.ndarray
@@ -196,10 +249,10 @@ class CellReplicates:
         values = values[:words.size].reshape(words.shape)
         # mode="clip" writes straight into the scratch; every index is below n.
         if self.raw_mean is not None:
-            drawn = cell._sorted.take(index, out=values.view(np.int64), mode="clip")
+            drawn = self._sorted.take(index, out=values.view(np.int64), mode="clip")
             self.raw_mean[rows] = np.add.reduce(drawn, axis=1, dtype=np.float64) / n
         if self.log_mean is not None:
-            logs = cell._logs.take(index, out=values, mode="clip")
+            logs = self._logs.take(index, out=values, mode="clip")
             mean = np.add.reduce(logs, axis=1) / n
             self.log_mean[rows] = mean
             if self.log_m2 is not None:
@@ -336,7 +389,8 @@ class _CellFile:
 
     ``data`` is the file with CRLF turned into LF, and its lines start at
     ``body``, after the header.  Each block the lines fall in adds one
-    piece: its counts, and its ids or None where every id is empty.
+    piece, its counts and its ids (None where every id is empty), until
+    the last makes the cell.
     """
 
     def __init__(self, path: Path) -> None:
@@ -359,22 +413,45 @@ class _CellFile:
             _decode(data, name)  # the whole file must be UTF-8, not only the lines read one by one
         self.name, self.group, self.key, self.data = name, group, key, data
         self.body = min(len(header) + 1, len(data))
-        self.counts: list[np.ndarray] = []
-        self.ids: list[tuple[str, ...] | None] = []
+        self.counts: np.ndarray | None = None
+        self.size = 0  # of the counts parsed so far
+        self.ids: list[tuple[int, tuple[str, ...] | None]] = []  # per piece, with its size
 
-    def cell(self) -> ArticleSet:
-        """The cell of all pieces; called once the last piece is parsed."""
-        if not any(part.size for part in self.counts):
+    def add(
+        self, counts: np.ndarray, ids: tuple[str, ...] | None, last: bool
+    ) -> ArticleSet | None:
+        """Keep one piece's counts and ids; return the cell once the last piece is in.
+
+        A file in one piece keeps its slice of the block's counts, copied
+        unless it is the whole of them, so that a cell never pins another
+        file's counts.  A file in several pieces copies each into one array
+        with room for every line of the file, so its counts are never held
+        twice; the cell takes that array over, cut down by a copy only where
+        blank lines left room unused.
+        """
+        if self.counts is None and last:
+            if counts.base is not None and counts.base.size > counts.size:
+                counts = counts.copy()
+            self.counts = counts
+        else:
+            if self.counts is None:
+                lines = self.data.count(b"\n", self.body) + (not self.data.endswith(b"\n"))
+                self.counts = np.empty(lines, np.int64)
+            self.counts[self.size:self.size + counts.size] = counts
+        self.size += counts.size
+        self.ids.append((counts.size, ids))
+        if not last:
+            return None
+        if not self.size:
             raise CorpusError(f"{self.name}: cell contains no articles")
         ids = None
-        if any(part is not None for part in self.ids):
+        if any(part is not None for _, part in self.ids):
             ids = tuple(chain.from_iterable(
-                part if part is not None else ("",) * c.size
-                for c, part in zip(self.counts, self.ids)
+                part if part is not None else ("",) * size for size, part in self.ids
             ))
-        counts = np.concatenate(self.counts) if len(self.counts) > 1 else self.counts[0]
-        self.counts.clear()  # the parts go before ArticleSet makes its own copy
-        return ArticleSet(self.group, self.key, counts, ids)
+        counts = self.counts if self.size == self.counts.size else self.counts[:self.size].copy()
+        self.counts, self.data = None, b""  # the reader holds this object until its next file
+        return ArticleSet._adopt(self.group, self.key, counts, ids)
 
 
 # A file's lines in one block: the file, the offset of its first byte in the
@@ -498,10 +575,9 @@ def _parse_block(block: bytes, pieces: list[_Piece]) -> Iterator[ArticleSet]:
                 block[s:t].decode("utf-8")
                 for s, t in zip(starts[a:b].tolist(), first_tabs[a:b].tolist())
             )
-        source.counts.append(counts[a:b])
-        source.ids.append(ids)
-        if last:
-            yield source.cell()
+        cell = source.add(counts[a:b], ids, last)
+        if cell is not None:
+            yield cell
 
 
 def _read_cells(paths: Iterable[Path]) -> Iterator[ArticleSet]:
@@ -557,7 +633,9 @@ def write_cell(aset: ArticleSet, directory: Path | str) -> Path:
     """Write one cell in the load_corpus file format (UTF-8, LF).
 
     An id containing a tab, CR or LF could not be read back, so it is
-    rejected before anything is written.
+    rejected before anything is written.  The text is encoded before the
+    file is opened, so an id UTF-8 cannot encode (a lone surrogate) raises
+    UnicodeEncodeError and leaves an existing file as it was.
     """
     breaks, joined = "\t\r\n", "".join(aset.ids or ())
     if any(c in joined for c in breaks):
@@ -566,13 +644,14 @@ def write_cell(aset: ArticleSet, directory: Path | str) -> Path:
             f"cell {aset.group}/{aset.key}: the id of article {i + 1}, {aset.ids[i]!r},"
             " contains a tab, CR or LF"
         )
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / cell_filename(aset.group, aset.key)
     ids = aset.ids if aset.ids is not None else [""] * aset.n
     lines = [_HEADER]
     lines.extend(f"{i}\t{c}" for i, c in zip(ids, aset.counts.tolist()))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / cell_filename(aset.group, aset.key)
+    path.write_bytes(data)
     return path
 
 

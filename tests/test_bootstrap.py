@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ctypes
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +184,30 @@ class TestBootstrapIndicator:
         )
         assert "resample_world=true" in on.note
         assert "resample_world=false" in off.note
+
+    @pytest.mark.parametrize("indicator", [MNLCS, MNCS])
+    def test_no_snapshot_survives(self, indicator):
+        rng = np.random.default_rng(5)
+        n = 5 * 10**4
+        group = [ArticleSet("G", KEY_A, rng.integers(0, 50, n))]
+        world = [ArticleSet(WORLD, KEY_A, rng.integers(0, 60, 2 * n))]
+        spec = BootstrapSpec(iterations=100, seed=1)
+        bootstrap_indicator(*demo_sets(), indicator, spec)  # lazy set-up outside the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bootstrap_indicator(group, world, indicator, spec)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        for cell in group + world:
+            arrays = [v for v in vars(cell).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 1 and arrays[0] is cell.counts
+        # Measured: under 2 KB, the cells' five numbers; one snapshot of the
+        # group cell would hold 400 KB.
+        assert held <= 16 * 2**10
 
 
 class TestCompareCi:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -230,6 +232,15 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match=error):
             write_cell(cell, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_unencodable_id_keeps_the_old_file(self, tmp_path):
+        key = FieldYearKey("BIOC", 2013)
+        path = write_cell(ArticleSet(WORLD, key, (1, 3), ids=("x", "y")), tmp_path)
+        old = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError):
+            write_cell(ArticleSet(WORLD, key, (1, 3), ids=("x", "\ud800")), tmp_path)
+        assert path.read_bytes() == old
+        assert read_cell(path).ids == ("x", "y")
 
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(rows=st.lists(
@@ -516,6 +527,37 @@ class TestCorpusOracle:
         assert str(raised.value) == parse_outcome(line_loop_read_cell, path)
         assert str(raised.value).startswith(f"WORLD__A__2013.tsv:{line}: ")
 
+    # At 12 bytes A shares its first block with B, and B, with blank lines,
+    # is cut into several pieces.
+    @pytest.mark.parametrize("block_bytes", [1, 12, BLOCK_BYTES])
+    def test_counts_are_read_only_and_pin_only_themselves(self, tmp_path, block_bytes):
+        write_tsv(tmp_path, "WORLD__A__2013.tsv", ["\t1"])
+        write_tsv(tmp_path, "WORLD__B__2013.tsv", ["\t2", "", "\t3", "", "\t4"])
+        write_tsv(tmp_path, "WORLD__C__2013.tsv", ["\t5", "\t6"])
+        with mock.patch.object(corpus_module, "_BLOCK_BYTES", block_bytes):
+            cells = list(load_corpus(tmp_path).cells.values())
+        assert [c.counts.tolist() for c in cells] == [[1], [2, 3, 4], [5, 6]]
+        for cell in cells:
+            assert cell.counts.dtype == np.int64 and not cell.counts.flags.writeable
+            assert cell.counts.base is None or cell.counts.base.nbytes == cell.counts.nbytes
+
+    def test_parsed_counts_exist_once(self, tmp_path):
+        # The traced peak of reading a file cut into many blocks is its
+        # counts, its bytes and one block's temporaries, measured at 1.0 MB;
+        # a copy of the counts would add another 8 MB.
+        n = 10**6
+        path = tmp_path / "WORLD__A__2013.tsv"
+        path.write_bytes(b"article_id\tcount\n" + b"\t7\n" * n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cell = read_cell(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cell.n == n and cell.counts.base is None
+        assert peak <= cell.counts.nbytes + path.stat().st_size + 2 * 2**20
+
     def test_long_count_inside_a_split_file(self, tmp_path):
         rows = [f"a{i}\t{i}" for i in range(40)]
         rows[20] = "a20\t" + "0" * 20 + "12345"
@@ -530,6 +572,69 @@ class TestCorpusOracle:
                 load_corpus(tmp_path)
         error = f"WORLD__A__2013.tsv:32: count {'9' * 19} exceeds 2**63-1"
         assert str(raised.value) == parse_outcome(line_loop_read_cell, path) == error
+
+
+def sorted_snapshot_moments(counts: np.ndarray) -> tuple:
+    """The five moments as separate expressions over an explicit sorted snapshot."""
+    ordered = np.sort(counts)
+    logs = np.log1p(ordered)
+    raw_mean, log_mean = float(ordered.mean()), float(logs.mean())
+    return (
+        ordered.size - int(np.searchsorted(ordered, 0, side="right")),
+        raw_mean,
+        float(np.sum((ordered - raw_mean) ** 2)),
+        log_mean,
+        float(np.sum((logs - log_mean) ** 2)),
+    )
+
+
+def bits(moments: tuple) -> tuple:
+    return tuple(m if isinstance(m, int) else float(m).hex() for m in moments)
+
+
+class TestCellMemory:
+    """A cell keeps its counts and five numbers; its moments are those of a sorted snapshot."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(
+        n=st.one_of(st.just(1), st.integers(1, 40), st.integers(1, 3 * 8192)),
+        shape=st.sampled_from(["small", "lognormal", "near_max", "mixed"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_moments_match_a_sorted_snapshot(self, n, shape, seed):
+        rng = np.random.default_rng(seed)
+        near_max = _COUNT_MAX - rng.integers(0, 1000, n)
+        counts = {
+            "small": rng.integers(0, 4, n),
+            "lognormal": np.floor(rng.lognormal(1.0, 2.0, n)).astype(np.int64),
+            "near_max": near_max,
+            "mixed": np.where(rng.random(n) < 0.5, near_max, rng.integers(0, 4, n)),
+        }[shape]
+        cell = ArticleSet("G", FieldYearKey("BIOC", 2013), counts)
+        moments = (cell.cited, cell.raw_mean, cell.raw_m2, cell.log_mean, cell.log_m2)
+        assert bits(moments) == bits(sorted_snapshot_moments(counts))
+
+    def test_cell_holds_only_its_counts(self):
+        n = 10**5
+        source = np.random.default_rng(5).integers(0, 50, n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cell = ArticleSet("G", FieldYearKey("BIOC", 2013), source)
+            built = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert cell.log_sd is not None and cell.raw_m2 > 0 and 0 < cell.cited <= n
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = [value for value in vars(cell).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is cell.counts
+        # Measured: 3.6 KB held beside the counts (the cell object, its
+        # fields and the five numbers), and 68 KB of peak beside the two
+        # n-length temporaries (numpy's cast buffers of 8192 elements).
+        assert held - before <= cell.counts.nbytes + 16 * 2**10
+        assert peak - built <= 2 * 8 * n + 128 * 2**10
 
 
 class TestSampleCell:
