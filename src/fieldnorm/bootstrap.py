@@ -524,8 +524,7 @@ def comparison_suite(
         label = "+".join(sorted({k.field for k in corpus.keys}))
         for group in sorted(corpus.groups):
             keys = corpus.keys_for(group)
-            group_sets = [corpus.cell(group, k) for k in sorted(keys)]
-            world_sets = [corpus.world(k) for k in sorted(keys)]
+            scope = corpus.scope(group, keys)
             for indicator in indicators:
                 point = indicator_value(corpus, group, keys, indicator)
                 formula = formula_interval(corpus, group, keys, indicator, spec.alpha, continuity)
@@ -540,7 +539,7 @@ def comparison_suite(
                 run_spec = replace(
                     spec, seed=derive_stream_seed(spec.seed, label, group, indicator)
                 )
-                boot = bootstrap_indicator(group_sets, world_sets, indicator, run_spec)
+                boot = bootstrap_indicator(scope.group, scope.world, indicator, run_spec)
                 try:
                     result = compare_ci(formula, boot, point.estimate)
                 except ValueError as exc:

@@ -17,18 +17,20 @@ holds the same statistics over the bootstrap replicates of a cell, recorded
 a block of replicates at a time from the 32-bit words of numpy's bounded
 draw, without an index array where the statistic needs none; the sorted
 counts and ln(1+c) values it draws from are its own and live only as long
-as one bootstrap row.
+as one bootstrap row.  A Corpus resolves each (group, key set) once, into
+a Scope of sorted keys and cells that it keeps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,18 +51,31 @@ class CorpusError(ValueError):
     """Raised for malformed cell files or inconsistent cell collections."""
 
 
-@dataclass(frozen=True, order=True)
-class FieldYearKey:
-    """One field/year normalisation cell identifier."""
-
+class _FieldYear(NamedTuple):
     field: str
     year: int
 
-    def __post_init__(self) -> None:
-        if not self.field.strip():
-            raise ValueError("field label must be non-empty")
-        if not 1000 <= self.year <= 9999:
-            raise ValueError(f"year must be a 4-digit positive integer, got {self.year}")
+
+class FieldYearKey(_FieldYear):
+    """One field/year normalisation cell identifier: a (field, year) tuple,
+    so hashing and ordering run in C, checked however it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: str, year: int) -> FieldYearKey:
+        if not isinstance(field, str) or not field.strip():
+            raise ValueError(f"field label must be a non-empty string, got {field!r}")
+        try:
+            year = operator.index(year)
+        except TypeError:
+            raise ValueError(f"year must be an integer, got {year!r}") from None
+        if not 1000 <= year <= 9999:
+            raise ValueError(f"year must be a 4-digit positive integer, got {year}")
+        return super().__new__(cls, field, year)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> FieldYearKey:
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.field}/{self.year}"
@@ -144,18 +159,20 @@ class ArticleSet:
         They are taken over a transient sorted snapshot of the counts, so
         the sums run in ascending order, as the bootstrap's do.  At most two
         n-length arrays are alive at once: the snapshot, and one float64
-        array that holds the deviations, then ln(1+c), then theirs.
+        array that holds the deviations, then ln(1+c), then theirs.  The
+        sums are those ``mean`` and ``np.sum`` make, without their wrappers.
         """
+        n = self.n
         ordered = np.sort(self.counts)
-        cited = self.n - int(np.searchsorted(ordered, 0, side="right"))
-        raw_mean = float(ordered.mean())
+        cited = n - int(np.searchsorted(ordered, 0, side="right"))
+        raw_mean = float(np.add.reduce(ordered, dtype=np.float64)) / n
         work = np.subtract(ordered, raw_mean)
-        raw_m2 = float(np.sum(np.square(work, out=work)))
+        raw_m2 = float(np.add.reduce(np.square(work, out=work)))
         logs = np.log1p(ordered, out=work)
         del ordered
-        log_mean = float(logs.mean())
+        log_mean = float(np.add.reduce(logs)) / n
         logs -= log_mean
-        log_m2 = float(np.sum(np.square(logs, out=logs)))
+        log_m2 = float(np.add.reduce(np.square(logs, out=logs)))
         return cited, raw_mean, raw_m2, log_mean, log_m2
 
     @property
@@ -292,11 +309,25 @@ class ExclusionPolicy:
             raise ValueError("min_fraction_of_mean must lie in [0, 1]")
 
 
+class Scope(NamedTuple):
+    """Sorted keys with the group's and the world's cell of each."""
+
+    keys: tuple[FieldYearKey, ...]
+    group: tuple[ArticleSet, ...]
+    world: tuple[ArticleSet, ...]
+
+
 @dataclass(frozen=True)
 class Corpus:
-    """All group and WORLD cells of one evaluation, keyed by (group, key)."""
+    """All group and WORLD cells of one evaluation, keyed by (group, key).
+
+    Scopes are resolved once and kept, so ``cells`` must not change.
+    """
 
     cells: Mapping[tuple[str, FieldYearKey], ArticleSet] = dataclass_field(default_factory=dict)
+    _scopes: dict[tuple[str, frozenset[FieldYearKey]], Scope] = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_cells(cls, sets: Iterable[ArticleSet]) -> "Corpus":
@@ -330,6 +361,22 @@ class Corpus:
     def world(self, key: FieldYearKey) -> ArticleSet:
         return self.cells[(WORLD, key)]
 
+    def scope(self, group: str, keys: Iterable[FieldYearKey]) -> Scope:
+        """The Scope of ``group`` over ``keys``, resolved once per key set."""
+        lookup = (group, frozenset(keys))
+        found = self._scopes.get(lookup)
+        if found is None:
+            found = self._scopes[lookup] = self._resolve(group, lookup[1])
+        return found
+
+    def _resolve(self, group: str, keys: frozenset[FieldYearKey]) -> Scope:
+        ordered = tuple(sorted(keys))
+        return Scope(
+            ordered,
+            tuple(self.cells[group, k] for k in ordered),
+            tuple(self.cells[WORLD, k] for k in ordered),
+        )
+
     def keys_for(self, group: str) -> set[FieldYearKey]:
         if group != WORLD and group not in self.groups:
             raise KeyError(f"unknown group {group!r}")
@@ -338,8 +385,9 @@ class Corpus:
 
 def cell_filename(group: str, key: FieldYearKey) -> str:
     for label in (group, key.field):
-        if _NAME_SEP in label:
-            raise CorpusError(f"label {label!r} may not contain {_NAME_SEP!r}")
+        for banned in (_NAME_SEP, "/", "\\"):
+            if banned in label:
+                raise CorpusError(f"label {label!r} may not contain {banned!r}")
     return f"{group}{_NAME_SEP}{key.field}{_NAME_SEP}{key.year}.tsv"
 
 

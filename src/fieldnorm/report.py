@@ -166,9 +166,8 @@ def _interval_for(
         resample_world=resample,
         alpha=config.alpha,
     )
-    group_sets = [corpus.cell(group, k) for k in sorted(keys)]
-    world_sets = [corpus.world(k) for k in sorted(keys)]
-    return bootstrap_indicator(group_sets, world_sets, indicator, spec)
+    scope = corpus.scope(group, keys)
+    return bootstrap_indicator(scope.group, scope.world, indicator, spec)
 
 
 def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
@@ -190,7 +189,7 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
                 methods = [m for m in config.ci_methods if _method_applies(indicator, m)]
                 # Why no interval can be given for this scope, if none can.
                 if keys:
-                    n = sum(len(corpus.cell(group, k)) for k in keys)
+                    n = sum(cell.n for cell in corpus.scope(group, keys).group)
                     point = indicator_value(corpus, group, keys, indicator)
                     flag = None if point.defined else point.note
                 else:

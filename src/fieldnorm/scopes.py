@@ -1,10 +1,10 @@
 """Assembly of indicator values and intervals over a scope of cells.
 
 A scope is a set of field/year keys for one group.  Each helper takes the
-group's and the world's cells of the scope, in sorted key order, and hands
-them to the kernel in ``indicators``: for the point estimate as a flagged
-value (never raising for data-dependent degeneracies), and for the moments
-or counts of whichever analytic interval belongs to the indicator.
+group's and the world's cells in sorted key order, as ``Corpus.scope``
+resolved them once, and hands them to the kernel in ``indicators``: for the
+point estimate as a flagged value (never raising for data-dependent
+degeneracies), and for the moments or counts of the indicator's interval.
 """
 
 from __future__ import annotations
@@ -60,27 +60,19 @@ FORMULA_METHOD = {
 CONTINUITY_MODES = ("auto", "on", "off")
 
 
-def _cells(
-    corpus: Corpus, group: str, keys: set[FieldYearKey]
-) -> tuple[list[FieldYearKey], list[ArticleSet], list[ArticleSet]]:
-    """Sorted keys with the group's and the world's cells."""
-    ordered = sorted(keys)
-    return ordered, [corpus.cell(group, k) for k in ordered], [corpus.world(k) for k in ordered]
-
-
 def indicator_value(
     corpus: Corpus, group: str, keys: set[FieldYearKey], indicator: str
 ) -> IndicatorValue:
     """Point estimate over a scope, flagged rather than raised when undefined."""
     if not keys:
         raise ValueError("empty scope")
-    return indicator_result(indicator, group, *_cells(corpus, group, keys))
+    return indicator_result(indicator, group, *corpus.scope(group, keys))
 
 
 def resolve_continuity(
     mode: str,
-    group_sets: list[ArticleSet],
-    world_sets: list[ArticleSet],
+    group_sets: tuple[ArticleSet, ...],
+    world_sets: tuple[ArticleSet, ...],
 ) -> bool:
     """'auto' switches the correction on once any cell's cited count drops below 5."""
     if mode not in CONTINUITY_MODES:
@@ -90,7 +82,7 @@ def resolve_continuity(
     return mode == "on"
 
 
-def _equalised(cells: list[ArticleSet]) -> float:
+def _equalised(cells: tuple[ArticleSet, ...]) -> float:
     return indicator_estimate(EQ_PROP_CITED, (), cells, ())[0]
 
 
@@ -103,7 +95,7 @@ def formula_interval(
     continuity: str = "auto",
 ) -> IntervalEstimate:
     """The analytic interval belonging to ``indicator`` over the scope."""
-    ordered, group_cells, world_cells = _cells(corpus, group, keys)
+    ordered, group_cells, world_cells = corpus.scope(group, keys)
     if indicator in MEAN_INDICATORS:
         try:
             n, mean, m2 = pooled_moments(
@@ -153,7 +145,7 @@ def fieller_interval(
     ratio are those of the ln(1+c) values.
     """
     method = FIELLER if len(keys) == 1 else HEURISTIC_EXPANSION
-    ordered, group_cells, world_cells = _cells(corpus, group, keys)
+    ordered, group_cells, world_cells = corpus.scope(group, keys)
     try:
         cells = score_moments(MNLCS, ordered, group_cells, world_cells)
         if len(keys) == 1:

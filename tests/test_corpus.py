@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
+import pickle
 import re
 import tracemalloc
 from pathlib import Path
@@ -51,6 +53,60 @@ class TestKeysAndCells:
         with pytest.raises(ValueError):
             FieldYearKey("BIOC", 13)
         assert FieldYearKey("BIOC", 2013).year == 2013
+
+    def test_key_hashes_orders_and_prints_as_before(self):
+        keys = [FieldYearKey(f, y) for f in ("b", "A", "a", "B") for y in (2011, 2009, 2010)]
+        for key in keys:
+            assert hash(key) == hash((key.field, key.year))
+        assert [tuple(k) for k in sorted(keys)] == sorted((k.field, k.year) for k in keys)
+        key = FieldYearKey("F", 2010)
+        assert str(key) == "F/2010"
+        assert repr(key) == "FieldYearKey(field='F', year=2010)"
+
+    def test_key_survives_pickle_and_copy(self):
+        key = FieldYearKey("F", 2010)
+        for clone in (pickle.loads(pickle.dumps(key)), copy.copy(key), copy.deepcopy(key)):
+            assert clone == key and hash(clone) == hash(key)
+            assert type(clone) is FieldYearKey and str(clone) == "F/2010"
+
+    @pytest.mark.parametrize("field, year, message", [
+        ("F", 2010.0, "year must be an integer, got 2010.0"),
+        ("F", "2010", "year must be an integer, got '2010'"),
+        ("F", 999, "year must be a 4-digit positive integer, got 999"),
+        ("F", 10000, "year must be a 4-digit positive integer, got 10000"),
+        (" ", 2010, "field label must be a non-empty string"),
+        (7, 2010, "field label must be a non-empty string, got 7"),
+    ])
+    def test_every_way_of_building_a_key_validates(self, field, year, message):
+        builders = [
+            lambda: FieldYearKey(field, year),
+            lambda: FieldYearKey._make((field, year)),
+            lambda: FieldYearKey("F", 2010)._replace(field=field, year=year),
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
+
+    def test_numpy_integer_year_is_stored_as_int(self, tmp_path):
+        key = FieldYearKey("F", np.int64(2010))
+        assert type(key.year) is int and key == FieldYearKey("F", 2010)
+        cells = [ArticleSet(WORLD, key, (1, 2))]
+        write_corpus(Corpus.from_cells(cells), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["WORLD__F__2010.tsv"]
+        assert load_corpus(tmp_path).keys == {key}
+
+    @pytest.mark.parametrize("group, field", [
+        ("G/H", "F"), ("G\\H", "F"), ("G", "F/E"), ("G", "F\\E"), ("G", "F__E"),
+    ])
+    def test_label_that_cannot_name_a_file_is_rejected(self, tmp_path, group, field):
+        label = group if group != "G" else field
+        cell = make_cell(group, field, 2013, [1, 2])
+        with pytest.raises(CorpusError, match=f"^label {re.escape(repr(label))} may not contain"):
+            cell_filename(group, cell.key)
+        (tmp_path / "G").mkdir()
+        with pytest.raises(CorpusError, match=re.escape(repr(label))):
+            write_cell(cell, tmp_path)
+        assert [p.name for p in tmp_path.rglob("*")] == ["G"]
 
     def test_article_set_validation(self):
         key = FieldYearKey("BIOC", 2013)

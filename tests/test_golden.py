@@ -9,8 +9,11 @@ output on purpose records the new digests here, and says why.
 from __future__ import annotations
 
 import hashlib
+from itertools import product
 
 from fieldnorm.cli import main
+from fieldnorm.corpus import WORLD, FieldYearKey, write_cell
+from fieldnorm.synthetic import LognormalSpec, generate_cell
 
 # SHA-256 of every file the pipeline writes, by path relative to the run
 # directory.  report.meta.json records the relative --input-dir.
@@ -100,3 +103,44 @@ def test_compare_ci_output_is_pinned(tmp_path):
                  "--sigma", "1.0", "--zero-inflation", "0.0", "0.95", "--n", "30", "40",
                  "--group-shift", "0.0", "0.3"]) == 0
     assert _digests(out) == COMPARE_CI_GOLDEN
+
+
+# A wider corpus: 3 fields x 3 years x 2 groups, so each year's scope and
+# the ALL scope hold several cells of both groups.  Some cells fall below the
+# exclusion policy's floor: one of G1's, and every cell of G2 in 2012, which
+# leaves that scope without cells for EMNPC and EQ_PROP_CITED.  In the field
+# with 90% uncited articles some group cells hold fewer than five cited
+# articles, which switches the MNPC continuity correction on.  The digests
+# were recorded before scopes were resolved once per corpus, so they show
+# that change kept every byte.
+WIDE_GOLDEN = {
+    "fieller.csv": "9f03cc0fe25caaa7ab34929fd23cc71d1d723c7f95a1dfb45c52d082b3e894b3",
+    "fieller.meta.json": "9cefba73959b5f5f19023ec5d82d8fc4049e8000508b6cf7d9f93c3ad82ffcb0",
+    "formula.csv": "fe6fe8ce764b7ccb026bd76e643d40be1f8e92fa0789fd67096729201842ca46",
+    "formula.meta.json": "aa475e97680c7846af14a39f8c7a1c0ed33923a4ac82ecdb2748f1f06613aa05",
+}
+
+
+def _write_wide_corpus(directory) -> None:
+    fields = (("alpha", 1.0, 0.0), ("beta", 1.4, 0.2), ("gamma", 0.6, 0.9))
+    years = (2010, 2011, 2012)
+    for (i, (field, mu, zero_inflation)), (j, year) in product(enumerate(fields),
+                                                                enumerate(years)):
+        key = FieldYearKey(field, year)
+        sizes = {WORLD: 400, "G1": 40 if (field, year) == ("gamma", 2011) else 220,
+                 "G2": 30 if year == 2012 else 130}
+        shifts = {WORLD: 0.0, "G1": 0.25, "G2": -0.1}
+        for g, group in enumerate((WORLD, "G1", "G2")):
+            spec = LognormalSpec(mu + shifts[group] - 0.05 * j, 1.0, zero_inflation,
+                                 sizes[group], seed=100 * i + 10 * j + g)
+            write_cell(generate_cell(spec, key, group), directory)
+
+
+def test_wide_analytic_compute_output_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_wide_corpus(tmp_path / "cells")
+    for ci, indicators in (("formula", "mnlcs,mncs,lundberg,emnpc,mnpc,prop"),
+                           ("fieller", "mnlcs")):
+        assert main(["compute", "--input-dir", "cells", "--output", f"out/{ci}.csv",
+                     "--indicators", indicators, "--ci", ci]) == 0
+    assert _digests(tmp_path / "out") == WIDE_GOLDEN

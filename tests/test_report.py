@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from fieldnorm.corpus import WORLD, Corpus, ExclusionPolicy
+from fieldnorm.corpus import WORLD, Corpus, ExclusionPolicy, apply_exclusion
 from fieldnorm.indicators import (
     EMNPC,
     EQ_PROP_CITED,
+    LUNDBERG_Z,
     MNCS,
     MNLCS,
     MNPC,
@@ -140,6 +142,44 @@ class TestBuildReport:
         flagged = row(report, group="G", scope="ALL", indicator=EMNPC)
         assert not flagged.defined
         assert "exclusion" in flagged.notes
+
+    def test_each_scope_is_resolved_once(self, monkeypatch):
+        # Three fields by two years for two groups; G2's B cells fall below
+        # the exclusion floor, so the equalised indicators read other key sets.
+        cells = []
+        for field, year in itertools.product("ABC", (2013, 2014)):
+            cells.append(make_cell(WORLD, field, year, [0, 1, 2, 5] * 60))
+            cells.append(make_cell("G1", field, year, [0, 1, 3] * 50))
+            cells.append(make_cell("G2", field, year, [1, 2] * (10 if field == "B" else 80)))
+        corpus = Corpus.from_cells(cells)
+        policy = ExclusionPolicy()
+        distinct = set()
+        for group in ("G1", "G2", WORLD):
+            all_keys = corpus.keys_for(group)
+            retained = all_keys if group == WORLD else apply_exclusion(corpus, group, policy)
+            scopes = [{k for k in all_keys if k.year == year} for year in (2013, 2014)]
+            for keys in scopes + [all_keys]:
+                distinct.add((group, frozenset(keys)))
+                distinct.add((group, frozenset(keys & retained)))
+        assert len(distinct) == 12  # 3 groups x 3 scopes, and G2's 3 without B
+
+        resolved = []
+        resolve = Corpus._resolve
+
+        def counted(self, group, keys):
+            resolved.append((group, keys))
+            return resolve(self, group, keys)
+
+        monkeypatch.setattr(Corpus, "_resolve", counted)
+        config = ReportConfig(
+            indicators=(MNLCS, MNCS, LUNDBERG_Z, EMNPC, MNPC, PROP_CITED, EQ_PROP_CITED),
+            ci_methods=("formula", "fieller"),
+            exclusion=policy,
+        )
+        report = build_report(corpus, config)
+        assert len(report.rows) == 3 * 3 * 8
+        assert len(resolved) == len(set(resolved))
+        assert set(resolved) == distinct
 
     def test_fieller_only_for_mnlcs(self, demo_corpus):
         config = ReportConfig(indicators=(MNLCS, MNCS), ci_methods=("fieller",))
