@@ -5,6 +5,8 @@ when ``resample_world`` is set the world cells are resampled too.  Replicate
 r draws from an independent substream derived from (seed, r), so results do
 not depend on execution order, and the draws index each cell's counts in
 ascending order, so results do not depend on the input article order either.
+This module alone knows how a replicate's words become drawn articles, and
+holds the bootstrap defaults (``bootstrap_plan``).
 
 Seeding.  Replicate r's generator is ``default_rng(SeedSequence([seed, r]))``
 and draws ``integers(0, n, n)`` for each group cell in sorted key order,
@@ -24,22 +26,23 @@ matrix with all its words at once, with spare words for rejections, and
 the matrix's ``'<u4'`` view holds the 32-bit words ``next_uint32`` hands
 out, low half first, one row per replicate.  Per cell, numpy's bounded
 draw (Lemire 2019, *Fast random integer generation in an interval*) is
-restated on the block's ``(rows, n)`` window: word u draws index
-``(u * n) >> 32`` and is rejected where ``(u * n) mod 2**32 < 2**32 mod n``;
-a one-article cell draws nothing.  A rejected word is dropped from its row
-in place, so only that row's later words move up, and a row that runs out
-of spare words is drawn again with more.  The indices are those
-``integers`` would draw, bit for bit.
+restated on the block's ``(rows, n)`` window: word u draws position
+``(u * n) >> 32`` of the cell's sorted counts and is rejected where
+``(u * n) mod 2**32 < 2**32 mod n``.  A rejected word is dropped from its
+row in place, so only that row's later words move up, and a row that runs
+out of spare words is drawn again with more.  The positions are the
+indices ``integers`` would draw, bit for bit.
 
-Evaluation.  Each drawn cell keeps only the statistics its indicator
-reads (``indicators.CELL_STATISTICS``) as ``CellReplicates`` arrays with
-one entry per replicate, filled a block at a time from the words.  The
-words index sorted counts and ln(1+c) values that belong to the row: its
-``CellReplicates`` build those their statistics read, once per cell, when
-the row starts, and they are freed when it ends, so no ``ArticleSet``
-keeps them.  The kernel that computes every point estimate,
-``indicators.indicator_estimate``, then evaluates all R replicates at
-once; undefined replicates come back as NaN and are counted.
+Recording.  The loop that repairs a cell's window records, from the same
+words, the statistics its indicator reads (``indicators.CELL_STATISTICS``)
+into ``indicators.CellReplicates`` arrays, one entry per replicate: cited
+counts the words that draw a cited position; the means sum the drawn sorted
+counts or ln(1+c) values along each row and divide by n (bit-identical to
+``ndarray.mean``); M2 sums the squared deviations from that mean.  Those
+sorted arrays are built once per cell and row, and freed when it ends.  A
+one-article cell draws nothing: every replicate is the cell itself.
+``indicators.indicator_estimate`` then evaluates all R replicates at once;
+undefined replicates come back as NaN and are counted.
 """
 
 from __future__ import annotations
@@ -48,19 +51,44 @@ import ctypes
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ArticleSet, CellReplicates, Corpus, FieldYearKey
+from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey
 from .indicators import (
     CELL_STATISTICS,
+    EMNPC,
+    EQ_PROP_CITED,
+    LUNDBERG_Z,
+    MNCS,
+    MNLCS,
+    MNPC,
+    PROP_CITED,
     PROPORTION_INDICATORS,
+    CellReplicates,
     UndefinedNormalizationError,
     indicator_estimate,
 )
 from .intervals import BOOTSTRAP_PERCENTILE, IntervalEstimate, check_alpha
 from .scopes import formula_interval, indicator_value
+
+BOOTSTRAP_ITERATIONS_DEFAULT = {
+    MNLCS: 1000, MNCS: 1000, LUNDBERG_Z: 1000,
+    EMNPC: 10000, MNPC: 10000, PROP_CITED: 10000, EQ_PROP_CITED: 10000,
+}
+# What ``--resample-world auto`` means, per command.  ``compute`` holds the
+# world fixed for MNCS (world mean treated as exact) and the group-side
+# proportions; ``compare-ci`` resamples it only where the formula limits
+# carry the world's variance (the proportions draw nothing from it anyway).
+RESAMPLE_WORLD_DEFAULT = {
+    MNLCS: True, LUNDBERG_Z: True, EMNPC: True, MNPC: True,
+    MNCS: False, PROP_CITED: False, EQ_PROP_CITED: False,
+}
+COMPARE_CI_RESAMPLE_WORLD_DEFAULT = {
+    MNLCS: False, MNCS: False, LUNDBERG_Z: False,
+    EMNPC: True, MNPC: True, PROP_CITED: True, EQ_PROP_CITED: True,
+}
 
 # NumPy's SeedSequence (numpy/random/bit_generator.pyx) and the PCG64
 # seeding step pcg_setseq_128_srandom_r (numpy/random/src/pcg64), restated.
@@ -235,6 +263,22 @@ class BootstrapSpec:
         check_alpha(self.alpha)
 
 
+def bootstrap_plan(
+    indicator: str, auto_rule: Mapping[str, bool], iterations: int | None,
+    resample_world: bool | None, seed: int, alpha: float,
+) -> BootstrapSpec:
+    """One bootstrap row's spec from a command's flags.
+
+    A flag left at None takes its default: ``BOOTSTRAP_ITERATIONS_DEFAULT``,
+    or ``auto_rule``, the command's resample table.
+    """
+    if iterations is None:
+        iterations = BOOTSTRAP_ITERATIONS_DEFAULT[indicator]
+    if resample_world is None:
+        resample_world = auto_rule[indicator]
+    return BootstrapSpec(iterations, seed, resample_world, alpha)
+
+
 @dataclass(frozen=True)
 class CiComparison:
     """Signed per-side half-width differences, positive = formula narrower."""
@@ -305,34 +349,29 @@ def _repair(
 
 
 def _record_block(
-    cells: Sequence[CellReplicates],
-    rows: np.ndarray,
-    words: np.ndarray,
-    index: np.ndarray,
+    drawn: Sequence[tuple], rows: np.ndarray, words: np.ndarray, index: np.ndarray,
     values: np.ndarray,
 ) -> np.ndarray:
-    """Record replicates ``rows`` in every cell; return the rows that ran out of words.
+    """Record replicates ``rows`` of every drawn cell; return the rows that ran out of words.
 
-    Row i of ``words`` holds the words of replicate ``rows[i]``: one per
-    article of every cell with more than one article, then spare words for
+    ``drawn`` holds (cell, CellReplicates, sorted counts, ln(1+c) values),
+    the arrays None where no statistic reads them, for each cell of more
+    than one article.  Row i of ``words`` holds replicate ``rows[i]``'s
+    words, one per article of every drawn cell, then spare words for
     rejected draws.  ``index`` (int64) and ``values`` (float64) are flat
     scratch arrays with room for ``len(rows)`` rows of the largest cell.  A
-    row whose rejections exceed its spare words is returned unrecorded, to
-    be drawn again with more.
+    row whose rejections exceed its spare words is returned, to be drawn
+    again with more, which overwrites what was recorded for it.
     """
-    spare = words.shape[1] - sum(c.n for c in cells if c.n > 1)
+    spare = words.shape[1] - sum(cell.n for cell, *_ in drawn)
     dropped = [0] * len(rows)
     short: set[int] = set()
     start = 0
-    for cell in cells:
+    for cell, rep, ordered, logs in drawn:
         n = cell.n
-        if n == 1:
-            # integers(0, 1, 1) draws nothing; a zero word gives index 0.
-            cell.record_block(rows, np.zeros((len(rows), 1), np.uint32), index, values)
-            continue
         window = words[:, start:start + n]
         # Lemire's step rejects u where (u * n) mod 2**32 < 2**32 mod n.  The
-        # products go to the index scratch, unused until the cell's record.
+        # products go to the index scratch, unused until the means below.
         threshold = 2**32 % n
         low = index.view(np.uint32)[:window.size].reshape(window.shape)
         np.multiply(window, np.uint32(n), out=low)
@@ -345,17 +384,34 @@ def _record_block(
                     dropped[b] += _repair(row, start, n, threshold, positions, spare - dropped[b])
                     if dropped[b] > spare:
                         short.add(b)
-        cell.record_block(rows, window, index, values)
         start += n
+        if rep.cited is not None:
+            # (u * n) >> 32 >= n - cited  <=>  u >= ceil((n - cited) * 2**32 / n)
+            bound = -(-((n - cell.cited) << 32) // n)
+            rep.cited[rows] = np.add.reduce(window >= bound, axis=1) if bound < 2**32 else 0
+        if rep.raw_mean is None and rep.log_mean is None:
+            continue
+        at = np.multiply(window, n, out=index[:window.size].reshape(window.shape), dtype=np.int64)
+        at >>= 32
+        scratch = values[:window.size].reshape(window.shape)
+        # mode="clip" writes straight into the scratch; every position is below n.
+        if rep.raw_mean is not None:
+            counts = ordered.take(at, out=scratch.view(np.int64), mode="clip")
+            rep.raw_mean[rows] = np.add.reduce(counts, axis=1, dtype=np.float64) / n
+        if rep.log_mean is not None:
+            drawn_logs = logs.take(at, out=scratch, mode="clip")
+            mean = np.add.reduce(drawn_logs, axis=1) / n
+            rep.log_mean[rows] = mean
+            if rep.log_m2 is not None:
+                drawn_logs -= mean[:, None]
+                np.square(drawn_logs, out=drawn_logs)
+                rep.log_m2[rows] = np.add.reduce(drawn_logs, axis=1)
     return rows[sorted(short)]
 
 
 def replicate_values(
-    keys: Sequence[FieldYearKey],
-    group_cells: Sequence[ArticleSet],
-    world_cells: Sequence[ArticleSet],
-    indicator: str,
-    spec: BootstrapSpec,
+    keys: Sequence[FieldYearKey], group_cells: Sequence[ArticleSet],
+    world_cells: Sequence[ArticleSet], indicator: str, spec: BootstrapSpec,
 ) -> np.ndarray:
     """``indicator`` on each of the ``spec.iterations`` replicates, NaN where undefined.
 
@@ -363,23 +419,42 @@ def replicate_values(
     in sorted key order.
     """
     group_stats, world_stats = CELL_STATISTICS[indicator]
-    arrays: dict = {}  # the row's sorted counts and ln(1+c) values
-    rep_group = [CellReplicates(c, group_stats, spec.iterations, arrays) for c in group_cells]
+    rep_group = [CellReplicates(c.n, group_stats, spec.iterations) for c in group_cells]
     rep_world = world_cells
-    drawn = rep_group
+    cells = list(zip(group_cells, rep_group))
     # World draws come after every group draw, so they are skipped, not
     # shifted, when the indicator reads nothing from the world cells.
     if spec.resample_world and world_stats:
-        rep_world = [CellReplicates(c, world_stats, spec.iterations, arrays) for c in world_cells]
-        drawn = rep_group + rep_world
+        rep_world = [CellReplicates(c.n, world_stats, spec.iterations) for c in world_cells]
+        cells += zip(world_cells, rep_world)
+    # Built once per cell, so that a cell drawn as both group and world (the
+    # WORLD rows) shares them, and freed when the row ends.
+    sorted_counts: dict[ArticleSet, np.ndarray] = {}
+    logs: dict[ArticleSet, np.ndarray] = {}
+    drawn = []
+    for cell, rep in cells:
+        if cell.n == 1:
+            # integers(0, 1, 1) draws no word: every replicate is the cell.
+            for name in ("cited", "raw_mean", "log_mean", "log_m2"):
+                if getattr(rep, name) is not None:
+                    getattr(rep, name)[:] = getattr(cell, name)
+            continue
+        if rep.raw_mean is not None and cell not in sorted_counts:
+            sorted_counts[cell] = np.sort(cell.counts)
+        if rep.log_mean is not None and cell not in logs:
+            # ln(1+c) overwrites a sorted copy of its own, so building it
+            # never takes 16 bytes per article.
+            ordered = np.sort(cell.counts)
+            logs[cell] = np.log1p(ordered, out=ordered.view(np.float64))
+        drawn.append((cell, rep, sorted_counts.get(cell), logs.get(cell)))
     bit_generator = np.random.PCG64(0)
     memory, order = state_memory(bit_generator)
     seeds = seed_words(spec.seed & (2**64 - 1), np.arange(spec.iterations, dtype=np.uint64))
     states = pcg64_states(seeds)[:, order]
-    width = sum(c.n for c in drawn if c.n > 1)
-    largest = max((c.n for c in drawn), default=1)
+    width = sum(cell.n for cell, *_ in drawn)
+    largest = max((cell.n for cell, *_ in drawn), default=1)
     # A draw from [0, n) rejects a word with probability (2**32 mod n) / 2**32.
-    expected = sum(c.n * (2**32 % c.n) for c in drawn) / 2**32
+    expected = sum(cell.n * (2**32 % cell.n) for cell, *_ in drawn) / 2**32
     spare = math.ceil(_SLACK * (1 + expected))
     todo = np.arange(spec.iterations)
     while todo.size:
@@ -517,8 +592,8 @@ def comparison_suite(
     Each run draws from its own seed stream derived from the scenario
     label, group and indicator, so the table is independent of run order.
     """
-    if not scenarios:
-        raise ValueError("no scenarios supplied")
+    if not any(corpus.groups for corpus in scenarios):
+        raise ValueError(f"no scenario has a group other than {WORLD}")
     rows: list[ComparisonRow] = []
     for corpus in scenarios:
         label = "+".join(sorted({k.field for k in corpus.keys}))

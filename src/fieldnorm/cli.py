@@ -17,7 +17,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bootstrap import BootstrapSpec, comparison_suite, summarize_comparisons
+from .bootstrap import (
+    COMPARE_CI_RESAMPLE_WORLD_DEFAULT,
+    bootstrap_plan,
+    comparison_suite,
+    summarize_comparisons,
+)
 from .corpus import (
     WORLD,
     Corpus,
@@ -34,15 +39,12 @@ from .indicators import (
     EMNPC,
     EQ_PROP_CITED,
     LUNDBERG_Z,
-    MEAN_INDICATORS,
     MNCS,
     MNLCS,
     MNPC,
     PROP_CITED,
 )
-from .intervals import BOOTSTRAP_PERCENTILE
 from .report import (
-    BOOTSTRAP_ITERATIONS_DEFAULT,
     CI_METHODS,
     FORMULA,
     ReportConfig,
@@ -76,6 +78,10 @@ def _parse_indicators(text: str) -> tuple[str, ...]:
             if tag not in tags:
                 tags.append(tag)
     return tuple(tags)
+
+
+# --resample-world: None leaves each row to its command's auto rule.
+_RESAMPLE_WORLD = {"auto": None, "on": True, "off": False}
 
 
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
@@ -153,14 +159,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.input_dir)
     corpus = _sampled(corpus, args.sample_size, args.seed)
     methods = CI_METHODS if args.ci == "all" else (args.ci,)
-    resample_world = None if args.resample_world == "auto" else args.resample_world == "on"
     config = ReportConfig(
         indicators=args.indicators,
         ci_methods=tuple(methods),
         alpha=args.alpha,
         seed=args.seed,
         bootstrap_iterations=args.bootstrap_iters,
-        resample_world=resample_world,
+        resample_world=_RESAMPLE_WORLD[args.resample_world],
         exclusion=ExclusionPolicy(args.min_articles, args.min_fraction_of_mean),
         continuity=args.continuity,
         expansion_mode=args.expansion_mode,
@@ -177,7 +182,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             f"{row.indicator}={row.estimate:.3f}" if row.estimate is not None
             else f"{row.indicator}=undefined"
             for row in report.rows
-            if row.group == group and row.scope == "ALL" and row.method != BOOTSTRAP_PERCENTILE
+            if row.group == group and row.scope == "ALL"
         ]
         n = max((r.n for r in report.rows if r.group == group), default=0)
         print(f"{group}: n={n} " + " ".join(dict.fromkeys(summary)))
@@ -220,15 +225,9 @@ def cmd_compare_ci(args: argparse.Namespace) -> int:
         scenarios = _grid(args)
     rows = []
     for indicator in args.indicators:
-        if args.resample_world == "auto":
-            resample = indicator not in MEAN_INDICATORS
-        else:
-            resample = args.resample_world == "on"
-        iterations = args.iterations
-        if iterations is None:
-            iterations = BOOTSTRAP_ITERATIONS_DEFAULT[indicator]
-        spec = BootstrapSpec(
-            iterations=iterations, seed=args.seed, resample_world=resample, alpha=args.alpha
+        spec = bootstrap_plan(
+            indicator, COMPARE_CI_RESAMPLE_WORLD_DEFAULT, args.iterations,
+            _RESAMPLE_WORLD[args.resample_world], args.seed, args.alpha,
         )
         rows.extend(comparison_suite(scenarios, [indicator], spec, continuity=args.continuity))
     write_table(args.output, _SUMMARY_HEADER, (

@@ -12,13 +12,9 @@ must also have a WORLD cell, otherwise normalisation is impossible.
 An ArticleSet is the one cell object from parse to kernel: it holds the
 cell's counts as a read-only int64 array, built from integers only, and
 computes, once, the statistics every indicator and analytic interval is
-computed from, keeping those numbers and no other array.  CellReplicates
-holds the same statistics over the bootstrap replicates of a cell, recorded
-a block of replicates at a time from the 32-bit words of numpy's bounded
-draw, without an index array where the statistic needs none; the sorted
-counts and ln(1+c) values it draws from are its own and live only as long
-as one bootstrap row.  A Corpus resolves each (group, key set) once, into
-a Scope of sorted keys and cells that it keeps.
+computed from, keeping those numbers and no other array.  A Corpus
+resolves each (group, key set) once, into a Scope of sorted keys and cells
+that it keeps.
 """
 
 from __future__ import annotations
@@ -199,88 +195,6 @@ class ArticleSet:
     def log_sd(self) -> float | None:
         """Sample sd of ln(1+c); None for a single article."""
         return math.sqrt(self.log_m2 / (self.n - 1)) if self.n > 1 else None
-
-
-class CellReplicates:
-    """One cell's statistics over R bootstrap replicates, as length-R arrays.
-
-    Only the statistics named in ``stats`` (of ``cited``, ``raw_mean``,
-    ``log_mean`` and ``log_m2``) are kept; the others are None.  Their
-    draws read arrays that belong to the bootstrap row, 8 bytes per
-    article each: the sorted counts for ``raw_mean``, and their ln(1+c)
-    values for the log statistics; ``cited`` needs neither.  ``arrays``
-    holds them by (cell, kind), one dict per row: construction builds
-    those not yet there, so a cell drawn as both a group and a world cell
-    (the WORLD rows) shares them, and they are freed with the row.
-    ``record_block(rows, words, index, values)`` sets the entries ``rows``
-    from one row of 32-bit words each, the accepted words of NumPy's
-    bounded draw ``integers(0, n, n)``: word u draws position
-    ``(u * n) >> 32`` of the sorted counts.  Cited is the number of words
-    drawing a position at or past the first cited one, ``n - cited``,
-    counted on the words themselves.  For the means, ``index`` (int64) and
-    ``values`` (float64) are flat scratch arrays with room for every word;
-    the means are sums along each row divided by n (bit-identical to
-    ``ndarray.mean`` of the drawn values), and M2 is the sum of squared
-    deviations from that mean.
-    """
-
-    def __init__(
-        self,
-        cell: ArticleSet,
-        stats: Iterable[str],
-        replicates: int,
-        arrays: dict[tuple[ArticleSet, str], np.ndarray],
-    ) -> None:
-        stats = set(stats)
-        if "log_m2" in stats:
-            stats.add("log_mean")
-        self._cell = cell
-        self.n = cell.n
-        self.cited = np.empty(replicates, np.int64) if "cited" in stats else None
-        self.raw_mean, self.log_mean, self.log_m2 = (
-            np.empty(replicates) if name in stats else None
-            for name in ("raw_mean", "log_mean", "log_m2")
-        )
-        if self.raw_mean is not None and (cell, "sorted") not in arrays:
-            arrays[cell, "sorted"] = np.sort(cell.counts)
-        if self.log_mean is not None and (cell, "logs") not in arrays:
-            # ln(1+c) overwrites a sorted copy of its own, so building it
-            # never takes 16 bytes per article.
-            ordered = np.sort(cell.counts)
-            arrays[cell, "logs"] = np.log1p(ordered, out=ordered.view(np.float64))
-        self._sorted = arrays.get((cell, "sorted"))
-        self._logs = arrays.get((cell, "logs"))
-
-    def record_block(
-        self, rows: np.ndarray, words: np.ndarray, index: np.ndarray, values: np.ndarray
-    ) -> None:
-        cell, n = self._cell, self.n
-        if self.cited is not None:
-            # (u * n) >> 32 >= n - cited  <=>  u >= ceil((n - cited) * 2**32 / n)
-            bound = -(-((n - cell.cited) << 32) // n)
-            self.cited[rows] = np.add.reduce(words >= bound, axis=1) if bound < 2**32 else 0
-        if self.raw_mean is None and self.log_mean is None:
-            return
-        index = np.multiply(words, n, out=index[:words.size].reshape(words.shape), dtype=np.int64)
-        index >>= 32
-        values = values[:words.size].reshape(words.shape)
-        # mode="clip" writes straight into the scratch; every index is below n.
-        if self.raw_mean is not None:
-            drawn = self._sorted.take(index, out=values.view(np.int64), mode="clip")
-            self.raw_mean[rows] = np.add.reduce(drawn, axis=1, dtype=np.float64) / n
-        if self.log_mean is not None:
-            logs = self._logs.take(index, out=values, mode="clip")
-            mean = np.add.reduce(logs, axis=1) / n
-            self.log_mean[rows] = mean
-            if self.log_m2 is not None:
-                logs -= mean[:, None]
-                np.square(logs, out=logs)
-                self.log_m2[rows] = np.add.reduce(logs, axis=1)
-
-    @property
-    def log_sd(self) -> np.ndarray | None:
-        """Sample sd of ln(1+c) per replicate; None for a single article."""
-        return np.sqrt(self.log_m2 / (self.n - 1)) if self.n > 1 else None
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ statistics straight off the cells: ``indicator_estimate`` computes all
 seven indicators, and ``score_moments``/``pooled_moments`` and
 ``log_moments`` give the moments behind the NORMAL_T and Fieller intervals.
 Point estimates, analytic intervals and bootstrap replicates all call it;
-for the bootstrap, ``indicator_estimate`` takes ``CellReplicates`` (each
-statistic an array with one entry per replicate) and evaluates every
-replicate in one call.
+for the bootstrap, ``indicator_estimate`` takes ``CellReplicates``, the
+same statistics as arrays with one entry per replicate (which
+``fieldnorm.bootstrap`` fills), and evaluates every replicate in one call.
 
 Mean-type indicators average a per-article score over all N articles of a
 scope.  Each cell contributes a term, and the terms are summed and divided
@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import WORLD, ArticleSet, CellReplicates, FieldYearKey
+from .corpus import WORLD, ArticleSet, FieldYearKey
 from .intervals import SampleMoments
 
 # Indicator tags.
@@ -135,6 +135,27 @@ CELL_STATISTICS = {
     PROP_CITED: ({"cited"}, set()),
     EQ_PROP_CITED: ({"cited"}, set()),
 }
+
+
+class CellReplicates:
+    """One cell's statistics over R bootstrap replicates, as length-R arrays.
+
+    The statistics named in ``stats`` (of ``CELL_STATISTICS``) are left for
+    the bootstrap to fill; the others are None.
+    """
+
+    def __init__(self, n: int, stats: set[str], replicates: int) -> None:
+        self.n = n
+        self.cited = np.empty(replicates, np.int64) if "cited" in stats else None
+        self.raw_mean, self.log_mean, self.log_m2 = (
+            np.empty(replicates) if name in stats else None
+            for name in ("raw_mean", "log_mean", "log_m2")
+        )
+
+    @property
+    def log_sd(self) -> np.ndarray | None:
+        """Sample sd of ln(1+c) per replicate; None for a single article."""
+        return np.sqrt(self.log_m2 / (self.n - 1)) if self.n > 1 else None
 
 
 def _check(bad, masks: list | None, message: str, key: FieldYearKey | None = None) -> None:

@@ -20,16 +20,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .bootstrap import BootstrapSpec, bootstrap_indicator, derive_stream_seed
+from .bootstrap import (
+    BOOTSTRAP_ITERATIONS_DEFAULT,
+    RESAMPLE_WORLD_DEFAULT,
+    BootstrapSpec,
+    bootstrap_indicator,
+    bootstrap_plan,
+    derive_stream_seed,
+)
 from .corpus import WORLD, Corpus, ExclusionPolicy, FieldYearKey, apply_exclusion
 from .indicators import (
     EMNPC,
     EQ_PROP_CITED,
-    LUNDBERG_Z,
-    MNCS,
+    MEAN_INDICATORS,
     MNLCS,
-    MNPC,
-    PROP_CITED,
+    PROPORTION_INDICATORS,
 )
 from .intervals import (
     BOOTSTRAP_PERCENTILE,
@@ -60,19 +65,6 @@ CI_METHODS = (FORMULA, FIELLER_METHOD, BOOTSTRAP)
 # equalisation step is what inflates small cells.
 EQUALISED_INDICATORS = (EMNPC, EQ_PROP_CITED)
 
-# Whether the world baselines are resampled alongside the group cells for
-# bootstrap rows: on for the sampled-world indicators, off for MNCS (world
-# mean treated as exact) and for pure group-side proportions.
-RESAMPLE_WORLD_DEFAULT = {
-    MNLCS: True, LUNDBERG_Z: True, EMNPC: True, MNPC: True,
-    MNCS: False, PROP_CITED: False, EQ_PROP_CITED: False,
-}
-
-BOOTSTRAP_ITERATIONS_DEFAULT = {
-    MNLCS: 1000, MNCS: 1000, LUNDBERG_Z: 1000,
-    EMNPC: 10000, MNPC: 10000, PROP_CITED: 10000, EQ_PROP_CITED: 10000,
-}
-
 
 @dataclass(frozen=True)
 class ReportConfig:
@@ -90,9 +82,17 @@ class ReportConfig:
     def __post_init__(self) -> None:
         if not self.indicators:
             raise ValueError("at least one indicator is required")
+        unknown = set(self.indicators) - set(MEAN_INDICATORS + PROPORTION_INDICATORS)
+        if unknown:
+            raise ValueError(f"unknown indicators {sorted(unknown)}")
+        if len(set(self.indicators)) != len(self.indicators):
+            raise ValueError(f"duplicate indicators in {list(self.indicators)}")
         unknown = set(self.ci_methods) - set(CI_METHODS)
         if unknown:
             raise ValueError(f"unknown ci methods {sorted(unknown)}")
+        if not any(_method_applies(i, m) for i in self.indicators for m in self.ci_methods):
+            raise ValueError(f"no ci method of {list(self.ci_methods)} applies to"
+                             f" {list(self.indicators)} (fieller is MNLCS only)")
         check_alpha(self.alpha)
         if self.continuity not in CONTINUITY_MODES:
             raise ValueError(f"unknown continuity mode {self.continuity!r}")
@@ -120,10 +120,6 @@ class ReportRow:
 class IndicatorReport:
     rows: tuple[ReportRow, ...]
     metadata: dict
-
-
-def _join_notes(*notes: str) -> str:
-    return "; ".join(n for n in notes if n)
 
 
 def _method_applies(indicator: str, method: str) -> bool:
@@ -154,17 +150,9 @@ def _interval_for(
         return formula_interval(corpus, group, keys, indicator, config.alpha, config.continuity)
     if method == FIELLER_METHOD:
         return fieller_interval(corpus, group, keys, config.alpha, config.expansion_mode)
-    resample = config.resample_world
-    if resample is None:
-        resample = RESAMPLE_WORLD_DEFAULT[indicator]
-    iterations = config.bootstrap_iterations
-    if iterations is None:
-        iterations = BOOTSTRAP_ITERATIONS_DEFAULT[indicator]
-    spec = BootstrapSpec(
-        iterations=iterations,
-        seed=derive_stream_seed(config.seed, group, scope_label, indicator),
-        resample_world=resample,
-        alpha=config.alpha,
+    spec = bootstrap_plan(
+        indicator, RESAMPLE_WORLD_DEFAULT, config.bootstrap_iterations, config.resample_world,
+        derive_stream_seed(config.seed, group, scope_label, indicator), config.alpha,
     )
     scope = corpus.scope(group, keys)
     return bootstrap_indicator(scope.group, scope.world, indicator, spec)
@@ -213,7 +201,7 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
                             point.estimate, interval.lower, interval.upper,
                             interval.method,
                             defined=interval.defined,
-                            notes=_join_notes(point.note, interval.note),
+                            notes="; ".join(n for n in (point.note, interval.note) if n),
                         )
                     )
     metadata = {

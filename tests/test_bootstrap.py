@@ -7,10 +7,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fieldnorm.bootstrap
 from fieldnorm.bootstrap import (
+    BOOTSTRAP_ITERATIONS_DEFAULT,
+    COMPARE_CI_RESAMPLE_WORLD_DEFAULT,
+    RESAMPLE_WORLD_DEFAULT,
     BootstrapSpec,
+    bootstrap_plan,
     bootstrap_indicator,
     compare_ci,
     comparison_suite,
@@ -210,6 +216,30 @@ class TestBootstrapIndicator:
         assert held <= 16 * 2**10
 
 
+class TestBootstrapPlan:
+    """Each command's auto rule and the iteration defaults, unless a flag is set."""
+
+    @pytest.mark.parametrize("rule, mnlcs, emnpc", [
+        (RESAMPLE_WORLD_DEFAULT, True, True),
+        (COMPARE_CI_RESAMPLE_WORLD_DEFAULT, False, True),
+    ])
+    def test_defaults(self, rule, mnlcs, emnpc):
+        for indicator, resample in ((MNLCS, mnlcs), (EMNPC, emnpc)):
+            spec = bootstrap_plan(indicator, rule, None, None, 3, 0.1)
+            assert spec == BootstrapSpec(
+                BOOTSTRAP_ITERATIONS_DEFAULT[indicator], 3, resample, 0.1
+            )
+
+    def test_flags_override_defaults(self):
+        spec = bootstrap_plan(MNCS, RESAMPLE_WORLD_DEFAULT, 150, True, 3, 0.1)
+        assert spec == BootstrapSpec(150, 3, True, 0.1)
+
+    def test_both_rules_cover_every_indicator(self):
+        every = set(BOOTSTRAP_ITERATIONS_DEFAULT)
+        assert set(RESAMPLE_WORLD_DEFAULT) == set(COMPARE_CI_RESAMPLE_WORLD_DEFAULT) == every
+        assert len(every) == 7
+
+
 class TestCompareCi:
     def interval(self, lower, upper, method=NORMAL_T):
         return IntervalEstimate((lower + upper) / 2, lower, upper, 0.05, method)
@@ -264,6 +294,12 @@ class TestComparisonSuite:
         assert len(rows) == 1 and not rows[0].defined
         summary = summarize_comparisons(rows)[0]
         assert summary.gaps == 1 and summary.lower_mean is None
+
+    def test_scenarios_without_groups_rejected(self):
+        world_only = Corpus.from_cells([ArticleSet(WORLD, FieldYearKey("Z", 2015), (1, 2))])
+        for scenarios in ([], [world_only]):
+            with pytest.raises(ValueError, match="no scenario has a group"):
+                comparison_suite(scenarios, [MNLCS], BootstrapSpec(100, seed=1))
 
     def test_deterministic(self):
         scenarios = scenario_grid([1.0], [1.0], [0.1], [150], base_seed=2)
@@ -600,3 +636,42 @@ class TestReplicateOracle:
         group, world, drawn = getattr(self, scope)()
         assert any(sum(lemire_rejections(seed, r, drawn)) for r in range(100))
         self.check(group, world, MNLCS, BootstrapSpec(100, seed=seed))
+
+
+@st.composite
+def oracle_scopes(draw):
+    """Group and world cells of one to three keys, 1-60 articles each, some zero-inflated."""
+    group, world = [], []
+    for i in range(draw(st.integers(1, 3))):
+        key = FieldYearKey(f"F{i}", 2015)
+        for label, cells in (("G", group), (WORLD, world)):
+            n = draw(st.integers(1, 60))
+            value = st.integers(0, draw(st.integers(0, 40)))
+            if draw(st.booleans()):
+                value = st.one_of(st.just(0), value)
+            cells.append(ArticleSet(label, key, draw(st.lists(value, min_size=n, max_size=n))))
+    return group, world
+
+
+def one_article_scope():
+    """A one-article group cell, and a one-article world cell under another key."""
+    key_a, key_b = FieldYearKey("A", 2015), FieldYearKey("B", 2015)
+    group = [ArticleSet("G", key_a, (3,)), ArticleSet("G", key_b, (0, 2, 1))]
+    world = [ArticleSet(WORLD, key_a, (0, 4, 1, 1)), ArticleSet(WORLD, key_b, (5,))]
+    return group, world
+
+
+@pytest.mark.parametrize("resample_world", [True, False])
+@pytest.mark.parametrize("indicator", ALL_INDICATORS)
+@settings(derandomize=True, deadline=None, max_examples=10, database=None)
+@given(scope=oracle_scopes(), seed=st.integers(0, 2**64 - 1))
+@example(scope=one_article_scope(), seed=1)
+def test_random_scopes_match_per_replicate_loop(indicator, resample_world, scope, seed):
+    # Every replicate value and the undefined count, exactly, against one
+    # default_rng per replicate.  Cells this small almost never reject a
+    # word (the rejection tests above cover that); these scopes exercise the
+    # recording, the arrays a WORLD row shares, and one-article cells.
+    group, world = scope
+    spec = BootstrapSpec(100, seed=seed, resample_world=resample_world)
+    assert vectorised(group, world, indicator, spec) == \
+        per_replicate_loop(group, world, indicator, spec)

@@ -34,6 +34,26 @@ class TestCompute:
         assert round(combined[0]["estimate"], 2) == 1.09
         assert "G:" in capsys.readouterr().out
 
+    def test_every_method_prints_the_indicator_values(self, tmp_path, demo_corpus, capsys):
+        indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
+        printed = {}
+        for ci in ("formula", "bootstrap", "all"):
+            assert run(["compute", "--input-dir", indir, "--output", tmp_path / f"{ci}.csv",
+                        "--indicators", "mnlcs,emnpc", "--ci", ci,
+                        "--bootstrap-iters", "100"]) == 0
+            printed[ci] = capsys.readouterr().out
+        assert "G: n=10 MNLCS=1.090 EMNPC=" in printed["bootstrap"]
+        assert printed["bootstrap"] == printed["all"] == printed["formula"]
+
+    def test_no_applicable_method_fails(self, tmp_path, demo_corpus, capsys):
+        indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
+        out = tmp_path / "r.csv"
+        status = run(["compute", "--input-dir", indir, "--output", out,
+                      "--indicators", "mncs", "--ci", "fieller"])
+        assert status == 1
+        assert "fieller is MNLCS only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_undefined_mnpc_still_exits_zero(self, tmp_path, capsys):
         indir = tmp_path / "cells"
         indir.mkdir()
@@ -248,3 +268,14 @@ class TestCompareCi:
                       "--indicators", "emnpc", "--iterations", "120", "--seed", "1"])
         assert status == 0
         assert out.read_text().splitlines()[1].startswith("EMNPC,1,")
+
+    def test_corpus_without_groups_fails(self, tmp_path, demo_corpus, capsys):
+        indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
+        for path in indir.glob("G__*.tsv"):
+            path.unlink()
+        out = tmp_path / "summary.csv"
+        status = run(["compare-ci", "--input-dir", indir, "--output", out,
+                      "--iterations", "100"])
+        assert status == 1
+        assert "no scenario has a group other than WORLD" in capsys.readouterr().err
+        assert not out.exists()

@@ -54,6 +54,19 @@ class TestReportConfig:
         with pytest.raises(ValueError, match=message):
             ReportConfig(**settings)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"indicators": (MNLCS, "MNLSC")}, r"unknown indicators \['MNLSC'\]"),
+        ({"indicators": (MNLCS, EMNPC, MNLCS)}, "duplicate indicators"),
+        ({"indicators": (MNCS,), "ci_methods": ("fieller",)}, "fieller is MNLCS only"),
+        ({"ci_methods": ()}, "no ci method"),
+    ])
+    def test_config_that_yields_no_row_or_a_wrong_one_rejected(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            ReportConfig(**settings)
+
+    def test_fieller_with_mnlcs_among_others_accepted(self):
+        ReportConfig(indicators=(MNCS, MNLCS), ci_methods=("fieller",))
+
     def test_every_mode_accepted(self):
         for continuity in ("auto", "on", "off"):
             for expansion_mode in ("literal", "expand_from_mean"):
