@@ -11,13 +11,14 @@ holds the bootstrap defaults (``bootstrap_plan``).
 Seeding.  Replicate r's generator is ``default_rng(SeedSequence([seed, r]))``
 and draws ``integers(0, n, n)`` for each group cell in sorted key order,
 then for each world cell.  ``seed_words`` computes the SeedSequence output
-of all R replicates at once, on a (4, R) pool of uint32 lanes, and
-``pcg64_states`` applies PCG64's seeding step (O'Neill 2014) to all of them
-in uint64 lanes, giving an (R, 4) array of 128-bit states and increments.
+of many lanes at once, each with its own seed and r, on a (4, lanes) uint32
+pool; ``pcg64_states`` applies PCG64's seeding step (O'Neill 2014) to every
+lane in uint64 words.  ``bootstrap_intervals`` seeds consecutive rows
+together, in chunks of at most ``_SEED_LANES`` lanes or of one row.
 
 Drawing.  ``integers`` itself is never called, and neither is the
 ``bit_generator.state`` setter per replicate.  ``state_memory`` locates the
-state and increment of one reused ``PCG64`` through its documented
+state and increment of the call's one ``PCG64`` through its documented
 ``ctypes.state_address``, finds their word order once with a probe state,
 and each replicate's state is then written straight into that memory.
 Replicates are drawn in blocks whose size is set by ``_BLOCK_WORDS``: for
@@ -51,7 +52,7 @@ import ctypes
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -128,6 +129,8 @@ _BLOCK_WORDS = 2**18
 _SLACK = 8
 # Raw words are drawn in chunks of this many 64-bit words (128 KB).
 _RAW_CHUNK = 2**14
+# Replicates seeded at once across rows (32 bytes of state each); a larger row is seeded alone.
+_SEED_LANES = 2**10
 
 
 def _hashmix(value: np.ndarray, constants: np.ndarray, first: int, count: int) -> np.ndarray:
@@ -141,23 +144,25 @@ def _hashmix(value: np.ndarray, constants: np.ndarray, first: int, count: int) -
     return value
 
 
-def seed_words(seed: int, replicates: np.ndarray) -> np.ndarray:
-    """``SeedSequence([seed, r]).generate_state(4, np.uint64)`` for each r, as rows.
+def seed_words(seeds: int | np.ndarray, replicates: np.ndarray) -> np.ndarray:
+    """``SeedSequence([s, r]).generate_state(4, np.uint64)`` for each lane (s, r), as rows.
 
-    ``seed`` lies in [0, 2**64) and ``replicates`` is a uint64 array.  The
-    entropy is then at most four 32-bit words, the pool size: the seed's
-    words, low word first, then r's.  The pool treats missing words as
-    zeros, so r's high word can always be included, zero or not.  The pool
-    is a (4, R) array, one row per word.
+    ``replicates`` is a uint64 array, ``seeds`` one uint64 seed per lane or
+    one seed in [0, 2**64) for all.  The entropy is then at most four 32-bit
+    words, the pool size: the seed's words, low word first and the high one
+    only if not 0, then r's.  The pool treats missing words as zeros, so r's
+    high word can always be included, zero or not.  The pool is a (4, R)
+    array, one row per word.
     """
-    if not 0 <= seed < 2**64:
+    if isinstance(seeds, int) and not 0 <= seeds < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
+    seeds = np.asarray(seeds, dtype=np.uint64)
     replicates = np.asarray(replicates, dtype=np.uint64)
-    seed_lanes = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    entropy = np.zeros((4, replicates.size), np.uint32)
-    entropy[:len(seed_lanes)] = np.array(seed_lanes, np.uint32)[:, None]
-    entropy[len(seed_lanes)] = (replicates & np.uint64(_MASK32)).astype(np.uint32)
-    entropy[len(seed_lanes) + 1] = (replicates >> np.uint64(32)).astype(np.uint32)
+    low, half = np.uint64(_MASK32), np.uint64(32)
+    words = np.broadcast_arrays(seeds & low, seeds >> half, replicates & low, replicates >> half)
+    entropy = np.array(words, np.uint32)
+    short = entropy[1] == 0
+    entropy[1:3, short], entropy[3, short] = entropy[2:, short], 0
 
     pool = _hashmix(entropy, _HASH_A, 0, 4)
     for src, dst in enumerate(_MIX_DESTINATIONS):
@@ -350,20 +355,19 @@ def _repair(
 
 def _record_block(
     drawn: Sequence[tuple], rows: np.ndarray, words: np.ndarray, index: np.ndarray,
-    values: np.ndarray,
+    values: np.ndarray, spare: int,
 ) -> np.ndarray:
     """Record replicates ``rows`` of every drawn cell; return the rows that ran out of words.
 
     ``drawn`` holds (cell, CellReplicates, sorted counts, ln(1+c) values),
     the arrays None where no statistic reads them, for each cell of more
     than one article.  Row i of ``words`` holds replicate ``rows[i]``'s
-    words, one per article of every drawn cell, then spare words for
+    words, one per article of every drawn cell, then ``spare`` words for
     rejected draws.  ``index`` (int64) and ``values`` (float64) are flat
     scratch arrays with room for ``len(rows)`` rows of the largest cell.  A
     row whose rejections exceed its spare words is returned, to be drawn
     again with more, which overwrites what was recorded for it.
     """
-    spare = words.shape[1] - sum(cell.n for cell, *_ in drawn)
     dropped = [0] * len(rows)
     short: set[int] = set()
     start = 0
@@ -409,15 +413,11 @@ def _record_block(
     return rows[sorted(short)]
 
 
-def replicate_values(
-    keys: Sequence[FieldYearKey], group_cells: Sequence[ArticleSet],
-    world_cells: Sequence[ArticleSet], indicator: str, spec: BootstrapSpec,
+def _replicate_row(
+    bit_generator: np.random.PCG64, memory: ctypes.Array, states: np.ndarray, row: tuple
 ) -> np.ndarray:
-    """``indicator`` on each of the ``spec.iterations`` replicates, NaN where undefined.
-
-    ``group_cells[i]`` and ``world_cells[i]`` are the cells of ``keys[i]``,
-    in sorted key order.
-    """
+    """``replicate_values(*row)``, replicate r from ``states[r]`` (in ``memory``'s order)."""
+    keys, group_cells, world_cells, indicator, spec = row
     group_stats, world_stats = CELL_STATISTICS[indicator]
     rep_group = [CellReplicates(c.n, group_stats, spec.iterations) for c in group_cells]
     rep_world = world_cells
@@ -447,10 +447,6 @@ def replicate_values(
             ordered = np.sort(cell.counts)
             logs[cell] = np.log1p(ordered, out=ordered.view(np.float64))
         drawn.append((cell, rep, sorted_counts.get(cell), logs.get(cell)))
-    bit_generator = np.random.PCG64(0)
-    memory, order = state_memory(bit_generator)
-    seeds = seed_words(spec.seed & (2**64 - 1), np.arange(spec.iterations, dtype=np.uint64))
-    states = pcg64_states(seeds)[:, order]
     width = sum(cell.n for cell, *_ in drawn)
     largest = max((cell.n for cell, *_ in drawn), default=1)
     # A draw from [0, n) rejects a word with probability (2**32 mod n) / 2**32.
@@ -468,10 +464,95 @@ def replicate_values(
         for i in range(0, todo.size, per_block):
             rows = todo[i:i + per_block]
             replicate_words(bit_generator, memory, states[rows].tolist(), raw[:rows.size])
-            short.append(_record_block(drawn, rows, words[:rows.size], index, values))
+            short.append(_record_block(drawn, rows, words[:rows.size], index, values, spare))
         todo = np.concatenate(short)
         spare = 2 * spare + 1
     return indicator_estimate(indicator, keys, rep_group, rep_world)[0]
+
+
+def _replicate_rows(rows: Sequence[tuple]) -> Iterator[np.ndarray]:
+    """``replicate_values(*row)`` for each row, in order, one at a time.
+
+    One ``PCG64`` draws every row.  Consecutive rows are seeded together in
+    chunks of at most ``_SEED_LANES`` replicates or of one row, and only the
+    current chunk's states are kept.
+    """
+    bit_generator = np.random.PCG64(0)
+    memory, order = state_memory(bit_generator)
+    iterations = [spec.iterations for *_, spec in rows]
+    start = 0
+    while start < len(rows):
+        stop = start + 1
+        while stop < len(rows) and sum(iterations[start:stop + 1]) <= _SEED_LANES:
+            stop += 1
+        counts = iterations[start:stop]
+        seeds = np.array([spec.seed & (2**64 - 1) for *_, spec in rows[start:stop]], np.uint64)
+        replicates = np.concatenate([np.arange(count, dtype=np.uint64) for count in counts])
+        states = pcg64_states(seed_words(np.repeat(seeds, counts), replicates))[:, order]
+        for row, row_states in zip(rows[start:stop], np.split(states, np.cumsum(counts[:-1]))):
+            yield _replicate_row(bit_generator, memory, row_states, row)
+        start = stop
+
+
+def replicate_values(
+    keys: Sequence[FieldYearKey], group_cells: Sequence[ArticleSet],
+    world_cells: Sequence[ArticleSet], indicator: str, spec: BootstrapSpec,
+) -> np.ndarray:
+    """``indicator`` on each of the ``spec.iterations`` replicates, NaN where undefined.
+
+    ``group_cells[i]`` and ``world_cells[i]`` are the cells of ``keys[i]``,
+    in sorted key order.
+    """
+    return next(_replicate_rows([(keys, group_cells, world_cells, indicator, spec)]))
+
+
+def bootstrap_intervals(jobs: Sequence[tuple]) -> list[IntervalEstimate]:
+    """``bootstrap_indicator(*job)`` for each (group_sets, world_sets, indicator, spec) job.
+
+    Every job is checked before any replicate is drawn.  Each interval is
+    the one a separate call gives, bit for bit.
+    """
+    rows, originals = [], []
+    for group_sets, world_sets, indicator, spec in jobs:
+        group = {a.key: a for a in group_sets}
+        world = {a.key: a for a in world_sets}
+        if len(group) != len(group_sets) or len(world) != len(world_sets):
+            raise ValueError("duplicate cell keys")
+        missing = set(group) - set(world)
+        if missing:
+            raise ValueError(f"missing world cells for {sorted(missing)}")
+        if indicator in PROPORTION_INDICATORS and set(world) != set(group):
+            raise ValueError("group and world must cover the same cell keys")
+        keys = sorted(group)
+        group_cells, world_cells = [group[k] for k in keys], [world[k] for k in keys]
+        try:
+            originals.append(indicator_estimate(indicator, keys, group_cells, world_cells)[0])
+        except UndefinedNormalizationError:
+            raise ValueError(f"{indicator} is undefined on the original data") from None
+        rows.append((keys, group_cells, world_cells, indicator, spec))
+    intervals = []
+    for row, original, replicates in zip(rows, originals, _replicate_rows(rows)):
+        spec = row[-1]
+        undefined_mask = np.isnan(replicates)
+        undefined = int(np.count_nonzero(undefined_mask))
+        n_articles = sum(c.n for c in row[1])
+        note = f"resample_world={'true' if spec.resample_world else 'false'}"
+        if undefined:
+            note += f"; {undefined} undefined replicates excluded"
+        if undefined > spec.alpha / 2.0 * spec.iterations:
+            intervals.append(IntervalEstimate.undefined(
+                BOOTSTRAP_PERCENTILE, spec.alpha, note + "; undefined replicates exceed alpha/2",
+                original, n_articles,
+            ))
+            continue
+        # A stable sort, like list.sort, so that equal values keep their order.
+        estimates = np.sort(replicates[~undefined_mask], kind="stable")
+        intervals.append(IntervalEstimate(
+            estimate=original, lower=float(percentile(estimates, spec.alpha / 2.0)),
+            upper=float(percentile(estimates, 1.0 - spec.alpha / 2.0)), alpha=spec.alpha,
+            method=BOOTSTRAP_PERCENTILE, n=n_articles, note=note,
+        ))
+    return intervals
 
 
 def bootstrap_indicator(
@@ -486,47 +567,7 @@ def bootstrap_indicator(
     than alpha/2 of all replicates are undefined the interval itself is
     flagged undefined.
     """
-    group = {a.key: a for a in group_sets}
-    world = {a.key: a for a in world_sets}
-    if len(group) != len(group_sets) or len(world) != len(world_sets):
-        raise ValueError("duplicate cell keys")
-    missing = set(group) - set(world)
-    if missing:
-        raise ValueError(f"missing world cells for {sorted(missing)}")
-    if indicator in PROPORTION_INDICATORS and set(world) != set(group):
-        raise ValueError("group and world must cover the same cell keys")
-    keys = sorted(group)
-    group_cells = [group[k] for k in keys]
-    world_cells = [world[k] for k in keys]
-    try:
-        original, _ = indicator_estimate(indicator, keys, group_cells, world_cells)
-    except UndefinedNormalizationError:
-        raise ValueError(f"{indicator} is undefined on the original data") from None
-
-    replicates = replicate_values(keys, group_cells, world_cells, indicator, spec)
-    undefined_mask = np.isnan(replicates)
-    undefined = int(np.count_nonzero(undefined_mask))
-
-    n_articles = sum(c.n for c in group_cells)
-    note = f"resample_world={'true' if spec.resample_world else 'false'}"
-    if undefined:
-        note += f"; {undefined} undefined replicates excluded"
-    if undefined > spec.alpha / 2.0 * spec.iterations:
-        return IntervalEstimate.undefined(
-            BOOTSTRAP_PERCENTILE, spec.alpha, note + "; undefined replicates exceed alpha/2",
-            original, n_articles,
-        )
-    # A stable sort, like list.sort, so that equal values keep their order.
-    estimates = np.sort(replicates[~undefined_mask], kind="stable")
-    return IntervalEstimate(
-        estimate=original,
-        lower=float(percentile(estimates, spec.alpha / 2.0)),
-        upper=float(percentile(estimates, 1.0 - spec.alpha / 2.0)),
-        alpha=spec.alpha,
-        method=BOOTSTRAP_PERCENTILE,
-        n=n_articles,
-        note=note,
-    )
+    return bootstrap_intervals([(group_sets, world_sets, indicator, spec)])[0]
 
 
 def compare_ci(formula: IntervalEstimate, boot: IntervalEstimate, point: float) -> CiComparison:
@@ -594,7 +635,8 @@ def comparison_suite(
     """
     if not any(corpus.groups for corpus in scenarios):
         raise ValueError(f"no scenario has a group other than {WORLD}")
-    rows: list[ComparisonRow] = []
+    # A row awaiting its bootstrap is held as (label, group, indicator, formula, point).
+    rows, jobs = [], []
     for corpus in scenarios:
         label = "+".join(sorted({k.field for k in corpus.keys}))
         for group in sorted(corpus.groups):
@@ -604,27 +646,23 @@ def comparison_suite(
                 point = indicator_value(corpus, group, keys, indicator)
                 formula = formula_interval(corpus, group, keys, indicator, spec.alpha, continuity)
                 if not point.defined or not formula.defined:
-                    rows.append(
-                        ComparisonRow(
-                            label, group, indicator, None, None, False,
-                            note=point.note or formula.note,
-                        )
-                    )
+                    note = point.note or formula.note
+                    rows.append(ComparisonRow(label, group, indicator, None, None, False, note))
                     continue
-                run_spec = replace(
-                    spec, seed=derive_stream_seed(spec.seed, label, group, indicator)
-                )
-                boot = bootstrap_indicator(scope.group, scope.world, indicator, run_spec)
-                try:
-                    result = compare_ci(formula, boot, point.estimate)
-                except ValueError as exc:
-                    rows.append(ComparisonRow(label, group, indicator, None, None, False, str(exc)))
-                    continue
-                rows.append(
-                    ComparisonRow(
-                        label, group, indicator,
-                        result.lower_pct_diff, result.upper_pct_diff, True,
-                    )
+                seed = derive_stream_seed(spec.seed, label, group, indicator)
+                jobs.append((scope.group, scope.world, indicator, replace(spec, seed=seed)))
+                rows.append((label, group, indicator, formula, point.estimate))
+    boots = iter(bootstrap_intervals(jobs))
+    for i, row in enumerate(rows):
+        if isinstance(row, tuple):
+            label, group, indicator, formula, point = row
+            try:
+                result = compare_ci(formula, next(boots), point)
+            except ValueError as exc:
+                rows[i] = ComparisonRow(label, group, indicator, None, None, False, str(exc))
+            else:
+                rows[i] = ComparisonRow(
+                    label, group, indicator, result.lower_pct_diff, result.upper_pct_diff, True
                 )
     return rows
 

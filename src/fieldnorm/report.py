@@ -90,6 +90,8 @@ class ReportConfig:
         unknown = set(self.ci_methods) - set(CI_METHODS)
         if unknown:
             raise ValueError(f"unknown ci methods {sorted(unknown)}")
+        if len(set(self.ci_methods)) != len(self.ci_methods):
+            raise ValueError(f"duplicate ci methods in {list(self.ci_methods)}")
         if not any(_method_applies(i, m) for i in self.indicators for m in self.ci_methods):
             raise ValueError(f"no ci method of {list(self.ci_methods)} applies to"
                              f" {list(self.indicators)} (fieller is MNLCS only)")

@@ -18,6 +18,7 @@ from fieldnorm.bootstrap import (
     BootstrapSpec,
     bootstrap_plan,
     bootstrap_indicator,
+    bootstrap_intervals,
     compare_ci,
     comparison_suite,
     pcg64_states,
@@ -351,6 +352,67 @@ class TestSeeding:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed"):
                 seed_words(seed, np.arange(3, dtype=np.uint64))
+
+
+def test_seed_words_one_seed_per_lane():
+    # Seeds below and above 2**32 side by side: each lane keeps its own
+    # entropy length.
+    pairs = [(seed, r) for seed in SEEDS for r in REPLICATES]
+    seeds, replicates = (np.array(column, dtype=np.uint64) for column in zip(*pairs))
+    words = seed_words(seeds, replicates)
+    for (seed, r), row in zip(pairs, words.tolist()):
+        assert row == np.random.SeedSequence([seed, r]).generate_state(4, np.uint64).tolist()
+
+
+DEFAULT_SEED_LANES = fieldnorm.bootstrap._SEED_LANES
+
+
+class TestBootstrapIntervals:
+    """A batch equals separate bootstrap_indicator calls, whatever rows share a seeding chunk."""
+
+    @staticmethod
+    def jobs():
+        group, world = mixed_scope()
+        demo_group, demo_world = demo_sets()
+        return [
+            (group, world, MNLCS, BootstrapSpec(100, seed=3)),
+            (demo_group, demo_world, MNPC, BootstrapSpec(150, seed=2**40 + 1)),
+            (group, world, PROP_CITED, BootstrapSpec(100, seed=-7, resample_world=False)),
+            (group, world, LUNDBERG_Z, BootstrapSpec(DEFAULT_SEED_LANES + 1, seed=5)),
+            (demo_group, demo_world, MNCS, BootstrapSpec(150, seed=2**32, resample_world=False)),
+            (group, world, EMNPC, BootstrapSpec(100, seed=2**64 - 1)),
+        ]
+
+    @pytest.mark.parametrize("lanes", [1, 100, 101, DEFAULT_SEED_LANES])
+    def test_equals_separate_calls(self, monkeypatch, lanes):
+        jobs = self.jobs()
+        expected = [bootstrap_indicator(*job) for job in jobs]
+        monkeypatch.setattr(fieldnorm.bootstrap, "_SEED_LANES", lanes)
+        assert bootstrap_intervals(jobs) == expected
+
+    def test_no_jobs(self):
+        assert bootstrap_intervals([]) == []
+
+    @pytest.mark.parametrize("bad", ["duplicate", "missing", "proportion", "undefined"])
+    def test_rejected_job_raises_before_any_draw(self, monkeypatch, bad):
+        group, world = demo_sets()
+        job = {
+            "duplicate": (group + group[:1], world, MNLCS, BootstrapSpec(100)),
+            "missing": (group, world[:1], MNLCS, BootstrapSpec(100)),
+            "proportion": (group[:1], world, PROP_CITED, BootstrapSpec(100)),
+            "undefined": ([ArticleSet("G", KEY_A, (1, 1))], [ArticleSet(WORLD, KEY_A, (0, 0))],
+                          MNPC, BootstrapSpec(100)),
+        }[bad]
+        with pytest.raises(ValueError) as alone:
+            bootstrap_indicator(*job)
+
+        def no_draws(*args):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(fieldnorm.bootstrap, "replicate_words", no_draws)
+        with pytest.raises(ValueError) as batched:
+            bootstrap_intervals(self.jobs()[:2] + [job] + self.jobs()[2:])
+        assert str(batched.value) == str(alone.value)
 
 
 def pcg64_state(words):

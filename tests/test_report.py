@@ -59,6 +59,8 @@ class TestReportConfig:
         ({"indicators": (MNLCS, EMNPC, MNLCS)}, "duplicate indicators"),
         ({"indicators": (MNCS,), "ci_methods": ("fieller",)}, "fieller is MNLCS only"),
         ({"ci_methods": ()}, "no ci method"),
+        ({"ci_methods": ("formula", "formula")},
+         r"duplicate ci methods in \['formula', 'formula'\]"),
     ])
     def test_config_that_yields_no_row_or_a_wrong_one_rejected(self, settings, message):
         with pytest.raises(ValueError, match=message):
