@@ -20,6 +20,7 @@ from .corpus import (
     apply_exclusion,
     load_corpus,
     sample_cell,
+    sample_corpus,
     write_corpus,
 )
 from .indicators import (

@@ -70,9 +70,10 @@ from .indicators import (
     CellReplicates,
     UndefinedNormalizationError,
     indicator_estimate,
+    indicator_result,
 )
 from .intervals import BOOTSTRAP_PERCENTILE, IntervalEstimate, check_alpha
-from .scopes import formula_interval, indicator_value
+from .scopes import formula_interval
 
 BOOTSTRAP_ITERATIONS_DEFAULT = {
     MNLCS: 1000, MNCS: 1000, LUNDBERG_Z: 1000,
@@ -640,13 +641,13 @@ def comparison_suite(
     for corpus in scenarios:
         label = "+".join(sorted({k.field for k in corpus.keys}))
         for group in sorted(corpus.groups):
-            keys = corpus.keys_for(group)
-            scope = corpus.scope(group, keys)
+            scope = corpus.scope(group, corpus.keys_for(group))
             for indicator in indicators:
-                point = indicator_value(corpus, group, keys, indicator)
-                formula = formula_interval(corpus, group, keys, indicator, spec.alpha, continuity)
+                point = indicator_result(indicator, group, *scope)
+                formula = formula_interval(scope, indicator, spec.alpha, continuity)
                 if not point.defined or not formula.defined:
-                    note = point.note or formula.note
+                    notes = (point.note, formula.note) if point.defined else (point.note,)
+                    note = "; ".join(n for n in notes if n)
                     rows.append(ComparisonRow(label, group, indicator, None, None, False, note))
                     continue
                 seed = derive_stream_seed(spec.seed, label, group, indicator)

@@ -23,18 +23,7 @@ from .bootstrap import (
     comparison_suite,
     summarize_comparisons,
 )
-from .corpus import (
-    WORLD,
-    Corpus,
-    CorpusError,
-    ExclusionPolicy,
-    SampleSpec,
-    derive_cell_seed,
-    load_corpus,
-    sample_cell,
-    write_cell,
-    write_corpus,
-)
+from .corpus import WORLD, CorpusError, ExclusionPolicy, load_corpus, sample_corpus, write_corpus
 from .indicators import (
     EMNPC,
     EQ_PROP_CITED,
@@ -44,6 +33,7 @@ from .indicators import (
     MNPC,
     PROP_CITED,
 )
+from .intervals import EXPAND_FROM_MEAN, LITERAL
 from .report import (
     CI_METHODS,
     FORMULA,
@@ -54,6 +44,7 @@ from .report import (
     write_metadata,
     write_table,
 )
+from .scopes import CONTINUITY_MODES
 from .synthetic import scenario_grid
 
 INDICATOR_NAMES = {
@@ -111,12 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--bootstrap-iters", type=int, default=None)
     compute.add_argument("--seed", type=int, default=0)
     compute.add_argument("--sample-size", type=int, default=None)
-    compute.add_argument("--min-articles", type=int, default=100)
-    compute.add_argument("--min-fraction-of-mean", type=float, default=0.25)
-    compute.add_argument("--continuity", choices=("auto", "on", "off"), default="auto")
-    compute.add_argument("--expansion-mode", choices=("literal", "expand_from_mean"),
-                         default="literal")
-    compute.add_argument("--resample-world", choices=("auto", "on", "off"), default="auto")
+    compute.add_argument("--min-articles", type=int, default=ExclusionPolicy.min_articles)
+    compute.add_argument("--min-fraction-of-mean", type=float,
+                         default=ExclusionPolicy.min_fraction_of_mean)
+    compute.add_argument("--continuity", choices=CONTINUITY_MODES, default="auto")
+    compute.add_argument("--expansion-mode", choices=(LITERAL, EXPAND_FROM_MEAN),
+                         default=LITERAL)
+    compute.add_argument("--resample-world", choices=tuple(_RESAMPLE_WORLD), default="auto")
 
     sample = sub.add_parser("sample", help="down-sample every cell to a target size")
     sample.add_argument("--input-dir", type=Path, required=True)
@@ -139,25 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--iterations", type=int, default=None)
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--alpha", type=float, default=0.05)
-    compare.add_argument("--resample-world", choices=("auto", "on", "off"), default="auto")
-    compare.add_argument("--continuity", choices=("auto", "on", "off"), default="auto")
+    compare.add_argument("--resample-world", choices=tuple(_RESAMPLE_WORLD), default="auto")
+    compare.add_argument("--continuity", choices=CONTINUITY_MODES, default="auto")
     _add_grid_arguments(compare)
     return parser
 
 
-def _sampled(corpus: Corpus, size: int | None, seed: int) -> Corpus:
-    if size is None:
-        return corpus
-    cells = [
-        sample_cell(aset, SampleSpec(size, derive_cell_seed(seed, group, key)))
-        for (group, key), aset in sorted(corpus.cells.items())
-    ]
-    return Corpus.from_cells(cells)
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.input_dir)
-    corpus = _sampled(corpus, args.sample_size, args.seed)
+    if args.sample_size is not None:
+        corpus = sample_corpus(corpus, args.sample_size, args.seed)
     methods = CI_METHODS if args.ci == "all" else (args.ci,)
     config = ReportConfig(
         indicators=args.indicators,
@@ -191,9 +174,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.input_dir)
-    for (group, key), aset in sorted(corpus.cells.items()):
-        spec = SampleSpec(args.size, derive_cell_seed(args.seed, group, key))
-        write_cell(sample_cell(aset, spec), args.output_dir)
+    write_corpus(sample_corpus(corpus, args.size, args.seed), args.output_dir)
     print(f"sampled {len(corpus.cells)} cells to {args.output_dir}")
     return 0
 

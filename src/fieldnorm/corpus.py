@@ -12,9 +12,10 @@ must also have a WORLD cell, otherwise normalisation is impossible.
 An ArticleSet is the one cell object from parse to kernel: it holds the
 cell's counts as a read-only int64 array, built from integers only, and
 computes, once, the statistics every indicator and analytic interval is
-computed from, keeping those numbers and no other array.  A Corpus
-resolves each (group, key set) once, into a Scope of sorted keys and cells
-that it keeps.
+computed from, keeping those numbers and no other array.  A Corpus holds
+only its cells; ``Corpus.scope`` turns a (group, key set) into a Scope of
+sorted keys and cells, and the code that builds a row calls it once and
+hands the Scope to every route of that row.
 """
 
 from __future__ import annotations
@@ -233,15 +234,9 @@ class Scope(NamedTuple):
 
 @dataclass(frozen=True)
 class Corpus:
-    """All group and WORLD cells of one evaluation, keyed by (group, key).
-
-    Scopes are resolved once and kept, so ``cells`` must not change.
-    """
+    """All group and WORLD cells of one evaluation, keyed by (group, key)."""
 
     cells: Mapping[tuple[str, FieldYearKey], ArticleSet] = dataclass_field(default_factory=dict)
-    _scopes: dict[tuple[str, frozenset[FieldYearKey]], Scope] = dataclass_field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def from_cells(cls, sets: Iterable[ArticleSet]) -> "Corpus":
@@ -276,15 +271,8 @@ class Corpus:
         return self.cells[(WORLD, key)]
 
     def scope(self, group: str, keys: Iterable[FieldYearKey]) -> Scope:
-        """The Scope of ``group`` over ``keys``, resolved once per key set."""
-        lookup = (group, frozenset(keys))
-        found = self._scopes.get(lookup)
-        if found is None:
-            found = self._scopes[lookup] = self._resolve(group, lookup[1])
-        return found
-
-    def _resolve(self, group: str, keys: frozenset[FieldYearKey]) -> Scope:
-        ordered = tuple(sorted(keys))
+        """The Scope of ``group`` over ``keys``: the keys sorted, with their cells."""
+        ordered = tuple(sorted(set(keys)))
         return Scope(
             ordered,
             tuple(self.cells[group, k] for k in ordered),
@@ -642,6 +630,14 @@ def sample_cell(aset: ArticleSet, spec: SampleSpec) -> ArticleSet:
     idx = np.sort(rng.choice(aset.n, size=spec.size, replace=False))
     ids = tuple(aset.ids[i] for i in idx) if aset.ids is not None else None
     return ArticleSet(aset.group, aset.key, aset.counts[idx], ids)
+
+
+def sample_corpus(corpus: Corpus, size: int, seed: int) -> Corpus:
+    """Every cell down-sampled to ``size`` articles, each from its own derived seed."""
+    return Corpus.from_cells(
+        sample_cell(aset, SampleSpec(size, derive_cell_seed(seed, group, key)))
+        for (group, key), aset in sorted(corpus.cells.items())
+    )
 
 
 def apply_exclusion(corpus: Corpus, group: str, policy: ExclusionPolicy) -> set[FieldYearKey]:

@@ -28,13 +28,14 @@ from .bootstrap import (
     bootstrap_plan,
     derive_stream_seed,
 )
-from .corpus import WORLD, Corpus, ExclusionPolicy, FieldYearKey, apply_exclusion
+from .corpus import WORLD, Corpus, ExclusionPolicy, Scope, apply_exclusion
 from .indicators import (
     EMNPC,
     EQ_PROP_CITED,
     MEAN_INDICATORS,
     MNLCS,
     PROPORTION_INDICATORS,
+    indicator_result,
 )
 from .intervals import (
     BOOTSTRAP_PERCENTILE,
@@ -45,13 +46,7 @@ from .intervals import (
     IntervalEstimate,
     check_alpha,
 )
-from .scopes import (
-    CONTINUITY_MODES,
-    FORMULA_METHOD,
-    fieller_interval,
-    formula_interval,
-    indicator_value,
-)
+from .scopes import CONTINUITY_MODES, FORMULA_METHOD, fieller_interval, formula_interval
 
 CSV_HEADER = ("group", "scope", "n", "indicator", "estimate", "ci_lower", "ci_upper",
               "method", "defined", "notes")
@@ -130,33 +125,31 @@ def _method_applies(indicator: str, method: str) -> bool:
     return True
 
 
-def _method_tag(indicator: str, method: str, keys: set[FieldYearKey]) -> str:
+def _method_tag(indicator: str, method: str, scope: Scope) -> str:
     """Interval-method tag a flagged row would have carried if computable."""
     if method == FORMULA:
         return FORMULA_METHOD[indicator]
     if method == FIELLER_METHOD:
-        return FIELLER if len(keys) == 1 else HEURISTIC_EXPANSION
+        return FIELLER if len(scope.keys) == 1 else HEURISTIC_EXPANSION
     return BOOTSTRAP_PERCENTILE
 
 
 def _interval_for(
-    corpus: Corpus,
+    scope: Scope,
     group: str,
-    keys: set[FieldYearKey],
     indicator: str,
     method: str,
     scope_label: str,
     config: ReportConfig,
 ) -> IntervalEstimate:
     if method == FORMULA:
-        return formula_interval(corpus, group, keys, indicator, config.alpha, config.continuity)
+        return formula_interval(scope, indicator, config.alpha, config.continuity)
     if method == FIELLER_METHOD:
-        return fieller_interval(corpus, group, keys, config.alpha, config.expansion_mode)
+        return fieller_interval(scope, config.alpha, config.expansion_mode)
     spec = bootstrap_plan(
         indicator, RESAMPLE_WORLD_DEFAULT, config.bootstrap_iterations, config.resample_world,
         derive_stream_seed(config.seed, group, scope_label, indicator), config.alpha,
     )
-    scope = corpus.scope(group, keys)
     return bootstrap_indicator(scope.group, scope.world, indicator, spec)
 
 
@@ -174,13 +167,16 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
         scopes = [(f"Y{year}", {k for k in all_keys if k.year == year}) for year in years]
         scopes.append(("ALL", set(all_keys)))
         for scope_label, scope_keys in scopes:
+            full = corpus.scope(group, scope_keys)
+            kept_keys = scope_keys & retained
+            kept = full if kept_keys == scope_keys else corpus.scope(group, kept_keys)
             for indicator in config.indicators:
-                keys = scope_keys & retained if indicator in EQUALISED_INDICATORS else scope_keys
+                scope = kept if indicator in EQUALISED_INDICATORS else full
                 methods = [m for m in config.ci_methods if _method_applies(indicator, m)]
                 # Why no interval can be given for this scope, if none can.
-                if keys:
-                    n = sum(cell.n for cell in corpus.scope(group, keys).group)
-                    point = indicator_value(corpus, group, keys, indicator)
+                if scope.keys:
+                    n = sum(cell.n for cell in scope.group)
+                    point = indicator_result(indicator, group, *scope)
                     flag = None if point.defined else point.note
                 else:
                     n, flag = 0, "no cells retained by exclusion policy"
@@ -189,14 +185,12 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
                         rows.append(
                             ReportRow(
                                 group, scope_label, n, indicator, None, None, None,
-                                _method_tag(indicator, method, keys),
+                                _method_tag(indicator, method, scope),
                                 defined=False, notes=flag,
                             )
                         )
                         continue
-                    interval = _interval_for(
-                        corpus, group, keys, indicator, method, scope_label, config
-                    )
+                    interval = _interval_for(scope, group, indicator, method, scope_label, config)
                     rows.append(
                         ReportRow(
                             group, scope_label, n, indicator,

@@ -1,15 +1,17 @@
 """Assembly of indicator values and intervals over a scope of cells.
 
-A scope is a set of field/year keys for one group.  Each helper takes the
-group's and the world's cells in sorted key order, as ``Corpus.scope``
-resolved them once, and hands them to the kernel in ``indicators``: for the
-point estimate as a flagged value (never raising for data-dependent
-degeneracies), and for the moments or counts of the indicator's interval.
+A scope is a set of field/year keys for one group.  The code that builds a
+row resolves it once, with ``Corpus.scope``, into a ``Scope``: the sorted
+keys with the group's and the world's cell of each.  The interval routes
+take that Scope and hand its cells to the kernel in ``indicators`` for the
+moments or counts of the indicator's interval; the point estimate is
+``indicators.indicator_result`` over the same Scope, a flagged value that
+never raises for data-dependent degeneracies.
 """
 
 from __future__ import annotations
 
-from .corpus import ArticleSet, Corpus, FieldYearKey
+from .corpus import ArticleSet, Corpus, FieldYearKey, Scope
 from .indicators import (
     EMNPC,
     EQ_PROP_CITED,
@@ -87,15 +89,10 @@ def _equalised(cells: tuple[ArticleSet, ...]) -> float:
 
 
 def formula_interval(
-    corpus: Corpus,
-    group: str,
-    keys: set[FieldYearKey],
-    indicator: str,
-    alpha: float = 0.05,
-    continuity: str = "auto",
+    scope: Scope, indicator: str, alpha: float = 0.05, continuity: str = "auto"
 ) -> IntervalEstimate:
     """The analytic interval belonging to ``indicator`` over the scope."""
-    ordered, group_cells, world_cells = corpus.scope(group, keys)
+    ordered, group_cells, world_cells = scope
     if indicator in MEAN_INDICATORS:
         try:
             n, mean, m2 = pooled_moments(
@@ -133,22 +130,18 @@ def formula_interval(
 
 
 def fieller_interval(
-    corpus: Corpus,
-    group: str,
-    keys: set[FieldYearKey],
-    alpha: float = 0.05,
-    expansion_mode: str = LITERAL,
+    scope: Scope, alpha: float = 0.05, expansion_mode: str = LITERAL
 ) -> IntervalEstimate:
     """Fieller limits for one cell, heuristic expansion across several.
 
     Only defined for the log-ratio indicator; the moments entering the
     ratio are those of the ln(1+c) values.
     """
-    method = FIELLER if len(keys) == 1 else HEURISTIC_EXPANSION
-    ordered, group_cells, world_cells = corpus.scope(group, keys)
+    ordered, group_cells, world_cells = scope
+    method = FIELLER if len(ordered) == 1 else HEURISTIC_EXPANSION
     try:
         cells = score_moments(MNLCS, ordered, group_cells, world_cells)
-        if len(keys) == 1:
+        if len(ordered) == 1:
             return fieller_ci(log_moments(group_cells[0]), log_moments(world_cells[0]), alpha)
         per_cell = [
             (

@@ -296,6 +296,49 @@ class TestComparisonSuite:
         summary = summarize_comparisons(rows)[0]
         assert summary.gaps == 1 and summary.lower_mean is None
 
+    def test_gap_note_says_why_the_formula_is_undefined(self):
+        # MNPC is defined, with field A's 0/0 ratio replaced by 1, but its
+        # formula interval is not: field A has no cited world article.
+        dead, live = FieldYearKey("A", 2015), FieldYearKey("B", 2015)
+        corpus = Corpus.from_cells([
+            ArticleSet("G1", dead, (0, 0, 0)), ArticleSet(WORLD, dead, (0, 0, 0, 0)),
+            ArticleSet("G1", live, (1, 2, 0, 3)), ArticleSet(WORLD, live, (1, 0, 2, 5, 0)),
+        ])
+        (row,) = comparison_suite([corpus], [MNPC], BootstrapSpec(100, seed=1))
+        assert not row.defined
+        assert row.note.startswith("0/0 field ratio replaced by 1 for A/2015; ")
+        assert row.note.endswith("zero world cited count for A/2015")
+
+    def test_undefined_point_gap_note_is_the_point_note(self):
+        key = FieldYearKey("Z", 2015)
+        corpus = Corpus.from_cells(
+            [ArticleSet("G1", key, (1, 2, 0)), ArticleSet(WORLD, key, (0, 0, 0))]
+        )
+        (row,) = comparison_suite([corpus], [MNLCS], BootstrapSpec(100, seed=1))
+        assert row.note == indicator_value(corpus, "G1", {key}, MNLCS).note
+
+    def test_each_scope_is_resolved_once(self, monkeypatch):
+        scenarios = scenario_grid([0.8, 1.4], [1.0], [0.0], [60], group_shifts=[0.0, 0.3],
+                                  base_seed=3)
+        expected = {
+            (id(corpus), group, frozenset(corpus.keys_for(group)))
+            for corpus in scenarios for group in corpus.groups
+        }
+        assert len(expected) == 4  # 2 scenarios x 2 groups
+
+        resolved = []
+        resolve = Corpus.scope
+
+        def counted(self, group, keys):
+            resolved.append((id(self), group, frozenset(keys)))
+            return resolve(self, group, keys)
+
+        monkeypatch.setattr(Corpus, "scope", counted)
+        rows = comparison_suite(scenarios, [MNLCS, EMNPC, MNPC], BootstrapSpec(100, seed=1))
+        assert len(rows) == 4 * 3
+        assert len(resolved) == len(set(resolved))
+        assert set(resolved) == expected
+
     def test_scenarios_without_groups_rejected(self):
         world_only = Corpus.from_cells([ArticleSet(WORLD, FieldYearKey("Z", 2015), (1, 2))])
         for scenarios in ([], [world_only]):

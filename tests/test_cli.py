@@ -141,6 +141,22 @@ class TestCompute:
         assert status == 0
         assert all(r["n"] == 100 for r in read_csv_rows(out))
 
+    def test_sample_then_compute_matches_sample_size(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        run(["simulate", "--output-dir", sim, "--mu", "1.2", "--n", "300",
+             "--group-shift", "0.2", "--seed", "7"])
+        (cells,) = sim.iterdir()
+        sampled = tmp_path / "sampled"
+        assert run(["sample", "--input-dir", cells, "--output-dir", sampled,
+                    "--size", "150", "--seed", "7"]) == 0
+        common = ["--indicators", "mnlcs,emnpc,mnpc,prop", "--ci", "formula", "--seed", "7"]
+        direct, staged = tmp_path / "direct.csv", tmp_path / "staged.csv"
+        assert run(["compute", "--input-dir", cells, "--output", direct,
+                    "--sample-size", "150", *common]) == 0
+        assert run(["compute", "--input-dir", sampled, "--output", staged, *common]) == 0
+        assert all(r["n"] == 150 for r in read_csv_rows(direct))
+        assert direct.read_bytes() == staged.read_bytes()
+
 
 class TestSample:
     def test_large_cells_reduced_small_kept(self, tmp_path, demo_corpus, capsys):
@@ -268,6 +284,21 @@ class TestCompareCi:
                       "--indicators", "emnpc", "--iterations", "120", "--seed", "1"])
         assert status == 0
         assert out.read_text().splitlines()[1].startswith("EMNPC,1,")
+
+    def test_scenario_directory_matches_the_grid_run(self, tmp_path, capsys):
+        grid = ["--mu", "1.2", "--sigma", "1.0", "--zero-inflation", "0.1", "--n", "120",
+                "--group-shift", "0.0", "0.2"]
+        assert run(["simulate", "--output-dir", tmp_path / "sim", *grid, "--seed", "7"]) == 0
+        (scenario,) = (tmp_path / "sim").iterdir()
+        common = ["--indicators", "mnlcs,mncs,lundberg,emnpc,mnpc,prop",
+                  "--iterations", "100", "--seed", "7"]
+        outputs = {}
+        for name, source in (("grid", grid), ("dir", ["--input-dir", scenario])):
+            summary, details = tmp_path / f"{name}-summary.csv", tmp_path / f"{name}-details.csv"
+            assert run(["compare-ci", "--output", summary, "--details", details,
+                        *common, *source]) == 0
+            outputs[name] = (summary.read_bytes(), details.read_bytes())
+        assert outputs["dir"] == outputs["grid"]
 
     def test_corpus_without_groups_fails(self, tmp_path, demo_corpus, capsys):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)

@@ -357,7 +357,7 @@ class TestKernel:
             value = indicator_value(corpus, "G1", keys, indicator)
             assert value.estimate == pytest.approx(values.mean(), rel=1e-12, abs=1e-14)
             reference = mnlcs_normal_ci(values)
-            interval = formula_interval(corpus, "G1", keys, indicator)
+            interval = formula_interval(corpus.scope("G1", keys), indicator)
             assert interval.lower == pytest.approx(reference.lower, rel=1e-12, abs=1e-14)
             assert interval.upper == pytest.approx(reference.upper, rel=1e-12, abs=1e-14)
 

@@ -104,10 +104,10 @@ def test_defined_analytic_intervals_bracket_the_estimate(sets, continuity):
     for group in ("G", WORLD):
         keys = corpus.keys_for(group)
         for indicator in ALL_INDICATORS:
-            intervals = [formula_interval(corpus, group, keys, indicator, continuity=continuity)]
+            intervals = [formula_interval(corpus.scope(group, keys), indicator, continuity=continuity)]
             if indicator == MNLCS:
                 intervals += [
-                    fieller_interval(corpus, group, keys, expansion_mode=mode)
+                    fieller_interval(corpus.scope(group, keys), expansion_mode=mode)
                     for mode in (LITERAL, EXPAND_FROM_MEAN)
                 ]
             estimate = indicator_value(corpus, group, keys, indicator).estimate

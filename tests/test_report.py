@@ -179,13 +179,13 @@ class TestBuildReport:
         assert len(distinct) == 12  # 3 groups x 3 scopes, and G2's 3 without B
 
         resolved = []
-        resolve = Corpus._resolve
+        resolve = Corpus.scope
 
         def counted(self, group, keys):
-            resolved.append((group, keys))
+            resolved.append((group, frozenset(keys)))
             return resolve(self, group, keys)
 
-        monkeypatch.setattr(Corpus, "_resolve", counted)
+        monkeypatch.setattr(Corpus, "scope", counted)
         config = ReportConfig(
             indicators=(MNLCS, MNCS, LUNDBERG_Z, EMNPC, MNPC, PROP_CITED, EQ_PROP_CITED),
             ci_methods=("formula", "fieller"),
@@ -195,6 +195,12 @@ class TestBuildReport:
         assert len(report.rows) == 3 * 3 * 8
         assert len(resolved) == len(set(resolved))
         assert set(resolved) == distinct
+
+    def test_corpus_holds_only_its_cells(self, demo_corpus):
+        config = ReportConfig(indicators=(MNLCS, EMNPC), ci_methods=("formula", "fieller"),
+                              exclusion=ExclusionPolicy())
+        build_report(demo_corpus, config)
+        assert set(vars(demo_corpus)) == {"cells"}
 
     def test_fieller_only_for_mnlcs(self, demo_corpus):
         config = ReportConfig(indicators=(MNLCS, MNCS), ci_methods=("fieller",))
