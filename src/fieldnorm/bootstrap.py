@@ -1,4 +1,8 @@
-"""Percentile bootstrap intervals and formula-vs-bootstrap comparisons.
+"""Indicator rows with their intervals, percentile bootstrap, and comparisons.
+
+Rows.  ``report.build_report`` (``compute``) and ``comparison_suite``
+(``compare-ci``) only plan rows; ``row_results`` computes every row of both,
+drawing all bootstrap rows of a run in one ``bootstrap_intervals`` call.
 
 Replicates resample every group cell with replacement at its original size;
 when ``resample_world`` is set the world cells are resampled too.  Replicate
@@ -56,7 +60,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey
+from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey, Scope
 from .indicators import (
     CELL_STATISTICS,
     EMNPC,
@@ -68,12 +72,22 @@ from .indicators import (
     PROP_CITED,
     PROPORTION_INDICATORS,
     CellReplicates,
+    IndicatorValue,
     UndefinedNormalizationError,
     indicator_estimate,
     indicator_result,
 )
-from .intervals import BOOTSTRAP_PERCENTILE, IntervalEstimate, check_alpha
-from .scopes import formula_interval
+from .intervals import (
+    BOOTSTRAP_PERCENTILE, FIELLER, HEURISTIC_EXPANSION, LITERAL, IntervalEstimate, check_alpha,
+)
+from .scopes import FORMULA_METHOD, fieller_interval, formula_interval
+
+# The interval routes of a planned row, and the note of a row with no cell.
+FORMULA = "formula"
+FIELLER_METHOD = "fieller"
+BOOTSTRAP = "bootstrap"
+CI_METHODS = (FORMULA, FIELLER_METHOD, BOOTSTRAP)
+_EMPTY_SCOPE = "no cells retained by exclusion policy"
 
 BOOTSTRAP_ITERATIONS_DEFAULT = {
     MNLCS: 1000, MNCS: 1000, LUNDBERG_Z: 1000,
@@ -571,6 +585,54 @@ def bootstrap_indicator(
     return bootstrap_intervals([(group_sets, world_sets, indicator, spec)])[0]
 
 
+def _method_tag(indicator: str, method: str, scope: Scope) -> str:
+    """Interval-method tag a flagged row would have carried if computable."""
+    if method == FORMULA:
+        return FORMULA_METHOD[indicator]
+    if method == FIELLER_METHOD:
+        return FIELLER if len(scope.keys) == 1 else HEURISTIC_EXPANSION
+    return BOOTSTRAP_PERCENTILE
+
+
+def row_results(
+    plan: Sequence[tuple], alpha: float, continuity: str = "auto", expansion_mode: str = LITERAL,
+) -> list[IntervalEstimate]:
+    """The interval of each planned (Scope, group, indicator, method, BootstrapSpec | None) row.
+
+    Each holds the point, computed once per (Scope, indicator), the group's
+    article count as ``n``, and the point's and interval's notes joined as
+    ``note``.  A row whose point is undefined, or whose scope is empty, is
+    flagged with the method tag it would have carried.
+    """
+    points: dict[tuple[Scope, str], IndicatorValue] = {}
+    rows, jobs = [], []
+    for scope, group, indicator, method, spec in plan:
+        if (scope, indicator) not in points:
+            points[scope, indicator] = (
+                indicator_result(indicator, group, *scope) if scope.keys
+                else IndicatorValue(group, frozenset(), indicator, None, False, _EMPTY_SCOPE)
+            )
+        point = points[scope, indicator]
+        if not point.defined:
+            interval = IntervalEstimate.undefined(_method_tag(indicator, method, scope), alpha, "")
+        elif method == BOOTSTRAP:
+            jobs.append((scope.group, scope.world, indicator, spec))
+            interval = None
+        elif method == FORMULA:
+            interval = formula_interval(scope, indicator, alpha, continuity)
+        else:
+            interval = fieller_interval(scope, alpha, expansion_mode)
+        rows.append((scope, point, interval))
+    boots = iter(bootstrap_intervals(jobs))
+    results = []
+    for scope, point, interval in rows:
+        interval = next(boots) if interval is None else interval
+        note = "; ".join(n for n in (point.note, interval.note) if n)
+        n = sum(cell.n for cell in scope.group)
+        results.append(replace(interval, estimate=point.estimate, n=n, note=note))
+    return results
+
+
 def compare_ci(formula: IntervalEstimate, boot: IntervalEstimate, point: float) -> CiComparison:
     """Per-side half-width differences relative to the bootstrap width.
 
@@ -625,46 +687,47 @@ class ComparisonSummary:
 def comparison_suite(
     scenarios: Sequence[Corpus],
     indicators: Sequence[str],
-    spec: BootstrapSpec,
+    specs: BootstrapSpec | Mapping[str, BootstrapSpec],
     continuity: str = "auto",
 ) -> list[ComparisonRow]:
     """Formula-vs-bootstrap comparison for every scenario, group and indicator.
 
+    ``specs`` holds each indicator's BootstrapSpec; a lone spec serves every
+    indicator.  The specs share one alpha, which the formula limits take too.
     Undefined intervals (either route) become gap rows rather than errors.
     Each run draws from its own seed stream derived from the scenario
     label, group and indicator, so the table is independent of run order.
     """
+    if isinstance(specs, BootstrapSpec):
+        specs = dict.fromkeys(indicators, specs)
     if not any(corpus.groups for corpus in scenarios):
         raise ValueError(f"no scenario has a group other than {WORLD}")
-    # A row awaiting its bootstrap is held as (label, group, indicator, formula, point).
-    rows, jobs = [], []
+    alphas = {specs[indicator].alpha for indicator in indicators}
+    if len(alphas) != 1:
+        raise ValueError(f"the bootstrap specs of {list(indicators)} must share one alpha")
+    labels, plan = [], []
     for corpus in scenarios:
         label = "+".join(sorted({k.field for k in corpus.keys}))
         for group in sorted(corpus.groups):
             scope = corpus.scope(group, corpus.keys_for(group))
             for indicator in indicators:
-                point = indicator_result(indicator, group, *scope)
-                formula = formula_interval(scope, indicator, spec.alpha, continuity)
-                if not point.defined or not formula.defined:
-                    notes = (point.note, formula.note) if point.defined else (point.note,)
-                    note = "; ".join(n for n in notes if n)
-                    rows.append(ComparisonRow(label, group, indicator, None, None, False, note))
-                    continue
+                spec = specs[indicator]
                 seed = derive_stream_seed(spec.seed, label, group, indicator)
-                jobs.append((scope.group, scope.world, indicator, replace(spec, seed=seed)))
-                rows.append((label, group, indicator, formula, point.estimate))
-    boots = iter(bootstrap_intervals(jobs))
-    for i, row in enumerate(rows):
-        if isinstance(row, tuple):
-            label, group, indicator, formula, point = row
-            try:
-                result = compare_ci(formula, next(boots), point)
-            except ValueError as exc:
-                rows[i] = ComparisonRow(label, group, indicator, None, None, False, str(exc))
-            else:
-                rows[i] = ComparisonRow(
-                    label, group, indicator, result.lower_pct_diff, result.upper_pct_diff, True
-                )
+                labels.append((label, group, indicator))
+                plan += [(scope, group, indicator, FORMULA, None),
+                         (scope, group, indicator, BOOTSTRAP, replace(spec, seed=seed))]
+    results = row_results(plan, alphas.pop(), continuity)
+    rows = []
+    for (label, group, indicator), formula, boot in zip(labels, results[::2], results[1::2]):
+        try:
+            diff = compare_ci(formula, boot, formula.estimate)
+            rows.append(ComparisonRow(
+                label, group, indicator, diff.lower_pct_diff, diff.upper_pct_diff, True
+            ))
+        except ValueError as exc:
+            # An undefined formula row says why it is undefined.
+            note = str(exc) if formula.defined else formula.note
+            rows.append(ComparisonRow(label, group, indicator, None, None, False, note))
     return rows
 
 
@@ -677,25 +740,12 @@ def summarize_comparisons(rows: Sequence[ComparisonRow]) -> list[ComparisonSumma
     for label in sorted(by_label):
         group_rows = by_label[label]
         defined = [r for r in group_rows if r.defined]
+        stats = [None] * 6
+        if defined:
+            lows = np.array([r.lower_pct_diff for r in defined])
+            ups = np.array([r.upper_pct_diff for r in defined])
+            stats = [float(v) for v in (lows.mean(), ups.mean(), np.abs(lows).mean(),
+                                        np.abs(ups).mean(), np.abs(lows).max(), np.abs(ups).max())]
         gaps = len(group_rows) - len(defined)
-        if not defined:
-            summaries.append(
-                ComparisonSummary(label, len(group_rows), gaps, *([None] * 6))
-            )
-            continue
-        lows = np.array([r.lower_pct_diff for r in defined])
-        ups = np.array([r.upper_pct_diff for r in defined])
-        summaries.append(
-            ComparisonSummary(
-                label=label,
-                cells=len(group_rows),
-                gaps=gaps,
-                lower_mean=float(lows.mean()),
-                upper_mean=float(ups.mean()),
-                lower_abs_mean=float(np.abs(lows).mean()),
-                upper_abs_mean=float(np.abs(ups).mean()),
-                lower_max_abs=float(np.abs(lows).max()),
-                upper_max_abs=float(np.abs(ups).max()),
-            )
-        )
+        summaries.append(ComparisonSummary(label, len(group_rows), gaps, *stats))
     return summaries

@@ -204,13 +204,11 @@ def cmd_compare_ci(args: argparse.Namespace) -> int:
         scenarios = [load_corpus(args.input_dir)]
     else:
         scenarios = _grid(args)
-    rows = []
-    for indicator in args.indicators:
-        spec = bootstrap_plan(
-            indicator, COMPARE_CI_RESAMPLE_WORLD_DEFAULT, args.iterations,
-            _RESAMPLE_WORLD[args.resample_world], args.seed, args.alpha,
-        )
-        rows.extend(comparison_suite(scenarios, [indicator], spec, continuity=args.continuity))
+    resample_world = _RESAMPLE_WORLD[args.resample_world]
+    specs = {indicator: bootstrap_plan(indicator, COMPARE_CI_RESAMPLE_WORLD_DEFAULT,
+                                       args.iterations, resample_world, args.seed, args.alpha)
+             for indicator in args.indicators}
+    rows = comparison_suite(scenarios, args.indicators, specs, continuity=args.continuity)
     write_table(args.output, _SUMMARY_HEADER, (
         [s.label, s.cells, s.gaps]
         + [format_field(v) for v in (s.lower_mean, s.upper_mean, s.lower_abs_mean,

@@ -4,6 +4,8 @@ A report holds one row per (group, scope, indicator, interval method).
 Scopes are each publication year on its own (label ``Y<year>``, all fields
 combined) plus everything together (label ``ALL``).  World rows are
 included so the stability of the reference set itself is visible.
+``build_report`` plans the rows, with compute's seed streams and resample
+rule, and ``bootstrap.row_results`` computes them.
 
 CSV schema: ``group,scope,n,indicator,estimate,ci_lower,ci_upper,method,
 defined,notes`` with UTF-8, LF line endings and RFC-4180 quoting.  Floats
@@ -21,44 +23,28 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .bootstrap import (
+    BOOTSTRAP,
     BOOTSTRAP_ITERATIONS_DEFAULT,
+    CI_METHODS,
+    FIELLER_METHOD,
+    FORMULA,
     RESAMPLE_WORLD_DEFAULT,
     BootstrapSpec,
-    bootstrap_indicator,
     bootstrap_plan,
     derive_stream_seed,
+    row_results,
 )
-from .corpus import WORLD, Corpus, ExclusionPolicy, Scope, apply_exclusion
-from .indicators import (
-    EMNPC,
-    EQ_PROP_CITED,
-    MEAN_INDICATORS,
-    MNLCS,
-    PROPORTION_INDICATORS,
-    indicator_result,
-)
-from .intervals import (
-    BOOTSTRAP_PERCENTILE,
-    EXPAND_FROM_MEAN,
-    FIELLER,
-    HEURISTIC_EXPANSION,
-    LITERAL,
-    IntervalEstimate,
-    check_alpha,
-)
-from .scopes import CONTINUITY_MODES, FORMULA_METHOD, fieller_interval, formula_interval
+from .corpus import WORLD, Corpus, ExclusionPolicy, apply_exclusion
+from .indicators import EMNPC, EQ_PROP_CITED, MEAN_INDICATORS, MNLCS, PROPORTION_INDICATORS
+from .intervals import EXPAND_FROM_MEAN, LITERAL, check_alpha
+from .scopes import CONTINUITY_MODES
 
 CSV_HEADER = ("group", "scope", "n", "indicator", "estimate", "ci_lower", "ci_upper",
               "method", "defined", "notes")
 
-FORMULA = "formula"
-FIELLER_METHOD = "fieller"
-BOOTSTRAP = "bootstrap"
-CI_METHODS = (FORMULA, FIELLER_METHOD, BOOTSTRAP)
-
 # Indicators whose scope honours the small-cell exclusion policy: the
 # equalisation step is what inflates small cells.
-EQUALISED_INDICATORS = (EMNPC, EQ_PROP_CITED)
+EQUALISED_INDICATORS = frozenset((EMNPC, EQ_PROP_CITED))
 
 
 @dataclass(frozen=True)
@@ -125,42 +111,15 @@ def _method_applies(indicator: str, method: str) -> bool:
     return True
 
 
-def _method_tag(indicator: str, method: str, scope: Scope) -> str:
-    """Interval-method tag a flagged row would have carried if computable."""
-    if method == FORMULA:
-        return FORMULA_METHOD[indicator]
-    if method == FIELLER_METHOD:
-        return FIELLER if len(scope.keys) == 1 else HEURISTIC_EXPANSION
-    return BOOTSTRAP_PERCENTILE
-
-
-def _interval_for(
-    scope: Scope,
-    group: str,
-    indicator: str,
-    method: str,
-    scope_label: str,
-    config: ReportConfig,
-) -> IntervalEstimate:
-    if method == FORMULA:
-        return formula_interval(scope, indicator, config.alpha, config.continuity)
-    if method == FIELLER_METHOD:
-        return fieller_interval(scope, config.alpha, config.expansion_mode)
-    spec = bootstrap_plan(
-        indicator, RESAMPLE_WORLD_DEFAULT, config.bootstrap_iterations, config.resample_world,
-        derive_stream_seed(config.seed, group, scope_label, indicator), config.alpha,
-    )
-    return bootstrap_indicator(scope.group, scope.world, indicator, spec)
-
-
 def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
     """One row per (group, scope, indicator, method); flags, never aborts."""
-    rows: list[ReportRow] = []
-    groups = sorted(corpus.groups) + [WORLD]
-    for group in groups:
+    plan, labels = [], []
+    # Only the equalised indicators read the exclusion-retained scopes.
+    exclusion = config.exclusion if EQUALISED_INDICATORS & set(config.indicators) else None
+    for group in sorted(corpus.groups) + [WORLD]:
         all_keys = corpus.keys_for(group)
-        if config.exclusion is not None and group != WORLD:
-            retained = apply_exclusion(corpus, group, config.exclusion)
+        if exclusion is not None and group != WORLD:
+            retained = apply_exclusion(corpus, group, exclusion)
         else:
             retained = all_keys
         years = sorted({k.year for k in all_keys})
@@ -172,34 +131,23 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
             kept = full if kept_keys == scope_keys else corpus.scope(group, kept_keys)
             for indicator in config.indicators:
                 scope = kept if indicator in EQUALISED_INDICATORS else full
-                methods = [m for m in config.ci_methods if _method_applies(indicator, m)]
-                # Why no interval can be given for this scope, if none can.
-                if scope.keys:
-                    n = sum(cell.n for cell in scope.group)
-                    point = indicator_result(indicator, group, *scope)
-                    flag = None if point.defined else point.note
-                else:
-                    n, flag = 0, "no cells retained by exclusion policy"
-                for method in methods:
-                    if flag is not None:
-                        rows.append(
-                            ReportRow(
-                                group, scope_label, n, indicator, None, None, None,
-                                _method_tag(indicator, method, scope),
-                                defined=False, notes=flag,
-                            )
-                        )
+                for method in config.ci_methods:
+                    if not _method_applies(indicator, method):
                         continue
-                    interval = _interval_for(scope, group, indicator, method, scope_label, config)
-                    rows.append(
-                        ReportRow(
-                            group, scope_label, n, indicator,
-                            point.estimate, interval.lower, interval.upper,
-                            interval.method,
-                            defined=interval.defined,
-                            notes="; ".join(n for n in (point.note, interval.note) if n),
-                        )
-                    )
+                    spec = None
+                    if method == BOOTSTRAP:
+                        seed = derive_stream_seed(config.seed, group, scope_label, indicator)
+                        spec = bootstrap_plan(indicator, RESAMPLE_WORLD_DEFAULT,
+                                              config.bootstrap_iterations, config.resample_world,
+                                              seed, config.alpha)
+                    plan.append((scope, group, indicator, method, spec))
+                    labels.append((group, scope_label, indicator))
+    results = row_results(plan, config.alpha, config.continuity, config.expansion_mode)
+    rows = tuple(
+        ReportRow(group, label, r.n, indicator, r.estimate, r.lower, r.upper, r.method,
+                  r.defined, r.note)
+        for (group, label, indicator), r in zip(labels, results)
+    )
     metadata = {
         "alpha": config.alpha,
         "seed": config.seed,
@@ -220,7 +168,7 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
         "percentile_definition": "nearest-rank",
         **config.extra_metadata,
     }
-    return IndicatorReport(rows=tuple(rows), metadata=metadata)
+    return IndicatorReport(rows=rows, metadata=metadata)
 
 
 def format_field(value: float | None) -> str:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fieldnorm.bootstrap
+from fieldnorm import cli
 from fieldnorm.bootstrap import (
     BOOTSTRAP_ITERATIONS_DEFAULT,
     COMPARE_CI_RESAMPLE_WORLD_DEFAULT,
@@ -317,7 +318,7 @@ class TestComparisonSuite:
         (row,) = comparison_suite([corpus], [MNLCS], BootstrapSpec(100, seed=1))
         assert row.note == indicator_value(corpus, "G1", {key}, MNLCS).note
 
-    def test_each_scope_is_resolved_once(self, monkeypatch):
+    def test_each_scope_is_resolved_once(self, monkeypatch, tmp_path):
         scenarios = scenario_grid([0.8, 1.4], [1.0], [0.0], [60], group_shifts=[0.0, 0.3],
                                   base_seed=3)
         expected = {
@@ -326,18 +327,60 @@ class TestComparisonSuite:
         }
         assert len(expected) == 4  # 2 scenarios x 2 groups
 
-        resolved = []
+        resolved, batches = [], []
         resolve = Corpus.scope
+        draw = fieldnorm.bootstrap.bootstrap_intervals
 
         def counted(self, group, keys):
             resolved.append((id(self), group, frozenset(keys)))
             return resolve(self, group, keys)
 
+        def counted_draw(jobs):
+            batches.append(len(jobs))
+            return draw(jobs)
+
         monkeypatch.setattr(Corpus, "scope", counted)
+        monkeypatch.setattr(fieldnorm.bootstrap, "bootstrap_intervals", counted_draw)
         rows = comparison_suite(scenarios, [MNLCS, EMNPC, MNPC], BootstrapSpec(100, seed=1))
         assert len(rows) == 4 * 3
         assert len(resolved) == len(set(resolved))
         assert set(resolved) == expected
+        assert len(batches) == 1
+
+        # The command plans one spec per indicator and makes one suite call.
+        resolved.clear()
+        batches.clear()
+        grid = ["--mu", "0.8", "1.4", "--sigma", "1.0", "--zero-inflation", "0", "--n", "60",
+                "--group-shift", "0", "0.3", "--seed", "3"]
+        assert cli.main(["compare-ci", "--output", str(tmp_path / "summary.csv"),
+                         "--indicators", "mnlcs,emnpc,mnpc", "--iterations", "100", *grid]) == 0
+        assert len(resolved) == len(set(resolved)) == 4
+        assert len(batches) == 1
+
+    def test_per_indicator_specs_equal_one_call_per_indicator(self):
+        scenarios = scenario_grid([0.8, 1.4], [1.0], [0.1], [80], group_shifts=[0.0, 0.3],
+                                  base_seed=5)
+        specs = {
+            MNLCS: BootstrapSpec(100, seed=1, resample_world=False),
+            EMNPC: BootstrapSpec(150, seed=1, resample_world=True),
+            MNPC: BootstrapSpec(120, seed=9, resample_world=False),
+        }
+        expected = [
+            row for indicator, spec in specs.items()
+            for row in comparison_suite(scenarios, [indicator], spec)
+        ]
+        assert sum(row.defined for row in expected) >= 10
+        rows = comparison_suite(scenarios, list(specs), specs)
+        # One call orders rows by scenario and group first; a stable sort by
+        # indicator gives the concatenation's order.
+        order = list(specs).index
+        assert sorted(rows, key=lambda row: order(row.indicator)) == expected
+
+    def test_specs_with_different_alphas_rejected(self):
+        scenarios = scenario_grid([1.0], [1.0], [0.0], [60], base_seed=5)
+        specs = {MNLCS: BootstrapSpec(100), MNCS: BootstrapSpec(100, alpha=0.1)}
+        with pytest.raises(ValueError, match="share one alpha"):
+            comparison_suite(scenarios, [MNLCS, MNCS], specs)
 
     def test_scenarios_without_groups_rejected(self):
         world_only = Corpus.from_cells([ArticleSet(WORLD, FieldYearKey("Z", 2015), (1, 2))])

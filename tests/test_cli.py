@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fieldnorm.bootstrap
 from fieldnorm import cli
 from fieldnorm.cli import main
 from fieldnorm.corpus import FieldYearKey, load_corpus, write_corpus
@@ -129,6 +130,39 @@ class TestCompute:
         assert run(argv + ["--output", out1]) == 0
         assert run(argv + ["--output", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_bootstrap_rows_do_not_depend_on_the_batch(self, tmp_path, capsys, monkeypatch):
+        # A run draws all its bootstrap rows in one batch, so a row must come
+        # out as it does when it is the run's only kind of bootstrap row.
+        sim, cells = tmp_path / "sim", tmp_path / "cells"
+        assert run(["simulate", "--output-dir", sim, "--mu", "1.2", "2.0", "--zero-inflation",
+                    "0.1", "--n", "150", "--group-shift", "0.2", "--seed", "7"]) == 0
+        cells.mkdir()
+        for path in sim.glob("*/*.tsv"):
+            (cells / path.name).write_bytes(path.read_bytes())
+        batches = []
+        draw = fieldnorm.bootstrap.bootstrap_intervals
+
+        def counted(jobs):
+            batches.append(len(jobs))
+            return draw(jobs)
+
+        monkeypatch.setattr(fieldnorm.bootstrap, "bootstrap_intervals", counted)
+        common = ["--input-dir", cells, "--bootstrap-iters", "100", "--seed", "7"]
+        alone, batched = tmp_path / "alone.csv", tmp_path / "batched.csv"
+        assert run(["compute", "--output", alone, "--indicators", "mnpc",
+                    "--ci", "bootstrap", *common]) == 0
+        assert run(["compute", "--output", batched, "--indicators",
+                    "mnlcs,mncs,lundberg,emnpc,mnpc,prop", "--ci", "all", *common]) == 0
+        assert len(batches) == 2  # one per run
+
+        def mnpc_rows(path):
+            return [r for r in read_csv_rows(path)
+                    if r["indicator"] == "MNPC" and r["method"] == "BOOTSTRAP_PERCENTILE"]
+
+        expected = mnpc_rows(alone)
+        assert sum(r["defined"] for r in expected) >= 4
+        assert mnpc_rows(batched) == expected
 
     def test_sampling_applied(self, tmp_path, capsys):
         indir = tmp_path / "cells"

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fieldnorm.bootstrap
+import fieldnorm.report
 from fieldnorm.corpus import WORLD, Corpus, ExclusionPolicy, apply_exclusion
 from fieldnorm.indicators import (
     EMNPC,
@@ -17,6 +20,7 @@ from fieldnorm.indicators import (
     PROP_CITED,
 )
 from fieldnorm.report import (
+    CI_METHODS,
     CSV_HEADER,
     IndicatorReport,
     ReportConfig,
@@ -195,6 +199,47 @@ class TestBuildReport:
         assert len(report.rows) == 3 * 3 * 8
         assert len(resolved) == len(set(resolved))
         assert set(resolved) == distinct
+
+    def test_exclusion_skipped_without_an_equalised_indicator(self, monkeypatch):
+        # SMALL falls below the floor, so a row that read the retained keys
+        # would differ from the run without a policy.
+        cells = []
+        for field, size in (("BIG", 400), ("SMALL", 30)):
+            counts = [1, 0, 4] * (size // 3)
+            cells.append(make_cell("G", field, 2013, counts))
+            cells.append(make_cell(WORLD, field, 2013, counts * 2))
+        corpus = Corpus.from_cells(cells)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return apply_exclusion(*args)
+
+        monkeypatch.setattr(fieldnorm.report, "apply_exclusion", counted)
+        config = ReportConfig(indicators=(MNLCS,), ci_methods=("formula", "fieller"),
+                              exclusion=ExclusionPolicy())
+        report = build_report(corpus, config)
+        assert calls == []
+        assert report.rows == build_report(corpus, replace(config, exclusion=None)).rows
+        build_report(corpus, replace(config, indicators=(MNLCS, EMNPC)))
+        assert len(calls) == 1  # group G; WORLD rows keep every cell
+
+    def test_point_computed_once_per_scope_and_indicator(self, demo_corpus, monkeypatch):
+        points = []
+        estimate = fieldnorm.bootstrap.indicator_result
+
+        def counted(indicator, group, *scope):
+            points.append((indicator, group))
+            return estimate(indicator, group, *scope)
+
+        monkeypatch.setattr(fieldnorm.bootstrap, "indicator_result", counted)
+        config = ReportConfig(indicators=(MNLCS, EMNPC), ci_methods=CI_METHODS,
+                              bootstrap_iterations=100)
+        report = build_report(demo_corpus, config)
+        # (G, WORLD) x (Y2013, ALL) x (MNLCS by three methods, EMNPC by two).
+        assert len(report.rows) == 2 * 2 * 5
+        # Y2013 and ALL hold the same cells, so they are one Scope.
+        assert sorted(points) == sorted(itertools.product((MNLCS, EMNPC), ("G", WORLD)))
 
     def test_corpus_holds_only_its_cells(self, demo_corpus):
         config = ReportConfig(indicators=(MNLCS, EMNPC), ci_methods=("formula", "fieller"),
