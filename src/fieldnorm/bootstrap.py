@@ -3,6 +3,8 @@
 Rows.  ``report.build_report`` (``compute``) and ``comparison_suite``
 (``compare-ci``) only plan rows; ``row_results`` computes every row of both,
 drawing all bootstrap rows of a run in one ``bootstrap_intervals`` call.
+From plan to draw a bootstrap row is a ``Scope`` with its indicator and
+spec; raw cell sets are checked once, in ``bootstrap_indicator``.
 
 Replicates resample every group cell with replacement at its original size;
 when ``resample_world`` is set the world cells are resampled too.  Replicate
@@ -431,8 +433,8 @@ def _record_block(
 def _replicate_row(
     bit_generator: np.random.PCG64, memory: ctypes.Array, states: np.ndarray, row: tuple
 ) -> np.ndarray:
-    """``replicate_values(*row)``, replicate r from ``states[r]`` (in ``memory``'s order)."""
-    keys, group_cells, world_cells, indicator, spec = row
+    """``replicate_values`` of a (Scope, indicator, spec) row, replicate r from ``states[r]``."""
+    (keys, group_cells, world_cells), indicator, spec = row
     group_stats, world_stats = CELL_STATISTICS[indicator]
     rep_group = [CellReplicates(c.n, group_stats, spec.iterations) for c in group_cells]
     rep_world = world_cells
@@ -486,7 +488,7 @@ def _replicate_row(
 
 
 def _replicate_rows(rows: Sequence[tuple]) -> Iterator[np.ndarray]:
-    """``replicate_values(*row)`` for each row, in order, one at a time.
+    """``replicate_values`` of each (Scope, indicator, spec) row, in order, one at a time.
 
     One ``PCG64`` draws every row.  Consecutive rows are seeded together in
     chunks of at most ``_SEED_LANES`` replicates or of one row, and only the
@@ -518,54 +520,33 @@ def replicate_values(
     ``group_cells[i]`` and ``world_cells[i]`` are the cells of ``keys[i]``,
     in sorted key order.
     """
-    return next(_replicate_rows([(keys, group_cells, world_cells, indicator, spec)]))
+    return next(_replicate_rows([(Scope(keys, group_cells, world_cells), indicator, spec)]))
 
 
-def bootstrap_intervals(jobs: Sequence[tuple]) -> list[IntervalEstimate]:
-    """``bootstrap_indicator(*job)`` for each (group_sets, world_sets, indicator, spec) job.
+def bootstrap_intervals(rows: Sequence[tuple]) -> list[IntervalEstimate]:
+    """The percentile interval of each (Scope, indicator, BootstrapSpec) row, in order.
 
-    Every job is checked before any replicate is drawn.  Each interval is
-    the one a separate call gives, bit for bit.
+    Each scope is sorted with a world cell per key, as ``Corpus.scope`` builds
+    it, and its indicator is defined; the intervals carry no estimate or ``n``.
     """
-    rows, originals = [], []
-    for group_sets, world_sets, indicator, spec in jobs:
-        group = {a.key: a for a in group_sets}
-        world = {a.key: a for a in world_sets}
-        if len(group) != len(group_sets) or len(world) != len(world_sets):
-            raise ValueError("duplicate cell keys")
-        missing = set(group) - set(world)
-        if missing:
-            raise ValueError(f"missing world cells for {sorted(missing)}")
-        if indicator in PROPORTION_INDICATORS and set(world) != set(group):
-            raise ValueError("group and world must cover the same cell keys")
-        keys = sorted(group)
-        group_cells, world_cells = [group[k] for k in keys], [world[k] for k in keys]
-        try:
-            originals.append(indicator_estimate(indicator, keys, group_cells, world_cells)[0])
-        except UndefinedNormalizationError:
-            raise ValueError(f"{indicator} is undefined on the original data") from None
-        rows.append((keys, group_cells, world_cells, indicator, spec))
     intervals = []
-    for row, original, replicates in zip(rows, originals, _replicate_rows(rows)):
-        spec = row[-1]
+    for (_, indicator, spec), replicates in zip(rows, _replicate_rows(rows)):
         undefined_mask = np.isnan(replicates)
         undefined = int(np.count_nonzero(undefined_mask))
-        n_articles = sum(c.n for c in row[1])
         note = f"resample_world={'true' if spec.resample_world else 'false'}"
         if undefined:
             note += f"; {undefined} undefined replicates excluded"
         if undefined > spec.alpha / 2.0 * spec.iterations:
             intervals.append(IntervalEstimate.undefined(
-                BOOTSTRAP_PERCENTILE, spec.alpha, note + "; undefined replicates exceed alpha/2",
-                original, n_articles,
+                BOOTSTRAP_PERCENTILE, spec.alpha, note + "; undefined replicates exceed alpha/2"
             ))
             continue
         # A stable sort, like list.sort, so that equal values keep their order.
         estimates = np.sort(replicates[~undefined_mask], kind="stable")
         intervals.append(IntervalEstimate(
-            estimate=original, lower=float(percentile(estimates, spec.alpha / 2.0)),
+            estimate=None, lower=float(percentile(estimates, spec.alpha / 2.0)),
             upper=float(percentile(estimates, 1.0 - spec.alpha / 2.0)), alpha=spec.alpha,
-            method=BOOTSTRAP_PERCENTILE, n=n_articles, note=note,
+            method=BOOTSTRAP_PERCENTILE, note=note,
         ))
     return intervals
 
@@ -582,7 +563,23 @@ def bootstrap_indicator(
     than alpha/2 of all replicates are undefined the interval itself is
     flagged undefined.
     """
-    return bootstrap_intervals([(group_sets, world_sets, indicator, spec)])[0]
+    group = {a.key: a for a in group_sets}
+    world = {a.key: a for a in world_sets}
+    if len(group) != len(group_sets) or len(world) != len(world_sets):
+        raise ValueError("duplicate cell keys")
+    missing = set(group) - set(world)
+    if missing:
+        raise ValueError(f"missing world cells for {sorted(missing)}")
+    if indicator in PROPORTION_INDICATORS and set(world) != set(group):
+        raise ValueError("group and world must cover the same cell keys")
+    keys = tuple(sorted(group))
+    scope = Scope(keys, tuple(group[k] for k in keys), tuple(world[k] for k in keys))
+    try:
+        original = indicator_estimate(indicator, *scope)[0]
+    except UndefinedNormalizationError:
+        raise ValueError(f"{indicator} is undefined on the original data") from None
+    interval = bootstrap_intervals([(scope, indicator, spec)])[0]
+    return replace(interval, estimate=original, n=sum(c.n for c in scope.group))
 
 
 def _method_tag(indicator: str, method: str, scope: Scope) -> str:
@@ -605,7 +602,7 @@ def row_results(
     flagged with the method tag it would have carried.
     """
     points: dict[tuple[Scope, str], IndicatorValue] = {}
-    rows, jobs = [], []
+    rows, draws = [], []
     for scope, group, indicator, method, spec in plan:
         if (scope, indicator) not in points:
             points[scope, indicator] = (
@@ -616,14 +613,14 @@ def row_results(
         if not point.defined:
             interval = IntervalEstimate.undefined(_method_tag(indicator, method, scope), alpha, "")
         elif method == BOOTSTRAP:
-            jobs.append((scope.group, scope.world, indicator, spec))
+            draws.append((scope, indicator, spec))
             interval = None
         elif method == FORMULA:
             interval = formula_interval(scope, indicator, alpha, continuity)
         else:
             interval = fieller_interval(scope, alpha, expansion_mode)
         rows.append((scope, point, interval))
-    boots = iter(bootstrap_intervals(jobs))
+    boots = iter(bootstrap_intervals(draws))
     results = []
     for scope, point, interval in rows:
         interval = next(boots) if interval is None else interval

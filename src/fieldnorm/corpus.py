@@ -346,13 +346,15 @@ class _CellFile:
     def __init__(self, path: Path) -> None:
         group, key = _parse_filename(path)
         name = path.name
-        data = path.read_bytes().replace(b"\r\n", b"\n")
-        lone_cr = data.find(b"\r")
-        if lone_cr >= 0:
-            raise CorpusError(
-                f"{name}:{_line_number(data, lone_cr)}: carriage return without a line feed"
-                " (lines must end in LF or CRLF)"
-            )
+        data = path.read_bytes()
+        if b"\r" in data:  # one scan for an LF-only file
+            data = data.replace(b"\r\n", b"\n")
+            lone_cr = data.find(b"\r")
+            if lone_cr >= 0:
+                raise CorpusError(
+                    f"{name}:{_line_number(data, lone_cr)}: carriage return without a line feed"
+                    " (lines must end in LF or CRLF)"
+                )
         header_end = data.find(b"\n")
         header = data[:header_end] if header_end >= 0 else data
         if header != _HEADER.encode():

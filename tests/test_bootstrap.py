@@ -473,8 +473,15 @@ class TestBootstrapIntervals:
     def test_equals_separate_calls(self, monkeypatch, lanes):
         jobs = self.jobs()
         expected = [bootstrap_indicator(*job) for job in jobs]
+        # The engine's rows: each job's cells resolved by Corpus.scope.
+        rows = [(Corpus.from_cells([*group, *world]).scope("G", {a.key for a in group}),
+                 indicator, spec) for group, world, indicator, spec in jobs]
         monkeypatch.setattr(fieldnorm.bootstrap, "_SEED_LANES", lanes)
-        assert bootstrap_intervals(jobs) == expected
+        intervals = bootstrap_intervals(rows)
+        assert len(intervals) == len(expected)
+        for interval, alone in zip(intervals, expected):
+            for name in ("lower", "upper", "defined", "method", "alpha", "note"):
+                assert getattr(interval, name) == getattr(alone, name)
 
     def test_no_jobs(self):
         assert bootstrap_intervals([]) == []
@@ -482,23 +489,25 @@ class TestBootstrapIntervals:
     @pytest.mark.parametrize("bad", ["duplicate", "missing", "proportion", "undefined"])
     def test_rejected_job_raises_before_any_draw(self, monkeypatch, bad):
         group, world = demo_sets()
-        job = {
-            "duplicate": (group + group[:1], world, MNLCS, BootstrapSpec(100)),
-            "missing": (group, world[:1], MNLCS, BootstrapSpec(100)),
-            "proportion": (group[:1], world, PROP_CITED, BootstrapSpec(100)),
-            "undefined": ([ArticleSet("G", KEY_A, (1, 1))], [ArticleSet(WORLD, KEY_A, (0, 0))],
-                          MNPC, BootstrapSpec(100)),
+        job, message = {
+            "duplicate": ((group + group[:1], world, MNLCS, BootstrapSpec(100)),
+                          "duplicate cell keys"),
+            "missing": ((group, world[:1], MNLCS, BootstrapSpec(100)),
+                        f"missing world cells for {[KEY_B]}"),
+            "proportion": ((group[:1], world, PROP_CITED, BootstrapSpec(100)),
+                           "group and world must cover the same cell keys"),
+            "undefined": (([ArticleSet("G", KEY_A, (1, 1))], [ArticleSet(WORLD, KEY_A, (0, 0))],
+                           MNPC, BootstrapSpec(100)),
+                          "MNPC is undefined on the original data"),
         }[bad]
-        with pytest.raises(ValueError) as alone:
-            bootstrap_indicator(*job)
 
         def no_draws(*args):
             raise AssertionError("a replicate was drawn")
 
         monkeypatch.setattr(fieldnorm.bootstrap, "replicate_words", no_draws)
-        with pytest.raises(ValueError) as batched:
-            bootstrap_intervals(self.jobs()[:2] + [job] + self.jobs()[2:])
-        assert str(batched.value) == str(alone.value)
+        with pytest.raises(ValueError) as rejected:
+            bootstrap_indicator(*job)
+        assert str(rejected.value) == message
 
 
 def pcg64_state(words):

@@ -9,7 +9,7 @@ import pytest
 
 import fieldnorm.bootstrap
 import fieldnorm.report
-from fieldnorm.corpus import WORLD, Corpus, ExclusionPolicy, apply_exclusion
+from fieldnorm.corpus import WORLD, ArticleSet, Corpus, ExclusionPolicy, apply_exclusion
 from fieldnorm.indicators import (
     EMNPC,
     EQ_PROP_CITED,
@@ -225,14 +225,22 @@ class TestBuildReport:
         assert len(calls) == 1  # group G; WORLD rows keep every cell
 
     def test_point_computed_once_per_scope_and_indicator(self, demo_corpus, monkeypatch):
-        points = []
+        points, redrawn_points = [], []
         estimate = fieldnorm.bootstrap.indicator_result
+        kernel = fieldnorm.bootstrap.indicator_estimate
 
         def counted(indicator, group, *scope):
             points.append((indicator, group))
             return estimate(indicator, group, *scope)
 
+        def counted_kernel(indicator, keys, group, world):
+            # Replicates come as CellReplicates; a point comes as the ArticleSets.
+            if all(isinstance(cell, ArticleSet) for cell in group):
+                redrawn_points.append(indicator)
+            return kernel(indicator, keys, group, world)
+
         monkeypatch.setattr(fieldnorm.bootstrap, "indicator_result", counted)
+        monkeypatch.setattr(fieldnorm.bootstrap, "indicator_estimate", counted_kernel)
         config = ReportConfig(indicators=(MNLCS, EMNPC), ci_methods=CI_METHODS,
                               bootstrap_iterations=100)
         report = build_report(demo_corpus, config)
@@ -240,6 +248,8 @@ class TestBuildReport:
         assert len(report.rows) == 2 * 2 * 5
         # Y2013 and ALL hold the same cells, so they are one Scope.
         assert sorted(points) == sorted(itertools.product((MNLCS, EMNPC), ("G", WORLD)))
+        # The bootstrap rows take that point; the draw computes none again.
+        assert redrawn_points == []
 
     def test_corpus_holds_only_its_cells(self, demo_corpus):
         config = ReportConfig(indicators=(MNLCS, EMNPC), ci_methods=("formula", "fieller"),
