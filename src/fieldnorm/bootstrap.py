@@ -55,14 +55,13 @@ undefined replicates come back as NaN and are counted.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey, Scope
+from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey, Scope, derive_stream_seed
 from .indicators import (
     CELL_STATISTICS,
     EMNPC,
@@ -376,7 +375,7 @@ def _record_block(
 ) -> np.ndarray:
     """Record replicates ``rows`` of every drawn cell; return the rows that ran out of words.
 
-    ``drawn`` holds (cell, CellReplicates, sorted counts, ln(1+c) values),
+    ``drawn`` holds (cell, CellReplicates, int64 sorted counts, float64 ln(1+c)),
     the arrays None where no statistic reads them, for each cell of more
     than one article.  Row i of ``words`` holds replicate ``rows[i]``'s
     words, one per article of every drawn cell, then ``spare`` words for
@@ -456,13 +455,13 @@ def _replicate_row(
                 if getattr(rep, name) is not None:
                     getattr(rep, name)[:] = getattr(cell, name)
             continue
+        # int64 and float64 whatever the width of the cell's counts: the
+        # draws take into int64 scratch, and log1p would pick float32 for
+        # uint16 counts.
         if rep.raw_mean is not None and cell not in sorted_counts:
-            sorted_counts[cell] = np.sort(cell.counts)
+            sorted_counts[cell] = np.sort(cell.counts).astype(np.int64)
         if rep.log_mean is not None and cell not in logs:
-            # ln(1+c) overwrites a sorted copy of its own, so building it
-            # never takes 16 bytes per article.
-            ordered = np.sort(cell.counts)
-            logs[cell] = np.log1p(ordered, out=ordered.view(np.float64))
+            logs[cell] = np.log1p(np.sort(cell.counts), dtype=np.float64)
         drawn.append((cell, rep, sorted_counts.get(cell), logs.get(cell)))
     width = sum(cell.n for cell, *_ in drawn)
     largest = max((cell.n for cell, *_ in drawn), default=1)
@@ -649,12 +648,6 @@ def compare_ci(formula: IntervalEstimate, boot: IntervalEstimate, point: float) 
     return CiComparison(
         lower_pct_diff=lower_diff / width, upper_pct_diff=upper_diff / width, basis=width
     )
-
-
-def derive_stream_seed(master_seed: int, *parts: str) -> int:
-    """Stable per-run seed so concurrent runs stay order-independent."""
-    text = f"{master_seed & (2**64 - 1)}|" + "|".join(parts)
-    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,9 @@ from .bootstrap import (
     RESAMPLE_WORLD_DEFAULT,
     BootstrapSpec,
     bootstrap_plan,
-    derive_stream_seed,
     row_results,
 )
-from .corpus import WORLD, Corpus, ExclusionPolicy, apply_exclusion
+from .corpus import WORLD, Corpus, ExclusionPolicy, apply_exclusion, derive_stream_seed
 from .indicators import EMNPC, EQ_PROP_CITED, MEAN_INDICATORS, MNLCS, PROPORTION_INDICATORS
 from .intervals import EXPAND_FROM_MEAN, LITERAL, check_alpha
 from .scopes import CONTINUITY_MODES

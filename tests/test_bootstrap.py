@@ -785,6 +785,24 @@ class TestReplicateOracle:
         assert sum(lemire_rejections(4, r, drawn[:1])[0] for r in range(100)) > 100
         self.check(group, world, indicator, BootstrapSpec(100, seed=4))
 
+    @pytest.mark.parametrize("indicator", ALL_INDICATORS)
+    def test_counts_of_every_width(self, indicator):
+        # Cells of uint16, uint32 (a count of 70,000) and uint64 (2**40)
+        # counts in one row draw and record what int64 counts and float64
+        # ln(1+c) values give.
+        rng = np.random.default_rng(11)
+        group, world = [], []
+        for i, (largest_group, largest_world) in enumerate([(70_000, 2**40), (40, 2**16)]):
+            key = FieldYearKey(f"F{i}", 2015)
+            for label, cells, n, largest in (("G", group, 150, largest_group),
+                                              (WORLD, world, 400, largest_world)):
+                counts = rng.integers(0, 30, n)
+                counts[n // 3] = largest
+                cells.append(ArticleSet(label, key, counts))
+        widths = [c.counts.dtype for c in group + world]
+        assert widths == [np.uint32, np.uint16, np.uint64, np.uint32]
+        self.check(group, world, indicator, BootstrapSpec(200, seed=13))
+
     @pytest.mark.parametrize("scope, seed", [("middle_cell_scope", 5), ("frequent_rejections", 4)])
     def test_spare_words_exhausted(self, monkeypatch, scope, seed):
         # With no spare words, a replicate with a rejected word runs out and

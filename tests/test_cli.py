@@ -218,6 +218,18 @@ class TestSample:
         for f1 in sorted(out1.iterdir()):
             assert f1.read_bytes() == (out2 / f1.name).read_bytes()
 
+    def test_seed_taken_mod_2_64(self, tmp_path, demo_corpus, capsys):
+        # -1 and 2**64 - 1 are one seed, as in every other command.
+        indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
+        outs = [tmp_path / "minus-one", tmp_path / "max"]
+        for out, seed in zip(outs, ["-1", str(2**64 - 1)]):
+            assert run(["sample", "--input-dir", indir, "--output-dir", out,
+                        "--size", "3", "--seed", seed]) == 0
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == sorted(p.name for p in outs[1].iterdir()) and files
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
 
 class TestSimulate:
     def test_writes_scenario_directories(self, tmp_path, capsys):

@@ -40,6 +40,11 @@ from conftest import make_cell
 BLOCK_BYTES = corpus_module._BLOCK_BYTES
 
 
+def width_rule(largest):
+    """The dtype a cell whose largest count is ``largest`` holds its counts in."""
+    return np.uint16 if largest < 2**16 else np.uint32 if largest < 2**32 else np.uint64
+
+
 def write_tsv(directory, name, rows):
     path = directory / name
     path.write_text("\n".join(["article_id\tcount"] + rows) + "\n", encoding="utf-8")
@@ -159,19 +164,27 @@ class TestKeysAndCells:
             np.array([4, 2], dtype=np.uint8),
             np.array([4, _COUNT_MAX], dtype=np.uint64),
             np.array([7], dtype=np.int16),
+            [0, 2**16 - 1],
+            np.array([2**16, 1], dtype=np.int64),
+            [3, 2**32 - 1],
+            np.array([2**32], dtype=np.uint64),
         ],
     )
     def test_integer_counts_accepted(self, counts):
         cell = ArticleSet("G", FieldYearKey("BIOC", 2013), counts)
-        assert cell.counts.dtype == np.int64
+        assert cell.counts.dtype == width_rule(max(int(c) for c in counts))
         assert cell.counts.tolist() == [int(c) for c in counts]
 
     def test_counts_are_a_private_read_only_int64_array(self):
+        # The cell's own counts are uint16 here; counts_array() is an int64 copy.
         source = np.array([3, 0, 1])
         cell = ArticleSet("G", FieldYearKey("BIOC", 2013), source)
         source[0] = 9
-        assert cell.counts.dtype == np.int64 and cell.counts.tolist() == [3, 0, 1]
-        assert cell.counts_array() is cell.counts
+        assert cell.counts.dtype == np.uint16 and cell.counts.tolist() == [3, 0, 1]
+        copy = cell.counts_array()
+        assert copy.dtype == np.int64 and copy.tolist() == [3, 0, 1]
+        copy[0] = 2**40
+        assert cell.counts.tolist() == [3, 0, 1]
         with pytest.raises(ValueError, match="read-only"):
             cell.counts[0] = 5
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -594,13 +607,34 @@ class TestCorpusOracle:
             cells = list(load_corpus(tmp_path).cells.values())
         assert [c.counts.tolist() for c in cells] == [[1], [2, 3, 4], [5, 6]]
         for cell in cells:
-            assert cell.counts.dtype == np.int64 and not cell.counts.flags.writeable
+            assert cell.counts.dtype == np.uint16 and not cell.counts.flags.writeable
+            assert cell.counts.base is None or cell.counts.base.nbytes == cell.counts.nbytes
+
+    # At 1 byte every line is a block of its own.  At 12 bytes B's pieces
+    # are its first two lines (with A), 70000 and 3, 2**40 alone, then 4
+    # (with C's first line).  Either way B starts as uint16, widens to
+    # uint32 and then to uint64; in one block it is a single uint64 piece.
+    @pytest.mark.parametrize("block_bytes", [1, 12, BLOCK_BYTES])
+    def test_cell_widens_mid_file(self, tmp_path, block_bytes):
+        write_tsv(tmp_path, "WORLD__A__2013.tsv", ["\t9"])
+        rows = ["\t1", "\t2", "", "\t70000", "\t3", f"\t{2**40}", "\t4"]
+        path = write_tsv(tmp_path, "WORLD__B__2013.tsv", rows)
+        write_tsv(tmp_path, "WORLD__C__2013.tsv", ["\t70000", "\t5"])
+        with mock.patch.object(corpus_module, "_BLOCK_BYTES", block_bytes):
+            cells = list(load_corpus(tmp_path).cells.values())
+            assert parse_outcome(read_cell, path) == parse_outcome(line_loop_read_cell, path)
+        assert [c.counts.tolist() for c in cells] == [
+            [9], [1, 2, 70000, 3, 2**40, 4], [70000, 5]
+        ]
+        assert [c.counts.dtype for c in cells] == [np.uint16, np.uint64, np.uint32]
+        for cell in cells:
+            assert not cell.counts.flags.writeable
             assert cell.counts.base is None or cell.counts.base.nbytes == cell.counts.nbytes
 
     def test_parsed_counts_exist_once(self, tmp_path):
         # The traced peak of reading a file cut into many blocks is its
         # counts, its bytes and one block's temporaries, measured at 1.0 MB;
-        # a copy of the counts would add another 8 MB.
+        # a copy of the counts (uint16 here) would add another 2 MB.
         n = 10**6
         path = tmp_path / "WORLD__A__2013.tsv"
         path.write_bytes(b"article_id\tcount\n" + b"\t7\n" * n)
@@ -669,6 +703,17 @@ class TestCellMemory:
         cell = ArticleSet("G", FieldYearKey("BIOC", 2013), counts)
         moments = (cell.cited, cell.raw_mean, cell.raw_m2, cell.log_mean, cell.log_m2)
         assert bits(moments) == bits(sorted_snapshot_moments(counts))
+
+    @pytest.mark.parametrize("largest", [2**16 - 1, 2**16, 2**32 - 1, 2**32, _COUNT_MAX])
+    def test_moments_at_every_width(self, largest):
+        # Whatever the width, the statistics are those of the int64 counts,
+        # with ln(1+c) in float64.
+        counts = np.random.default_rng(3).integers(0, 60, 5000)
+        counts[[7, 4000]] = largest, largest // 3
+        cell = ArticleSet("G", FieldYearKey("BIOC", 2013), counts)
+        assert cell.counts.dtype == width_rule(largest)
+        moments = (cell.cited, cell.raw_mean, cell.raw_m2, cell.log_mean, cell.log_m2)
+        assert moments == sorted_snapshot_moments(counts)
 
     def test_cell_holds_only_its_counts(self):
         n = 10**5
