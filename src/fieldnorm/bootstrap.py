@@ -1,10 +1,12 @@
 """Indicator rows with their intervals, percentile bootstrap, and comparisons.
 
 Rows.  ``report.build_report`` (``compute``) and ``comparison_suite``
-(``compare-ci``) only plan rows; ``row_results`` computes every row of both,
-drawing all bootstrap rows of a run in one ``bootstrap_intervals`` call.
-From plan to draw a bootstrap row is a ``Scope`` with its indicator and
-spec; raw cell sets are checked once, in ``bootstrap_indicator``.
+(``compare-ci``) only plan rows, and ``bootstrap_indicator`` plans one from
+raw cell sets that ``corpus.pair_cells`` checks; ``row_results`` computes
+every row of all three, drawing all bootstrap rows of a run in one
+``bootstrap_intervals`` call.  A planned row is a ``Scope`` with its
+indicator, interval route and spec, and from plan to draw a bootstrap row
+is a ``Scope`` with its indicator and spec.
 
 Replicates resample every group cell with replacement at its original size;
 when ``resample_world`` is set the world cells are resampled too.  Replicate
@@ -61,7 +63,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey, Scope, derive_stream_seed
+from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey, Scope, derive_stream_seed, pair_cells
 from .indicators import (
     CELL_STATISTICS,
     EMNPC,
@@ -74,20 +76,13 @@ from .indicators import (
     PROPORTION_INDICATORS,
     CellReplicates,
     IndicatorValue,
-    UndefinedNormalizationError,
     indicator_estimate,
     indicator_result,
 )
-from .intervals import (
-    BOOTSTRAP_PERCENTILE, FIELLER, HEURISTIC_EXPANSION, LITERAL, IntervalEstimate, check_alpha,
-)
-from .scopes import FORMULA_METHOD, fieller_interval, formula_interval
+from .intervals import BOOTSTRAP_PERCENTILE, LITERAL, IntervalEstimate, check_alpha
+from .scopes import BOOTSTRAP, FORMULA, fieller_interval, formula_interval, method_tag
 
-# The interval routes of a planned row, and the note of a row with no cell.
-FORMULA = "formula"
-FIELLER_METHOD = "fieller"
-BOOTSTRAP = "bootstrap"
-CI_METHODS = (FORMULA, FIELLER_METHOD, BOOTSTRAP)
+# The note of a row with no cell.
 _EMPTY_SCOPE = "no cells retained by exclusion policy"
 
 BOOTSTRAP_ITERATIONS_DEFAULT = {
@@ -558,59 +553,42 @@ def bootstrap_indicator(
 ) -> IntervalEstimate:
     """Percentile bootstrap interval for one indicator over one scope.
 
+    The cell sets are paired by ``corpus.pair_cells`` and the row is the one
+    ``row_results`` computes, notes included.  Raises ValueError, before any
+    draw, when the indicator is undefined on the original data.
     Replicates where the indicator is undefined are excluded; once more
     than alpha/2 of all replicates are undefined the interval itself is
     flagged undefined.
     """
-    group = {a.key: a for a in group_sets}
-    world = {a.key: a for a in world_sets}
-    if len(group) != len(group_sets) or len(world) != len(world_sets):
-        raise ValueError("duplicate cell keys")
-    missing = set(group) - set(world)
-    if missing:
-        raise ValueError(f"missing world cells for {sorted(missing)}")
-    if indicator in PROPORTION_INDICATORS and set(world) != set(group):
-        raise ValueError("group and world must cover the same cell keys")
-    keys = tuple(sorted(group))
-    scope = Scope(keys, tuple(group[k] for k in keys), tuple(world[k] for k in keys))
-    try:
-        original = indicator_estimate(indicator, *scope)[0]
-    except UndefinedNormalizationError:
-        raise ValueError(f"{indicator} is undefined on the original data") from None
-    interval = bootstrap_intervals([(scope, indicator, spec)])[0]
-    return replace(interval, estimate=original, n=sum(c.n for c in scope.group))
-
-
-def _method_tag(indicator: str, method: str, scope: Scope) -> str:
-    """Interval-method tag a flagged row would have carried if computable."""
-    if method == FORMULA:
-        return FORMULA_METHOD[indicator]
-    if method == FIELLER_METHOD:
-        return FIELLER if len(scope.keys) == 1 else HEURISTIC_EXPANSION
-    return BOOTSTRAP_PERCENTILE
+    scope = pair_cells(group_sets, world_sets, same_keys=indicator in PROPORTION_INDICATORS)
+    (row,) = row_results([(scope, indicator, BOOTSTRAP, spec)], spec.alpha)
+    if row.estimate is None:  # an undefined point is flagged without a draw
+        raise ValueError(f"{indicator} is undefined on the original data")
+    return row
 
 
 def row_results(
     plan: Sequence[tuple], alpha: float, continuity: str = "auto", expansion_mode: str = LITERAL,
 ) -> list[IntervalEstimate]:
-    """The interval of each planned (Scope, group, indicator, method, BootstrapSpec | None) row.
+    """The interval of each planned (Scope, indicator, route, BootstrapSpec | None) row.
 
     Each holds the point, computed once per (Scope, indicator), the group's
     article count as ``n``, and the point's and interval's notes joined as
     ``note``.  A row whose point is undefined, or whose scope is empty, is
-    flagged with the method tag it would have carried.
+    flagged with the method tag it would have carried (``scopes.method_tag``).
     """
     points: dict[tuple[Scope, str], IndicatorValue] = {}
     rows, draws = [], []
-    for scope, group, indicator, method, spec in plan:
+    for scope, indicator, method, spec in plan:
         if (scope, indicator) not in points:
             points[scope, indicator] = (
-                indicator_result(indicator, group, *scope) if scope.keys
-                else IndicatorValue(group, frozenset(), indicator, None, False, _EMPTY_SCOPE)
+                indicator_result(indicator, *scope) if scope.keys
+                else IndicatorValue(indicator, None, False, _EMPTY_SCOPE)
             )
         point = points[scope, indicator]
         if not point.defined:
-            interval = IntervalEstimate.undefined(_method_tag(indicator, method, scope), alpha, "")
+            tag = method_tag(indicator, method, scope.keys)
+            interval = IntervalEstimate.undefined(tag, alpha, "")
         elif method == BOOTSTRAP:
             draws.append((scope, indicator, spec))
             interval = None
@@ -704,8 +682,8 @@ def comparison_suite(
                 spec = specs[indicator]
                 seed = derive_stream_seed(spec.seed, label, group, indicator)
                 labels.append((label, group, indicator))
-                plan += [(scope, group, indicator, FORMULA, None),
-                         (scope, group, indicator, BOOTSTRAP, replace(spec, seed=seed))]
+                plan += [(scope, indicator, FORMULA, None),
+                         (scope, indicator, BOOTSTRAP, replace(spec, seed=seed))]
     results = row_results(plan, alphas.pop(), continuity)
     rows = []
     for (label, group, indicator), formula, boot in zip(labels, results[::2], results[1::2]):

@@ -12,11 +12,13 @@ must also have a WORLD cell, otherwise normalisation is impossible.
 An ArticleSet is the one cell object from parse to kernel: it holds the
 cell's counts as a read-only array of the narrowest unsigned type, of at
 least 16 bits, that holds its largest count (``count_dtype``), built from
-integers only, and computes, once, the statistics every indicator and
-analytic interval is computed from, keeping those numbers and no other
-array.  A Corpus holds only its cells; ``Corpus.scope`` turns a (group,
-key set) into a Scope of sorted keys and cells, and the code that builds a
-row calls it once and hands the Scope to every route of that row.
+integers only.  On their first read it computes, once, the statistics
+every indicator and analytic interval is computed from, and keeps them as
+plain attributes, beside no other array.  A Corpus holds only its cells;
+``Corpus.scope`` turns a (group, key set) into a Scope of sorted keys and
+cells, and the code that builds a row calls it once and hands the Scope to
+every route of that row.  ``pair_cells`` turns raw group and world cell
+sets, as the library entry points take them, into a checked Scope.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +44,8 @@ _INT64_DIGITS = 18
 # Lines are parsed in blocks of at most this many bytes (a longer line gets
 # a block of its own), which bounds the parser's temporaries.
 _BLOCK_BYTES = 2**16
+# The statistics an ArticleSet computes together on their first read.
+_STATISTICS = ("cited", "raw_mean", "raw_m2", "log_mean", "log_m2")
 
 
 def count_dtype(largest: int) -> np.dtype:
@@ -103,10 +106,11 @@ class ArticleSet:
     or ``counts_array()``, an int64 copy, do not.  The statistics every
     indicator and analytic interval is computed from are read off the cell
     itself: n, cited (count > 0), and the mean and M2 (sum of squared
-    deviations from the mean) of c and of ln(1+c).  The first read computes
-    all five at once, over a sorted snapshot of the counts that is dropped
-    afterwards, so a cell holds its counts, its ids and five numbers: 2
-    bytes per article for counts below 65,536, plus the ids.
+    deviations from the mean) of c and of ln(1+c).  The first read of any
+    of the five computes them all, over a sorted snapshot of the counts
+    that is dropped afterwards, and stores them as plain attributes, so a
+    cell holds its counts, its ids and five numbers: 2 bytes per article
+    for counts below 65,536, plus the ids.
 
     Equality is identity (``eq=False``): an array has no single truth
     value, so a field-by-field ``==`` could not give one.
@@ -166,9 +170,8 @@ class ArticleSet:
     def n(self) -> int:
         return self.counts.size
 
-    @cached_property
-    def _moments(self) -> tuple[int, float, float, float, float]:
-        """cited, then the mean and M2 of c and of ln(1+c), in one pass.
+    def __getattr__(self, name: str):
+        """The five ``_STATISTICS``, set together as plain attributes on the first read.
 
         They are taken over a transient sorted snapshot of the counts, so
         the sums run in ascending order, as the bootstrap's do.  At most two
@@ -176,6 +179,8 @@ class ArticleSet:
         array that holds the deviations, then ln(1+c), then theirs.  The
         sums are those ``mean`` and ``np.sum`` make, without their wrappers.
         """
+        if name not in _STATISTICS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         n = self.n
         ordered = np.sort(self.counts)
         cited = n - int(np.searchsorted(ordered, 0, side="right"))
@@ -188,27 +193,8 @@ class ArticleSet:
         log_mean = float(np.add.reduce(logs)) / n
         logs -= log_mean
         log_m2 = float(np.add.reduce(np.square(logs, out=logs)))
-        return cited, raw_mean, raw_m2, log_mean, log_m2
-
-    @property
-    def cited(self) -> int:
-        return self._moments[0]
-
-    @property
-    def raw_mean(self) -> float:
-        return self._moments[1]
-
-    @property
-    def raw_m2(self) -> float:
-        return self._moments[2]
-
-    @property
-    def log_mean(self) -> float:
-        return self._moments[3]
-
-    @property
-    def log_m2(self) -> float:
-        return self._moments[4]
+        vars(self).update(zip(_STATISTICS, (cited, raw_mean, raw_m2, log_mean, log_m2)))
+        return vars(self)[name]
 
     @property
     def log_sd(self) -> float | None:
@@ -301,6 +287,30 @@ class Corpus:
         if group != WORLD and group not in self.groups:
             raise KeyError(f"unknown group {group!r}")
         return {k for (g, k) in self.cells if g == group}
+
+
+def pair_cells(
+    group_sets: Sequence[ArticleSet], world_sets: Sequence[ArticleSet], same_keys: bool = False
+) -> Scope:
+    """The Scope of raw group and world cell sets: the group's keys sorted, with their cells.
+
+    One ValueError per fault: an empty group set, a duplicate key, a group
+    key with no world cell and, with ``same_keys`` (the proportion
+    indicators), world keys that differ from the group's.
+    """
+    if not group_sets:
+        raise ValueError("no group cells supplied")
+    group = {s.key: s for s in group_sets}
+    world = {s.key: s for s in world_sets}
+    if len(group) != len(group_sets) or len(world) != len(world_sets):
+        raise ValueError("duplicate cell keys")
+    missing = group.keys() - world.keys()
+    if missing:
+        raise ValueError(f"missing world cells for {sorted(missing)}")
+    if same_keys and world.keys() != group.keys():
+        raise ValueError("group and world must cover the same cell keys")
+    keys = tuple(sorted(group))
+    return Scope(keys, tuple(group[k] for k in keys), tuple(world[k] for k in keys))
 
 
 def cell_filename(group: str, key: FieldYearKey) -> str:

@@ -4,8 +4,8 @@ Every indicator is a function of a few statistics per (group, field, year)
 cell, which each ``ArticleSet`` computes once: n, the number cited (c > 0),
 and the mean and M2 of both c and ln(1+c).  One kernel reads these
 statistics straight off the cells: ``indicator_estimate`` computes all
-seven indicators, and ``score_moments``/``pooled_moments`` and
-``log_moments`` give the moments behind the NORMAL_T and Fieller intervals.
+seven indicators, and ``score_moments`` and ``pooled_moments`` give the
+moments behind the NORMAL_T and heuristic-expansion intervals.
 Point estimates, analytic intervals and bootstrap replicates all call it;
 for the bootstrap, ``indicator_estimate`` takes ``CellReplicates``, the
 same statistics as arrays with one entry per replicate (which
@@ -40,8 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import WORLD, ArticleSet, FieldYearKey
-from .intervals import SampleMoments
+from .corpus import WORLD, ArticleSet, FieldYearKey, pair_cells
 
 # Indicator tags.
 MNLCS = "MNLCS"
@@ -105,8 +104,6 @@ ProportionCells = Sequence[ProportionSummary | ArticleSet]
 
 @dataclass(frozen=True)
 class IndicatorValue:
-    group: str
-    scope: frozenset[FieldYearKey]
     indicator: str
     estimate: float | None
     defined: bool = True
@@ -272,9 +269,9 @@ def score_moments(
     """(n, mean, M2) of each group cell's scores under a mean indicator."""
     moments = []
     for key, g, w in zip(keys, group, world):
-        scale = _normaliser(indicator, key, w)[1]
-        m2 = g.raw_m2 if indicator == MNCS else g.log_m2
-        moments.append((g.n, _score_mean(indicator, key, g, w), m2 / (scale * scale)))
+        shift, scale = _normaliser(indicator, key, w)
+        x, m2 = (g.raw_mean, g.raw_m2) if indicator == MNCS else (g.log_mean, g.log_m2)
+        moments.append((g.n, (x - shift) / scale, m2 / (scale * scale)))
     return moments
 
 
@@ -291,25 +288,18 @@ def pooled_moments(cells: Sequence[tuple[int, float, float]]) -> tuple[int, floa
     return n, mean, m2
 
 
-def log_moments(cell: ArticleSet) -> SampleMoments:
-    """Moments of one cell's ln(1+c) values, as the Fieller interval takes them."""
-    return SampleMoments.from_m2(cell.n, cell.log_mean, cell.log_m2)
-
-
 def indicator_result(
     indicator: str,
-    group_label: str,
     keys: Sequence[FieldYearKey],
     group: Sequence[ArticleSet],
     world: Sequence[ArticleSet],
 ) -> IndicatorValue:
     """``indicator_estimate`` as a value that is flagged, not raised, when undefined."""
-    scope = frozenset(keys)
     try:
         estimate, note = indicator_estimate(indicator, keys, group, world)
     except UndefinedNormalizationError as exc:
-        return IndicatorValue(group_label, scope, indicator, None, defined=False, note=str(exc))
-    return IndicatorValue(group_label, scope, indicator, estimate, note=note)
+        return IndicatorValue(indicator, None, defined=False, note=str(exc))
+    return IndicatorValue(indicator, estimate, note=note)
 
 
 # ------------------------------------------------- per-article reference
@@ -330,23 +320,22 @@ def normalize_log(aset: ArticleSet, baseline: NormalizationBaseline) -> Normaliz
     return NormalizedScores(aset.group, aset.key, values)
 
 
-def _common_group(sets: Sequence[NormalizedScores] | ProportionCells) -> str:
+def _check_one_group(sets: Sequence[NormalizedScores] | ProportionCells) -> None:
     groups = {s.group for s in sets}
     if len(groups) > 1:
         raise ValueError(f"mixed groups {sorted(groups)}")
-    return groups.pop()
 
 
 def mnlcs(scores: Sequence[NormalizedScores]) -> IndicatorValue:
     """Flat mean of per-article log-ratio scores over every article in every cell."""
     if not scores:
         raise ValueError("no scores supplied")
-    group = _common_group(scores)
+    _check_one_group(scores)
     keys = [s.key for s in scores]
     if len(keys) != len(set(keys)):
         raise ValueError("overlapping scopes: duplicate cell keys")
     values = np.concatenate([s.values for s in scores])
-    return IndicatorValue(group, frozenset(keys), MNLCS, float(values.mean()))
+    return IndicatorValue(MNLCS, float(values.mean()))
 
 
 # ------------------------------------------ proportion-summary front end
@@ -356,7 +345,8 @@ def proportion_cited(sets: ProportionCells) -> IndicatorValue:
     """Pooled proportion cited: total cited over total articles."""
     if not sets:
         raise ValueError("no proportion summaries supplied")
-    return indicator_result(PROP_CITED, _common_group(sets), [s.key for s in sets], sets, ())
+    _check_one_group(sets)
+    return indicator_result(PROP_CITED, [s.key for s in sets], sets, ())
 
 
 def equalised_proportion(sets: ProportionCells) -> tuple[IndicatorValue, float]:
@@ -370,24 +360,17 @@ def equalised_proportion(sets: ProportionCells) -> tuple[IndicatorValue, float]:
     keys = [s.key for s in sets]
     if len(keys) != len(set(keys)):
         raise ValueError("duplicate cell keys in equalised proportion")
-    value = indicator_result(EQ_PROP_CITED, _common_group(sets), keys, sets, ())
+    _check_one_group(sets)
+    value = indicator_result(EQ_PROP_CITED, keys, sets, ())
     return value, sum(s.n for s in sets) / len(sets)
 
 
 def _paired(
     indicator: str, group_sets: ProportionCells, world_sets: ProportionCells
 ) -> IndicatorValue:
-    group_by_key = {s.key: s for s in group_sets}
-    world_by_key = {s.key: s for s in world_sets}
-    if len(group_by_key) != len(group_sets) or len(world_by_key) != len(world_sets):
-        raise ValueError("duplicate cell keys")
-    if group_by_key.keys() != world_by_key.keys():
-        raise ValueError("group and world summaries cover different cell keys")
-    keys = sorted(group_by_key)
-    return indicator_result(
-        indicator, _common_group(group_sets), keys,
-        [group_by_key[k] for k in keys], [world_by_key[k] for k in keys],
-    )
+    scope = pair_cells(group_sets, world_sets, same_keys=True)
+    _check_one_group(group_sets)
+    return indicator_result(indicator, *scope)
 
 
 def emnpc(group_sets: ProportionCells, world_sets: ProportionCells) -> IndicatorValue:

@@ -23,11 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .bootstrap import (
-    BOOTSTRAP,
     BOOTSTRAP_ITERATIONS_DEFAULT,
-    CI_METHODS,
-    FIELLER_METHOD,
-    FORMULA,
     RESAMPLE_WORLD_DEFAULT,
     BootstrapSpec,
     bootstrap_plan,
@@ -36,7 +32,7 @@ from .bootstrap import (
 from .corpus import WORLD, Corpus, ExclusionPolicy, apply_exclusion, derive_stream_seed
 from .indicators import EMNPC, EQ_PROP_CITED, MEAN_INDICATORS, MNLCS, PROPORTION_INDICATORS
 from .intervals import EXPAND_FROM_MEAN, LITERAL, check_alpha
-from .scopes import CONTINUITY_MODES
+from .scopes import BOOTSTRAP, CI_METHODS, CONTINUITY_MODES, FIELLER_METHOD, FORMULA
 
 CSV_HEADER = ("group", "scope", "n", "indicator", "estimate", "ci_lower", "ci_upper",
               "method", "defined", "notes")
@@ -139,7 +135,7 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
                         spec = bootstrap_plan(indicator, RESAMPLE_WORLD_DEFAULT,
                                               config.bootstrap_iterations, config.resample_world,
                                               seed, config.alpha)
-                    plan.append((scope, group, indicator, method, spec))
+                    plan.append((scope, indicator, method, spec))
                     labels.append((group, scope_label, indicator))
     results = row_results(plan, config.alpha, config.continuity, config.expansion_mode)
     rows = tuple(

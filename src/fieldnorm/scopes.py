@@ -3,10 +3,11 @@
 A scope is a set of field/year keys for one group.  The code that builds a
 row resolves it once, with ``Corpus.scope``, into a ``Scope``: the sorted
 keys with the group's and the world's cell of each.  The interval routes
-take that Scope and hand its cells to the kernel in ``indicators`` for the
-moments or counts of the indicator's interval; the point estimate is
-``indicators.indicator_result`` over the same Scope, a flagged value that
-never raises for data-dependent degeneracies.
+(``CI_METHODS``) take that Scope and hand its cells to the kernel in
+``indicators`` for the moments or counts of the indicator's interval, and
+``method_tag`` names the method each route's row carries; the point
+estimate is ``indicators.indicator_result`` over the same Scope, a flagged
+value that never raises for data-dependent degeneracies.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from .indicators import (
     UndefinedNormalizationError,
     indicator_estimate,
     indicator_result,
-    log_moments,
     pooled_moments,
     score_moments,
 )
 from .intervals import (
+    BOOTSTRAP_PERCENTILE,
     FIELLER,
     HEURISTIC_EXPANSION,
     LITERAL,
@@ -61,6 +62,21 @@ FORMULA_METHOD = {
 
 CONTINUITY_MODES = ("auto", "on", "off")
 
+# The interval routes of a planned row.
+FORMULA = "formula"
+FIELLER_METHOD = "fieller"
+BOOTSTRAP = "bootstrap"
+CI_METHODS = (FORMULA, FIELLER_METHOD, BOOTSTRAP)
+
+
+def method_tag(indicator: str, route: str, keys: tuple[FieldYearKey, ...]) -> str:
+    """The interval method a row of ``route`` over ``keys`` carries, defined or flagged."""
+    if route == FORMULA:
+        return FORMULA_METHOD[indicator]
+    if route == FIELLER_METHOD:
+        return FIELLER if len(keys) == 1 else HEURISTIC_EXPANSION
+    return BOOTSTRAP_PERCENTILE
+
 
 def indicator_value(
     corpus: Corpus, group: str, keys: set[FieldYearKey], indicator: str
@@ -68,7 +84,7 @@ def indicator_value(
     """Point estimate over a scope, flagged rather than raised when undefined."""
     if not keys:
         raise ValueError("empty scope")
-    return indicator_result(indicator, group, *corpus.scope(group, keys))
+    return indicator_result(indicator, *corpus.scope(group, keys))
 
 
 def resolve_continuity(
@@ -138,22 +154,22 @@ def fieller_interval(
     ratio are those of the ln(1+c) values.
     """
     ordered, group_cells, world_cells = scope
-    method = FIELLER if len(ordered) == 1 else HEURISTIC_EXPANSION
     try:
         cells = score_moments(MNLCS, ordered, group_cells, world_cells)
+        # Each cell's Fieller limits, from the moments of its ln(1+c) values.
+        fiellers = (
+            fieller_ci(*(SampleMoments.from_m2(c.n, c.log_mean, c.log_m2) for c in pair), alpha)
+            for pair in zip(group_cells, world_cells)
+        )
         if len(ordered) == 1:
-            return fieller_ci(log_moments(group_cells[0]), log_moments(world_cells[0]), alpha)
+            return next(fiellers)
         per_cell = [
-            (
-                n,
-                normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha),
-                fieller_ci(log_moments(g), log_moments(w), alpha),
-                mean,
-            )
-            for (n, mean, m2), g, w in zip(cells, group_cells, world_cells)
+            (n, normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha), fieller, mean)
+            for (n, mean, m2), fieller in zip(cells, fiellers)
         ]
         n, mean, m2 = pooled_moments(cells)
         combined = normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha)
         return heuristic_expanded_ci(per_cell, combined, mean, expansion_mode)
-    except (UndefinedNormalizationError, ValueError) as exc:
+    except ValueError as exc:
+        method = method_tag(MNLCS, FIELLER_METHOD, ordered)
         return IntervalEstimate.undefined(method, alpha, str(exc))

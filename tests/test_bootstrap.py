@@ -30,7 +30,9 @@ from fieldnorm.bootstrap import (
     state_memory,
     summarize_comparisons,
 )
-from fieldnorm.corpus import WORLD, ArticleSet, Corpus, FieldYearKey
+from fieldnorm.corpus import (
+    WORLD, ArticleSet, Corpus, FieldYearKey, derive_stream_seed, write_corpus,
+)
 from fieldnorm.indicators import (
     EMNPC,
     EQ_PROP_CITED,
@@ -43,6 +45,7 @@ from fieldnorm.indicators import (
     indicator_estimate,
 )
 from fieldnorm.intervals import IntervalEstimate, NORMAL_T
+from fieldnorm.report import format_field, read_csv_rows
 from fieldnorm.scopes import indicator_value
 from fieldnorm.synthetic import LognormalSpec, generate_cell, scenario_grid
 
@@ -71,6 +74,11 @@ class TestPercentile:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             percentile([], 0.5)
+
+    @pytest.mark.parametrize("q", [-0.01, 1.01])
+    def test_q_outside_unit_interval_rejected(self, q):
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+            percentile([3, 5, 9], q)
 
 
 class TestPointEstimate:
@@ -184,6 +192,30 @@ class TestBootstrapIndicator:
         with pytest.raises(ValueError, match="undefined"):
             bootstrap_indicator(group, world, MNPC, BootstrapSpec(100, seed=0))
 
+    @pytest.mark.parametrize("world, indicator", [(demo_sets()[1], MNLCS), ([], EMNPC)])
+    def test_empty_group_rejected(self, world, indicator):
+        with pytest.raises(ValueError, match="^no group cells supplied$"):
+            bootstrap_indicator([], world, indicator, BootstrapSpec(100))
+
+    def test_note_is_the_compute_row_note(self, tmp_path, capsys):
+        # Field A is a 0/0 cell, so the point carries a note of its own.
+        group = [ArticleSet("G", KEY_A, (0, 0, 0)), ArticleSet("G", KEY_B, (2, 0, 1, 4))]
+        world = [ArticleSet(WORLD, KEY_A, (0,) * 6),
+                 ArticleSet(WORLD, KEY_B, (1, 3, 0, 2, 5, 1, 1, 2))]
+        write_corpus(Corpus.from_cells(group + world), tmp_path / "cells")
+        out = tmp_path / "report.csv"
+        assert cli.main(["compute", "--input-dir", str(tmp_path / "cells"), "--output", str(out),
+                         "--indicators", "mnpc", "--ci", "bootstrap",
+                         "--bootstrap-iters", "100"]) == 0
+        (row,) = [r for r in read_csv_rows(out) if (r["group"], r["scope"]) == ("G", "ALL")]
+        seed = derive_stream_seed(0, "G", "ALL", MNPC)
+        ci = bootstrap_indicator(group, world, MNPC, BootstrapSpec(100, seed=seed))
+        assert ci.note == row["notes"]
+        assert ci.note == f"0/0 field ratio replaced by 1 for {KEY_A}; resample_world=true"
+        assert [format_field(v) for v in (ci.estimate, ci.lower, ci.upper)] == [
+            format_field(row[name]) for name in ("estimate", "ci_lower", "ci_upper")
+        ]
+
     def test_note_records_world_mode(self):
         group, world = demo_sets()
         on = bootstrap_indicator(group, world, MNLCS, BootstrapSpec(100, seed=1))
@@ -275,6 +307,13 @@ class TestCompareCi:
         undefined = IntervalEstimate(1.0, None, None, 0.05, NORMAL_T, defined=False)
         with pytest.raises(ValueError, match="defined"):
             compare_ci(undefined, self.interval(0.9, 1.1), 1.0)
+
+    @pytest.mark.parametrize(
+        "formula, boot", [((0.9, 1.1), (1.05, 1.3)), ((1.02, 1.1), (0.8, 1.2))]
+    )
+    def test_point_outside_an_interval_rejected(self, formula, boot):
+        with pytest.raises(ValueError, match="point estimate must lie inside both intervals"):
+            compare_ci(self.interval(*formula), self.interval(*boot), 1.0)
 
 
 class TestComparisonSuite:

@@ -83,6 +83,19 @@ class TestCompute:
         assert status == 1
         assert capsys.readouterr().err == "error: WORLD__A__2013.tsv:3: not valid UTF-8\n"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--min-articles", "0", "min_articles must be >= 1"),
+        ("--min-fraction-of-mean", "1.5", "min_fraction_of_mean must lie in [0, 1]"),
+    ])
+    def test_invalid_exclusion_floor_fails(self, tmp_path, demo_corpus, capsys, flag, value,
+                                           message):
+        indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
+        out = tmp_path / "r.csv"
+        status = run(["compute", "--input-dir", indir, "--output", out, flag, value])
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_zero_bootstrap_iterations_fail(self, tmp_path, demo_corpus, capsys):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
         status = run(["compute", "--input-dir", indir, "--output", tmp_path / "r.csv",
@@ -208,6 +221,13 @@ class TestSample:
         key = FieldYearKey("F", 2014)
         assert len(sampled.world(key)) == 500
         assert len(sampled.cell("G", key)) == 2
+
+    def test_zero_size_fails(self, tmp_path, demo_corpus, capsys):
+        indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
+        outdir = tmp_path / "sampled"
+        assert run(["sample", "--input-dir", indir, "--output-dir", outdir, "--size", "0"]) == 1
+        assert capsys.readouterr().err == "error: sample size must be >= 1\n"
+        assert not outdir.exists()
 
     def test_rerun_identical(self, tmp_path, demo_corpus, capsys):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)

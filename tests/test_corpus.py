@@ -266,6 +266,13 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match=error):
             load_corpus(tmp_path)
 
+    def test_filename_year_below_1000_rejected(self, tmp_path):
+        write_tsv(tmp_path, "G__F__0999.tsv", ["a\t1"])
+        with pytest.raises(CorpusError) as raised:
+            load_corpus(tmp_path)
+        message = "G__F__0999.tsv: year must be a 4-digit positive integer, got 999"
+        assert str(raised.value) == message
+
     def test_malformed_filename(self, tmp_path):
         write_tsv(tmp_path, "WORLD_BIOC_2013.tsv", ["a\t1"])
         with pytest.raises(CorpusError, match="malformed"):

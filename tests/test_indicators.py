@@ -24,7 +24,7 @@ from fieldnorm.indicators import (
     proportion_cited,
     score_moments,
 )
-from fieldnorm.intervals import mnlcs_normal_ci
+from fieldnorm.intervals import NORMAL_T, mnlcs_normal_ci
 from fieldnorm.scopes import formula_interval, indicator_value
 from fieldnorm.synthetic import scenario_grid
 
@@ -238,8 +238,12 @@ class TestEmnpc:
         assert not value.defined and value.estimate is None
 
     def test_key_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="keys"):
+        with pytest.raises(ValueError, match="missing world cells for"):
             emnpc(summaries("G", [("A", 1, 5)]), summaries(WORLD, [("B", 1, 5)]))
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError, match="^no group cells supplied$"):
+            emnpc([], [])
 
 
 class TestMnpc:
@@ -267,6 +271,10 @@ class TestMnpc:
         assert value.defined
         assert value.estimate == pytest.approx(1.0)
         assert "0/0" in value.note
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError, match="^no group cells supplied$"):
+            mnpc([], summaries(WORLD, [("A", 5, 10)]))
 
     def test_cited_over_zero_world_is_undefined(self):
         group = summaries("G", [("A", 1, 10), ("B", 5, 10)])
@@ -378,3 +386,11 @@ class TestKernel:
         for indicator in (MNLCS, MNCS, LUNDBERG_Z, MNPC, EMNPC):
             value = one_cell(indicator, [1, 2, 0], [0, 0, 0])
             assert not value.defined and value.estimate is None
+
+    @pytest.mark.parametrize("indicator", [MNLCS, MNCS, LUNDBERG_Z])
+    def test_formula_interval_over_zero_world_is_flagged(self, indicator):
+        corpus = Corpus.from_cells([ArticleSet("G", KEY_A, (1, 2, 0)), world_cell(KEY_A, [0] * 3)])
+        interval = formula_interval(corpus.scope("G", {KEY_A}), indicator)
+        assert (interval.defined, interval.method) == (False, NORMAL_T)
+        assert interval.note == one_cell(indicator, [1, 2, 0], [0, 0, 0]).note
+        assert interval.note.endswith(f"for {KEY_A}")

@@ -450,6 +450,28 @@ class TestHeuristicExpansion:
         with pytest.raises(ValueError, match="sum"):
             heuristic_expanded_ci(cells, combined, 1.0)
 
+    def test_zero_width_cell_without_overhang_adds_no_expansion(self):
+        cells = [self.cell(40, 1.0, 0.0), self.cell(60, 1.2, 0.1)]
+        combined = _interval(0.9, 1.3, estimate=1.1, n=100)
+        out = heuristic_expanded_ci(cells, combined, 1.1, EXPAND_FROM_MEAN)
+        assert (out.lower, out.upper) == (pytest.approx(0.9), pytest.approx(1.3))
+
+    def test_zero_width_cell_with_overhang_flags_result(self):
+        cells = [self.cell(40, 1.0, 0.0, fieller_extra_up=0.1), self.cell(60, 1.2, 0.1)]
+        out = heuristic_expanded_ci(cells, _interval(0.9, 1.3, estimate=1.1, n=100), 1.1)
+        assert not out.defined
+        assert out.note == "expansion_mode=literal; degenerate per-cell normal interval"
+
+    def test_inverted_limits_flag_result(self):
+        # The cell's Fieller limits sit above its lopsided normal limits: the
+        # lower side contracts by 6 half-widths, the upper widens by 0.5.
+        cell = (
+            30, _interval(0.99, 2.0, estimate=1.0), _interval(1.05, 2.5, method=FIELLER), 1.0
+        )
+        out = heuristic_expanded_ci([cell], _interval(0.9, 1.1, estimate=1.0, n=30), 1.0)
+        assert not out.defined
+        assert out.note == "expansion_mode=literal; expansion produced inverted limits"
+
 
 class TestWilson:
     def test_zero_cited_lower_is_zero(self):

@@ -229,9 +229,9 @@ class TestBuildReport:
         estimate = fieldnorm.bootstrap.indicator_result
         kernel = fieldnorm.bootstrap.indicator_estimate
 
-        def counted(indicator, group, *scope):
-            points.append((indicator, group))
-            return estimate(indicator, group, *scope)
+        def counted(indicator, keys, group, world):
+            points.append((indicator, group[0].group))
+            return estimate(indicator, keys, group, world)
 
         def counted_kernel(indicator, keys, group, world):
             # Replicates come as CellReplicates; a point comes as the ArticleSets.
