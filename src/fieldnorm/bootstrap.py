@@ -6,7 +6,9 @@ raw cell sets that ``corpus.pair_cells`` checks; ``row_results`` computes
 every row of all three, drawing all bootstrap rows of a run in one
 ``bootstrap_intervals`` call.  A planned row is a ``Scope`` with its
 indicator, interval route and spec, and from plan to draw a bootstrap row
-is a ``Scope`` with its indicator and spec.
+is a ``Scope`` with its indicator and spec, a ``BootstrapSpec`` of
+iterations, seed and ``resample_world``.  The level alpha is the run's, not
+a row's: ``row_results`` takes it once for every interval of the run.
 
 Replicates resample every group cell with replacement at its original size;
 when ``resample_world`` is set the world cells are resampled too.  Replicate
@@ -63,7 +65,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey, Scope, derive_stream_seed, pair_cells
+from .corpus import WORLD, ArticleSet, Corpus, Scope, derive_stream_seed, pair_cells
 from .indicators import (
     CELL_STATISTICS,
     EMNPC,
@@ -79,7 +81,7 @@ from .indicators import (
     indicator_estimate,
     indicator_result,
 )
-from .intervals import BOOTSTRAP_PERCENTILE, LITERAL, IntervalEstimate, check_alpha
+from .intervals import ALPHA_DEFAULT, BOOTSTRAP_PERCENTILE, LITERAL, IntervalEstimate, check_alpha
 from .scopes import BOOTSTRAP, FORMULA, fieller_interval, formula_interval, method_tag
 
 # The note of a row with no cell.
@@ -268,20 +270,18 @@ def state_memory(bit_generator: np.random.PCG64) -> tuple[ctypes.Array, list[int
 
 @dataclass(frozen=True)
 class BootstrapSpec:
-    iterations: int = 1000
+    iterations: int
     seed: int = 0
     resample_world: bool = True
-    alpha: float = 0.05
 
     def __post_init__(self) -> None:
         if self.iterations < 100:
             raise ValueError("at least 100 bootstrap iterations are required")
-        check_alpha(self.alpha)
 
 
 def bootstrap_plan(
     indicator: str, auto_rule: Mapping[str, bool], iterations: int | None,
-    resample_world: bool | None, seed: int, alpha: float,
+    resample_world: bool | None, seed: int,
 ) -> BootstrapSpec:
     """One bootstrap row's spec from a command's flags.
 
@@ -292,7 +292,7 @@ def bootstrap_plan(
         iterations = BOOTSTRAP_ITERATIONS_DEFAULT[indicator]
     if resample_world is None:
         resample_world = auto_rule[indicator]
-    return BootstrapSpec(iterations, seed, resample_world, alpha)
+    return BootstrapSpec(iterations, seed, resample_world)
 
 
 @dataclass(frozen=True)
@@ -427,7 +427,7 @@ def _record_block(
 def _replicate_row(
     bit_generator: np.random.PCG64, memory: ctypes.Array, states: np.ndarray, row: tuple
 ) -> np.ndarray:
-    """``replicate_values`` of a (Scope, indicator, spec) row, replicate r from ``states[r]``."""
+    """Entry r: the (Scope, indicator, spec) row on replicate ``states[r]``, NaN if undefined."""
     (keys, group_cells, world_cells), indicator, spec = row
     group_stats, world_stats = CELL_STATISTICS[indicator]
     rep_group = [CellReplicates(c.n, group_stats, spec.iterations) for c in group_cells]
@@ -482,7 +482,7 @@ def _replicate_row(
 
 
 def _replicate_rows(rows: Sequence[tuple]) -> Iterator[np.ndarray]:
-    """``replicate_values`` of each (Scope, indicator, spec) row, in order, one at a time.
+    """``_replicate_row`` of each (Scope, indicator, spec) row, in order, one at a time.
 
     One ``PCG64`` draws every row.  Consecutive rows are seeded together in
     chunks of at most ``_SEED_LANES`` replicates or of one row, and only the
@@ -505,20 +505,8 @@ def _replicate_rows(rows: Sequence[tuple]) -> Iterator[np.ndarray]:
         start = stop
 
 
-def replicate_values(
-    keys: Sequence[FieldYearKey], group_cells: Sequence[ArticleSet],
-    world_cells: Sequence[ArticleSet], indicator: str, spec: BootstrapSpec,
-) -> np.ndarray:
-    """``indicator`` on each of the ``spec.iterations`` replicates, NaN where undefined.
-
-    ``group_cells[i]`` and ``world_cells[i]`` are the cells of ``keys[i]``,
-    in sorted key order.
-    """
-    return next(_replicate_rows([(Scope(keys, group_cells, world_cells), indicator, spec)]))
-
-
-def bootstrap_intervals(rows: Sequence[tuple]) -> list[IntervalEstimate]:
-    """The percentile interval of each (Scope, indicator, BootstrapSpec) row, in order.
+def bootstrap_intervals(rows: Sequence[tuple], alpha: float) -> list[IntervalEstimate]:
+    """Each (Scope, indicator, BootstrapSpec) row's percentile interval at ``alpha``, in order.
 
     Each scope is sorted with a world cell per key, as ``Corpus.scope`` builds
     it, and its indicator is defined; the intervals carry no estimate or ``n``.
@@ -530,16 +518,16 @@ def bootstrap_intervals(rows: Sequence[tuple]) -> list[IntervalEstimate]:
         note = f"resample_world={'true' if spec.resample_world else 'false'}"
         if undefined:
             note += f"; {undefined} undefined replicates excluded"
-        if undefined > spec.alpha / 2.0 * spec.iterations:
+        if undefined > alpha / 2.0 * spec.iterations:
             intervals.append(IntervalEstimate.undefined(
-                BOOTSTRAP_PERCENTILE, spec.alpha, note + "; undefined replicates exceed alpha/2"
+                BOOTSTRAP_PERCENTILE, alpha, note + "; undefined replicates exceed alpha/2"
             ))
             continue
         # A stable sort, like list.sort, so that equal values keep their order.
         estimates = np.sort(replicates[~undefined_mask], kind="stable")
         intervals.append(IntervalEstimate(
-            estimate=None, lower=float(percentile(estimates, spec.alpha / 2.0)),
-            upper=float(percentile(estimates, 1.0 - spec.alpha / 2.0)), alpha=spec.alpha,
+            estimate=None, lower=float(percentile(estimates, alpha / 2.0)),
+            upper=float(percentile(estimates, 1.0 - alpha / 2.0)), alpha=alpha,
             method=BOOTSTRAP_PERCENTILE, note=note,
         ))
     return intervals
@@ -550,8 +538,9 @@ def bootstrap_indicator(
     world_sets: Sequence[ArticleSet],
     indicator: str,
     spec: BootstrapSpec,
+    alpha: float = ALPHA_DEFAULT,
 ) -> IntervalEstimate:
-    """Percentile bootstrap interval for one indicator over one scope.
+    """Percentile bootstrap interval at level ``alpha`` for one indicator over one scope.
 
     The cell sets are paired by ``corpus.pair_cells`` and the row is the one
     ``row_results`` computes, notes included.  Raises ValueError, before any
@@ -560,8 +549,9 @@ def bootstrap_indicator(
     than alpha/2 of all replicates are undefined the interval itself is
     flagged undefined.
     """
+    check_alpha(alpha)
     scope = pair_cells(group_sets, world_sets, same_keys=indicator in PROPORTION_INDICATORS)
-    (row,) = row_results([(scope, indicator, BOOTSTRAP, spec)], spec.alpha)
+    (row,) = row_results([(scope, indicator, BOOTSTRAP, spec)], alpha)
     if row.estimate is None:  # an undefined point is flagged without a draw
         raise ValueError(f"{indicator} is undefined on the original data")
     return row
@@ -597,7 +587,7 @@ def row_results(
         else:
             interval = fieller_interval(scope, alpha, expansion_mode)
         rows.append((scope, point, interval))
-    boots = iter(bootstrap_intervals(draws))
+    boots = iter(bootstrap_intervals(draws, alpha))
     results = []
     for scope, point, interval in rows:
         interval = next(boots) if interval is None else interval
@@ -652,30 +642,34 @@ class ComparisonSummary:
     upper_max_abs: float | None
 
 
+def corpus_label(corpus: Corpus) -> str:
+    """A scenario's label (compare-ci) and directory (simulate): its sorted fields, '+'-joined."""
+    return "+".join(sorted({k.field for k in corpus.keys}))
+
+
 def comparison_suite(
     scenarios: Sequence[Corpus],
     indicators: Sequence[str],
     specs: BootstrapSpec | Mapping[str, BootstrapSpec],
+    alpha: float = ALPHA_DEFAULT,
     continuity: str = "auto",
 ) -> list[ComparisonRow]:
     """Formula-vs-bootstrap comparison for every scenario, group and indicator.
 
     ``specs`` holds each indicator's BootstrapSpec; a lone spec serves every
-    indicator.  The specs share one alpha, which the formula limits take too.
+    indicator.  The formula and bootstrap limits are both at level ``alpha``.
     Undefined intervals (either route) become gap rows rather than errors.
     Each run draws from its own seed stream derived from the scenario
     label, group and indicator, so the table is independent of run order.
     """
+    check_alpha(alpha)
     if isinstance(specs, BootstrapSpec):
         specs = dict.fromkeys(indicators, specs)
     if not any(corpus.groups for corpus in scenarios):
         raise ValueError(f"no scenario has a group other than {WORLD}")
-    alphas = {specs[indicator].alpha for indicator in indicators}
-    if len(alphas) != 1:
-        raise ValueError(f"the bootstrap specs of {list(indicators)} must share one alpha")
     labels, plan = [], []
     for corpus in scenarios:
-        label = "+".join(sorted({k.field for k in corpus.keys}))
+        label = corpus_label(corpus)
         for group in sorted(corpus.groups):
             scope = corpus.scope(group, corpus.keys_for(group))
             for indicator in indicators:
@@ -684,7 +678,7 @@ def comparison_suite(
                 labels.append((label, group, indicator))
                 plan += [(scope, indicator, FORMULA, None),
                          (scope, indicator, BOOTSTRAP, replace(spec, seed=seed))]
-    results = row_results(plan, alphas.pop(), continuity)
+    results = row_results(plan, alpha, continuity)
     rows = []
     for (label, group, indicator), formula, boot in zip(labels, results[::2], results[1::2]):
         try:

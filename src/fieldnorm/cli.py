@@ -21,6 +21,7 @@ from .bootstrap import (
     COMPARE_CI_RESAMPLE_WORLD_DEFAULT,
     bootstrap_plan,
     comparison_suite,
+    corpus_label,
     summarize_comparisons,
 )
 from .corpus import WORLD, CorpusError, ExclusionPolicy, load_corpus, sample_corpus, write_corpus
@@ -36,7 +37,6 @@ from .indicators import (
 from .intervals import EXPAND_FROM_MEAN, LITERAL
 from .report import (
     CI_METHODS,
-    FORMULA,
     ReportConfig,
     build_report,
     format_field,
@@ -74,6 +74,15 @@ def _parse_indicators(text: str) -> tuple[str, ...]:
 # --resample-world: None leaves each row to its command's auto rule.
 _RESAMPLE_WORLD = {"auto": None, "on": True, "off": False}
 
+# The flags compute and compare-ci share, each declared once with
+# ReportConfig's default ("auto" is its resample_world of None).
+_RUN_FLAGS = {
+    "--alpha": dict(type=float, default=ReportConfig.alpha),
+    "--seed": dict(type=int, default=ReportConfig.seed),
+    "--continuity": dict(choices=CONTINUITY_MODES, default=ReportConfig.continuity),
+    "--resample-world": dict(choices=tuple(_RESAMPLE_WORLD), default="auto"),
+}
+
 
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", type=float, nargs="+", default=[1.0])
@@ -94,21 +103,21 @@ def build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="compute indicators and intervals")
     compute.add_argument("--input-dir", type=Path, required=True)
     compute.add_argument("--output", type=Path, required=True)
-    compute.add_argument("--indicators", type=_parse_indicators, default=(MNLCS,),
+    compute.add_argument("--indicators", type=_parse_indicators, default=ReportConfig.indicators,
                          help="comma-separated subset of mnlcs,mncs,lundberg,emnpc,mnpc,prop")
     compute.add_argument("--ci", "--ci-method", dest="ci",
-                         choices=(*CI_METHODS, "all"), default=FORMULA)
-    compute.add_argument("--alpha", type=float, default=0.05)
-    compute.add_argument("--bootstrap-iters", type=int, default=None)
-    compute.add_argument("--seed", type=int, default=0)
+                         choices=(*CI_METHODS, "all"), default=ReportConfig.ci_methods[0])
+    compute.add_argument("--alpha", **_RUN_FLAGS["--alpha"])
+    compute.add_argument("--bootstrap-iters", type=int, default=ReportConfig.bootstrap_iterations)
+    compute.add_argument("--seed", **_RUN_FLAGS["--seed"])
     compute.add_argument("--sample-size", type=int, default=None)
     compute.add_argument("--min-articles", type=int, default=ExclusionPolicy.min_articles)
     compute.add_argument("--min-fraction-of-mean", type=float,
                          default=ExclusionPolicy.min_fraction_of_mean)
-    compute.add_argument("--continuity", choices=CONTINUITY_MODES, default="auto")
+    compute.add_argument("--continuity", **_RUN_FLAGS["--continuity"])
     compute.add_argument("--expansion-mode", choices=(LITERAL, EXPAND_FROM_MEAN),
-                         default=LITERAL)
-    compute.add_argument("--resample-world", choices=tuple(_RESAMPLE_WORLD), default="auto")
+                         default=ReportConfig.expansion_mode)
+    compute.add_argument("--resample-world", **_RUN_FLAGS["--resample-world"])
 
     sample = sub.add_parser("sample", help="down-sample every cell to a target size")
     sample.add_argument("--input-dir", type=Path, required=True)
@@ -127,12 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--output", type=Path, required=True)
     compare.add_argument("--details", type=Path, default=None,
                          help="optional per-scenario comparison CSV")
-    compare.add_argument("--indicators", type=_parse_indicators, default=(MNLCS,))
+    compare.add_argument("--indicators", type=_parse_indicators, default=ReportConfig.indicators)
     compare.add_argument("--iterations", type=int, default=None)
-    compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--alpha", type=float, default=0.05)
-    compare.add_argument("--resample-world", choices=tuple(_RESAMPLE_WORLD), default="auto")
-    compare.add_argument("--continuity", choices=CONTINUITY_MODES, default="auto")
+    for flag in ("--seed", "--alpha", "--resample-world", "--continuity"):
+        compare.add_argument(flag, **_RUN_FLAGS[flag])
     _add_grid_arguments(compare)
     return parser
 
@@ -189,8 +196,7 @@ def _grid(args: argparse.Namespace):
 def cmd_simulate(args: argparse.Namespace) -> int:
     corpora = _grid(args)
     for corpus in corpora:
-        label = "+".join(sorted({k.field for k in corpus.keys}))
-        write_corpus(corpus, args.output_dir / label)
+        write_corpus(corpus, args.output_dir / corpus_label(corpus))
     print(f"wrote {len(corpora)} scenario corpora to {args.output_dir}")
     return 0
 
@@ -206,9 +212,9 @@ def cmd_compare_ci(args: argparse.Namespace) -> int:
         scenarios = _grid(args)
     resample_world = _RESAMPLE_WORLD[args.resample_world]
     specs = {indicator: bootstrap_plan(indicator, COMPARE_CI_RESAMPLE_WORLD_DEFAULT,
-                                       args.iterations, resample_world, args.seed, args.alpha)
+                                       args.iterations, resample_world, args.seed)
              for indicator in args.indicators}
-    rows = comparison_suite(scenarios, args.indicators, specs, continuity=args.continuity)
+    rows = comparison_suite(scenarios, args.indicators, specs, args.alpha, args.continuity)
     write_table(args.output, _SUMMARY_HEADER, (
         [s.label, s.cells, s.gaps]
         + [format_field(v) for v in (s.lower_mean, s.upper_mean, s.lower_abs_mean,

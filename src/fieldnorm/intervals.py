@@ -104,6 +104,19 @@ class IntervalEstimate:
         return self.upper - self.lower
 
 
+# The level of every interval a caller leaves unset: 95% two-sided.
+ALPHA_DEFAULT = 0.05
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject a report or comparison level outside (0, 0.5).
+
+    Above 0.5 a two-sided interval no longer contains its point estimate.
+    """
+    if not 0.0 < alpha < 0.5:
+        raise ValueError("alpha must lie in (0, 0.5)")
+
+
 # The critical values are cached per (df, alpha): a report asks for the same
 # few many times.  Both invert p = 1 - alpha/2 as rounded.  z is Wichura's
 # AS241 (``NormalDist.inv_cdf``).  t is ``student_t.t_quantile``: Halley steps
@@ -114,15 +127,6 @@ class IntervalEstimate:
 # within 1e-14 relative of 30-digit references (df 1 to 10^7, alpha 1e-6 to
 # 0.9) and of scipy (alpha down to 1e-12); the largest error measured against
 # the references on a dense grid is 8.6 ulp (2e-15).
-
-
-def check_alpha(alpha: float) -> None:
-    """Reject a report or comparison level outside (0, 0.5).
-
-    Above 0.5 a two-sided interval no longer contains its point estimate.
-    """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError("alpha must lie in (0, 0.5)")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -144,12 +148,12 @@ def z_critical(alpha: float) -> float:
     return math.inf if p == 1.0 else NormalDist().inv_cdf(p)
 
 
-def mnlcs_normal_ci(values: np.ndarray, alpha: float = 0.05) -> IntervalEstimate:
+def mnlcs_normal_ci(values: np.ndarray, alpha: float = ALPHA_DEFAULT) -> IntervalEstimate:
     """t-based limits for the mean of concatenated normalised scores."""
     return normal_t_ci(SampleMoments.from_values(values), alpha)
 
 
-def normal_t_ci(moments: SampleMoments, alpha: float = 0.05) -> IntervalEstimate:
+def normal_t_ci(moments: SampleMoments, alpha: float = ALPHA_DEFAULT) -> IntervalEstimate:
     """t-based limits for a mean, from the moments of its values."""
     half = t_critical(moments.n - 1, alpha) * moments.se
     return IntervalEstimate(
@@ -163,7 +167,7 @@ def normal_t_ci(moments: SampleMoments, alpha: float = 0.05) -> IntervalEstimate
 
 
 def fieller_ci(
-    group: SampleMoments, world: SampleMoments, alpha: float = 0.05
+    group: SampleMoments, world: SampleMoments, alpha: float = ALPHA_DEFAULT
 ) -> IntervalEstimate:
     """Ratio-of-means limits from the moments of the log-transformed values.
 
@@ -269,7 +273,7 @@ def heuristic_expanded_ci(
     )
 
 
-def wilson_ci(cited: float, total: float, alpha: float = 0.05) -> IntervalEstimate:
+def wilson_ci(cited: float, total: float, alpha: float = ALPHA_DEFAULT) -> IntervalEstimate:
     """Wilson score interval for a binomial proportion, clamped to [0, 1]."""
     if total < 1 or not 0 <= cited <= total:
         raise ValueError(f"invalid counts {cited}/{total}")
@@ -349,7 +353,7 @@ def _log_ratio_ci(
 def risk_ratio_ci(
     group: tuple[float, float],
     world: tuple[float, float],
-    alpha: float = 0.05,
+    alpha: float = ALPHA_DEFAULT,
     continuity: bool = False,
 ) -> IntervalEstimate:
     """Log-scale limits for a ratio of proportions, one variance term per arm.
@@ -364,7 +368,7 @@ def risk_ratio_ci(
 def mnpc_field_ci(
     group: tuple[float, float],
     world: tuple[float, float],
-    alpha: float = 0.05,
+    alpha: float = ALPHA_DEFAULT,
     continuity: bool = False,
 ) -> IntervalEstimate:
     """Per-cell ratio limits with both variance terms over the pooled size.

@@ -5,20 +5,22 @@ Scopes are each publication year on its own (label ``Y<year>``, all fields
 combined) plus everything together (label ``ALL``).  World rows are
 included so the stability of the reference set itself is visible.
 ``build_report`` plans the rows, with compute's seed streams and resample
-rule, and ``bootstrap.row_results`` computes them.
+rule, and ``bootstrap.row_results`` computes them at the run's alpha,
+continuity rule and expansion mode.
 
 CSV schema: ``group,scope,n,indicator,estimate,ci_lower,ci_upper,method,
 defined,notes`` with UTF-8, LF line endings and RFC-4180 quoting.  Floats
 carry 6 significant digits; undefined estimates or limits serialise as
-empty fields.  The run configuration goes to a JSON sidecar next to the
-CSV so a run can be reproduced exactly.
+empty fields.  The JSON sidecar next to the CSV is the ``ReportConfig``
+(``extra_metadata`` merged in) plus the bootstrap default tables and the
+percentile definition, so a run can be reproduced exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,7 +33,7 @@ from .bootstrap import (
 )
 from .corpus import WORLD, Corpus, ExclusionPolicy, apply_exclusion, derive_stream_seed
 from .indicators import EMNPC, EQ_PROP_CITED, MEAN_INDICATORS, MNLCS, PROPORTION_INDICATORS
-from .intervals import EXPAND_FROM_MEAN, LITERAL, check_alpha
+from .intervals import ALPHA_DEFAULT, EXPAND_FROM_MEAN, LITERAL, check_alpha
 from .scopes import BOOTSTRAP, CI_METHODS, CONTINUITY_MODES, FIELLER_METHOD, FORMULA
 
 CSV_HEADER = ("group", "scope", "n", "indicator", "estimate", "ci_lower", "ci_upper",
@@ -46,7 +48,7 @@ EQUALISED_INDICATORS = frozenset((EMNPC, EQ_PROP_CITED))
 class ReportConfig:
     indicators: tuple[str, ...] = (MNLCS,)
     ci_methods: tuple[str, ...] = (FORMULA,)
-    alpha: float = 0.05
+    alpha: float = ALPHA_DEFAULT
     seed: int = 0
     bootstrap_iterations: int | None = None
     resample_world: bool | None = None
@@ -134,7 +136,7 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
                         seed = derive_stream_seed(config.seed, group, scope_label, indicator)
                         spec = bootstrap_plan(indicator, RESAMPLE_WORLD_DEFAULT,
                                               config.bootstrap_iterations, config.resample_world,
-                                              seed, config.alpha)
+                                              seed)
                     plan.append((scope, indicator, method, spec))
                     labels.append((group, scope_label, indicator))
     results = row_results(plan, config.alpha, config.continuity, config.expansion_mode)
@@ -143,25 +145,14 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
                   r.defined, r.note)
         for (group, label, indicator), r in zip(labels, results)
     )
+    settings = asdict(config)
+    extra = settings.pop("extra_metadata")
     metadata = {
-        "alpha": config.alpha,
-        "seed": config.seed,
-        "indicators": list(config.indicators),
-        "ci_methods": list(config.ci_methods),
-        "bootstrap_iterations": config.bootstrap_iterations,
-        "resample_world": config.resample_world,
+        **settings,
         "resample_world_defaults": RESAMPLE_WORLD_DEFAULT,
         "bootstrap_iteration_defaults": BOOTSTRAP_ITERATIONS_DEFAULT,
-        "exclusion": None
-        if config.exclusion is None
-        else {
-            "min_articles": config.exclusion.min_articles,
-            "min_fraction_of_mean": config.exclusion.min_fraction_of_mean,
-        },
-        "continuity": config.continuity,
-        "expansion_mode": config.expansion_mode,
         "percentile_definition": "nearest-rank",
-        **config.extra_metadata,
+        **extra,
     }
     return IndicatorReport(rows=rows, metadata=metadata)
 

@@ -33,7 +33,6 @@ from .intervals import (
     BOOTSTRAP_PERCENTILE,
     FIELLER,
     HEURISTIC_EXPANSION,
-    LITERAL,
     MNPC_WEIGHTED,
     NORMAL_T,
     RISK_RATIO,
@@ -105,7 +104,7 @@ def _equalised(cells: tuple[ArticleSet, ...]) -> float:
 
 
 def formula_interval(
-    scope: Scope, indicator: str, alpha: float = 0.05, continuity: str = "auto"
+    scope: Scope, indicator: str, alpha: float, continuity: str
 ) -> IntervalEstimate:
     """The analytic interval belonging to ``indicator`` over the scope."""
     ordered, group_cells, world_cells = scope
@@ -145,9 +144,7 @@ def formula_interval(
     raise ValueError(f"no formula interval for indicator {indicator!r}")
 
 
-def fieller_interval(
-    scope: Scope, alpha: float = 0.05, expansion_mode: str = LITERAL
-) -> IntervalEstimate:
+def fieller_interval(scope: Scope, alpha: float, expansion_mode: str) -> IntervalEstimate:
     """Fieller limits for one cell, heuristic expansion across several.
 
     Only defined for the log-ratio indicator; the moments entering the

@@ -24,14 +24,13 @@ from fieldnorm.bootstrap import (
     comparison_suite,
     pcg64_states,
     percentile,
-    replicate_values,
     replicate_words,
     seed_words,
     state_memory,
     summarize_comparisons,
 )
 from fieldnorm.corpus import (
-    WORLD, ArticleSet, Corpus, FieldYearKey, derive_stream_seed, write_corpus,
+    WORLD, ArticleSet, Corpus, FieldYearKey, Scope, derive_stream_seed, write_corpus,
 )
 from fieldnorm.indicators import (
     EMNPC,
@@ -122,6 +121,16 @@ class TestPointEstimate:
 
 
 class TestBootstrapIndicator:
+    def test_alpha_is_the_callers(self):
+        group, world = demo_sets()
+        spec = BootstrapSpec(200, seed=3)
+        wide, narrow = (bootstrap_indicator(group, world, MNLCS, spec, alpha)
+                        for alpha in (0.05, 0.2))
+        assert (wide.alpha, narrow.alpha) == (0.05, 0.2)
+        assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 0\.5\)"):
+            bootstrap_indicator(group, world, MNLCS, spec, 0.6)
+
     def test_constant_data_zero_width(self):
         key = FieldYearKey("F", 2015)
         group = [ArticleSet("G", key, (3,) * 40)]
@@ -259,14 +268,12 @@ class TestBootstrapPlan:
     ])
     def test_defaults(self, rule, mnlcs, emnpc):
         for indicator, resample in ((MNLCS, mnlcs), (EMNPC, emnpc)):
-            spec = bootstrap_plan(indicator, rule, None, None, 3, 0.1)
-            assert spec == BootstrapSpec(
-                BOOTSTRAP_ITERATIONS_DEFAULT[indicator], 3, resample, 0.1
-            )
+            spec = bootstrap_plan(indicator, rule, None, None, 3)
+            assert spec == BootstrapSpec(BOOTSTRAP_ITERATIONS_DEFAULT[indicator], 3, resample)
 
     def test_flags_override_defaults(self):
-        spec = bootstrap_plan(MNCS, RESAMPLE_WORLD_DEFAULT, 150, True, 3, 0.1)
-        assert spec == BootstrapSpec(150, 3, True, 0.1)
+        spec = bootstrap_plan(MNCS, RESAMPLE_WORLD_DEFAULT, 150, True, 3)
+        assert spec == BootstrapSpec(150, 3, True)
 
     def test_both_rules_cover_every_indicator(self):
         every = set(BOOTSTRAP_ITERATIONS_DEFAULT)
@@ -374,9 +381,9 @@ class TestComparisonSuite:
             resolved.append((id(self), group, frozenset(keys)))
             return resolve(self, group, keys)
 
-        def counted_draw(jobs):
+        def counted_draw(jobs, alpha):
             batches.append(len(jobs))
-            return draw(jobs)
+            return draw(jobs, alpha)
 
         monkeypatch.setattr(Corpus, "scope", counted)
         monkeypatch.setattr(fieldnorm.bootstrap, "bootstrap_intervals", counted_draw)
@@ -415,11 +422,10 @@ class TestComparisonSuite:
         order = list(specs).index
         assert sorted(rows, key=lambda row: order(row.indicator)) == expected
 
-    def test_specs_with_different_alphas_rejected(self):
+    def test_alpha_outside_range_rejected(self):
         scenarios = scenario_grid([1.0], [1.0], [0.0], [60], base_seed=5)
-        specs = {MNLCS: BootstrapSpec(100), MNCS: BootstrapSpec(100, alpha=0.1)}
-        with pytest.raises(ValueError, match="share one alpha"):
-            comparison_suite(scenarios, [MNLCS, MNCS], specs)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 0\.5\)"):
+            comparison_suite(scenarios, [MNLCS], BootstrapSpec(100), 0.6)
 
     def test_scenarios_without_groups_rejected(self):
         world_only = Corpus.from_cells([ArticleSet(WORLD, FieldYearKey("Z", 2015), (1, 2))])
@@ -516,14 +522,14 @@ class TestBootstrapIntervals:
         rows = [(Corpus.from_cells([*group, *world]).scope("G", {a.key for a in group}),
                  indicator, spec) for group, world, indicator, spec in jobs]
         monkeypatch.setattr(fieldnorm.bootstrap, "_SEED_LANES", lanes)
-        intervals = bootstrap_intervals(rows)
+        intervals = bootstrap_intervals(rows, 0.05)
         assert len(intervals) == len(expected)
         for interval, alone in zip(intervals, expected):
             for name in ("lower", "upper", "defined", "method", "alpha", "note"):
                 assert getattr(interval, name) == getattr(alone, name)
 
     def test_no_jobs(self):
-        assert bootstrap_intervals([]) == []
+        assert bootstrap_intervals([], 0.05) == []
 
     @pytest.mark.parametrize("bad", ["duplicate", "missing", "proportion", "undefined"])
     def test_rejected_job_raises_before_any_draw(self, monkeypatch, bad):
@@ -721,8 +727,8 @@ def vectorised(group_sets, world_sets, indicator, spec):
     keys = sorted(a.key for a in group_sets)
     group = {a.key: a for a in group_sets}
     world = {a.key: a for a in world_sets}
-    values = replicate_values(keys, [group[k] for k in keys], [world[k] for k in keys],
-                              indicator, spec)
+    scope = Scope(tuple(keys), tuple(group[k] for k in keys), tuple(world[k] for k in keys))
+    (values,) = fieldnorm.bootstrap._replicate_rows([(scope, indicator, spec)])
     undefined = np.isnan(values)
     return sorted(values[~undefined].tolist()), int(np.count_nonzero(undefined))
 

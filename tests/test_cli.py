@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 import fieldnorm.bootstrap
 from fieldnorm import cli
 from fieldnorm.cli import main
-from fieldnorm.corpus import FieldYearKey, load_corpus, write_corpus
-from fieldnorm.report import metadata_path, read_csv_rows
+from fieldnorm.corpus import ExclusionPolicy, FieldYearKey, load_corpus, write_corpus
+from fieldnorm.report import ReportConfig, metadata_path, read_csv_rows
 
 
 def write_demo_corpus(directory, demo_corpus):
@@ -135,6 +136,21 @@ class TestCompute:
             assert "no cell files (*.tsv) found in" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_default_flags_give_the_default_config(self, tmp_path, demo_corpus, monkeypatch,
+                                                   capsys):
+        indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
+        configs = []
+        build = cli.build_report
+
+        def captured(corpus, config):
+            configs.append(config)
+            return build(corpus, config)
+
+        monkeypatch.setattr(cli, "build_report", captured)
+        assert run(["compute", "--input-dir", indir, "--output", tmp_path / "r.csv"]) == 0
+        (config,) = configs
+        assert replace(config, extra_metadata={}) == ReportConfig(exclusion=ExclusionPolicy())
+
     def test_deterministic_reruns(self, tmp_path, demo_corpus):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -156,9 +172,9 @@ class TestCompute:
         batches = []
         draw = fieldnorm.bootstrap.bootstrap_intervals
 
-        def counted(jobs):
+        def counted(jobs, alpha):
             batches.append(len(jobs))
-            return draw(jobs)
+            return draw(jobs, alpha)
 
         monkeypatch.setattr(fieldnorm.bootstrap, "bootstrap_intervals", counted)
         common = ["--input-dir", cells, "--bootstrap-iters", "100", "--seed", "7"]

@@ -24,7 +24,7 @@ from fieldnorm.indicators import (
     proportion_cited,
     score_moments,
 )
-from fieldnorm.intervals import NORMAL_T, mnlcs_normal_ci
+from fieldnorm.intervals import ALPHA_DEFAULT, NORMAL_T, mnlcs_normal_ci
 from fieldnorm.scopes import formula_interval, indicator_value
 from fieldnorm.synthetic import scenario_grid
 
@@ -365,7 +365,7 @@ class TestKernel:
             value = indicator_value(corpus, "G1", keys, indicator)
             assert value.estimate == pytest.approx(values.mean(), rel=1e-12, abs=1e-14)
             reference = mnlcs_normal_ci(values)
-            interval = formula_interval(corpus.scope("G1", keys), indicator)
+            interval = formula_interval(corpus.scope("G1", keys), indicator, ALPHA_DEFAULT, "auto")
             assert interval.lower == pytest.approx(reference.lower, rel=1e-12, abs=1e-14)
             assert interval.upper == pytest.approx(reference.upper, rel=1e-12, abs=1e-14)
 
@@ -390,7 +390,7 @@ class TestKernel:
     @pytest.mark.parametrize("indicator", [MNLCS, MNCS, LUNDBERG_Z])
     def test_formula_interval_over_zero_world_is_flagged(self, indicator):
         corpus = Corpus.from_cells([ArticleSet("G", KEY_A, (1, 2, 0)), world_cell(KEY_A, [0] * 3)])
-        interval = formula_interval(corpus.scope("G", {KEY_A}), indicator)
+        interval = formula_interval(corpus.scope("G", {KEY_A}), indicator, ALPHA_DEFAULT, "auto")
         assert (interval.defined, interval.method) == (False, NORMAL_T)
         assert interval.note == one_cell(indicator, [1, 2, 0], [0, 0, 0]).note
         assert interval.note.endswith(f"for {KEY_A}")

@@ -21,7 +21,7 @@ from fieldnorm.indicators import (
     MNPC,
     PROP_CITED,
 )
-from fieldnorm.intervals import EXPAND_FROM_MEAN, LITERAL
+from fieldnorm.intervals import ALPHA_DEFAULT, EXPAND_FROM_MEAN, LITERAL
 from fieldnorm.scopes import (
     CONTINUITY_MODES,
     fieller_interval,
@@ -104,10 +104,11 @@ def test_defined_analytic_intervals_bracket_the_estimate(sets, continuity):
     for group in ("G", WORLD):
         keys = corpus.keys_for(group)
         for indicator in ALL_INDICATORS:
-            intervals = [formula_interval(corpus.scope(group, keys), indicator, continuity=continuity)]
+            scope = corpus.scope(group, keys)
+            intervals = [formula_interval(scope, indicator, ALPHA_DEFAULT, continuity)]
             if indicator == MNLCS:
                 intervals += [
-                    fieller_interval(corpus.scope(group, keys), expansion_mode=mode)
+                    fieller_interval(scope, ALPHA_DEFAULT, mode)
                     for mode in (LITERAL, EXPAND_FROM_MEAN)
                 ]
             estimate = indicator_value(corpus, group, keys, indicator).estimate

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from dataclasses import replace
@@ -335,6 +336,19 @@ class TestCsvOutput:
         data_row = path.read_text().splitlines()[1].split(",")
         assert data_row[4] == "" and data_row[5] == "" and data_row[6] == ""
         assert data_row[8] == "false"
+
+    def test_sidecar_is_the_config(self, demo_corpus, tmp_path):
+        extra = {"input_dir": "cells", "sample_size": None}
+        config = ReportConfig(exclusion=ExclusionPolicy(), extra_metadata=extra)
+        report = build_report(demo_corpus, config)
+        path = tmp_path / "report.csv"
+        meta = json.loads(write_metadata(report, path).read_text())
+        fields = {f.name for f in dataclasses.fields(ReportConfig)} - {"extra_metadata"}
+        derived = {"resample_world_defaults", "bootstrap_iteration_defaults",
+                   "percentile_definition"}
+        assert set(meta) == fields | set(extra) | derived
+        assert meta["exclusion"] == {"min_articles": 100, "min_fraction_of_mean": 0.25}
+        assert meta["indicators"] == [MNLCS]
 
     def test_metadata_sidecar(self, demo_report, tmp_path):
         path = tmp_path / "report.csv"
