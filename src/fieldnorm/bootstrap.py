@@ -81,8 +81,12 @@ from .indicators import (
     indicator_estimate,
     indicator_result,
 )
-from .intervals import ALPHA_DEFAULT, BOOTSTRAP_PERCENTILE, LITERAL, IntervalEstimate, check_alpha
-from .scopes import BOOTSTRAP, FORMULA, fieller_interval, formula_interval, method_tag
+from .intervals import (
+    ALPHA_DEFAULT, BOOTSTRAP_PERCENTILE, EXPANSION_DEFAULT, IntervalEstimate, check_alpha,
+)
+from .scopes import (
+    BOOTSTRAP, CONTINUITY_DEFAULT, FORMULA, fieller_interval, formula_interval, method_tag,
+)
 
 # The note of a row with no cell.
 _EMPTY_SCOPE = "no cells retained by exclusion policy"
@@ -558,7 +562,8 @@ def bootstrap_indicator(
 
 
 def row_results(
-    plan: Sequence[tuple], alpha: float, continuity: str = "auto", expansion_mode: str = LITERAL,
+    plan: Sequence[tuple], alpha: float, continuity: str = CONTINUITY_DEFAULT,
+    expansion_mode: str = EXPANSION_DEFAULT,
 ) -> list[IntervalEstimate]:
     """The interval of each planned (Scope, indicator, route, BootstrapSpec | None) row.
 
@@ -652,7 +657,7 @@ def comparison_suite(
     indicators: Sequence[str],
     specs: BootstrapSpec | Mapping[str, BootstrapSpec],
     alpha: float = ALPHA_DEFAULT,
-    continuity: str = "auto",
+    continuity: str = CONTINUITY_DEFAULT,
 ) -> list[ComparisonRow]:
     """Formula-vs-bootstrap comparison for every scenario, group and indicator.
 

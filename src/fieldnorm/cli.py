@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bootstrap import (
     COMPARE_CI_RESAMPLE_WORLD_DEFAULT,
+    ComparisonRow,
+    ComparisonSummary,
     bootstrap_plan,
     comparison_suite,
     corpus_label,
@@ -34,12 +37,11 @@ from .indicators import (
     MNPC,
     PROP_CITED,
 )
-from .intervals import EXPAND_FROM_MEAN, LITERAL
+from .intervals import EXPANSION_MODES
 from .report import (
     CI_METHODS,
     ReportConfig,
     build_report,
-    format_field,
     write_csv,
     write_metadata,
     write_table,
@@ -115,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--min-fraction-of-mean", type=float,
                          default=ExclusionPolicy.min_fraction_of_mean)
     compute.add_argument("--continuity", **_RUN_FLAGS["--continuity"])
-    compute.add_argument("--expansion-mode", choices=(LITERAL, EXPAND_FROM_MEAN),
+    compute.add_argument("--expansion-mode", choices=EXPANSION_MODES,
                          default=ReportConfig.expansion_mode)
     compute.add_argument("--resample-world", **_RUN_FLAGS["--resample-world"])
 
@@ -201,10 +203,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-_SUMMARY_HEADER = ("label", "cells", "gaps", "lower_mean", "upper_mean",
-                   "lower_abs_mean", "upper_abs_mean", "lower_max_abs", "upper_max_abs")
-
-
 def cmd_compare_ci(args: argparse.Namespace) -> int:
     if args.input_dir is not None:
         scenarios = [load_corpus(args.input_dir)]
@@ -215,20 +213,11 @@ def cmd_compare_ci(args: argparse.Namespace) -> int:
                                        args.iterations, resample_world, args.seed)
              for indicator in args.indicators}
     rows = comparison_suite(scenarios, args.indicators, specs, args.alpha, args.continuity)
-    write_table(args.output, _SUMMARY_HEADER, (
-        [s.label, s.cells, s.gaps]
-        + [format_field(v) for v in (s.lower_mean, s.upper_mean, s.lower_abs_mean,
-                                     s.upper_abs_mean, s.lower_max_abs, s.upper_max_abs)]
-        for s in summarize_comparisons(rows)
-    ))
+    write_table(args.output, [f.name for f in fields(ComparisonSummary)],
+                summarize_comparisons(rows))
     if args.details is not None:
-        header = ("scenario", "group", "indicator", "lower_pct_diff", "upper_pct_diff",
-                  "defined", "note")
-        write_table(args.details, header, (
-            [row.scenario, row.group, row.indicator, format_field(row.lower_pct_diff),
-             format_field(row.upper_pct_diff), "true" if row.defined else "false", row.note]
-            for row in sorted(rows, key=lambda r: (r.scenario, r.group, r.indicator))
-        ))
+        write_table(args.details, [f.name for f in fields(ComparisonRow)],
+                    sorted(rows, key=lambda r: (r.scenario, r.group, r.indicator)))
     gaps = sum(1 for r in rows if not r.defined)
     print(f"compared {len(rows)} cells ({gaps} gaps) -> {args.output}")
     return 0

@@ -345,8 +345,11 @@ def proportion_cited(sets: ProportionCells) -> IndicatorValue:
     """Pooled proportion cited: total cited over total articles."""
     if not sets:
         raise ValueError("no proportion summaries supplied")
+    keys = [s.key for s in sets]
+    if len(keys) != len(set(keys)):
+        raise ValueError("duplicate cell keys")
     _check_one_group(sets)
-    return indicator_result(PROP_CITED, [s.key for s in sets], sets, ())
+    return indicator_result(PROP_CITED, keys, sets, ())
 
 
 def equalised_proportion(sets: ProportionCells) -> tuple[IndicatorValue, float]:

@@ -43,6 +43,8 @@ BOOTSTRAP_PERCENTILE = "BOOTSTRAP_PERCENTILE"
 
 LITERAL = "literal"
 EXPAND_FROM_MEAN = "expand_from_mean"
+EXPANSION_MODES = (LITERAL, EXPAND_FROM_MEAN)
+EXPANSION_DEFAULT = LITERAL
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,7 @@ def heuristic_expanded_ci(
     per_cell: Sequence[tuple[int, IntervalEstimate, IntervalEstimate, float]],
     combined: IntervalEstimate,
     combined_mean: float,
-    mode: str = LITERAL,
+    mode: str = EXPANSION_DEFAULT,
 ) -> IntervalEstimate:
     """Widen the combined normal limits by the average per-cell expansion.
 
@@ -221,7 +223,7 @@ def heuristic_expanded_ci(
     from the combined mean, reducing to the plain normal limits at rate 0
     and recovering the cell's Fieller interval for a single cell.
     """
-    if mode not in (LITERAL, EXPAND_FROM_MEAN):
+    if mode not in EXPANSION_MODES:
         raise ValueError(f"unknown expansion mode {mode!r}")
     if not per_cell:
         raise ValueError("no per-cell intervals supplied")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,8 +33,10 @@ from .bootstrap import (
 )
 from .corpus import WORLD, Corpus, ExclusionPolicy, apply_exclusion, derive_stream_seed
 from .indicators import EMNPC, EQ_PROP_CITED, MEAN_INDICATORS, MNLCS, PROPORTION_INDICATORS
-from .intervals import ALPHA_DEFAULT, EXPAND_FROM_MEAN, LITERAL, check_alpha
-from .scopes import BOOTSTRAP, CI_METHODS, CONTINUITY_MODES, FIELLER_METHOD, FORMULA
+from .intervals import ALPHA_DEFAULT, EXPANSION_DEFAULT, EXPANSION_MODES, check_alpha
+from .scopes import (
+    BOOTSTRAP, CI_METHODS, CONTINUITY_DEFAULT, CONTINUITY_MODES, FIELLER_METHOD, FORMULA,
+)
 
 CSV_HEADER = ("group", "scope", "n", "indicator", "estimate", "ci_lower", "ci_upper",
               "method", "defined", "notes")
@@ -53,8 +55,8 @@ class ReportConfig:
     bootstrap_iterations: int | None = None
     resample_world: bool | None = None
     exclusion: ExclusionPolicy | None = None
-    continuity: str = "auto"
-    expansion_mode: str = LITERAL
+    continuity: str = CONTINUITY_DEFAULT
+    expansion_mode: str = EXPANSION_DEFAULT
     extra_metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -76,7 +78,7 @@ class ReportConfig:
         check_alpha(self.alpha)
         if self.continuity not in CONTINUITY_MODES:
             raise ValueError(f"unknown continuity mode {self.continuity!r}")
-        if self.expansion_mode not in (LITERAL, EXPAND_FROM_MEAN):
+        if self.expansion_mode not in EXPANSION_MODES:
             raise ValueError(f"unknown expansion mode {self.expansion_mode!r}")
         if self.bootstrap_iterations is not None:
             BootstrapSpec(self.bootstrap_iterations)  # checked before any row is computed
@@ -162,25 +164,30 @@ def format_field(value: float | None) -> str:
     return "" if value is None else f"{value:.6g}"
 
 
-def write_table(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """One CSV table: UTF-8, LF line endings, RFC-4180 quoting, parents created."""
+def csv_field(value):
+    """A table cell: a bool as true/false, a float or None by ``format_field``, else as is."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None or isinstance(value, float):
+        return format_field(value)
+    return value
+
+
+def write_table(path: Path | str, header: Sequence[str], records: Iterable) -> None:
+    """A CSV table of dataclass records: UTF-8, LF endings, RFC-4180 quoting, parents made."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([csv_field(getattr(record, f.name)) for f in fields(record)]
+                         for record in records)
 
 
 def write_csv(report: IndicatorReport, path: Path | str) -> None:
     """Stable-ordered CSV per the schema above; rerun gives identical bytes."""
     ordered = sorted(report.rows, key=lambda r: (r.group, r.scope, r.indicator, r.method))
-    write_table(path, CSV_HEADER, (
-        [row.group, row.scope, row.n, row.indicator, format_field(row.estimate),
-         format_field(row.lower), format_field(row.upper), row.method,
-         "true" if row.defined else "false", row.notes]
-        for row in ordered
-    ))
+    write_table(path, CSV_HEADER, ordered)
 
 
 def metadata_path(csv_path: Path | str) -> Path:
@@ -194,22 +201,3 @@ def write_metadata(report: IndicatorReport, csv_path: Path | str) -> Path:
         json.dumps(report.metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return path
-
-
-def read_csv_rows(path: Path | str) -> list[dict]:
-    """Parse a written report back into dicts (numeric fields as floats)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for record in reader:
-            rows.append(
-                {
-                    **record,
-                    "n": int(record["n"]),
-                    "estimate": float(record["estimate"]) if record["estimate"] else None,
-                    "ci_lower": float(record["ci_lower"]) if record["ci_lower"] else None,
-                    "ci_upper": float(record["ci_upper"]) if record["ci_upper"] else None,
-                    "defined": record["defined"] == "true",
-                }
-            )
-        return rows

@@ -60,6 +60,7 @@ FORMULA_METHOD = {
 }
 
 CONTINUITY_MODES = ("auto", "on", "off")
+CONTINUITY_DEFAULT = "auto"
 
 # The interval routes of a planned row.
 FORMULA = "formula"

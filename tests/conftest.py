@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 from fieldnorm.corpus import WORLD, ArticleSet, Corpus, FieldYearKey
@@ -7,6 +9,22 @@ from fieldnorm.corpus import WORLD, ArticleSet, Corpus, FieldYearKey
 
 def make_cell(group: str, field: str, year: int, counts) -> ArticleSet:
     return ArticleSet(group, FieldYearKey(field, year), tuple(counts))
+
+
+def read_csv_rows(path) -> list[dict]:
+    """Parse a written report back into dicts (numeric fields as floats)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [
+            {
+                **record,
+                "n": int(record["n"]),
+                "estimate": float(record["estimate"]) if record["estimate"] else None,
+                "ci_lower": float(record["ci_lower"]) if record["ci_lower"] else None,
+                "ci_upper": float(record["ci_upper"]) if record["ci_upper"] else None,
+                "defined": record["defined"] == "true",
+            }
+            for record in csv.DictReader(fh)
+        ]
 
 
 KEY_A = FieldYearKey("A", 2013)

@@ -44,11 +44,11 @@ from fieldnorm.indicators import (
     indicator_estimate,
 )
 from fieldnorm.intervals import IntervalEstimate, NORMAL_T
-from fieldnorm.report import format_field, read_csv_rows
+from fieldnorm.report import format_field
 from fieldnorm.scopes import indicator_value
 from fieldnorm.synthetic import LognormalSpec, generate_cell, scenario_grid
 
-from conftest import GROUP_A, GROUP_B, KEY_A, KEY_B, WORLD_A, WORLD_B
+from conftest import GROUP_A, GROUP_B, KEY_A, KEY_B, WORLD_A, WORLD_B, read_csv_rows
 
 
 def demo_sets():

@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import fieldnorm.bootstrap
 from fieldnorm import cli
 from fieldnorm.cli import main
 from fieldnorm.corpus import ExclusionPolicy, FieldYearKey, load_corpus, write_corpus
-from fieldnorm.report import ReportConfig, metadata_path, read_csv_rows
+from fieldnorm.report import ReportConfig, metadata_path
+
+from conftest import read_csv_rows
 
 
 def write_demo_corpus(directory, demo_corpus):
@@ -160,39 +161,6 @@ class TestCompute:
         assert run(argv + ["--output", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_bootstrap_rows_do_not_depend_on_the_batch(self, tmp_path, capsys, monkeypatch):
-        # A run draws all its bootstrap rows in one batch, so a row must come
-        # out as it does when it is the run's only kind of bootstrap row.
-        sim, cells = tmp_path / "sim", tmp_path / "cells"
-        assert run(["simulate", "--output-dir", sim, "--mu", "1.2", "2.0", "--zero-inflation",
-                    "0.1", "--n", "150", "--group-shift", "0.2", "--seed", "7"]) == 0
-        cells.mkdir()
-        for path in sim.glob("*/*.tsv"):
-            (cells / path.name).write_bytes(path.read_bytes())
-        batches = []
-        draw = fieldnorm.bootstrap.bootstrap_intervals
-
-        def counted(jobs, alpha):
-            batches.append(len(jobs))
-            return draw(jobs, alpha)
-
-        monkeypatch.setattr(fieldnorm.bootstrap, "bootstrap_intervals", counted)
-        common = ["--input-dir", cells, "--bootstrap-iters", "100", "--seed", "7"]
-        alone, batched = tmp_path / "alone.csv", tmp_path / "batched.csv"
-        assert run(["compute", "--output", alone, "--indicators", "mnpc",
-                    "--ci", "bootstrap", *common]) == 0
-        assert run(["compute", "--output", batched, "--indicators",
-                    "mnlcs,mncs,lundberg,emnpc,mnpc,prop", "--ci", "all", *common]) == 0
-        assert len(batches) == 2  # one per run
-
-        def mnpc_rows(path):
-            return [r for r in read_csv_rows(path)
-                    if r["indicator"] == "MNPC" and r["method"] == "BOOTSTRAP_PERCENTILE"]
-
-        expected = mnpc_rows(alone)
-        assert sum(r["defined"] for r in expected) >= 4
-        assert mnpc_rows(batched) == expected
-
     def test_sampling_applied(self, tmp_path, capsys):
         indir = tmp_path / "cells"
         run(["simulate", "--output-dir", indir, "--mu", "1.0", "--sigma", "1.0",
@@ -203,22 +171,6 @@ class TestCompute:
                       "--sample-size", "100", "--indicators", "mnlcs"])
         assert status == 0
         assert all(r["n"] == 100 for r in read_csv_rows(out))
-
-    def test_sample_then_compute_matches_sample_size(self, tmp_path, capsys):
-        sim = tmp_path / "sim"
-        run(["simulate", "--output-dir", sim, "--mu", "1.2", "--n", "300",
-             "--group-shift", "0.2", "--seed", "7"])
-        (cells,) = sim.iterdir()
-        sampled = tmp_path / "sampled"
-        assert run(["sample", "--input-dir", cells, "--output-dir", sampled,
-                    "--size", "150", "--seed", "7"]) == 0
-        common = ["--indicators", "mnlcs,emnpc,mnpc,prop", "--ci", "formula", "--seed", "7"]
-        direct, staged = tmp_path / "direct.csv", tmp_path / "staged.csv"
-        assert run(["compute", "--input-dir", cells, "--output", direct,
-                    "--sample-size", "150", *common]) == 0
-        assert run(["compute", "--input-dir", sampled, "--output", staged, *common]) == 0
-        assert all(r["n"] == 150 for r in read_csv_rows(direct))
-        assert direct.read_bytes() == staged.read_bytes()
 
 
 class TestSample:

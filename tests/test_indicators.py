@@ -201,6 +201,13 @@ class TestProportions:
     def test_all_cited(self):
         assert proportion_cited(summaries("A", [("F", 5, 5)])).estimate == 1.0
 
+    @pytest.mark.parametrize("pool", [proportion_cited, equalised_proportion])
+    def test_duplicate_keys_rejected(self, pool):
+        # Two cells of one key are one cell read twice, not a pooled scope.
+        cells = [make_cell("G", "A", 2013, (0, 1, 2)), make_cell("G", "A", 2013, (0, 0, 0, 0, 5))]
+        with pytest.raises(ValueError, match="duplicate cell keys"):
+            pool(cells)
+
     def test_equalised_proportion_ignores_sizes(self):
         a, n_a = equalised_proportion(summaries("A", [("MED", 160, 200), ("HUM", 20, 100)]))
         b, n_b = equalised_proportion(summaries("B", [("MED", 80, 100), ("HUM", 40, 200)]))

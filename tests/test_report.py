@@ -27,12 +27,11 @@ from fieldnorm.report import (
     ReportConfig,
     build_report,
     metadata_path,
-    read_csv_rows,
     write_csv,
     write_metadata,
 )
 
-from conftest import make_cell
+from conftest import make_cell, read_csv_rows
 
 
 @pytest.fixture
