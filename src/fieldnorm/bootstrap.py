@@ -2,7 +2,7 @@
 
 Rows.  ``report.build_report`` (``compute``) and ``comparison_suite``
 (``compare-ci``) only plan rows, and ``bootstrap_indicator`` plans one from
-raw cell sets that ``corpus.pair_cells`` checks; ``row_results`` computes
+raw cell sets that only ``corpus.pair_cells`` checks; ``row_results`` computes
 every row of all three, drawing all bootstrap rows of a run in one
 ``bootstrap_intervals`` call.  A planned row is a ``Scope`` with its
 indicator, interval route and spec, and from plan to draw a bootstrap row
@@ -78,14 +78,14 @@ from .indicators import (
     PROPORTION_INDICATORS,
     CellReplicates,
     IndicatorValue,
+    check_indicators,
     indicator_estimate,
     indicator_result,
 )
-from .intervals import (
-    ALPHA_DEFAULT, BOOTSTRAP_PERCENTILE, EXPANSION_DEFAULT, IntervalEstimate, check_alpha,
-)
+from .intervals import ALPHA_DEFAULT, BOOTSTRAP_PERCENTILE, EXPANSION_DEFAULT, IntervalEstimate
 from .scopes import (
-    BOOTSTRAP, CONTINUITY_DEFAULT, FORMULA, fieller_interval, formula_interval, method_tag,
+    BOOTSTRAP, CONTINUITY_DEFAULT, FORMULA, check_run, fieller_interval, formula_interval,
+    method_tag,
 )
 
 # The note of a row with no cell.
@@ -553,7 +553,6 @@ def bootstrap_indicator(
     than alpha/2 of all replicates are undefined the interval itself is
     flagged undefined.
     """
-    check_alpha(alpha)
     scope = pair_cells(group_sets, world_sets, same_keys=indicator in PROPORTION_INDICATORS)
     (row,) = row_results([(scope, indicator, BOOTSTRAP, spec)], alpha)
     if row.estimate is None:  # an undefined point is flagged without a draw
@@ -572,6 +571,7 @@ def row_results(
     ``note``.  A row whose point is undefined, or whose scope is empty, is
     flagged with the method tag it would have carried (``scopes.method_tag``).
     """
+    check_run(alpha, continuity, expansion_mode)
     points: dict[tuple[Scope, str], IndicatorValue] = {}
     rows, draws = [], []
     for scope, indicator, method, spec in plan:
@@ -667,7 +667,7 @@ def comparison_suite(
     Each run draws from its own seed stream derived from the scenario
     label, group and indicator, so the table is independent of run order.
     """
-    check_alpha(alpha)
+    check_indicators(indicators)
     if isinstance(specs, BootstrapSpec):
         specs = dict.fromkeys(indicators, specs)
     if not any(corpus.groups for corpus in scenarios):

@@ -17,8 +17,8 @@ every indicator and analytic interval is computed from, and keeps them as
 plain attributes, beside no other array.  A Corpus holds only its cells;
 ``Corpus.scope`` turns a (group, key set) into a Scope of sorted keys and
 cells, and the code that builds a row calls it once and hands the Scope to
-every route of that row.  ``pair_cells`` turns raw group and world cell
-sets, as the library entry points take them, into a checked Scope.
+every route of that row.  ``pair_cells`` alone checks raw group and world
+cell sets, as the library entry points take them, and makes them a Scope.
 """
 
 from __future__ import annotations
@@ -242,6 +242,12 @@ class Corpus:
 
     cells: Mapping[tuple[str, FieldYearKey], ArticleSet] = dataclass_field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        world_keys = {k for (g, k) in self.cells if g == WORLD}
+        for group, key in self.cells:
+            if group != WORLD and key not in world_keys:
+                raise CorpusError(f"missing world cell for {group}/{key}")
+
     @classmethod
     def from_cells(cls, sets: Iterable[ArticleSet]) -> "Corpus":
         cells: dict[tuple[str, FieldYearKey], ArticleSet] = {}
@@ -250,15 +256,7 @@ class Corpus:
             if ck in cells:
                 raise CorpusError(f"duplicate cell for {aset.group}/{aset.key}")
             cells[ck] = aset
-        corpus = cls(cells)
-        corpus.validate()
-        return corpus
-
-    def validate(self) -> None:
-        world_keys = {k for (g, k) in self.cells if g == WORLD}
-        for group, key in self.cells:
-            if group != WORLD and key not in world_keys:
-                raise CorpusError(f"missing world cell for {group}/{key}")
+        return cls(cells)
 
     @property
     def groups(self) -> set[str]:
@@ -290,27 +288,41 @@ class Corpus:
 
 
 def pair_cells(
-    group_sets: Sequence[ArticleSet], world_sets: Sequence[ArticleSet], same_keys: bool = False
+    group_sets: Sequence[ArticleSet], world_sets: Sequence[ArticleSet] | None = None,
+    same_keys: bool = False,
 ) -> Scope:
     """The Scope of raw group and world cell sets: the group's keys sorted, with their cells.
 
-    One ValueError per fault: an empty group set, a duplicate key, a group
-    key with no world cell and, with ``same_keys`` (the proportion
-    indicators), world keys that differ from the group's.
+    One ValueError per fault: an empty group set, mixed groups, a duplicate
+    key, a world cell not labelled WORLD, a group key with no world cell
+    and, with ``same_keys`` (the proportion indicators), world keys that
+    differ from the group's.  Without ``world_sets`` only the group side is
+    checked.
     """
     if not group_sets:
         raise ValueError("no group cells supplied")
+    groups = {s.group for s in group_sets}
+    if len(groups) > 1:
+        raise ValueError(f"mixed groups {sorted(groups)}")
     group = {s.key: s for s in group_sets}
+    if len(group) != len(group_sets):
+        raise ValueError("duplicate cell keys")
+    keys = tuple(sorted(group))
+    cells = tuple(group[k] for k in keys)
+    if world_sets is None:
+        return Scope(keys, cells, ())
+    labels = {s.group for s in world_sets} - {WORLD}
+    if labels:
+        raise ValueError(f"world cells must be labelled {WORLD}, got {sorted(labels)}")
     world = {s.key: s for s in world_sets}
-    if len(group) != len(group_sets) or len(world) != len(world_sets):
+    if len(world) != len(world_sets):
         raise ValueError("duplicate cell keys")
     missing = group.keys() - world.keys()
     if missing:
         raise ValueError(f"missing world cells for {sorted(missing)}")
     if same_keys and world.keys() != group.keys():
         raise ValueError("group and world must cover the same cell keys")
-    keys = tuple(sorted(group))
-    return Scope(keys, tuple(group[k] for k in keys), tuple(world[k] for k in keys))
+    return Scope(keys, cells, tuple(world[k] for k in keys))
 
 
 def cell_filename(group: str, key: FieldYearKey) -> str:

@@ -55,6 +55,17 @@ MEAN_INDICATORS = (MNLCS, MNCS, LUNDBERG_Z)
 PROPORTION_INDICATORS = (EMNPC, MNPC, PROP_CITED, EQ_PROP_CITED)
 
 
+def check_indicators(indicators: Sequence[str]) -> None:
+    """Reject an empty indicator list, an unknown tag or a repeated one."""
+    if not indicators:
+        raise ValueError("at least one indicator is required")
+    unknown = set(indicators) - set(MEAN_INDICATORS + PROPORTION_INDICATORS)
+    if unknown:
+        raise ValueError(f"unknown indicators {sorted(unknown)}")
+    if len(set(indicators)) != len(indicators):
+        raise ValueError(f"duplicate indicators in {list(indicators)}")
+
+
 class UndefinedNormalizationError(ValueError):
     """Raised when an indicator is undefined on its data; the message is the note."""
 
@@ -305,13 +316,9 @@ def indicator_result(
 # ------------------------------------------------- per-article reference
 
 
-def _check_key(aset: ArticleSet, baseline: NormalizationBaseline) -> None:
+def normalize_log(aset: ArticleSet, baseline: NormalizationBaseline) -> NormalizedScores:
     if aset.key != baseline.key:
         raise ValueError(f"baseline key {baseline.key} does not match cell key {aset.key}")
-
-
-def normalize_log(aset: ArticleSet, baseline: NormalizationBaseline) -> NormalizedScores:
-    _check_key(aset, baseline)
     if baseline.log_mean <= 0.0:
         raise UndefinedNormalizationError(
             f"undefined normalisation: all world counts zero for {baseline.key}"
@@ -320,17 +327,13 @@ def normalize_log(aset: ArticleSet, baseline: NormalizationBaseline) -> Normaliz
     return NormalizedScores(aset.group, aset.key, values)
 
 
-def _check_one_group(sets: Sequence[NormalizedScores] | ProportionCells) -> None:
-    groups = {s.group for s in sets}
-    if len(groups) > 1:
-        raise ValueError(f"mixed groups {sorted(groups)}")
-
-
 def mnlcs(scores: Sequence[NormalizedScores]) -> IndicatorValue:
     """Flat mean of per-article log-ratio scores over every article in every cell."""
     if not scores:
         raise ValueError("no scores supplied")
-    _check_one_group(scores)
+    groups = {s.group for s in scores}
+    if len(groups) > 1:
+        raise ValueError(f"mixed groups {sorted(groups)}")
     keys = [s.key for s in scores]
     if len(keys) != len(set(keys)):
         raise ValueError("overlapping scopes: duplicate cell keys")
@@ -343,13 +346,7 @@ def mnlcs(scores: Sequence[NormalizedScores]) -> IndicatorValue:
 
 def proportion_cited(sets: ProportionCells) -> IndicatorValue:
     """Pooled proportion cited: total cited over total articles."""
-    if not sets:
-        raise ValueError("no proportion summaries supplied")
-    keys = [s.key for s in sets]
-    if len(keys) != len(set(keys)):
-        raise ValueError("duplicate cell keys")
-    _check_one_group(sets)
-    return indicator_result(PROP_CITED, keys, sets, ())
+    return indicator_result(PROP_CITED, *pair_cells(sets))
 
 
 def equalised_proportion(sets: ProportionCells) -> tuple[IndicatorValue, float]:
@@ -358,22 +355,8 @@ def equalised_proportion(sets: ProportionCells) -> tuple[IndicatorValue, float]:
     The second return value is the mean cell size, needed when an interval
     is attached to the equalised proportion.
     """
-    if not sets:
-        raise ValueError("no proportion summaries supplied")
-    keys = [s.key for s in sets]
-    if len(keys) != len(set(keys)):
-        raise ValueError("duplicate cell keys in equalised proportion")
-    _check_one_group(sets)
-    value = indicator_result(EQ_PROP_CITED, keys, sets, ())
+    value = indicator_result(EQ_PROP_CITED, *pair_cells(sets))
     return value, sum(s.n for s in sets) / len(sets)
-
-
-def _paired(
-    indicator: str, group_sets: ProportionCells, world_sets: ProportionCells
-) -> IndicatorValue:
-    scope = pair_cells(group_sets, world_sets, same_keys=True)
-    _check_one_group(group_sets)
-    return indicator_result(indicator, *scope)
 
 
 def emnpc(group_sets: ProportionCells, world_sets: ProportionCells) -> IndicatorValue:
@@ -381,7 +364,7 @@ def emnpc(group_sets: ProportionCells, world_sets: ProportionCells) -> Indicator
 
     Undefined (flagged, not raised) only when every world proportion is zero.
     """
-    return _paired(EMNPC, group_sets, world_sets)
+    return indicator_result(EMNPC, *pair_cells(group_sets, world_sets, same_keys=True))
 
 
 def mnpc(group_sets: ProportionCells, world_sets: ProportionCells) -> IndicatorValue:
@@ -390,4 +373,4 @@ def mnpc(group_sets: ProportionCells, world_sets: ProportionCells) -> IndicatorV
     A 0/0 cell ratio is replaced by 1 and noted; a cell with cited group
     articles over a zero world proportion makes the whole value undefined.
     """
-    return _paired(MNPC, group_sets, world_sets)
+    return indicator_result(MNPC, *pair_cells(group_sets, world_sets, same_keys=True))

@@ -32,11 +32,9 @@ from .bootstrap import (
     row_results,
 )
 from .corpus import WORLD, Corpus, ExclusionPolicy, apply_exclusion, derive_stream_seed
-from .indicators import EMNPC, EQ_PROP_CITED, MEAN_INDICATORS, MNLCS, PROPORTION_INDICATORS
-from .intervals import ALPHA_DEFAULT, EXPANSION_DEFAULT, EXPANSION_MODES, check_alpha
-from .scopes import (
-    BOOTSTRAP, CI_METHODS, CONTINUITY_DEFAULT, CONTINUITY_MODES, FIELLER_METHOD, FORMULA,
-)
+from .indicators import EMNPC, EQ_PROP_CITED, MNLCS, check_indicators
+from .intervals import ALPHA_DEFAULT, EXPANSION_DEFAULT
+from .scopes import BOOTSTRAP, CI_METHODS, CONTINUITY_DEFAULT, FIELLER_METHOD, FORMULA, check_run
 
 CSV_HEADER = ("group", "scope", "n", "indicator", "estimate", "ci_lower", "ci_upper",
               "method", "defined", "notes")
@@ -60,13 +58,7 @@ class ReportConfig:
     extra_metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.indicators:
-            raise ValueError("at least one indicator is required")
-        unknown = set(self.indicators) - set(MEAN_INDICATORS + PROPORTION_INDICATORS)
-        if unknown:
-            raise ValueError(f"unknown indicators {sorted(unknown)}")
-        if len(set(self.indicators)) != len(self.indicators):
-            raise ValueError(f"duplicate indicators in {list(self.indicators)}")
+        check_indicators(self.indicators)
         unknown = set(self.ci_methods) - set(CI_METHODS)
         if unknown:
             raise ValueError(f"unknown ci methods {sorted(unknown)}")
@@ -75,11 +67,7 @@ class ReportConfig:
         if not any(_method_applies(i, m) for i in self.indicators for m in self.ci_methods):
             raise ValueError(f"no ci method of {list(self.ci_methods)} applies to"
                              f" {list(self.indicators)} (fieller is MNLCS only)")
-        check_alpha(self.alpha)
-        if self.continuity not in CONTINUITY_MODES:
-            raise ValueError(f"unknown continuity mode {self.continuity!r}")
-        if self.expansion_mode not in EXPANSION_MODES:
-            raise ValueError(f"unknown expansion mode {self.expansion_mode!r}")
+        check_run(self.alpha, self.continuity, self.expansion_mode)
         if self.bootstrap_iterations is not None:
             BootstrapSpec(self.bootstrap_iterations)  # checked before any row is computed
 

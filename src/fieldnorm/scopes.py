@@ -31,6 +31,7 @@ from .indicators import (
 )
 from .intervals import (
     BOOTSTRAP_PERCENTILE,
+    EXPANSION_MODES,
     FIELLER,
     HEURISTIC_EXPANSION,
     MNPC_WEIGHTED,
@@ -39,6 +40,7 @@ from .intervals import (
     WILSON,
     IntervalEstimate,
     SampleMoments,
+    check_alpha,
     fieller_ci,
     heuristic_expanded_ci,
     mnpc_combined_ci,
@@ -67,6 +69,15 @@ FORMULA = "formula"
 FIELLER_METHOD = "fieller"
 BOOTSTRAP = "bootstrap"
 CI_METHODS = (FORMULA, FIELLER_METHOD, BOOTSTRAP)
+
+
+def check_run(alpha: float, continuity: str, expansion_mode: str) -> None:
+    """The one check of a run's level, continuity rule and expansion mode."""
+    check_alpha(alpha)
+    if continuity not in CONTINUITY_MODES:
+        raise ValueError(f"unknown continuity mode {continuity!r}")
+    if expansion_mode not in EXPANSION_MODES:
+        raise ValueError(f"unknown expansion mode {expansion_mode!r}")
 
 
 def method_tag(indicator: str, route: str, keys: tuple[FieldYearKey, ...]) -> str:

@@ -25,6 +25,7 @@ from fieldnorm.bootstrap import (
     pcg64_states,
     percentile,
     replicate_words,
+    row_results,
     seed_words,
     state_memory,
     summarize_comparisons,
@@ -427,6 +428,21 @@ class TestComparisonSuite:
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 0\.5\)"):
             comparison_suite(scenarios, [MNLCS], BootstrapSpec(100), 0.6)
 
+    @pytest.mark.parametrize("indicators, continuity, message", [
+        ([MNLCS], "bogus", "unknown continuity mode 'bogus'"),
+        ([], "auto", "at least one indicator is required"),
+        ([MNLCS, "MNLSC"], "auto", r"unknown indicators \['MNLSC'\]"),
+        ([MNLCS, MNLCS], "auto", r"duplicate indicators in \['MNLCS', 'MNLCS'\]"),
+    ], ids=["continuity", "no-indicator", "unknown-indicator", "duplicate-indicator"])
+    def test_bad_run_rejected_before_any_row(self, monkeypatch, indicators, continuity, message):
+        def no_rows(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(fieldnorm.bootstrap, "indicator_result", no_rows)
+        scenarios = scenario_grid([1.0], [1.0], [0.0], [100], group_shifts=[0.2])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            comparison_suite(scenarios, indicators, BootstrapSpec(100), 0.05, continuity)
+
     def test_scenarios_without_groups_rejected(self):
         world_only = Corpus.from_cells([ArticleSet(WORLD, FieldYearKey("Z", 2015), (1, 2))])
         for scenarios in ([], [world_only]):
@@ -531,9 +547,28 @@ class TestBootstrapIntervals:
     def test_no_jobs(self):
         assert bootstrap_intervals([], 0.05) == []
 
-    @pytest.mark.parametrize("bad", ["duplicate", "missing", "proportion", "undefined"])
+    @pytest.mark.parametrize("settings, message", [
+        ((0.05, "auto", "bogus"), "unknown expansion mode 'bogus'"),
+        ((0.05, "bogus", "literal"), "unknown continuity mode 'bogus'"),
+        ((0.6, "auto", "literal"), r"alpha must lie in \(0, 0\.5\)"),
+    ], ids=["expansion-mode", "continuity", "alpha"])
+    def test_run_settings_checked_before_any_row(self, monkeypatch, settings, message):
+        # A formula MNLCS row reads neither the continuity rule nor the expansion mode.
+        def no_rows(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(fieldnorm.bootstrap, "indicator_result", no_rows)
+        group, world = demo_sets()
+        scope = Corpus.from_cells(group + world).scope("G", {KEY_A, KEY_B})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            row_results([(scope, MNLCS, "formula", None)], *settings)
+
+    @pytest.mark.parametrize(
+        "bad", ["duplicate", "missing", "proportion", "undefined", "mixed", "world-label"]
+    )
     def test_rejected_job_raises_before_any_draw(self, monkeypatch, bad):
         group, world = demo_sets()
+        elsewhere = [ArticleSet("G9", KEY_A, WORLD_A), ArticleSet("G9", KEY_B, WORLD_B)]
         job, message = {
             "duplicate": ((group + group[:1], world, MNLCS, BootstrapSpec(100)),
                           "duplicate cell keys"),
@@ -544,6 +579,11 @@ class TestBootstrapIntervals:
             "undefined": (([ArticleSet("G", KEY_A, (1, 1))], [ArticleSet(WORLD, KEY_A, (0, 0))],
                            MNPC, BootstrapSpec(100)),
                           "MNPC is undefined on the original data"),
+            "mixed": (([ArticleSet("G1", KEY_A, GROUP_A), ArticleSet("G2", KEY_B, GROUP_B)],
+                       elsewhere, MNLCS, BootstrapSpec(100)),
+                      "mixed groups ['G1', 'G2']"),
+            "world-label": ((group, elsewhere[:1] + world[1:], MNLCS, BootstrapSpec(100)),
+                            "world cells must be labelled WORLD, got ['G9']"),
         }[bad]
 
         def no_draws(*args):

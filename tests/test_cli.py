@@ -77,6 +77,14 @@ class TestCompute:
         assert status == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_indicator_name_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run(["compute", "--input-dir", tmp_path, "--output", tmp_path / "r.csv",
+                 "--indicators", "mnlcs,mnlsc"])
+        assert exited.value.code == 2
+        assert ("unknown indicator 'mnlsc' (choose from mnlcs, mncs, lundberg, emnpc, mnpc, prop)"
+                in capsys.readouterr().err)
+
     def test_invalid_utf8_error_names_file_and_line(self, tmp_path, capsys):
         indir = tmp_path / "cells"
         indir.mkdir()

@@ -28,6 +28,7 @@ from fieldnorm.corpus import (
     apply_exclusion,
     cell_filename,
     load_corpus,
+    pair_cells,
     read_cell,
     sample_cell,
     write_cell,
@@ -195,6 +196,11 @@ class TestKeysAndCells:
         with pytest.raises(CorpusError, match="missing world cell"):
             Corpus.from_cells([make_cell("G", "BIOC", 2013, [1, 2])])
 
+    def test_corpus_built_directly_requires_world_cell(self):
+        cell = make_cell("G", "BIOC", 2013, [1, 2])
+        with pytest.raises(CorpusError, match="^missing world cell for G/BIOC/2013$"):
+            Corpus({(cell.group, cell.key): cell})
+
     def test_corpus_rejects_duplicates(self):
         cells = [
             make_cell(WORLD, "BIOC", 2013, [1]),
@@ -202,6 +208,25 @@ class TestKeysAndCells:
         ]
         with pytest.raises(CorpusError, match="duplicate"):
             Corpus.from_cells(cells)
+
+
+class TestPairCells:
+    """Paths the entry points' tests leave out; the other faults are cases of
+    test_bootstrap's ``test_rejected_job_raises_before_any_draw``."""
+
+    GROUP = [make_cell("G", "B", 2013, [1, 0]), make_cell("G", "A", 2013, [2])]
+
+    def test_group_side_alone(self):
+        keys, group, world = pair_cells(self.GROUP)
+        assert keys == (FieldYearKey("A", 2013), FieldYearKey("B", 2013))
+        assert group == tuple(self.GROUP[::-1]) and world == ()
+        with pytest.raises(ValueError, match=r"^mixed groups \['G', 'H'\]$"):
+            pair_cells(self.GROUP + [make_cell("H", "C", 2013, [1])])
+
+    def test_duplicate_world_key_rejected(self):
+        world = [make_cell(WORLD, "A", 2013, [1]), make_cell(WORLD, "B", 2013, [1])]
+        with pytest.raises(ValueError, match="^duplicate cell keys$"):
+            pair_cells(self.GROUP, world + world[:1])
 
 
 class TestLoadCorpus:

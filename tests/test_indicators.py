@@ -17,6 +17,7 @@ from fieldnorm.indicators import (
     compute_baseline,
     emnpc,
     equalised_proportion,
+    indicator_estimate,
     mnlcs,
     mnpc,
     normalize_log,
@@ -25,7 +26,7 @@ from fieldnorm.indicators import (
     score_moments,
 )
 from fieldnorm.intervals import ALPHA_DEFAULT, NORMAL_T, mnlcs_normal_ci
-from fieldnorm.scopes import formula_interval, indicator_value
+from fieldnorm.scopes import formula_interval, indicator_value, resolve_continuity
 from fieldnorm.synthetic import scenario_grid
 
 from conftest import GROUP_A, GROUP_B, KEY_A, KEY_B, WORLD_A, WORLD_B, make_cell
@@ -176,6 +177,11 @@ class TestMeanIndicators:
         with pytest.raises(ValueError):
             mnlcs([])
 
+    def test_mixed_groups_rejected(self):
+        scores = self.scores({KEY_A: GROUP_A}) + self.scores({KEY_B: GROUP_B}, group="H")
+        with pytest.raises(ValueError, match=r"^mixed groups \['G', 'H'\]$"):
+            mnlcs(scores)
+
     def test_raw_transform_yields_mncs(self):
         value = one_cell(MNCS, GROUP_A, WORLD_A)
         assert value.indicator == MNCS
@@ -208,6 +214,19 @@ class TestProportions:
         with pytest.raises(ValueError, match="duplicate cell keys"):
             pool(cells)
 
+    @pytest.mark.parametrize("cited, n", [(-1, 5), (6, 5), (0, 0)])
+    def test_invalid_summary_rejected(self, cited, n):
+        with pytest.raises(ValueError, match=f"^invalid proportion summary {cited}/{n}$"):
+            ProportionSummary("G", KEY_A, cited, n)
+
+    def test_equalised_proportion_sums_in_key_order(self):
+        # Shares 0.1, 0.4 and 0.1 sum to different doubles in different
+        # orders; the value is the one the report gives, in key order.
+        cells = summaries("G", [("A", 1, 10), ("C", 4, 10), ("B", 1, 10)])
+        value = equalised_proportion(cells)[0].estimate
+        assert value == equalised_proportion(sorted(cells, key=lambda s: s.key))[0].estimate
+        assert value == ((0.1 + 0.1) + 0.4) / 3
+
     def test_equalised_proportion_ignores_sizes(self):
         a, n_a = equalised_proportion(summaries("A", [("MED", 160, 200), ("HUM", 20, 100)]))
         b, n_b = equalised_proportion(summaries("B", [("MED", 80, 100), ("HUM", 40, 200)]))
@@ -220,6 +239,21 @@ class TestProportions:
         value, n_hat = equalised_proportion(summaries("A", [("F", 3, 9)]))
         assert value.estimate == pytest.approx(1 / 3)
         assert n_hat == 9
+
+
+OTHER_WORLD = summaries("H", [("A", 5, 10), ("B", 8, 10)])
+NOT_WORLD = r"world cells must be labelled WORLD, got \['H'\]"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: proportion_cited([]), "no group cells supplied"),
+    (lambda: equalised_proportion([]), "no group cells supplied"),
+    (lambda: emnpc(summaries("G", [("A", 3, 5), ("B", 4, 5)]), OTHER_WORLD), NOT_WORLD),
+    (lambda: mnpc(summaries("G", [("A", 3, 5), ("B", 4, 5)]), OTHER_WORLD), NOT_WORLD),
+], ids=["pooled-empty", "equalised-empty", "emnpc-world-label", "mnpc-world-label"])
+def test_front_end_rejects_raw_cell_sets_as_pair_cells_does(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestEmnpc:
@@ -388,6 +422,21 @@ class TestKernel:
         assert n == len(together)
         assert mean == pytest.approx(together.mean(), rel=1e-12)
         assert m2 / (n - 1) == pytest.approx(together.var(ddof=1), rel=1e-12)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda scope: indicator_estimate("MNLSC", *scope), "unknown indicator 'MNLSC'"),
+        (lambda scope: formula_interval(scope, "MNLSC", ALPHA_DEFAULT, "auto"),
+         "no formula interval for indicator 'MNLSC'"),
+        (lambda scope: resolve_continuity("of", scope.group, scope.world),
+         "unknown continuity mode 'of'"),
+    ], ids=["estimate", "formula-interval", "continuity"])
+    def test_invalid_argument_rejected(self, demo_corpus, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(demo_corpus.scope("G", {KEY_A, KEY_B}))
+
+    def test_empty_scope_rejected(self, demo_corpus):
+        with pytest.raises(ValueError, match="^empty scope$"):
+            indicator_value(demo_corpus, "G", set(), MNLCS)
 
     def test_undefined_over_zero_world(self):
         for indicator in (MNLCS, MNCS, LUNDBERG_Z, MNPC, EMNPC):

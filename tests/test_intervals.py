@@ -623,3 +623,20 @@ class TestMnpcCombinedCi:
         _, ci = self.field(30, 100, 40, 100)
         with pytest.raises(ValueError, match="weights"):
             mnpc_combined_ci([(0.7, 1.0, ci)], mnpc=1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: IntervalEstimate.undefined(NORMAL_T, 0.05, "").width,
+     "undefined interval has no width"),
+    (lambda: heuristic_expanded_ci([], _interval(0.8, 1.2, estimate=1.0), 1.0, "literall"),
+     "unknown expansion mode 'literall'"),
+    (lambda: heuristic_expanded_ci([], _interval(0.8, 1.2, estimate=1.0), 1.0),
+     "no per-cell intervals supplied"),
+    (lambda: risk_ratio_ci((0, 0), (5, 10)), "totals must be >= 1"),
+    (lambda: mnpc_field_ci((5, 10), (0, 0)), "totals must be >= 1"),
+    (lambda: mnpc_combined_ci([], 1.0), "no per-field intervals supplied"),
+], ids=["width", "expansion-mode", "no-cells", "risk-ratio-total", "mnpc-field-total",
+        "no-fields"])
+def test_invalid_argument_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

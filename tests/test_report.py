@@ -59,9 +59,11 @@ class TestReportConfig:
             ReportConfig(**settings)
 
     @pytest.mark.parametrize("settings, message", [
+        ({"indicators": ()}, "at least one indicator is required"),
         ({"indicators": (MNLCS, "MNLSC")}, r"unknown indicators \['MNLSC'\]"),
         ({"indicators": (MNLCS, EMNPC, MNLCS)}, "duplicate indicators"),
         ({"indicators": (MNCS,), "ci_methods": ("fieller",)}, "fieller is MNLCS only"),
+        ({"ci_methods": ("formula", "bootstrapp")}, r"unknown ci methods \['bootstrapp'\]"),
         ({"ci_methods": ()}, "no ci method"),
         ({"ci_methods": ("formula", "formula")},
          r"duplicate ci methods in \['formula', 'formula'\]"),
