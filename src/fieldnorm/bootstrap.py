@@ -85,7 +85,7 @@ from .indicators import (
 from .intervals import ALPHA_DEFAULT, BOOTSTRAP_PERCENTILE, EXPANSION_DEFAULT, IntervalEstimate
 from .scopes import (
     BOOTSTRAP, CONTINUITY_DEFAULT, FORMULA, check_run, fieller_interval, formula_interval,
-    method_tag,
+    method_tag, route_applies,
 )
 
 # The note of a row with no cell.
@@ -570,8 +570,17 @@ def row_results(
     article count as ``n``, and the point's and interval's notes joined as
     ``note``.  A row whose point is undefined, or whose scope is empty, is
     flagged with the method tag it would have carried (``scopes.method_tag``).
+    Raises ValueError before any row is computed when a row's route does not
+    serve its indicator (``scopes.route_applies``), or when a bootstrap row
+    has no spec or another row has one.
     """
     check_run(alpha, continuity, expansion_mode)
+    for _, indicator, route, spec in plan:
+        if not route_applies(indicator, route):
+            raise ValueError(f"route {route!r} does not serve {indicator}")
+        if (spec is None) == (route == BOOTSTRAP):
+            raise ValueError(f"a {route} row for {indicator} with spec {spec!r}: a bootstrap"
+                             " row needs a BootstrapSpec and no other row takes one")
     points: dict[tuple[Scope, str], IndicatorValue] = {}
     rows, draws = [], []
     for scope, indicator, method, spec in plan:

@@ -47,7 +47,7 @@ from .report import (
     write_table,
 )
 from .scopes import CONTINUITY_MODES
-from .synthetic import scenario_grid
+from .synthetic import LognormalSpec, scenario_grid
 
 INDICATOR_NAMES = {
     "mnlcs": (MNLCS,),
@@ -76,8 +76,8 @@ def _parse_indicators(text: str) -> tuple[str, ...]:
 # --resample-world: None leaves each row to its command's auto rule.
 _RESAMPLE_WORLD = {"auto": None, "on": True, "off": False}
 
-# The flags compute and compare-ci share, each declared once with
-# ReportConfig's default ("auto" is its resample_world of None).
+# The flags the commands share, each declared once with ReportConfig's
+# default ("auto" is its resample_world of None).
 _RUN_FLAGS = {
     "--alpha": dict(type=float, default=ReportConfig.alpha),
     "--seed": dict(type=int, default=ReportConfig.seed),
@@ -89,8 +89,9 @@ _RUN_FLAGS = {
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", type=float, nargs="+", default=[1.0])
     parser.add_argument("--sigma", type=float, nargs="+", default=[1.0])
-    parser.add_argument("--zero-inflation", type=float, nargs="+", default=[0.0])
-    parser.add_argument("--n", type=int, nargs="+", default=[1000])
+    parser.add_argument("--zero-inflation", type=float, nargs="+",
+                        default=[LognormalSpec.zero_inflation])
+    parser.add_argument("--n", type=int, nargs="+", default=[LognormalSpec.n])
     parser.add_argument("--group-shift", type=float, nargs="+", default=[0.0],
                         help="additive log-scale shift of each synthetic group")
 
@@ -107,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--output", type=Path, required=True)
     compute.add_argument("--indicators", type=_parse_indicators, default=ReportConfig.indicators,
                          help="comma-separated subset of mnlcs,mncs,lundberg,emnpc,mnpc,prop")
-    compute.add_argument("--ci", "--ci-method", dest="ci",
-                         choices=(*CI_METHODS, "all"), default=ReportConfig.ci_methods[0])
+    compute.add_argument("--ci", choices=(*CI_METHODS, "all"), default=ReportConfig.ci_methods[0])
     compute.add_argument("--alpha", **_RUN_FLAGS["--alpha"])
     compute.add_argument("--bootstrap-iters", type=int, default=ReportConfig.bootstrap_iterations)
     compute.add_argument("--seed", **_RUN_FLAGS["--seed"])
@@ -125,11 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--input-dir", type=Path, required=True)
     sample.add_argument("--output-dir", type=Path, required=True)
     sample.add_argument("--size", type=int, default=500)
-    sample.add_argument("--seed", type=int, default=0)
+    sample.add_argument("--seed", **_RUN_FLAGS["--seed"])
 
     simulate = sub.add_parser("simulate", help="write synthetic corpora for a parameter grid")
     simulate.add_argument("--output-dir", type=Path, required=True)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", **_RUN_FLAGS["--seed"])
     _add_grid_arguments(simulate)
 
     compare = sub.add_parser("compare-ci", help="formula vs bootstrap interval comparison")

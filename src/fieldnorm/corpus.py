@@ -319,7 +319,9 @@ def pair_cells(
         raise ValueError("duplicate cell keys")
     missing = group.keys() - world.keys()
     if missing:
-        raise ValueError(f"missing world cells for {sorted(missing)}")
+        (label,) = groups
+        raise ValueError("missing world cells for "
+                         + ", ".join(f"{label}/{key}" for key in sorted(missing)))
     if same_keys and world.keys() != group.keys():
         raise ValueError("group and world must cover the same cell keys")
     return Scope(keys, cells, tuple(world[k] for k in keys))

@@ -46,6 +46,8 @@ EXPAND_FROM_MEAN = "expand_from_mean"
 EXPANSION_MODES = (LITERAL, EXPAND_FROM_MEAN)
 EXPANSION_DEFAULT = LITERAL
 
+TOO_FEW_VALUES = "at least two values are needed for a sample sd"
+
 
 @dataclass(frozen=True)
 class SampleMoments:
@@ -61,7 +63,7 @@ class SampleMoments:
         values = np.asarray(values, dtype=float)
         n = len(values)
         if n < 2:
-            raise ValueError("at least two values are needed for a sample sd")
+            raise ValueError(TOO_FEW_VALUES)
         sd = float(values.std(ddof=1))
         return cls(mean=float(values.mean()), sd=sd, se=sd / math.sqrt(n), n=n)
 
@@ -69,7 +71,7 @@ class SampleMoments:
     def from_m2(cls, n: int, mean: float, m2: float) -> "SampleMoments":
         """From the size, mean and sum of squared deviations of the values."""
         if n < 2:
-            raise ValueError("at least two values are needed for a sample sd")
+            raise ValueError(TOO_FEW_VALUES)
         sd = math.sqrt(m2 / (n - 1))
         return cls(mean=mean, sd=sd, se=sd / math.sqrt(n), n=n)
 

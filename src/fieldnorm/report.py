@@ -34,7 +34,7 @@ from .bootstrap import (
 from .corpus import WORLD, Corpus, ExclusionPolicy, apply_exclusion, derive_stream_seed
 from .indicators import EMNPC, EQ_PROP_CITED, MNLCS, check_indicators
 from .intervals import ALPHA_DEFAULT, EXPANSION_DEFAULT
-from .scopes import BOOTSTRAP, CI_METHODS, CONTINUITY_DEFAULT, FIELLER_METHOD, FORMULA, check_run
+from .scopes import BOOTSTRAP, CI_METHODS, CONTINUITY_DEFAULT, FORMULA, check_run, route_applies
 
 CSV_HEADER = ("group", "scope", "n", "indicator", "estimate", "ci_lower", "ci_upper",
               "method", "defined", "notes")
@@ -46,13 +46,15 @@ EQUALISED_INDICATORS = frozenset((EMNPC, EQ_PROP_CITED))
 
 @dataclass(frozen=True)
 class ReportConfig:
+    """A ``compute`` run's settings: ``ReportConfig()`` is ``compute`` with no flags."""
+
     indicators: tuple[str, ...] = (MNLCS,)
     ci_methods: tuple[str, ...] = (FORMULA,)
     alpha: float = ALPHA_DEFAULT
     seed: int = 0
     bootstrap_iterations: int | None = None
     resample_world: bool | None = None
-    exclusion: ExclusionPolicy | None = None
+    exclusion: ExclusionPolicy = ExclusionPolicy()
     continuity: str = CONTINUITY_DEFAULT
     expansion_mode: str = EXPANSION_DEFAULT
     extra_metadata: dict = field(default_factory=dict)
@@ -64,10 +66,13 @@ class ReportConfig:
             raise ValueError(f"unknown ci methods {sorted(unknown)}")
         if len(set(self.ci_methods)) != len(self.ci_methods):
             raise ValueError(f"duplicate ci methods in {list(self.ci_methods)}")
-        if not any(_method_applies(i, m) for i in self.indicators for m in self.ci_methods):
+        if not any(route_applies(i, m) for i in self.indicators for m in self.ci_methods):
             raise ValueError(f"no ci method of {list(self.ci_methods)} applies to"
                              f" {list(self.indicators)} (fieller is MNLCS only)")
         check_run(self.alpha, self.continuity, self.expansion_mode)
+        if not isinstance(self.exclusion, ExclusionPolicy):
+            raise ValueError(f"exclusion must be an ExclusionPolicy, got {self.exclusion!r}"
+                             " (ExclusionPolicy(1, 0.0) keeps every cell)")
         if self.bootstrap_iterations is not None:
             BootstrapSpec(self.bootstrap_iterations)  # checked before any row is computed
 
@@ -92,21 +97,15 @@ class IndicatorReport:
     metadata: dict
 
 
-def _method_applies(indicator: str, method: str) -> bool:
-    if method == FIELLER_METHOD:
-        return indicator == MNLCS
-    return True
-
-
 def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
     """One row per (group, scope, indicator, method); flags, never aborts."""
     plan, labels = [], []
     # Only the equalised indicators read the exclusion-retained scopes.
-    exclusion = config.exclusion if EQUALISED_INDICATORS & set(config.indicators) else None
+    equalised = EQUALISED_INDICATORS & set(config.indicators)
     for group in sorted(corpus.groups) + [WORLD]:
         all_keys = corpus.keys_for(group)
-        if exclusion is not None and group != WORLD:
-            retained = apply_exclusion(corpus, group, exclusion)
+        if equalised and group != WORLD:
+            retained = apply_exclusion(corpus, group, config.exclusion)
         else:
             retained = all_keys
         years = sorted({k.year for k in all_keys})
@@ -119,7 +118,7 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
             for indicator in config.indicators:
                 scope = kept if indicator in EQUALISED_INDICATORS else full
                 for method in config.ci_methods:
-                    if not _method_applies(indicator, method):
+                    if not route_applies(indicator, method):
                         continue
                     spec = None
                     if method == BOOTSTRAP:

@@ -37,6 +37,7 @@ from .intervals import (
     MNPC_WEIGHTED,
     NORMAL_T,
     RISK_RATIO,
+    TOO_FEW_VALUES,
     WILSON,
     IntervalEstimate,
     SampleMoments,
@@ -78,6 +79,13 @@ def check_run(alpha: float, continuity: str, expansion_mode: str) -> None:
         raise ValueError(f"unknown continuity mode {continuity!r}")
     if expansion_mode not in EXPANSION_MODES:
         raise ValueError(f"unknown expansion mode {expansion_mode!r}")
+
+
+def route_applies(indicator: str, route: str) -> bool:
+    """Whether ``route`` serves ``indicator``: formula and bootstrap serve all, Fieller MNLCS."""
+    if route == FIELLER_METHOD:
+        return indicator == MNLCS
+    return route in (FORMULA, BOOTSTRAP)
 
 
 def method_tag(indicator: str, route: str, keys: tuple[FieldYearKey, ...]) -> str:
@@ -160,25 +168,30 @@ def fieller_interval(scope: Scope, alpha: float, expansion_mode: str) -> Interva
     """Fieller limits for one cell, heuristic expansion across several.
 
     Only defined for the log-ratio indicator; the moments entering the
-    ratio are those of the ln(1+c) values.
+    ratio are those of the ln(1+c) values.  The data faults, an undefined
+    normalisation or a cell of fewer than two articles, give a flagged row;
+    an invalid argument raises ValueError.
     """
     ordered, group_cells, world_cells = scope
     try:
         cells = score_moments(MNLCS, ordered, group_cells, world_cells)
-        # Each cell's Fieller limits, from the moments of its ln(1+c) values.
-        fiellers = (
-            fieller_ci(*(SampleMoments.from_m2(c.n, c.log_mean, c.log_m2) for c in pair), alpha)
-            for pair in zip(group_cells, world_cells)
-        )
-        if len(ordered) == 1:
-            return next(fiellers)
-        per_cell = [
-            (n, normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha), fieller, mean)
-            for (n, mean, m2), fieller in zip(cells, fiellers)
-        ]
-        n, mean, m2 = pooled_moments(cells)
-        combined = normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha)
-        return heuristic_expanded_ci(per_cell, combined, mean, expansion_mode)
-    except ValueError as exc:
-        method = method_tag(MNLCS, FIELLER_METHOD, ordered)
-        return IntervalEstimate.undefined(method, alpha, str(exc))
+    except UndefinedNormalizationError as exc:
+        fault = str(exc)
+    else:
+        fault = TOO_FEW_VALUES if any(c.n < 2 for c in group_cells + world_cells) else ""
+    if fault:
+        return IntervalEstimate.undefined(method_tag(MNLCS, FIELLER_METHOD, ordered), alpha, fault)
+    # Each cell's Fieller limits, from the moments of its ln(1+c) values.
+    fiellers = (
+        fieller_ci(*(SampleMoments.from_m2(c.n, c.log_mean, c.log_m2) for c in pair), alpha)
+        for pair in zip(group_cells, world_cells)
+    )
+    if len(ordered) == 1:
+        return next(fiellers)
+    per_cell = [
+        (n, normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha), fieller, mean)
+        for (n, mean, m2), fieller in zip(cells, fiellers)
+    ]
+    n, mean, m2 = pooled_moments(cells)
+    combined = normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha)
+    return heuristic_expanded_ci(per_cell, combined, mean, expansion_mode)

@@ -51,6 +51,10 @@ def generate_cell(spec: LognormalSpec, key: FieldYearKey, group: str) -> Article
     return ArticleSet(group, key, counts)
 
 
+# The one publication year of every scenario; the golden file names carry it.
+_SCENARIO_YEAR = 2000
+
+
 def scenario_label(mu: float, sigma: float, zero_inflation: float, n: int) -> str:
     return f"mu{mu:g}-sg{sigma:g}-zi{zero_inflation:g}-n{n}"
 
@@ -67,7 +71,6 @@ def scenario_grid(
     ns: Sequence[int],
     group_shifts: Sequence[float] = (0.0,),
     base_seed: int = 0,
-    year: int = 2000,
 ) -> list[Corpus]:
     """Cartesian product of parameter axes, one single-cell Corpus each.
 
@@ -82,7 +85,7 @@ def scenario_grid(
     corpora = []
     axes = product(enumerate(mus), enumerate(sigmas), enumerate(zero_inflations), enumerate(ns))
     for (i, mu), (j, sigma), (k, zi), (m, n) in axes:
-        key = FieldYearKey(scenario_label(mu, sigma, zi, n), year)
+        key = FieldYearKey(scenario_label(mu, sigma, zi, n), _SCENARIO_YEAR)
         cells = [
             generate_cell(
                 LognormalSpec(mu, sigma, zi, n, seed=_coordinate_seed(base_seed, i, j, k, m, 0)),

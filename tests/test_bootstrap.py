@@ -563,6 +563,23 @@ class TestBootstrapIntervals:
         with pytest.raises(ValueError, match=f"^{message}$"):
             row_results([(scope, MNLCS, "formula", None)], *settings)
 
+    @pytest.mark.parametrize("row, message", [
+        ((MNLCS, "fieler", None), "route 'fieler' does not serve MNLCS"),
+        ((MNCS, "fieller", None), "route 'fieller' does not serve MNCS"),
+        ((MNLCS, "bootstrap", None), "a bootstrap row for MNLCS with spec None: "),
+        ((MNLCS, "formula", BootstrapSpec(100)),
+         r"a formula row for MNLCS with spec BootstrapSpec\(iterations=100, "),
+    ], ids=["unknown-route", "fieller-mncs", "bootstrap-without-spec", "formula-with-spec"])
+    def test_row_no_route_serves_rejected_before_any_row(self, monkeypatch, row, message):
+        def no_rows(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(fieldnorm.bootstrap, "indicator_result", no_rows)
+        group, world = demo_sets()
+        scope = Corpus.from_cells(group + world).scope("G", {KEY_A, KEY_B})
+        with pytest.raises(ValueError, match=f"^{message}"):
+            row_results([(scope, MNLCS, "formula", None), (scope, *row)], 0.05)
+
     @pytest.mark.parametrize(
         "bad", ["duplicate", "missing", "proportion", "undefined", "mixed", "world-label"]
     )
@@ -573,7 +590,7 @@ class TestBootstrapIntervals:
             "duplicate": ((group + group[:1], world, MNLCS, BootstrapSpec(100)),
                           "duplicate cell keys"),
             "missing": ((group, world[:1], MNLCS, BootstrapSpec(100)),
-                        f"missing world cells for {[KEY_B]}"),
+                        "missing world cells for G/B/2013"),
             "proportion": ((group[:1], world, PROP_CITED, BootstrapSpec(100)),
                            "group and world must cover the same cell keys"),
             "undefined": (([ArticleSet("G", KEY_A, (1, 1))], [ArticleSet(WORLD, KEY_A, (0, 0))],

@@ -8,7 +8,7 @@ import pytest
 
 from fieldnorm import cli
 from fieldnorm.cli import main
-from fieldnorm.corpus import ExclusionPolicy, FieldYearKey, load_corpus, write_corpus
+from fieldnorm.corpus import FieldYearKey, load_corpus, write_corpus
 from fieldnorm.report import ReportConfig, metadata_path
 
 from conftest import read_csv_rows
@@ -158,7 +158,7 @@ class TestCompute:
         monkeypatch.setattr(cli, "build_report", captured)
         assert run(["compute", "--input-dir", indir, "--output", tmp_path / "r.csv"]) == 0
         (config,) = configs
-        assert replace(config, extra_metadata={}) == ReportConfig(exclusion=ExclusionPolicy())
+        assert replace(config, extra_metadata={}) == ReportConfig()
 
     def test_deterministic_reruns(self, tmp_path, demo_corpus):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)

@@ -176,6 +176,26 @@ def test_default_flags_give_the_report_of_no_flags(job, tmp_path):
     assert sidecars[0] == sidecars[1]
 
 
+def test_library_report_is_the_report_of_compute(job, tmp_path):
+    # ReportConfig() is compute with no flags, small-cell exclusion included:
+    # one G1 cell of 60 articles falls below the 100-article floor.
+    cells = tmp_path / "cells"
+    shutil.copytree(job / "cells", cells)
+    small = cells / f"G1__{SCENARIOS[0]}__2000.tsv"
+    header, *data = small.read_text(encoding="utf-8").splitlines()
+    small.write_text("".join(f"{line}\n" for line in [header, *data[:60]]), encoding="utf-8")
+    computed = compute(cells, tmp_path / "compute.csv", "--indicators", "mnlcs,emnpc")
+    corpus = fieldnorm.load_corpus(cells)
+
+    def library(name, **settings):
+        config = fieldnorm.ReportConfig(indicators=(fieldnorm.MNLCS, fieldnorm.EMNPC), **settings)
+        fieldnorm.write_csv(fieldnorm.build_report(corpus, config), tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    assert library("library.csv") == computed
+    assert library("keep-all.csv", exclusion=fieldnorm.ExclusionPolicy(1, 0.0)) != computed
+
+
 def test_readme_library_example_runs(job, tmp_path, monkeypatch):
     # The first python block after "## Library", run as written on a copy of
     # cells/ in a directory of its own.

@@ -223,6 +223,11 @@ class TestPairCells:
         with pytest.raises(ValueError, match=r"^mixed groups \['G', 'H'\]$"):
             pair_cells(self.GROUP + [make_cell("H", "C", 2013, [1])])
 
+    def test_missing_world_keys_named_as_corpus_names_them(self):
+        world = [make_cell(WORLD, "C", 2013, [1])]
+        with pytest.raises(ValueError, match="^missing world cells for G/A/2013, G/B/2013$"):
+            pair_cells(self.GROUP, world)
+
     def test_duplicate_world_key_rejected(self):
         world = [make_cell(WORLD, "A", 2013, [1]), make_cell(WORLD, "B", 2013, [1])]
         with pytest.raises(ValueError, match="^duplicate cell keys$"):

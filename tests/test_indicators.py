@@ -25,8 +25,20 @@ from fieldnorm.indicators import (
     proportion_cited,
     score_moments,
 )
-from fieldnorm.intervals import ALPHA_DEFAULT, NORMAL_T, mnlcs_normal_ci
-from fieldnorm.scopes import formula_interval, indicator_value, resolve_continuity
+from fieldnorm.intervals import (
+    ALPHA_DEFAULT,
+    FIELLER,
+    HEURISTIC_EXPANSION,
+    NORMAL_T,
+    TOO_FEW_VALUES,
+    mnlcs_normal_ci,
+)
+from fieldnorm.scopes import (
+    fieller_interval,
+    formula_interval,
+    indicator_value,
+    resolve_continuity,
+)
 from fieldnorm.synthetic import scenario_grid
 
 from conftest import GROUP_A, GROUP_B, KEY_A, KEY_B, WORLD_A, WORLD_B, make_cell
@@ -429,7 +441,9 @@ class TestKernel:
          "no formula interval for indicator 'MNLSC'"),
         (lambda scope: resolve_continuity("of", scope.group, scope.world),
          "unknown continuity mode 'of'"),
-    ], ids=["estimate", "formula-interval", "continuity"])
+        (lambda scope: fieller_interval(scope, ALPHA_DEFAULT, "bogus"),
+         "unknown expansion mode 'bogus'"),
+    ], ids=["estimate", "formula-interval", "continuity", "fieller-interval"])
     def test_invalid_argument_rejected(self, demo_corpus, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(demo_corpus.scope("G", {KEY_A, KEY_B}))
@@ -442,6 +456,22 @@ class TestKernel:
         for indicator in (MNLCS, MNCS, LUNDBERG_Z, MNPC, EMNPC):
             value = one_cell(indicator, [1, 2, 0], [0, 0, 0])
             assert not value.defined and value.estimate is None
+
+    @pytest.mark.parametrize("group_b, world_a, method, note", [
+        ([2], WORLD_A, HEURISTIC_EXPANSION, TOO_FEW_VALUES),
+        (GROUP_B, [0] * 3, HEURISTIC_EXPANSION,
+         f"undefined normalisation: all world counts zero for {KEY_A}"),
+        (None, [0] * 3, FIELLER, f"undefined normalisation: all world counts zero for {KEY_A}"),
+    ], ids=["one-article-cell", "zero-world", "zero-world-one-key"])
+    def test_fieller_interval_flags_data_faults(self, group_b, world_a, method, note):
+        cells = [ArticleSet("G", KEY_A, GROUP_A), world_cell(KEY_A, world_a),
+                 world_cell(KEY_B, WORLD_B)]
+        if group_b is not None:
+            cells.append(ArticleSet("G", KEY_B, group_b))
+        corpus = Corpus.from_cells(cells)
+        interval = fieller_interval(corpus.scope("G", corpus.keys_for("G")), ALPHA_DEFAULT,
+                                    "literal")
+        assert (interval.defined, interval.method, interval.note) == (False, method, note)
 
     @pytest.mark.parametrize("indicator", [MNLCS, MNCS, LUNDBERG_Z])
     def test_formula_interval_over_zero_world_is_flagged(self, indicator):

@@ -67,6 +67,7 @@ class TestReportConfig:
         ({"ci_methods": ()}, "no ci method"),
         ({"ci_methods": ("formula", "formula")},
          r"duplicate ci methods in \['formula', 'formula'\]"),
+        ({"exclusion": None}, "exclusion must be an ExclusionPolicy, got None"),
     ])
     def test_config_that_yields_no_row_or_a_wrong_one_rejected(self, settings, message):
         with pytest.raises(ValueError, match=message):
@@ -89,13 +90,13 @@ class TestBuildReport:
         world = row(demo_report, group=WORLD, scope="ALL", indicator=MNLCS)
         assert world.estimate == pytest.approx(1.0, abs=1e-9)
 
-    def test_emnpc_and_mnpc_rows(self, demo_report):
-        assert row(demo_report, group="G", scope="ALL", indicator=EMNPC).estimate == pytest.approx(
+    def test_emnpc_and_mnpc_rows(self, demo_corpus):
+        config = ReportConfig(indicators=(EMNPC, MNPC), exclusion=ExclusionPolicy(1, 0.0))
+        report = build_report(demo_corpus, config)
+        assert row(report, group="G", scope="ALL", indicator=EMNPC).estimate == pytest.approx(
             1.0769, abs=5e-4
         )
-        assert row(demo_report, group="G", scope="ALL", indicator=MNPC).estimate == pytest.approx(
-            1.1
-        )
+        assert row(report, group="G", scope="ALL", indicator=MNPC).estimate == pytest.approx(1.1)
 
     def test_world_ratio_rows_are_one(self, demo_report):
         for indicator in (MNLCS, EMNPC, MNPC):
@@ -117,7 +118,8 @@ class TestBuildReport:
                 make_cell(WORLD, "B", 2013, [1, 0, 1]),
             ]
         )
-        report = build_report(corpus, ReportConfig(indicators=(EMNPC, MNPC)))
+        config = ReportConfig(indicators=(EMNPC, MNPC), exclusion=ExclusionPolicy(1, 0.0))
+        report = build_report(corpus, config)
         mnpc_row = row(report, group="G", scope="ALL", indicator=MNPC)
         assert not mnpc_row.defined
         assert mnpc_row.estimate is None
@@ -218,11 +220,11 @@ class TestBuildReport:
             return apply_exclusion(*args)
 
         monkeypatch.setattr(fieldnorm.report, "apply_exclusion", counted)
-        config = ReportConfig(indicators=(MNLCS,), ci_methods=("formula", "fieller"),
-                              exclusion=ExclusionPolicy())
+        config = ReportConfig(indicators=(MNLCS,), ci_methods=("formula", "fieller"))
         report = build_report(corpus, config)
         assert calls == []
-        assert report.rows == build_report(corpus, replace(config, exclusion=None)).rows
+        keep_all = replace(config, exclusion=ExclusionPolicy(1, 0.0))
+        assert report.rows == build_report(corpus, keep_all).rows
         build_report(corpus, replace(config, indicators=(MNLCS, EMNPC)))
         assert len(calls) == 1  # group G; WORLD rows keep every cell
 
@@ -244,7 +246,7 @@ class TestBuildReport:
         monkeypatch.setattr(fieldnorm.bootstrap, "indicator_result", counted)
         monkeypatch.setattr(fieldnorm.bootstrap, "indicator_estimate", counted_kernel)
         config = ReportConfig(indicators=(MNLCS, EMNPC), ci_methods=CI_METHODS,
-                              bootstrap_iterations=100)
+                              bootstrap_iterations=100, exclusion=ExclusionPolicy(1, 0.0))
         report = build_report(demo_corpus, config)
         # (G, WORLD) x (Y2013, ALL) x (MNLCS by three methods, EMNPC by two).
         assert len(report.rows) == 2 * 2 * 5
