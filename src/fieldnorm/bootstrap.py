@@ -33,16 +33,19 @@ state and increment of the call's one ``PCG64`` through its documented
 and each replicate's state is then written straight into that memory.
 Replicates are drawn in blocks whose size is set by ``_BLOCK_WORDS``: for
 each replicate of a block, ``random_raw`` fills one row of a ``'<u8'``
-matrix with all its words at once, with spare words for rejections, and
-the matrix's ``'<u4'`` view holds the 32-bit words ``next_uint32`` hands
-out, low half first, one row per replicate.  Per cell, numpy's bounded
-draw (Lemire 2019, *Fast random integer generation in an interval*) is
-restated on the block's ``(rows, n)`` window: word u draws position
-``(u * n) >> 32`` of the cell's sorted counts and is rejected where
-``(u * n) mod 2**32 < 2**32 mod n``.  A rejected word is dropped from its
-row in place, so only that row's later words move up, and a row that runs
-out of spare words is drawn again with more.  The positions are the
-indices ``integers`` would draw, bit for bit.
+matrix with all its words at once, with spare words for rejections, and the
+matrix's ``'<u4'`` view holds the 32-bit words ``next_uint32`` hands out,
+low half first, one row per replicate.  A run holds one block buffer of
+about ``_BLOCK_WORDS`` words at most, which every row reuses: the matrix
+and the block's index and values scratch are carved out of it.  Only a
+replicate wider than that gets a buffer of its own, freed with its row.
+Per cell, numpy's bounded draw (Lemire 2019, *Fast random integer
+generation in an interval*) is restated on the block's ``(rows, n)``
+window: word u draws position ``(u * n) >> 32`` of the cell's sorted counts
+and is rejected where ``(u * n) mod 2**32 < 2**32 mod n``.  A rejected word
+is dropped from its row in place, so only that row's later words move up,
+and a row that runs out of spare words is drawn again with more.  The
+positions are the indices ``integers`` would draw, bit for bit.
 
 Recording.  The loop that repairs a cell's window records, from the same
 words, the statistics its indicator reads (``indicators.CELL_STATISTICS``)
@@ -65,7 +68,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import WORLD, ArticleSet, Corpus, Scope, derive_stream_seed, pair_cells
+from .corpus import (
+    WORLD, ArticleSet, Corpus, Scope, _WorkArrays, derive_stream_seed, pair_cells,
+)
 from .indicators import (
     CELL_STATISTICS,
     EMNPC,
@@ -429,9 +434,13 @@ def _record_block(
 
 
 def _replicate_row(
-    bit_generator: np.random.PCG64, memory: ctypes.Array, states: np.ndarray, row: tuple
+    bit_generator: np.random.PCG64, memory: ctypes.Array, work: _WorkArrays,
+    states: np.ndarray, row: tuple,
 ) -> np.ndarray:
-    """Entry r: the (Scope, indicator, spec) row on replicate ``states[r]``, NaN if undefined."""
+    """Entry r: the (Scope, indicator, spec) row on replicate ``states[r]``, NaN if undefined.
+
+    Blocks are drawn in ``work``'s ``"block"`` buffer, the run's.
+    """
     (keys, group_cells, world_cells), indicator, spec = row
     group_stats, world_stats = CELL_STATISTICS[indicator]
     rep_group = [CellReplicates(c.n, group_stats, spec.iterations) for c in group_cells]
@@ -471,10 +480,20 @@ def _replicate_row(
     while todo.size:
         columns = width + spare
         per_block = min(todo.size, max(1, _BLOCK_WORDS // (columns + 4 * largest)))
-        raw = np.empty((per_block, (columns + 1) // 2), "<u8")
+        # The block's raw words, then room for its largest cell in the int64
+        # index scratch and in the float64 values scratch.  A replicate wider
+        # than the budget gets a buffer that the run does not keep.
+        stride = (columns + 1) // 2
+        matrix, scratch = per_block * stride, per_block * largest
+        size = matrix + 2 * scratch
+        if columns + 4 * largest <= _BLOCK_WORDS:
+            block = work("block", size, np.uint64)
+        else:
+            block = np.empty(size, np.uint64)
+        raw = block[:matrix].reshape(per_block, stride)
         words = raw.view("<u4")[:, :columns]
-        index = np.empty(per_block * largest, np.int64)
-        values = np.empty(per_block * largest)
+        index = block[matrix:matrix + scratch].view(np.int64)
+        values = block[matrix + scratch:].view(np.float64)
         short = []
         for i in range(0, todo.size, per_block):
             rows = todo[i:i + per_block]
@@ -490,10 +509,12 @@ def _replicate_rows(rows: Sequence[tuple]) -> Iterator[np.ndarray]:
 
     One ``PCG64`` draws every row.  Consecutive rows are seeded together in
     chunks of at most ``_SEED_LANES`` replicates or of one row, and only the
-    current chunk's states are kept.
+    current chunk's states are kept.  The rows draw their blocks in one
+    ``corpus._WorkArrays``, so that a row does not fault in fresh pages.
     """
     bit_generator = np.random.PCG64(0)
     memory, order = state_memory(bit_generator)
+    work = _WorkArrays()
     iterations = [spec.iterations for *_, spec in rows]
     start = 0
     while start < len(rows):
@@ -505,7 +526,7 @@ def _replicate_rows(rows: Sequence[tuple]) -> Iterator[np.ndarray]:
         replicates = np.concatenate([np.arange(count, dtype=np.uint64) for count in counts])
         states = pcg64_states(seed_words(np.repeat(seeds, counts), replicates))[:, order]
         for row, row_states in zip(rows[start:stop], np.split(states, np.cumsum(counts[:-1]))):
-            yield _replicate_row(bit_generator, memory, row_states, row)
+            yield _replicate_row(bit_generator, memory, work, row_states, row)
         start = stop
 
 

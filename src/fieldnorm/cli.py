@@ -47,7 +47,7 @@ from .report import (
     write_table,
 )
 from .scopes import CONTINUITY_MODES
-from .synthetic import LognormalSpec, scenario_grid
+from .synthetic import GROUP_SHIFTS_DEFAULT, LognormalSpec, scenario_grid
 
 INDICATOR_NAMES = {
     "mnlcs": (MNLCS,),
@@ -92,7 +92,7 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--zero-inflation", type=float, nargs="+",
                         default=[LognormalSpec.zero_inflation])
     parser.add_argument("--n", type=int, nargs="+", default=[LognormalSpec.n])
-    parser.add_argument("--group-shift", type=float, nargs="+", default=[0.0],
+    parser.add_argument("--group-shift", type=float, nargs="+", default=list(GROUP_SHIFTS_DEFAULT),
                         help="additive log-scale shift of each synthetic group")
 
 

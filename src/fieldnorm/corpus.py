@@ -412,7 +412,8 @@ class _CellFile:
         self.ids: list[tuple[int, tuple[str, ...] | None]] = []  # per piece, with its size
 
     def add(
-        self, counts: np.ndarray, ids: tuple[str, ...] | None, last: bool
+        self, counts: np.ndarray, ids: tuple[str, ...] | None, last: bool,
+        dtype: np.dtype | None,
     ) -> ArticleSet | None:
         """Keep one piece's counts and ids; return the cell once the last piece is in.
 
@@ -423,9 +424,11 @@ class _CellFile:
         every line of the file, so its counts are never held twice; a later
         piece with a larger count widens it by one copy.  The cell takes the
         array over, cut down by a copy only where blank lines left room
-        unused.
+        unused.  ``dtype`` is ``count_dtype`` of the piece's largest count
+        when the block already knows it, else None.
         """
-        dtype = count_dtype(counts.max(initial=0))
+        if dtype is None:
+            dtype = count_dtype(counts.max(initial=0))
         if self.counts is None:
             room = counts.size
             if not last:
@@ -507,14 +510,16 @@ class _Block:
 
 
 class _WorkArrays:
-    """The parser's working arrays, shared by the blocks of one read.
+    """Working arrays shared by the blocks of one read, or of one bootstrap run.
 
     Each is allocated once, at the size of the largest block so far, not
     once per block.  Freed after each block, their pages go back to the
     system and are faulted in again by the next block whenever the cells
     parsed in between are too small to hold the top of the heap (glibc).
     With 16-bit cells, a perfbench ``analytic`` pass then took 4,900 minor
-    page faults instead of 800, and 7% more wall time.
+    page faults instead of 800, and 7% more wall time; a ``compare_ci``
+    pass, whose bootstrap rows each drew in arrays of their own, took
+    26,400 instead of 900, and 12% more wall time.
     """
 
     def __init__(self) -> None:
@@ -600,6 +605,9 @@ def _parse_block(block: bytes, pieces: list[_Piece], work: _WorkArrays) -> Itera
                 break
 
     named = first_tabs > starts
+    # One max for the block: below 2**16 every piece is uint16, and only
+    # otherwise does each piece take its own.
+    dtype = np.dtype(np.uint16) if counts.max(initial=0) < 2**16 else None
     bounds = np.searchsorted(starts, [at for _, at, _, _ in pieces]).tolist() + [starts.size]
     for (source, at, data_at, last), a, b in zip(pieces, bounds, bounds[1:]):
         if error is not None and error[0] < b:
@@ -612,7 +620,7 @@ def _parse_block(block: bytes, pieces: list[_Piece], work: _WorkArrays) -> Itera
                 block[s:t].decode("utf-8")
                 for s, t in zip(starts[a:b].tolist(), first_tabs[a:b].tolist())
             )
-        cell = source.add(counts[a:b], ids, last)
+        cell = source.add(counts[a:b], ids, last, dtype)
         if cell is not None:
             yield cell
 

@@ -75,10 +75,18 @@ CI_METHODS = (FORMULA, FIELLER_METHOD, BOOTSTRAP)
 def check_run(alpha: float, continuity: str, expansion_mode: str) -> None:
     """The one check of a run's level, continuity rule and expansion mode."""
     check_alpha(alpha)
-    if continuity not in CONTINUITY_MODES:
-        raise ValueError(f"unknown continuity mode {continuity!r}")
-    if expansion_mode not in EXPANSION_MODES:
-        raise ValueError(f"unknown expansion mode {expansion_mode!r}")
+    _check_continuity(continuity)
+    _check_expansion(expansion_mode)
+
+
+def _check_continuity(mode: str) -> None:
+    if mode not in CONTINUITY_MODES:
+        raise ValueError(f"unknown continuity mode {mode!r}")
+
+
+def _check_expansion(mode: str) -> None:
+    if mode not in EXPANSION_MODES:
+        raise ValueError(f"unknown expansion mode {mode!r}")
 
 
 def route_applies(indicator: str, route: str) -> bool:
@@ -112,8 +120,7 @@ def resolve_continuity(
     world_sets: tuple[ArticleSet, ...],
 ) -> bool:
     """'auto' switches the correction on once any cell's cited count drops below 5."""
-    if mode not in CONTINUITY_MODES:
-        raise ValueError(f"unknown continuity mode {mode!r}")
+    _check_continuity(mode)
     if mode == "auto":
         return any(s.cited < 5 for s in group_sets + world_sets)
     return mode == "on"
@@ -126,7 +133,13 @@ def _equalised(cells: tuple[ArticleSet, ...]) -> float:
 def formula_interval(
     scope: Scope, indicator: str, alpha: float, continuity: str
 ) -> IntervalEstimate:
-    """The analytic interval belonging to ``indicator`` over the scope."""
+    """The analytic interval belonging to ``indicator`` over the scope.
+
+    ``alpha`` and ``continuity`` are checked before the scope is read,
+    whether or not the indicator's interval reads the continuity rule.
+    """
+    check_alpha(alpha)
+    _check_continuity(continuity)
     ordered, group_cells, world_cells = scope
     if indicator in MEAN_INDICATORS:
         try:
@@ -170,8 +183,11 @@ def fieller_interval(scope: Scope, alpha: float, expansion_mode: str) -> Interva
     Only defined for the log-ratio indicator; the moments entering the
     ratio are those of the ln(1+c) values.  The data faults, an undefined
     normalisation or a cell of fewer than two articles, give a flagged row;
-    an invalid argument raises ValueError.
+    an invalid argument raises ValueError before the scope is read, the
+    expansion mode even over one key, which does not use it.
     """
+    check_alpha(alpha)
+    _check_expansion(expansion_mode)
     ordered, group_cells, world_cells = scope
     try:
         cells = score_moments(MNLCS, ordered, group_cells, world_cells)

@@ -53,6 +53,8 @@ def generate_cell(spec: LognormalSpec, key: FieldYearKey, group: str) -> Article
 
 # The one publication year of every scenario; the golden file names carry it.
 _SCENARIO_YEAR = 2000
+# One group, unshifted from the world, unless a grid names its shifts.
+GROUP_SHIFTS_DEFAULT = (0.0,)
 
 
 def scenario_label(mu: float, sigma: float, zero_inflation: float, n: int) -> str:
@@ -69,7 +71,7 @@ def scenario_grid(
     sigmas: Sequence[float],
     zero_inflations: Sequence[float],
     ns: Sequence[int],
-    group_shifts: Sequence[float] = (0.0,),
+    group_shifts: Sequence[float] = GROUP_SHIFTS_DEFAULT,
     base_seed: int = 0,
 ) -> list[Corpus]:
     """Cartesian product of parameter axes, one single-cell Corpus each.

@@ -512,6 +512,10 @@ def test_seed_words_one_seed_per_lane():
 
 
 DEFAULT_SEED_LANES = fieldnorm.bootstrap._SEED_LANES
+DEFAULT_BLOCK_WORDS = fieldnorm.bootstrap._BLOCK_WORDS
+# 1 word makes every replicate wider than the budget; 2**11 splits every
+# row of ``TestBootstrapIntervals.jobs`` into several blocks.
+BLOCK_WORDS = [1, 2**11, DEFAULT_BLOCK_WORDS]
 
 
 class TestBootstrapIntervals:
@@ -530,14 +534,26 @@ class TestBootstrapIntervals:
             (group, world, EMNPC, BootstrapSpec(100, seed=2**64 - 1)),
         ]
 
-    @pytest.mark.parametrize("lanes", [1, 100, 101, DEFAULT_SEED_LANES])
-    def test_equals_separate_calls(self, monkeypatch, lanes):
+    @staticmethod
+    def rows(jobs):
+        """The engine's rows: each job's cells resolved by Corpus.scope."""
+        return [(Corpus.from_cells([*group, *world]).scope("G", {a.key for a in group}),
+                 indicator, spec) for group, world, indicator, spec in jobs]
+
+    # The cases at the default block size keep ids that name the lanes alone.
+    @pytest.mark.parametrize("lanes, block_words", [
+        pytest.param(lanes, words, id=f"{lanes}" if words == DEFAULT_BLOCK_WORDS
+                     else f"{lanes}-block_words{words}")
+        for lanes in [1, 100, 101, DEFAULT_SEED_LANES] for words in BLOCK_WORDS
+    ])
+    def test_equals_separate_calls(self, monkeypatch, lanes, block_words):
+        # The rows differ in shape, so they share the run's block buffer at
+        # several sizes, or each draws in a buffer of its own at 1 word.
         jobs = self.jobs()
         expected = [bootstrap_indicator(*job) for job in jobs]
-        # The engine's rows: each job's cells resolved by Corpus.scope.
-        rows = [(Corpus.from_cells([*group, *world]).scope("G", {a.key for a in group}),
-                 indicator, spec) for group, world, indicator, spec in jobs]
+        rows = self.rows(jobs)
         monkeypatch.setattr(fieldnorm.bootstrap, "_SEED_LANES", lanes)
+        monkeypatch.setattr(fieldnorm.bootstrap, "_BLOCK_WORDS", block_words)
         intervals = bootstrap_intervals(rows, 0.05)
         assert len(intervals) == len(expected)
         for interval, alone in zip(intervals, expected):
@@ -546,6 +562,26 @@ class TestBootstrapIntervals:
 
     def test_no_jobs(self):
         assert bootstrap_intervals([], 0.05) == []
+
+    @pytest.mark.parametrize("block_words, buffers", [(1, 0), (DEFAULT_BLOCK_WORDS, 1)])
+    def test_rows_share_one_block_buffer(self, monkeypatch, block_words, buffers):
+        # Rows of one shape draw in one buffer that the run keeps; a
+        # replicate wider than the budget draws in one the run does not keep.
+        kept = []
+
+        class Recorded(fieldnorm.bootstrap._WorkArrays):
+            def __call__(self, name, size, dtype):
+                array = super().__call__(name, size, dtype)
+                kept.append(array.base)
+                return array
+
+        monkeypatch.setattr(fieldnorm.bootstrap, "_WorkArrays", Recorded)
+        monkeypatch.setattr(fieldnorm.bootstrap, "_BLOCK_WORDS", block_words)
+        rows = self.rows(self.jobs()[:1]) * 3
+        intervals = bootstrap_intervals(rows, 0.05)
+        assert intervals[0] == intervals[1] == intervals[2]
+        assert len({id(array) for array in kept}) == buffers
+        assert len(kept) == 3 * buffers
 
     @pytest.mark.parametrize("settings, message", [
         ((0.05, "auto", "bogus"), "unknown expansion mode 'bogus'"),
@@ -904,6 +940,13 @@ class TestReplicateOracle:
         widths = [c.counts.dtype for c in group + world]
         assert widths == [np.uint32, np.uint16, np.uint64, np.uint32]
         self.check(group, world, indicator, BootstrapSpec(200, seed=13))
+
+    def test_replicates_wider_than_the_block_budget(self, monkeypatch):
+        # Every replicate is a block of its own, in a buffer of its own,
+        # and replicate 27 rejects a word of the middle cell.
+        monkeypatch.setattr(fieldnorm.bootstrap, "_BLOCK_WORDS", 1)
+        group, world, _ = self.middle_cell_scope()
+        self.check(group, world, MNLCS, BootstrapSpec(100, seed=5))
 
     @pytest.mark.parametrize("scope, seed", [("middle_cell_scope", 5), ("frequent_rejections", 4)])
     def test_spare_words_exhausted(self, monkeypatch, scope, seed):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import warnings
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from fieldnorm import cli
 from fieldnorm.cli import main
 from fieldnorm.corpus import FieldYearKey, load_corpus, write_corpus
 from fieldnorm.report import ReportConfig, metadata_path
+from fieldnorm.synthetic import LognormalSpec, scenario_grid
 
 from conftest import read_csv_rows
 
@@ -159,6 +161,12 @@ class TestCompute:
         assert run(["compute", "--input-dir", indir, "--output", tmp_path / "r.csv"]) == 0
         (config,) = configs
         assert replace(config, extra_metadata={}) == ReportConfig()
+
+    def test_grid_flags_default_to_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["compare-ci", "--output", "summary.csv"])
+        grid = inspect.signature(scenario_grid).parameters
+        assert args.group_shift == list(grid["group_shifts"].default)
+        assert (args.zero_inflation, args.n) == ([LognormalSpec.zero_inflation], [LognormalSpec.n])
 
     def test_deterministic_reruns(self, tmp_path, demo_corpus):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)

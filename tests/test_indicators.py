@@ -448,6 +448,21 @@ class TestKernel:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(demo_corpus.scope("G", {KEY_A, KEY_B}))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda scope: formula_interval(scope, MNLCS, 0.7, "auto"),
+         r"alpha must lie in \(0, 0\.5\)"),
+        (lambda scope: formula_interval(scope, MNLCS, ALPHA_DEFAULT, "bogus"),
+         "unknown continuity mode 'bogus'"),
+        (lambda scope: fieller_interval(scope, 0.7, "bogus"), r"alpha must lie in \(0, 0\.5\)"),
+        (lambda scope: fieller_interval(scope, ALPHA_DEFAULT, "bogus"),
+         "unknown expansion mode 'bogus'"),
+    ], ids=["formula-alpha", "formula-continuity", "fieller-alpha", "fieller-expansion"])
+    def test_unread_setting_rejected(self, demo_corpus, call, message):
+        # An MNLCS interval over one key reads neither mode, nor checks alpha
+        # against (0, 0.5) on its own.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(demo_corpus.scope("G", {KEY_A}))
+
     def test_empty_scope_rejected(self, demo_corpus):
         with pytest.raises(ValueError, match="^empty scope$"):
             indicator_value(demo_corpus, "G", set(), MNLCS)
