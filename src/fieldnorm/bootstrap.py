@@ -36,9 +36,12 @@ each replicate of a block, ``random_raw`` fills one row of a ``'<u8'``
 matrix with all its words at once, with spare words for rejections, and the
 matrix's ``'<u4'`` view holds the 32-bit words ``next_uint32`` hands out,
 low half first, one row per replicate.  A run holds one block buffer of
-about ``_BLOCK_WORDS`` words at most, which every row reuses: the matrix
-and the block's index and values scratch are carved out of it.  Only a
-replicate wider than that gets a buffer of its own, freed with its row.
+at most ``_BLOCK_WORDS`` words, which every row reuses: the matrix and the
+block's index and values scratch are carved out of it.  Only a replicate
+wider than that gets a buffer of its own, freed with its row.  A block of
+more than one replicate also holds at most ``_BLOCK_WORDS // 16`` words of
+its largest cell, so the window that cell is recorded from stays near a
+core's L2 cache in size, however many other cells the row draws.
 Per cell, numpy's bounded draw (Lemire 2019, *Fast random integer
 generation in an interval*) is restated on the block's ``(rows, n)``
 window: word u draws position ``(u * n) >> 32`` of the cell's sorted counts
@@ -145,7 +148,8 @@ _PROBE = (0x0123456789ABCDEF, 0x1032547698BADCFE, 0x2301674589EFCDAB, 0x32107654
 # Replicates are drawn in blocks of at most this many 32-bit words, or of one
 # replicate.  The count covers the block's words and its scratch, four words
 # per article of the largest cell, so it bounds the memory a block takes.
-_BLOCK_WORDS = 2**18
+# 1/16 of it bounds the elements of one cell's window (``_replicate_row``).
+_BLOCK_WORDS = 2**20
 # Spare words per replicate for rejected draws, per expected rejection plus
 # one; a replicate that runs out is drawn again with more.
 _SLACK = 8
@@ -479,14 +483,20 @@ def _replicate_row(
     todo = np.arange(spec.iterations)
     while todo.size:
         columns = width + spare
-        per_block = min(todo.size, max(1, _BLOCK_WORDS // (columns + 4 * largest)))
-        # The block's raw words, then room for its largest cell in the int64
-        # index scratch and in the float64 values scratch.  A replicate wider
-        # than the budget gets a buffer that the run does not keep.
+        # A replicate takes its raw words, in whole 64-bit words, and room
+        # for its largest cell in the int64 index and float64 values scratch.
         stride = (columns + 1) // 2
+        per_replicate = 2 * stride + 4 * largest
+        # A block fits the budget, and its largest cell's window holds at
+        # most 1/16 of it.  A window element is a word, an index and a value,
+        # 20 bytes, so a window's working set stays under 1.3 MB, about a
+        # core's L2 cache, however wide the rest of the row is.
+        per_block = min(todo.size, max(1, _BLOCK_WORDS // per_replicate),
+                        max(1, _BLOCK_WORDS // 16 // largest))
         matrix, scratch = per_block * stride, per_block * largest
         size = matrix + 2 * scratch
-        if columns + 4 * largest <= _BLOCK_WORDS:
+        # A replicate wider than the budget gets a buffer the run does not keep.
+        if per_replicate <= _BLOCK_WORDS:
             block = work("block", size, np.uint64)
         else:
             block = np.empty(size, np.uint64)

@@ -27,7 +27,9 @@ from .bootstrap import (
     corpus_label,
     summarize_comparisons,
 )
-from .corpus import WORLD, CorpusError, ExclusionPolicy, load_corpus, sample_corpus, write_corpus
+from .corpus import (
+    WORLD, CorpusError, ExclusionPolicy, SampleSpec, load_corpus, sample_corpus, write_corpus,
+)
 from .indicators import (
     EMNPC,
     EQ_PROP_CITED,
@@ -47,7 +49,7 @@ from .report import (
     write_table,
 )
 from .scopes import CONTINUITY_MODES
-from .synthetic import GROUP_SHIFTS_DEFAULT, LognormalSpec, scenario_grid
+from .synthetic import scenario_grid
 
 INDICATOR_NAMES = {
     "mnlcs": (MNLCS,),
@@ -86,14 +88,21 @@ _RUN_FLAGS = {
 }
 
 
+# The synthetic grid's flags, each setting the ``scenario_grid`` axis it names.
+# A flag left out is None, and its axis takes ``scenario_grid``'s default.
+_GRID_FLAGS = {
+    "--mu": dict(dest="mus", type=float),
+    "--sigma": dict(dest="sigmas", type=float),
+    "--zero-inflation": dict(dest="zero_inflations", type=float),
+    "--n": dict(dest="ns", type=int),
+    "--group-shift": dict(dest="group_shifts", type=float,
+                          help="additive log-scale shift of each synthetic group"),
+}
+
+
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mu", type=float, nargs="+", default=[1.0])
-    parser.add_argument("--sigma", type=float, nargs="+", default=[1.0])
-    parser.add_argument("--zero-inflation", type=float, nargs="+",
-                        default=[LognormalSpec.zero_inflation])
-    parser.add_argument("--n", type=int, nargs="+", default=[LognormalSpec.n])
-    parser.add_argument("--group-shift", type=float, nargs="+", default=list(GROUP_SHIFTS_DEFAULT),
-                        help="additive log-scale shift of each synthetic group")
+    for flag, settings in _GRID_FLAGS.items():
+        parser.add_argument(flag, nargs="+", **settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="down-sample every cell to a target size")
     sample.add_argument("--input-dir", type=Path, required=True)
     sample.add_argument("--output-dir", type=Path, required=True)
-    sample.add_argument("--size", type=int, default=500)
+    sample.add_argument("--size", type=int, default=SampleSpec.size)
     sample.add_argument("--seed", **_RUN_FLAGS["--seed"])
 
     simulate = sub.add_parser("simulate", help="write synthetic corpora for a parameter grid")
@@ -188,11 +197,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid_flags(args: argparse.Namespace) -> dict[str, list]:
+    """The grid flags given on the command line, with their values."""
+    given = {flag: getattr(args, settings["dest"]) for flag, settings in _GRID_FLAGS.items()}
+    return {flag: values for flag, values in given.items() if values is not None}
+
+
 def _grid(args: argparse.Namespace):
-    return scenario_grid(
-        args.mu, args.sigma, args.zero_inflation, args.n,
-        group_shifts=args.group_shift, base_seed=args.seed,
-    )
+    axes = {_GRID_FLAGS[flag]["dest"]: values for flag, values in _grid_flags(args).items()}
+    return scenario_grid(**axes, base_seed=args.seed)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -205,6 +218,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_compare_ci(args: argparse.Namespace) -> int:
     if args.input_dir is not None:
+        if given := _grid_flags(args):
+            raise ValueError(f"{', '.join(given)} set the synthetic grid"
+                             " and cannot be used with --input-dir")
         scenarios = [load_corpus(args.input_dir)]
     else:
         scenarios = _grid(args)

@@ -206,7 +206,7 @@ class ArticleSet:
 class SampleSpec:
     """Target size and seed for down-sampling a cell."""
 
-    size: int
+    size: int = 500
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -19,8 +19,8 @@ from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey
 
 @dataclass(frozen=True)
 class LognormalSpec:
-    mu: float
-    sigma: float
+    mu: float = 1.0
+    sigma: float = 1.0
     zero_inflation: float = 0.0
     n: int = 1000
     seed: int = 0
@@ -67,10 +67,10 @@ def _coordinate_seed(base_seed: int, *coords: int) -> int:
 
 
 def scenario_grid(
-    mus: Sequence[float],
-    sigmas: Sequence[float],
-    zero_inflations: Sequence[float],
-    ns: Sequence[int],
+    mus: Sequence[float] = (LognormalSpec.mu,),
+    sigmas: Sequence[float] = (LognormalSpec.sigma,),
+    zero_inflations: Sequence[float] = (LognormalSpec.zero_inflation,),
+    ns: Sequence[int] = (LognormalSpec.n,),
     group_shifts: Sequence[float] = GROUP_SHIFTS_DEFAULT,
     base_seed: int = 0,
 ) -> list[Corpus]:
@@ -80,7 +80,8 @@ def scenario_grid(
     per entry of ``group_shifts``, generated at mu + shift (an additive
     shift of the log-scale location, hence multiplicative on 1 + c).
     Cell seeds derive from the grid coordinates, so any sub-grid of a
-    larger grid reproduces the same corpora.
+    larger grid reproduces the same corpora.  An axis left out holds one
+    value, ``LognormalSpec``'s default.
     """
     if not (mus and sigmas and zero_inflations and ns):
         raise ValueError("every parameter axis must be non-empty")

@@ -518,6 +518,19 @@ DEFAULT_BLOCK_WORDS = fieldnorm.bootstrap._BLOCK_WORDS
 BLOCK_WORDS = [1, 2**11, DEFAULT_BLOCK_WORDS]
 
 
+def recorded_blocks(monkeypatch) -> list[tuple[int, int, int]]:
+    """Each recorded block's replicates, words per replicate and largest drawn cell, in order."""
+    blocks = []
+    record = fieldnorm.bootstrap._record_block
+
+    def recorded(drawn, rows, words, *rest):
+        blocks.append((rows.size, words.shape[1], max(cell.n for cell, *_ in drawn)))
+        return record(drawn, rows, words, *rest)
+
+    monkeypatch.setattr(fieldnorm.bootstrap, "_record_block", recorded)
+    return blocks
+
+
 class TestBootstrapIntervals:
     """A batch equals separate bootstrap_indicator calls, whatever rows share a seeding chunk."""
 
@@ -565,8 +578,10 @@ class TestBootstrapIntervals:
 
     @pytest.mark.parametrize("block_words, buffers", [(1, 0), (DEFAULT_BLOCK_WORDS, 1)])
     def test_rows_share_one_block_buffer(self, monkeypatch, block_words, buffers):
-        # Rows of one shape draw in one buffer that the run keeps; a
-        # replicate wider than the budget draws in one the run does not keep.
+        # Rows of one shape draw in one buffer that the run keeps, of at
+        # most the budget; a replicate wider than the budget draws in one
+        # the run does not keep.  No cell's window exceeds 1/16 of the
+        # budget unless one replicate alone does.
         kept = []
 
         class Recorded(fieldnorm.bootstrap._WorkArrays):
@@ -577,11 +592,15 @@ class TestBootstrapIntervals:
 
         monkeypatch.setattr(fieldnorm.bootstrap, "_WorkArrays", Recorded)
         monkeypatch.setattr(fieldnorm.bootstrap, "_BLOCK_WORDS", block_words)
+        blocks = recorded_blocks(monkeypatch)
         rows = self.rows(self.jobs()[:1]) * 3
         intervals = bootstrap_intervals(rows, 0.05)
         assert intervals[0] == intervals[1] == intervals[2]
         assert len({id(array) for array in kept}) == buffers
         assert len(kept) == 3 * buffers
+        assert all(array.nbytes // 4 <= block_words for array in kept)
+        assert all(rows == 1 or rows * largest <= block_words // 16
+                   for rows, _, largest in blocks)
 
     @pytest.mark.parametrize("settings, message", [
         ((0.05, "auto", "bogus"), "unknown expansion mode 'bogus'"),
@@ -947,6 +966,35 @@ class TestReplicateOracle:
         monkeypatch.setattr(fieldnorm.bootstrap, "_BLOCK_WORDS", 1)
         group, world, _ = self.middle_cell_scope()
         self.check(group, world, MNLCS, BootstrapSpec(100, seed=5))
+
+    @pytest.mark.parametrize("limit", ["window", "budget"])
+    def test_block_sizing(self, monkeypatch, limit):
+        # One 20,000-article group cell and its world cell: the largest
+        # cell's window caps a block at 3 replicates, where the budget would
+        # take 9.  Twenty cells of 800-1,000 articles, the world resampled:
+        # the budget caps a block below the window's 65 replicates.
+        if limit == "window":
+            key = FieldYearKey("F", 2015)
+            group = [generate_cell(LognormalSpec(1.0, 1.3, 0.2, 20_000, 1), key, "G")]
+            world = [generate_cell(LognormalSpec(1.0, 1.3, 0.2, 9_000, 2), key, WORLD)]
+        else:
+            group, world = [], []
+            for i in range(10):
+                key = FieldYearKey(f"F{i}", 2015)
+                group.append(generate_cell(LognormalSpec(1.0, 1.1, 0.2, 800, 30 + i), key, "G"))
+                world.append(generate_cell(LognormalSpec(1.0, 1.1, 0.2, 1000, 60 + i), key, WORLD))
+        blocks = recorded_blocks(monkeypatch)
+        self.check(group, world, MNLCS, BootstrapSpec(200, seed=17))
+        for rows, columns, largest in blocks:
+            assert rows * largest <= DEFAULT_BLOCK_WORDS // 16
+            assert rows * (columns + 4 * largest) <= DEFAULT_BLOCK_WORDS
+        # One replicate more would break the limit that binds, not the other.
+        rows, columns, largest = blocks[0]
+        over_window = (rows + 1) * largest > DEFAULT_BLOCK_WORDS // 16
+        over_budget = (rows + 1) * (columns + 1 + 4 * largest) > DEFAULT_BLOCK_WORDS
+        assert (over_window, over_budget) == (limit == "window", limit == "budget")
+        assert rows == {"window": 3, "budget": 47}[limit]
+        assert sum(rows for rows, *_ in blocks) == 200
 
     @pytest.mark.parametrize("scope, seed", [("middle_cell_scope", 5), ("frequent_rejections", 4)])
     def test_spare_words_exhausted(self, monkeypatch, scope, seed):

@@ -9,9 +9,9 @@ import pytest
 
 from fieldnorm import cli
 from fieldnorm.cli import main
-from fieldnorm.corpus import FieldYearKey, load_corpus, write_corpus
+from fieldnorm.corpus import FieldYearKey, SampleSpec, load_corpus, write_corpus
 from fieldnorm.report import ReportConfig, metadata_path
-from fieldnorm.synthetic import LognormalSpec, scenario_grid
+from fieldnorm.synthetic import GROUP_SHIFTS_DEFAULT, LognormalSpec
 
 from conftest import read_csv_rows
 
@@ -162,11 +162,27 @@ class TestCompute:
         (config,) = configs
         assert replace(config, extra_metadata={}) == ReportConfig()
 
-    def test_grid_flags_default_to_the_library_defaults(self):
-        args = cli.build_parser().parse_args(["compare-ci", "--output", "summary.csv"])
-        grid = inspect.signature(scenario_grid).parameters
-        assert args.group_shift == list(grid["group_shifts"].default)
-        assert (args.zero_inflation, args.n) == ([LognormalSpec.zero_inflation], [LognormalSpec.n])
+    def test_grid_flags_default_to_the_library_defaults(self, tmp_path, monkeypatch, capsys):
+        # A grid flag left out takes scenario_grid's axis, one LognormalSpec
+        # default, and sample's --size is SampleSpec's.
+        resolved = []
+        grid = cli.scenario_grid
+
+        def captured(*args, **kwargs):
+            bound = inspect.signature(grid).bind(*args, **kwargs)
+            bound.apply_defaults()
+            resolved.append(bound.arguments)
+            return grid(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "scenario_grid", captured)
+        assert run(["simulate", "--output-dir", tmp_path / "sim"]) == 0
+        spec = LognormalSpec()
+        assert resolved == [{"mus": (spec.mu,), "sigmas": (spec.sigma,),
+                             "zero_inflations": (spec.zero_inflation,), "ns": (spec.n,),
+                             "group_shifts": GROUP_SHIFTS_DEFAULT, "base_seed": 0}]
+        assert (spec.mu, spec.sigma, spec.zero_inflation, spec.n) == (1.0, 1.0, 0.0, 1000)
+        args = cli.build_parser().parse_args(["sample", "--input-dir", "in", "--output-dir", "out"])
+        assert args.size == SampleSpec().size == 500
 
     def test_deterministic_reruns(self, tmp_path, demo_corpus):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
@@ -334,6 +350,24 @@ class TestCompareCi:
                       "--indicators", "emnpc", "--iterations", "120", "--seed", "1"])
         assert status == 0
         assert out.read_text().splitlines()[1].startswith("EMNPC,1,")
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--mu", "9"], "--mu"),
+        (["--sigma", "2"], "--sigma"),
+        (["--group-shift", "0.0"], "--group-shift"),
+        (["--n", "5", "--mu", "9", "--zero-inflation", "0.99"], "--mu, --zero-inflation, --n"),
+    ], ids=["mu", "sigma", "group-shift", "three-flags"])
+    def test_grid_flags_with_input_dir_fail(self, tmp_path, demo_corpus, capsys, flags, named):
+        # The grid flags shape synthetic scenarios only; with --input-dir
+        # they used to be ignored without a word.
+        indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
+        out = tmp_path / "summary.csv"
+        status = run(["compare-ci", "--input-dir", indir, "--output", out,
+                      "--iterations", "100", *flags])
+        assert status == 1
+        assert capsys.readouterr().err == \
+            f"error: {named} set the synthetic grid and cannot be used with --input-dir\n"
+        assert not out.exists()
 
     def test_scenario_directory_matches_the_grid_run(self, tmp_path, capsys):
         grid = ["--mu", "1.2", "--sigma", "1.0", "--zero-inflation", "0.1", "--n", "120",

@@ -4,7 +4,7 @@ Every check here reads only numpy and the package: the ``runtime-only`` CI job
 installs neither scipy nor hypothesis and runs this module alone. Outputs are
 compared byte for byte. pyproject.toml's ``filterwarnings`` turns a
 RuntimeWarning (a division or log that a mask missed) into an error here; the
-one subprocess is started with ``-W error::RuntimeWarning`` for the same reason.
+subprocesses are started with ``-W error::RuntimeWarning`` for the same reason.
 """
 
 from __future__ import annotations
@@ -215,6 +215,28 @@ def test_readme_library_example_runs(job, tmp_path, monkeypatch):
     assert (library / "report.csv").stat().st_size > 0
 
 
+def forked_peaks(script: str, *args) -> list[float]:
+    """Run ``script`` in a fresh interpreter; return the peaks, in MB, it prints last.
+
+    Linux carries a process's peak across fork and exec into the new
+    program's ru_maxrss, so the child is forked by a shell, not by this
+    process, and its peaks are its own.
+    """
+    package_root = str(Path(fieldnorm.__file__).resolve().parents[1])
+    child = subprocess.run(
+        ["sh", "-c", '"$@"; exit $?', "sh", sys.executable, "-W", "error::RuntimeWarning",
+         "-c", script, *map(str, args)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert child.returncode == 0, child.stderr
+    return [float(peak) for peak in child.stdout.splitlines()[-1].split()]
+
+
+_LINUX_ONLY = pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="the ceilings were measured on Linux, where ru_maxrss is in KiB")
+
 # The child prints its peak resident set, in MB, on its last line.
 _LARGE_COMPUTES = """
 import resource, sys
@@ -229,8 +251,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="the ceiling was measured on Linux, where ru_maxrss is in KiB")
+@_LINUX_ONLY
 def test_two_cells_of_a_million_articles_stay_under_a_memory_ceiling(tmp_path):
     """Formula and Fieller computes on two cells of 10^6 articles peak below 66 MB.
 
@@ -240,20 +261,54 @@ def test_two_cells_of_a_million_articles_stay_under_a_memory_ceiling(tmp_path):
     MB when counts were int64 and 95-103 MB when every cell also kept its
     sorted counts and ln(1+c) values. The ceiling is that 50 MB plus a 16 MB
     margin for other Python and numpy builds, so a return to int64 counts
-    fails. Linux carries a process's peak across fork and exec into the new
-    program's ru_maxrss, so the computes' process is forked by a shell, not by
-    this one, and the peak is its own.
+    fails.
     """
     assert run(["simulate", "--output-dir", tmp_path / "large", "--n", "1000000",
                 "--seed", "7"]) == 0
     (cells,) = (tmp_path / "large").iterdir()
-    package_root = str(Path(fieldnorm.__file__).resolve().parents[1])
-    child = subprocess.run(
-        ["sh", "-c", '"$@"; exit $?', "sh", sys.executable, "-W", "error::RuntimeWarning",
-         "-c", _LARGE_COMPUTES, str(cells), str(tmp_path)],
-        capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": package_root},
-    )
-    assert child.returncode == 0, child.stderr
-    peak_mb = float(child.stdout.splitlines()[-1])
+    (peak_mb,) = forked_peaks(_LARGE_COMPUTES, cells, tmp_path)
     assert peak_mb <= 66, f"ru_maxrss {peak_mb:.1f} MB exceeds the 66 MB ceiling"
+
+
+# The child prints the process's peak after a formula compute, then after a
+# bootstrap compute of the same cells.
+_FORMULA_THEN_BOOTSTRAP = """
+import resource, sys
+from fieldnorm.cli import main
+cells, out = sys.argv[1:]
+peaks = []
+for ci in ("formula", "bootstrap"):
+    argv = ["compute", "--input-dir", cells, "--output", f"{out}/{ci}.csv",
+            "--indicators", "mnlcs", "--ci", ci, "--bootstrap-iters", "100"]
+    if main(argv) != 0:
+        raise SystemExit(f"compute --ci {ci} failed")
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+print(*peaks)
+"""
+
+
+@_LINUX_ONLY
+def test_bootstrap_blocks_stay_under_a_memory_ceiling(tmp_path):
+    """A bootstrap over 40 resampled cells adds at most 8 MB to the formula run's peak.
+
+    Twenty fields of one year, each a 1,000-article G1 cell and its WORLD
+    cell: every MNLCS row resamples all 40 cells, 40,000 words a replicate,
+    so the budget of 2^20 words (4 MB) sets its blocks. On a 2-vCPU Linux
+    machine with Python 3.11 and numpy 2.4 the process peaks at 35.0-35.1 MB
+    after the formula compute and at 41.2-41.4 MB after the bootstrap: the
+    bootstrap adds 6.2-6.3 MB, the block buffer and the rows' arrays. The
+    ceiling on what it adds is 8 MB, a 1.7 MB margin; a budget of 2^21 words
+    adds 10.0 MB and one of 2^22 adds 18.2 MB, so raising it again fails.
+    (The 2^18 budget before added 3.2 MB.) The whole peak must also stay
+    under 58 MB, the 41.4 MB measured plus the 16 MB margin for other Python
+    and numpy builds that the 10^6-article ceiling takes.
+    """
+    mus = [f"{0.5 + 0.1 * i:g}" for i in range(20)]
+    assert run(["simulate", "--output-dir", tmp_path / "sim", "--mu", *mus, "--n", "1000",
+                "--seed", "7"]) == 0
+    cells = merge_cells(sorted((tmp_path / "sim").iterdir()), tmp_path / "cells")
+    assert len(list(cells.glob("*.tsv"))) == 40
+    formula_mb, bootstrap_mb = forked_peaks(_FORMULA_THEN_BOOTSTRAP, cells, tmp_path)
+    added = bootstrap_mb - formula_mb
+    assert added <= 8, f"the bootstrap adds {added:.1f} MB of ru_maxrss, over the 8 MB ceiling"
+    assert bootstrap_mb <= 58, f"ru_maxrss {bootstrap_mb:.1f} MB exceeds the 58 MB ceiling"
