@@ -75,6 +75,8 @@ class ReportConfig:
                              " (ExclusionPolicy(1, 0.0) keeps every cell)")
         if self.bootstrap_iterations is not None:
             BootstrapSpec(self.bootstrap_iterations)  # checked before any row is computed
+        if self.resample_world is not None and not isinstance(self.resample_world, bool):
+            raise ValueError(f"resample_world must be None or a bool, got {self.resample_world!r}")
 
 
 @dataclass(frozen=True)

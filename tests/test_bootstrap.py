@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import ast
 import ctypes
 import gc
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fieldnorm.bootstrap
+import fieldnorm.index_scheme
 from fieldnorm import cli
 from fieldnorm.bootstrap import (
     BOOTSTRAP_ITERATIONS_DEFAULT,
@@ -22,18 +26,16 @@ from fieldnorm.bootstrap import (
     bootstrap_intervals,
     compare_ci,
     comparison_suite,
-    pcg64_states,
     percentile,
-    replicate_words,
     row_results,
-    seed_words,
-    state_memory,
     summarize_comparisons,
 )
 from fieldnorm.corpus import (
     WORLD, ArticleSet, Corpus, FieldYearKey, Scope, derive_stream_seed, write_corpus,
 )
+from fieldnorm.index_scheme import pcg64_states, replicate_words, seed_words, state_memory
 from fieldnorm.indicators import (
+    CELL_STATISTICS,
     EMNPC,
     EQ_PROP_CITED,
     LUNDBERG_Z,
@@ -41,6 +43,7 @@ from fieldnorm.indicators import (
     MNLCS,
     MNPC,
     PROP_CITED,
+    CellReplicates,
     UndefinedNormalizationError,
     indicator_estimate,
 )
@@ -276,6 +279,28 @@ class TestBootstrapPlan:
         spec = bootstrap_plan(MNCS, RESAMPLE_WORLD_DEFAULT, 150, True, 3)
         assert spec == BootstrapSpec(150, 3, True)
 
+    @pytest.mark.parametrize("args, message", [
+        ((150.5,), "bootstrap iterations must be an integer, got 150.5"),
+        ((200.0,), "bootstrap iterations must be an integer, got 200.0"),
+        ((True,), "bootstrap iterations must be an integer, got True"),
+        ((99,), "at least 100 bootstrap iterations are required"),
+        ((200, 3.0), "bootstrap seed must be an integer, got 3.0"),
+        ((200, False), "bootstrap seed must be an integer, got False"),
+        ((200, 0, "false"), "resample_world must be a bool, got 'false'"),
+        ((200, 0, 0), "resample_world must be a bool, got 0"),
+        ((200, 0, None), "resample_world must be a bool, got None"),
+    ])
+    def test_spec_of_wrong_type_rejected(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BootstrapSpec(*args)
+
+    def test_numpy_integers_accepted(self):
+        group, world = demo_sets()
+        spec = BootstrapSpec(np.int64(200), np.int64(-7))
+        assert spec == BootstrapSpec(200, -7)
+        assert bootstrap_indicator(group, world, MNLCS, spec) == \
+            bootstrap_indicator(group, world, MNLCS, BootstrapSpec(200, -7))
+
     def test_both_rules_cover_every_indicator(self):
         every = set(BOOTSTRAP_ITERATIONS_DEFAULT)
         assert set(RESAMPLE_WORLD_DEFAULT) == set(COMPARE_CI_RESAMPLE_WORLD_DEFAULT) == every
@@ -322,6 +347,9 @@ class TestCompareCi:
     def test_point_outside_an_interval_rejected(self, formula, boot):
         with pytest.raises(ValueError, match="point estimate must lie inside both intervals"):
             compare_ci(self.interval(*formula), self.interval(*boot), 1.0)
+
+
+SPEC = BootstrapSpec(100)
 
 
 class TestComparisonSuite:
@@ -428,20 +456,30 @@ class TestComparisonSuite:
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 0\.5\)"):
             comparison_suite(scenarios, [MNLCS], BootstrapSpec(100), 0.6)
 
-    @pytest.mark.parametrize("indicators, continuity, message", [
-        ([MNLCS], "bogus", "unknown continuity mode 'bogus'"),
-        ([], "auto", "at least one indicator is required"),
-        ([MNLCS, "MNLSC"], "auto", r"unknown indicators \['MNLSC'\]"),
-        ([MNLCS, MNLCS], "auto", r"duplicate indicators in \['MNLCS', 'MNLCS'\]"),
-    ], ids=["continuity", "no-indicator", "unknown-indicator", "duplicate-indicator"])
-    def test_bad_run_rejected_before_any_row(self, monkeypatch, indicators, continuity, message):
+    @pytest.mark.parametrize("indicators, specs, continuity, message", [
+        ([MNLCS], SPEC, "bogus", "unknown continuity mode 'bogus'"),
+        ([], SPEC, "auto", "at least one indicator is required"),
+        ([MNLCS, "MNLSC"], SPEC, "auto", r"unknown indicators \['MNLSC'\]"),
+        ([MNLCS, MNLCS], SPEC, "auto", r"duplicate indicators in \['MNLCS', 'MNLCS'\]"),
+        ([MNLCS, MNCS], {MNLCS: SPEC}, "auto", r"missing \['MNCS'\], extra \[\]"),
+        ([MNLCS], {MNLCS: SPEC, EMNPC: SPEC}, "auto", r"missing \[\], extra \['EMNPC'\]"),
+        ([MNCS, MNPC], {MNLCS: SPEC, MNPC: SPEC}, "auto", r"missing \['MNCS'\], extra \['MNLCS'\]"),
+    ], ids=["continuity", "no-indicator", "unknown-indicator", "duplicate-indicator",
+            "missing-spec", "extra-spec", "missing-and-extra-spec"])
+    def test_bad_run_rejected_before_any_row(
+        self, monkeypatch, indicators, specs, continuity, message
+    ):
         def no_rows(*args):
             raise AssertionError("a row was computed")
 
         monkeypatch.setattr(fieldnorm.bootstrap, "indicator_result", no_rows)
+        if isinstance(specs, dict):
+            # The specs are checked before any scope is resolved.
+            monkeypatch.setattr(Corpus, "scope", no_rows)
+            message = "specs must cover exactly the indicators run: " + message
         scenarios = scenario_grid([1.0], [1.0], [0.0], [100], group_shifts=[0.2])
         with pytest.raises(ValueError, match=f"^{message}$"):
-            comparison_suite(scenarios, indicators, BootstrapSpec(100), 0.05, continuity)
+            comparison_suite(scenarios, indicators, specs, 0.05, continuity)
 
     def test_scenarios_without_groups_rejected(self):
         world_only = Corpus.from_cells([ArticleSet(WORLD, FieldYearKey("Z", 2015), (1, 2))])
@@ -511,8 +549,8 @@ def test_seed_words_one_seed_per_lane():
         assert row == np.random.SeedSequence([seed, r]).generate_state(4, np.uint64).tolist()
 
 
-DEFAULT_SEED_LANES = fieldnorm.bootstrap._SEED_LANES
-DEFAULT_BLOCK_WORDS = fieldnorm.bootstrap._BLOCK_WORDS
+DEFAULT_SEED_LANES = fieldnorm.index_scheme._SEED_LANES
+DEFAULT_BLOCK_WORDS = fieldnorm.index_scheme._BLOCK_WORDS
 # 1 word makes every replicate wider than the budget; 2**11 splits every
 # row of ``TestBootstrapIntervals.jobs`` into several blocks.
 BLOCK_WORDS = [1, 2**11, DEFAULT_BLOCK_WORDS]
@@ -521,13 +559,13 @@ BLOCK_WORDS = [1, 2**11, DEFAULT_BLOCK_WORDS]
 def recorded_blocks(monkeypatch) -> list[tuple[int, int, int]]:
     """Each recorded block's replicates, words per replicate and largest drawn cell, in order."""
     blocks = []
-    record = fieldnorm.bootstrap._record_block
+    record = fieldnorm.index_scheme._record_block
 
     def recorded(drawn, rows, words, *rest):
         blocks.append((rows.size, words.shape[1], max(cell.n for cell, *_ in drawn)))
         return record(drawn, rows, words, *rest)
 
-    monkeypatch.setattr(fieldnorm.bootstrap, "_record_block", recorded)
+    monkeypatch.setattr(fieldnorm.index_scheme, "_record_block", recorded)
     return blocks
 
 
@@ -565,8 +603,8 @@ class TestBootstrapIntervals:
         jobs = self.jobs()
         expected = [bootstrap_indicator(*job) for job in jobs]
         rows = self.rows(jobs)
-        monkeypatch.setattr(fieldnorm.bootstrap, "_SEED_LANES", lanes)
-        monkeypatch.setattr(fieldnorm.bootstrap, "_BLOCK_WORDS", block_words)
+        monkeypatch.setattr(fieldnorm.index_scheme, "_SEED_LANES", lanes)
+        monkeypatch.setattr(fieldnorm.index_scheme, "_BLOCK_WORDS", block_words)
         intervals = bootstrap_intervals(rows, 0.05)
         assert len(intervals) == len(expected)
         for interval, alone in zip(intervals, expected):
@@ -584,14 +622,14 @@ class TestBootstrapIntervals:
         # budget unless one replicate alone does.
         kept = []
 
-        class Recorded(fieldnorm.bootstrap._WorkArrays):
+        class Recorded(fieldnorm.index_scheme._WorkArrays):
             def __call__(self, name, size, dtype):
                 array = super().__call__(name, size, dtype)
                 kept.append(array.base)
                 return array
 
-        monkeypatch.setattr(fieldnorm.bootstrap, "_WorkArrays", Recorded)
-        monkeypatch.setattr(fieldnorm.bootstrap, "_BLOCK_WORDS", block_words)
+        monkeypatch.setattr(fieldnorm.index_scheme, "_WorkArrays", Recorded)
+        monkeypatch.setattr(fieldnorm.index_scheme, "_BLOCK_WORDS", block_words)
         blocks = recorded_blocks(monkeypatch)
         rows = self.rows(self.jobs()[:1]) * 3
         intervals = bootstrap_intervals(rows, 0.05)
@@ -658,10 +696,12 @@ class TestBootstrapIntervals:
                             "world cells must be labelled WORLD, got ['G9']"),
         }[bad]
 
-        def no_draws(*args):
-            raise AssertionError("a replicate was drawn")
+        def no_draws(rows):
+            for row in rows:
+                raise AssertionError(f"a row reached the scheme: {row}")
+            return iter(())
 
-        monkeypatch.setattr(fieldnorm.bootstrap, "replicate_words", no_draws)
+        monkeypatch.setattr(fieldnorm.bootstrap, "draw", no_draws)
         with pytest.raises(ValueError) as rejected:
             bootstrap_indicator(*job)
         assert str(rejected.value) == message
@@ -710,7 +750,7 @@ class TestStateMemory:
 
     def test_view_that_misses_the_state_rejected(self, monkeypatch):
         # words that are not where the state setter put them
-        monkeypatch.setattr(fieldnorm.bootstrap, "_state_memory",
+        monkeypatch.setattr(fieldnorm.index_scheme, "_state_memory",
                             lambda bit_generator: (ctypes.c_uint64 * 4)())
         with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
             state_memory(np.random.PCG64(0))
@@ -718,15 +758,16 @@ class TestStateMemory:
     def test_view_detached_from_the_generator_rejected(self, monkeypatch):
         # a copy that shows the probe state but whose writes never reach the
         # generator: the order is found, and the check that follows fails
-        real_memory, real_set = fieldnorm.bootstrap._state_memory, fieldnorm.bootstrap._set_state
+        scheme = fieldnorm.index_scheme
+        real_memory, real_set = scheme._state_memory, scheme._set_state
         detached = (ctypes.c_uint64 * 4)()
 
         def set_state(bit_generator, words):
             real_set(bit_generator, words)
             detached[:] = real_memory(bit_generator)
 
-        monkeypatch.setattr(fieldnorm.bootstrap, "_state_memory", lambda bit_generator: detached)
-        monkeypatch.setattr(fieldnorm.bootstrap, "_set_state", set_state)
+        monkeypatch.setattr(fieldnorm.index_scheme, "_state_memory", lambda bit_generator: detached)
+        monkeypatch.setattr(fieldnorm.index_scheme, "_set_state", set_state)
         with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
             state_memory(np.random.PCG64(0))
 
@@ -963,7 +1004,7 @@ class TestReplicateOracle:
     def test_replicates_wider_than_the_block_budget(self, monkeypatch):
         # Every replicate is a block of its own, in a buffer of its own,
         # and replicate 27 rejects a word of the middle cell.
-        monkeypatch.setattr(fieldnorm.bootstrap, "_BLOCK_WORDS", 1)
+        monkeypatch.setattr(fieldnorm.index_scheme, "_BLOCK_WORDS", 1)
         group, world, _ = self.middle_cell_scope()
         self.check(group, world, MNLCS, BootstrapSpec(100, seed=5))
 
@@ -1000,7 +1041,7 @@ class TestReplicateOracle:
     def test_spare_words_exhausted(self, monkeypatch, scope, seed):
         # With no spare words, a replicate with a rejected word runs out and
         # is drawn again, with more spare words each round.
-        monkeypatch.setattr(fieldnorm.bootstrap, "_SLACK", 0)
+        monkeypatch.setattr(fieldnorm.index_scheme, "_SLACK", 0)
         group, world, drawn = getattr(self, scope)()
         assert any(sum(lemire_rejections(seed, r, drawn)) for r in range(100))
         self.check(group, world, MNLCS, BootstrapSpec(100, seed=seed))
@@ -1043,3 +1084,72 @@ def test_random_scopes_match_per_replicate_loop(indicator, resample_world, scope
     spec = BootstrapSpec(100, seed=seed, resample_world=resample_world)
     assert vectorised(group, world, indicator, spec) == \
         per_replicate_loop(group, world, indicator, spec)
+
+
+def constant_replicates(cell, stats, iterations):
+    """Replicates that all equal ``cell``: each named statistic holds the cell's own value."""
+    rep = CellReplicates(cell.n, stats, iterations)
+    for name in stats:
+        getattr(rep, name)[:] = getattr(cell, name)
+    return rep
+
+
+@pytest.mark.parametrize("cell_sets", [one_article_scope, mixed_scope])
+@pytest.mark.parametrize("resample_world", [True, False])
+@pytest.mark.parametrize("indicator", ALL_INDICATORS)
+def test_what_each_row_hands_the_scheme(monkeypatch, indicator, resample_world, cell_sets):
+    # A fake scheme records what each row hands it, and every replicate it
+    # fills is the original data.
+    handed = []
+
+    def fake_draw(rows):
+        for seed, iterations, cells in rows:
+            handed.append((seed, iterations, cells))
+            yield [constant_replicates(cell, stats, iterations) for cell, stats in cells]
+
+    monkeypatch.setattr(fieldnorm.bootstrap, "draw", fake_draw)
+    group, world = cell_sets()
+    group_stats, world_stats = CELL_STATISTICS[indicator]
+    expected = [(cell, group_stats) for cell in sorted(group, key=lambda c: c.key) if cell.n > 1]
+    if resample_world and world_stats:
+        expected += [(cell, world_stats) for cell in sorted(world, key=lambda c: c.key)
+                     if cell.n > 1]
+    assert any(cell.n == 1 for cell in group + world)
+    if indicator in (PROP_CITED, EQ_PROP_CITED):
+        assert not world_stats
+
+    spec = BootstrapSpec(100, seed=3, resample_world=resample_world)
+    scope = Corpus.from_cells(group + world).scope("G", {cell.key for cell in group})
+    bootstrap_intervals([(scope, indicator, spec)], 0.05)
+    assert handed == [(3, 100, expected)]
+
+    (row,) = row_results([(scope, indicator, "bootstrap", spec)], 0.05)
+    if row.defined:
+        assert row.lower == pytest.approx(row.estimate, rel=1e-12)
+        assert row.upper == pytest.approx(row.estimate, rel=1e-12)
+
+
+def imports_of(path):
+    """(module, name) for each name a module imports; a module imported whole has name None."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(alias.name.removeprefix("fieldnorm."), None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("fieldnorm").lstrip(".")
+            found += [(module, alias.name) if module else (alias.name, None)
+                      for alias in node.names]
+    return found
+
+
+def test_only_index_scheme_knows_the_index_stream():
+    # Parsed, not imported, so that no import at run time can hide an edge.
+    imports = {path.stem: imports_of(path)
+               for path in Path(fieldnorm.bootstrap.__file__).parent.glob("*.py")}
+    assert {stem for stem, found in imports.items()
+            if any(module.split(".")[0] == "ctypes" for module, _ in found)} == {"index_scheme"}
+    assert {stem: [name for module, name in found if module == "index_scheme"]
+            for stem, found in imports.items()
+            if any(module == "index_scheme" for module, _ in found)} == {"bootstrap": ["draw"]}
+    forbidden = {"bootstrap", "scopes", "report", "cli"}
+    assert not forbidden & {module.split(".")[0] for module, _ in imports["index_scheme"]}

@@ -68,6 +68,10 @@ class TestReportConfig:
         ({"ci_methods": ("formula", "formula")},
          r"duplicate ci methods in \['formula', 'formula'\]"),
         ({"exclusion": None}, "exclusion must be an ExclusionPolicy, got None"),
+        ({"ci_methods": ("bootstrap",), "resample_world": "off"},
+         "resample_world must be None or a bool, got 'off'"),
+        ({"ci_methods": ("bootstrap",), "bootstrap_iterations": 150.5},
+         "bootstrap iterations must be an integer, got 150.5"),
     ])
     def test_config_that_yields_no_row_or_a_wrong_one_rejected(self, settings, message):
         with pytest.raises(ValueError, match=message):
