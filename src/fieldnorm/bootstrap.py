@@ -29,7 +29,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .corpus import (
-    WORLD, ArticleSet, Corpus, Scope, derive_stream_seed, pair_cells,
+    WORLD, ArticleSet, Corpus, Scope, check_integers, derive_stream_seed, pair_cells,
 )
 from .indicators import (
     CELL_STATISTICS,
@@ -82,10 +82,7 @@ class BootstrapSpec:
     resample_world: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("iterations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"bootstrap {name} must be an integer, got {value!r}")
+        check_integers(self, "bootstrap", "iterations", "seed")
         if self.iterations < 100:
             raise ValueError("at least 100 bootstrap iterations are required")
         if not isinstance(self.resample_world, bool):

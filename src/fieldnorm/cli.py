@@ -28,7 +28,8 @@ from .bootstrap import (
     summarize_comparisons,
 )
 from .corpus import (
-    WORLD, CorpusError, ExclusionPolicy, SampleSpec, load_corpus, sample_corpus, write_corpus,
+    WORLD, CorpusError, ExclusionPolicy, SampleSpec, load_corpus, sample_corpus, sample_files,
+    write_corpus,
 )
 from .indicators import (
     EMNPC,
@@ -191,9 +192,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.input_dir)
-    write_corpus(sample_corpus(corpus, args.size, args.seed), args.output_dir)
-    print(f"sampled {len(corpus.cells)} cells to {args.output_dir}")
+    cells = sample_files(args.input_dir, args.output_dir, args.size, args.seed)
+    print(f"sampled {cells} cells to {args.output_dir}")
     return 0
 
 

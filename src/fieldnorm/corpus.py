@@ -14,7 +14,8 @@ cell's counts as a read-only array of the narrowest unsigned type, of at
 least 16 bits, that holds its largest count (``count_dtype``), built from
 integers only.  On their first read it computes, once, the statistics
 every indicator and analytic interval is computed from, and keeps them as
-plain attributes, beside no other array.  A Corpus holds only its cells;
+plain attributes, beside no other array and no article id: ids stay in
+the files, for ``sample_files``.  A Corpus holds only its cells;
 ``Corpus.scope`` turns a (group, key set) into a Scope of sorted keys and
 cells, and the code that builds a row calls it once and hands the Scope to
 every route of that row.  ``pair_cells`` alone checks raw group and world
@@ -27,7 +28,6 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -56,6 +56,15 @@ def count_dtype(largest: int) -> np.dtype:
     builtin ``sum`` over uint8 elements wraps at 256.
     """
     return np.promote_types(np.min_scalar_type(largest), np.uint16)
+
+
+def check_integers(spec: object, label: str, *names: str) -> None:
+    """Store the fields ``names`` of frozen ``spec`` as ints: numpy integers pass, bools do not."""
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{label} {name} must be an integer, got {value!r}")
+        object.__setattr__(spec, name, int(value))
 
 
 class CorpusError(ValueError):
@@ -109,8 +118,8 @@ class ArticleSet:
     deviations from the mean) of c and of ln(1+c).  The first read of any
     of the five computes them all, over a sorted snapshot of the counts
     that is dropped afterwards, and stores them as plain attributes, so a
-    cell holds its counts, its ids and five numbers: 2 bytes per article
-    for counts below 65,536, plus the ids.
+    cell holds its counts and five numbers: 2 bytes per article for counts
+    below 65,536.
 
     Equality is identity (``eq=False``): an array has no single truth
     value, so a field-by-field ``==`` could not give one.
@@ -119,7 +128,6 @@ class ArticleSet:
     group: str
     key: FieldYearKey
     counts: np.ndarray
-    ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         cell = f"cell {self.group}/{self.key}"
@@ -137,26 +145,22 @@ class ArticleSet:
             raise ValueError(f"{cell}: a count exceeds 2**63-1")
         if counts.min() < 0:
             raise ValueError(f"{cell} contains a negative count")
-        if self.ids is not None and len(self.ids) != counts.size:
-            raise ValueError(f"{cell}: ids and counts differ in length")
         counts = counts.astype(count_dtype(counts.max()))
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
     @classmethod
-    def _adopt(
-        cls, group: str, key: FieldYearKey, counts: np.ndarray, ids: tuple[str, ...] | None
-    ) -> ArticleSet:
+    def _adopt(cls, group: str, key: FieldYearKey, counts: np.ndarray) -> ArticleSet:
         """The cell over ``counts``, taken over without a copy and made read-only.
 
         For the parser, which has already checked what the constructor
         checks and chosen the width it would: ``counts`` is a flat array of
         at least one count in [0, 2**63-1], of ``count_dtype`` of its
-        largest, as long as ``ids`` if given, and nothing else writes to it.
+        largest, and nothing else writes to it.
         """
         counts.flags.writeable = False
         cell = object.__new__(cls)
-        vars(cell).update(group=group, key=key, counts=counts, ids=ids)
+        vars(cell).update(group=group, key=key, counts=counts)
         return cell
 
     def __len__(self) -> int:
@@ -210,6 +214,7 @@ class SampleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_integers(self, "sample", "size", "seed")
         if self.size < 1:
             raise ValueError("sample size must be >= 1")
 
@@ -222,6 +227,7 @@ class ExclusionPolicy:
     min_fraction_of_mean: float = 0.25
 
     def __post_init__(self) -> None:
+        check_integers(self, "exclusion", "min_articles")
         if self.min_articles < 1:
             raise ValueError("min_articles must be >= 1")
         if not 0.0 <= self.min_fraction_of_mean <= 1.0:
@@ -380,9 +386,8 @@ class _CellFile:
     """One cell file whose bytes passed the whole-file checks, and its parsed pieces.
 
     ``data`` is the file with CRLF turned into LF, and its lines start at
-    ``body``, after the header.  Each block the lines fall in adds one
-    piece, its counts and its ids (None where every id is empty), until
-    the last makes the cell.
+    ``body``, after the header.  Each block the lines fall in adds the
+    piece's counts, until the last makes the cell.
     """
 
     def __init__(self, path: Path) -> None:
@@ -409,13 +414,9 @@ class _CellFile:
         self.body = min(len(header) + 1, len(data))
         self.counts: np.ndarray | None = None
         self.size = 0  # of the counts parsed so far
-        self.ids: list[tuple[int, tuple[str, ...] | None]] = []  # per piece, with its size
 
-    def add(
-        self, counts: np.ndarray, ids: tuple[str, ...] | None, last: bool,
-        dtype: np.dtype | None,
-    ) -> ArticleSet | None:
-        """Keep one piece's counts and ids; return the cell once the last piece is in.
+    def add(self, counts: np.ndarray, last: bool, dtype: np.dtype | None) -> ArticleSet | None:
+        """Keep one piece's counts; return the cell once the last piece is in.
 
         Each piece is copied out of the block's int64 counts into one array
         of ``count_dtype`` of the largest count so far, so that a cell never
@@ -438,19 +439,13 @@ class _CellFile:
             self.counts = self.counts.astype(dtype)
         self.counts[self.size:self.size + counts.size] = counts
         self.size += counts.size
-        self.ids.append((counts.size, ids))
         if not last:
             return None
         if not self.size:
             raise CorpusError(f"{self.name}: cell contains no articles")
-        ids = None
-        if any(part is not None for _, part in self.ids):
-            ids = tuple(chain.from_iterable(
-                part if part is not None else ("",) * size for size, part in self.ids
-            ))
         counts = self.counts if self.size == self.counts.size else self.counts[:self.size].copy()
         self.counts, self.data = None, b""  # the reader holds this object until its next file
-        return ArticleSet._adopt(self.group, self.key, counts, ids)
+        return ArticleSet._adopt(self.group, self.key, counts)
 
 
 # A file's lines in one block: the file, the offset of its first byte in the
@@ -561,17 +556,16 @@ def _parse_block(block: bytes, pieces: list[_Piece], work: _WorkArrays) -> Itera
     size = starts.size
 
     tabs = np.flatnonzero(np.equal(buf, ord("\t"), out=found))
-    # A valid line holds exactly one tab, so the k-th tab is the k-th line's
-    # first up to the first line with none or with more than one.  That
-    # line fails the checks below and is reported before any line after it
-    # is read.  Lines past the last tab get the block size, past their ends.
-    first_tabs = work("first_tabs", size, offset)
-    first_tabs.fill(buf.size)
+    # The widths of the count fields, after each line's first tab.  A valid
+    # line holds exactly one tab, so the k-th tab is the k-th line's first
+    # up to the first line with none or with more than one.  That line
+    # fails the checks below and is reported before any line after it is
+    # read.  Lines past the last tab, and lines without one, get width 0.
+    widths = work("widths", size, offset)
+    widths.fill(0)
     aligned = min(tabs.size, size)
-    first_tabs[:aligned] = tabs[:aligned]
+    np.subtract(ends[:aligned], tabs[:aligned], out=widths[:aligned])
     del tabs
-    # The widths of the count fields; 0 without a tab.
-    widths = np.subtract(ends, first_tabs, out=work("widths", size, offset))
     widths -= 1
     np.maximum(widths, 0, out=widths)
 
@@ -604,7 +598,6 @@ def _parse_block(block: bytes, pieces: list[_Piece], work: _WorkArrays) -> Itera
                 error = i, exc
                 break
 
-    named = first_tabs > starts
     # One max for the block: below 2**16 every piece is uint16, and only
     # otherwise does each piece take its own.
     dtype = np.dtype(np.uint16) if counts.max(initial=0) < 2**16 else None
@@ -614,13 +607,7 @@ def _parse_block(block: bytes, pieces: list[_Piece], work: _WorkArrays) -> Itera
             i, exc = error
             line = _line_number(source.data, data_at + int(starts[i]) - at)
             raise CorpusError(f"{source.name}:{line}: {exc}")
-        ids = None
-        if named[a:b].any():
-            ids = tuple(
-                block[s:t].decode("utf-8")
-                for s, t in zip(starts[a:b].tolist(), first_tabs[a:b].tolist())
-            )
-        cell = source.add(counts[a:b], ids, last, dtype)
+        cell = source.add(counts[a:b], last, dtype)
         if cell is not None:
             yield cell
 
@@ -661,11 +648,11 @@ def load_corpus(directory: Path | str) -> Corpus:
     ``read_cell``, and their lines are queued into blocks of at most
     _BLOCK_BYTES bytes that span files: a small file shares a block with
     its neighbours, and a large one is cut into several.  Each block is
-    converted in one vectorised pass, and each file gets its own counts
-    and ids.  The error raised is the one a file-by-file read meets first:
-    a bad line names its own file and line, and the block pending when a
-    later file fails its whole-file checks is parsed before that error is
-    raised.
+    converted in one vectorised pass, and each file gets its own counts;
+    no article id is read.  The error raised is the one a file-by-file
+    read meets first: a bad line names its own file and line, and the
+    block pending when a later file fails its whole-file checks is parsed
+    before that error is raised.
     """
     directory = Path(directory)
     paths = sorted(directory.glob("*.tsv"))
@@ -674,22 +661,35 @@ def load_corpus(directory: Path | str) -> Corpus:
     return Corpus.from_cells(_read_cells(paths))
 
 
-def write_cell(aset: ArticleSet, directory: Path | str) -> Path:
-    """Write one cell in the load_corpus file format (UTF-8, LF).
+def read_ids(path: Path | str) -> list[str]:
+    """The article ids of a cell file that ``load_corpus`` has checked, in article order.
 
-    An id containing a tab, CR or LF could not be read back, so it is
+    Its lines end in LF or CRLF, and every line but a blank one holds a tab.
+    """
+    with open(path, encoding="utf-8", newline="") as lines:
+        next(lines)  # the header
+        return [line.partition("\t")[0] for line in lines if line not in ("\n", "\r\n")]
+
+
+def write_cell(aset: ArticleSet, directory: Path | str, ids: Sequence[str] | None = None) -> Path:
+    """Write one cell in the load_corpus file format (UTF-8, LF), ``ids`` as its article ids.
+
+    Without ``ids`` every id is empty.  Ids that are not one per article,
+    or an id containing a tab, CR or LF, which could not be read back, are
     rejected before anything is written.  The text is encoded before the
     file is opened, so an id UTF-8 cannot encode (a lone surrogate) raises
     UnicodeEncodeError and leaves an existing file as it was.
     """
-    breaks, joined = "\t\r\n", "".join(aset.ids or ())
+    cell = f"cell {aset.group}/{aset.key}"
+    if ids is None:
+        ids = [""] * aset.n
+    elif len(ids) != aset.n:
+        raise CorpusError(f"{cell}: {len(ids)} ids for {aset.n} articles")
+    breaks, joined = "\t\r\n", "".join(ids)
     if any(c in joined for c in breaks):
-        i = next(i for i, id_ in enumerate(aset.ids) if any(c in breaks for c in id_))
-        raise CorpusError(
-            f"cell {aset.group}/{aset.key}: the id of article {i + 1}, {aset.ids[i]!r},"
-            " contains a tab, CR or LF"
-        )
-    ids = aset.ids if aset.ids is not None else [""] * aset.n
+        i = next(i for i, id_ in enumerate(ids) if any(c in breaks for c in id_))
+        raise CorpusError(f"{cell}: the id of article {i + 1}, {ids[i]!r},"
+                          " contains a tab, CR or LF")
     lines = [_HEADER]
     lines.extend(f"{i}\t{c}" for i, c in zip(ids, aset.counts.tolist()))
     data = ("\n".join(lines) + "\n").encode("utf-8")
@@ -711,8 +711,16 @@ def derive_stream_seed(master_seed: int, *parts: str) -> int:
     ``master_seed`` is taken mod 2**64, as every seed is, so -1 and
     2**64 - 1 give the same streams.
     """
-    text = f"{master_seed & (2**64 - 1)}|" + "|".join(parts)
+    text = f"{operator.index(master_seed) & (2**64 - 1)}|" + "|".join(parts)
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+
+
+def _kept(n: int, spec: SampleSpec) -> np.ndarray | None:
+    """The sorted positions of the articles a sample of ``n`` keeps; None keeps them all."""
+    if spec.size >= n:
+        return None
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed & (2**64 - 1)))
+    return np.sort(rng.choice(n, size=spec.size, replace=False))
 
 
 def sample_cell(aset: ArticleSet, spec: SampleSpec) -> ArticleSet:
@@ -721,20 +729,36 @@ def sample_cell(aset: ArticleSet, spec: SampleSpec) -> ArticleSet:
     Cells already at or below the target size are returned unchanged.
     The relative article order of the input is preserved.
     """
-    if spec.size >= aset.n:
-        return aset
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed & (2**64 - 1)))
-    idx = np.sort(rng.choice(aset.n, size=spec.size, replace=False))
-    ids = tuple(aset.ids[i] for i in idx) if aset.ids is not None else None
-    return ArticleSet(aset.group, aset.key, aset.counts[idx], ids)
+    kept = _kept(aset.n, spec)
+    return aset if kept is None else ArticleSet(aset.group, aset.key, aset.counts[kept])
+
+
+def _specs(corpus: Corpus, size: int, seed: int) -> Iterator[tuple[ArticleSet, SampleSpec]]:
+    """Each cell in sorted order, with the spec of its sample: a seed derived from ``seed``."""
+    for (group, k), aset in sorted(corpus.cells.items()):
+        yield aset, SampleSpec(size, derive_stream_seed(seed, group, k.field, str(k.year)))
 
 
 def sample_corpus(corpus: Corpus, size: int, seed: int) -> Corpus:
     """Every cell down-sampled to ``size`` articles, each from its own derived seed."""
-    return Corpus.from_cells(
-        sample_cell(aset, SampleSpec(size, derive_stream_seed(seed, group, k.field, str(k.year))))
-        for (group, k), aset in sorted(corpus.cells.items())
-    )
+    return Corpus.from_cells(sample_cell(aset, spec) for aset, spec in _specs(corpus, size, seed))
+
+
+def sample_files(input_dir: Path | str, output_dir: Path | str, size: int, seed: int) -> int:
+    """Write ``sample_corpus``'s cells with their article ids; return how many.
+
+    The ids are read once ``load_corpus`` has checked every file, one file at a time.
+    """
+    corpus = load_corpus(input_dir)
+    for aset, spec in _specs(corpus, size, seed):
+        ids = read_ids(Path(input_dir, cell_filename(aset.group, aset.key)))
+        kept = _kept(aset.n, spec)
+        if kept is not None and len(ids) == aset.n:  # a file changed since fails write_cell
+            aset = ArticleSet(aset.group, aset.key, aset.counts[kept])
+            ids = [ids[i] for i in kept.tolist()]
+        write_cell(aset, output_dir, ids)
+        del ids  # before the next file's are read
+    return len(corpus.cells)
 
 
 def apply_exclusion(corpus: Corpus, group: str, policy: ExclusionPolicy) -> set[FieldYearKey]:

@@ -31,7 +31,9 @@ from .bootstrap import (
     bootstrap_plan,
     row_results,
 )
-from .corpus import WORLD, Corpus, ExclusionPolicy, apply_exclusion, derive_stream_seed
+from .corpus import (
+    WORLD, Corpus, ExclusionPolicy, apply_exclusion, check_integers, derive_stream_seed,
+)
 from .indicators import EMNPC, EQ_PROP_CITED, MNLCS, check_indicators
 from .intervals import ALPHA_DEFAULT, EXPANSION_DEFAULT
 from .scopes import BOOTSTRAP, CI_METHODS, CONTINUITY_DEFAULT, FORMULA, check_run, route_applies
@@ -70,6 +72,7 @@ class ReportConfig:
             raise ValueError(f"no ci method of {list(self.ci_methods)} applies to"
                              f" {list(self.indicators)} (fieller is MNLCS only)")
         check_run(self.alpha, self.continuity, self.expansion_mode)
+        check_integers(self, "report", "seed")
         if not isinstance(self.exclusion, ExclusionPolicy):
             raise ValueError(f"exclusion must be an ExclusionPolicy, got {self.exclusion!r}"
                              " (ExclusionPolicy(1, 0.0) keeps every cell)")

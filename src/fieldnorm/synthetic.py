@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey
+from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey, check_integers
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,7 @@ class LognormalSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_integers(self, "lognormal", "n", "seed")
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise ValueError("mu and sigma must be finite")
         if self.sigma <= 0.0:

@@ -362,6 +362,12 @@ class TestComparisonSuite:
         summary = summarize_comparisons(rows)[0]
         assert summary.cells == 1 and summary.gaps == 0
 
+    def test_numpy_integer_seed_gives_the_rows_of_its_int(self):
+        scenarios = scenario_grid([1.0], [1.0], [0.0], [200], base_seed=7)
+        rows = comparison_suite(scenarios, [MNLCS], BootstrapSpec(100, seed=np.int64(-3)))
+        assert rows == comparison_suite(scenarios, [MNLCS], BootstrapSpec(100, seed=-3))
+        assert derive_stream_seed(np.int64(-3), "G1") == derive_stream_seed(2**64 - 3, "G1")
+
     def test_gap_rows_for_undefined(self):
         key = FieldYearKey("Z", 2015)
         corpus = Corpus.from_cells(

@@ -9,6 +9,7 @@ subprocesses are started with ``-W error::RuntimeWarning`` for the same reason.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import re
@@ -150,7 +151,7 @@ def test_sample_then_compute_matches_sample_size(job, tmp_path, inputs):
 def test_ids_and_crlf_endings_read_as_the_plain_cells(job, tmp_path):
     # The sampled cells have no article ids and LF endings. Give every data
     # line an id and every line a CRLF ending. The sidecars differ in
-    # input_dir, so only the CSVs compare.
+    # input_dir, so only the CSVs compare, then compare-ci's two tables.
     crlf = tmp_path / "sampled-crlf"
     crlf.mkdir()
     for path in sorted((job / "sampled").glob("*.tsv")):
@@ -162,6 +163,47 @@ def test_ids_and_crlf_endings_read_as_the_plain_cells(job, tmp_path):
     for flags in (["--ci", "formula"], ["--ci", "all", "--bootstrap-iters", "100", "--seed", "7"]):
         plain = compute(job / "sampled", tmp_path / "plain.csv", "--indicators", ALL, *flags)
         assert compute(crlf, tmp_path / "crlf.csv", "--indicators", ALL, *flags) == plain
+    tables = {}
+    for name, cells in (("plain", job / "sampled"), ("crlf", crlf)):
+        summary, details = tmp_path / f"{name}-summary.csv", tmp_path / f"{name}-details.csv"
+        assert run(["compare-ci", "--input-dir", cells, "--output", summary, "--details", details,
+                    "--indicators", ALL, "--iterations", "100", "--seed", "7"]) == 0
+        tables[name] = summary.read_bytes(), details.read_bytes()
+    assert tables["crlf"] == tables["plain"]
+
+
+def write_id_fixture(cells: Path) -> None:
+    """Four cells with ids: CRLF endings and blank lines in F, non-ASCII ids
+    (U+2028 and U+0085 among them, which str.splitlines takes for line ends),
+    a G cell of F smaller than ``--size 10``, and no ids in WORLD's H cell,
+    whose last line has no LF."""
+    cells.mkdir()
+    world = [f"w{i:02d}-été\t{(i * 7) % 11}" for i in range(30)]
+    world[4:4] = [""]
+    world[17:17] = ["", ""]
+    group = ["日本\t3", "", "g\u20282\t0", "\t5", "ü \x85\t12"]
+    for name, rows in (("WORLD__F__2013.tsv", world), ("G__F__2013.tsv", group)):
+        lines = ["article_id\tcount", *rows]
+        (cells / name).write_bytes("".join(f"{line}\r\n" for line in lines).encode())
+    plain = [f"\t{i % 4}" for i in range(25)]
+    (cells / "WORLD__H__2013.tsv").write_bytes("\n".join(["article_id\tcount", *plain]).encode())
+    rows = [f"h{i}\t{i}" for i in range(14)]
+    (cells / "G__H__2013.tsv").write_bytes("\n".join(["article_id\tcount", *rows, ""]).encode())
+
+
+# The SHA-256 of the name and bytes of every file ``sample --size 10 --seed 7``
+# writes from ``write_id_fixture``, recorded when loaded cells still held ids.
+SAMPLE_DIGEST = "c8247f554a9a785c000e9bd807491e2fe7f69cc21a4e1f31e7787b84c475970b"
+
+
+def test_sample_output_is_pinned(tmp_path):
+    write_id_fixture(tmp_path / "cells")
+    assert run(["sample", "--input-dir", tmp_path / "cells", "--output-dir", tmp_path / "out",
+                "--size", "10", "--seed", "7"]) == 0
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "out").iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert digest.hexdigest() == SAMPLE_DIGEST
 
 
 def test_default_flags_give_the_report_of_no_flags(job, tmp_path):
@@ -312,3 +354,47 @@ def test_bootstrap_blocks_stay_under_a_memory_ceiling(tmp_path):
     added = bootstrap_mb - formula_mb
     assert added <= 8, f"the bootstrap adds {added:.1f} MB of ru_maxrss, over the 8 MB ceiling"
     assert bootstrap_mb <= 58, f"ru_maxrss {bootstrap_mb:.1f} MB exceeds the 58 MB ceiling"
+
+
+# The child runs the command it is given and prints its peak, in MB.
+_PEAK_OF = """
+import resource, sys
+from fieldnorm.cli import main
+if main(sys.argv[1:]) != 0:
+    raise SystemExit(f"{sys.argv[1]} failed")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+@_LINUX_ONLY
+def test_article_ids_stay_in_their_files(tmp_path):
+    """A formula compute of two 10^6-article cells with ids peaks below 93 MB.
+
+    Every line carries an 18-character id, as real inputs do: 21 MB a file.
+    On a 2-vCPU Linux machine with Python 3.11 and numpy 2.4 the compute
+    peaks at 76.5-76.9 MB, against 234.9-235.1 MB when every loaded cell
+    decoded its ids into Python strings. Most of the rise over the 49 MB of
+    the same cells without ids is a file's bytes, held whole while its
+    lines are parsed. The ceiling is 77 MB plus the 16 MB margin that the
+    ceiling above takes. ``sample``, the one command that reads ids, reads
+    one file's at a time and peaks at 125.0-125.3 MB, against 234.9-235.0
+    MB when the loaded cells held them all; its ceiling is 125 + 16 MB.
+    """
+    assert run(["simulate", "--output-dir", tmp_path / "sim", "--n", "1000000",
+                "--seed", "7"]) == 0
+    (sim,) = (tmp_path / "sim").iterdir()
+    cells = tmp_path / "cells"
+    cells.mkdir()
+    for path in sorted(sim.glob("*.tsv")):
+        with open(path, "rb") as source, open(cells / path.name, "wb") as out:
+            out.write(next(source))
+            out.writelines(b"10.1234/%010d%s" % (i, line) for i, line in enumerate(source))
+    assert re.match(rb"article_id\tcount\n10\.1234/0000000000\t[0-9]+\n",
+                    (cells / path.name).read_bytes()[:60])
+    (compute_mb,) = forked_peaks(_PEAK_OF, "compute", "--input-dir", cells,
+                                 "--output", tmp_path / "r.csv", "--indicators", "mnlcs,prop",
+                                 "--ci", "formula")
+    assert compute_mb <= 93, f"compute's ru_maxrss {compute_mb:.1f} MB exceeds 93 MB"
+    (sample_mb,) = forked_peaks(_PEAK_OF, "sample", "--input-dir", cells,
+                                "--output-dir", tmp_path / "sampled", "--size", "500")
+    assert sample_mb <= 141, f"sample's ru_maxrss {sample_mb:.1f} MB exceeds 141 MB"

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldnorm import corpus as corpus_module
+from fieldnorm.synthetic import LognormalSpec, generate_cell
 from fieldnorm.corpus import (
     _COUNT_MAX,
     _HEADER,
@@ -30,7 +31,9 @@ from fieldnorm.corpus import (
     load_corpus,
     pair_cells,
     read_cell,
+    read_ids,
     sample_cell,
+    sample_files,
     write_cell,
     write_corpus,
     _parse_filename,
@@ -120,8 +123,6 @@ class TestKeysAndCells:
             ArticleSet("G", key, ())
         with pytest.raises(ValueError):
             ArticleSet("G", key, (1, -2))
-        with pytest.raises(ValueError):
-            ArticleSet("G", key, (1, 2), ids=("a",))
 
     @pytest.mark.parametrize(
         "counts",
@@ -326,27 +327,35 @@ class TestLoadCorpus:
             assert np.array_equal(reloaded.cells[ck].counts, aset.counts)
 
     def test_ids_preserved(self, tmp_path):
-        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), (1, 0), ids=("x", "y"))
-        write_cell(cell, tmp_path)
-        assert read_cell(tmp_path / cell_filename(WORLD, cell.key)).ids == ("x", "y")
+        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), (1, 0))
+        write_cell(cell, tmp_path, ("x", "y"))
+        assert read_ids(tmp_path / cell_filename(WORLD, cell.key)) == ["x", "y"]
 
     @pytest.mark.parametrize("bad_id", ["\t7\nb", "a\tb", "a\rb", "a\nb", "\r"])
     def test_id_that_cannot_be_read_back_rejected(self, tmp_path, bad_id):
         # Written verbatim, "\t7\nb" read back as two articles, counts [7, 3].
-        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), (1, 3), ids=("x", bad_id))
+        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), (1, 3))
         error = r"^cell WORLD/BIOC/2013: the id of article 2, .* contains a tab, CR or LF$"
         with pytest.raises(CorpusError, match=error):
-            write_cell(cell, tmp_path / "out")
+            write_cell(cell, tmp_path / "out", ("x", bad_id))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ids", [(), ("x",), ("x", "y", "z")])
+    def test_ids_not_one_per_article_rejected(self, tmp_path, ids):
+        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), (1, 3))
+        error = rf"^cell WORLD/BIOC/2013: {len(ids)} ids for 2 articles$"
+        with pytest.raises(CorpusError, match=error):
+            write_cell(cell, tmp_path / "out", ids)
         assert not (tmp_path / "out").exists()
 
     def test_unencodable_id_keeps_the_old_file(self, tmp_path):
-        key = FieldYearKey("BIOC", 2013)
-        path = write_cell(ArticleSet(WORLD, key, (1, 3), ids=("x", "y")), tmp_path)
+        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), (1, 3))
+        path = write_cell(cell, tmp_path, ("x", "y"))
         old = path.read_bytes()
         with pytest.raises(UnicodeEncodeError):
-            write_cell(ArticleSet(WORLD, key, (1, 3), ids=("x", "\ud800")), tmp_path)
+            write_cell(cell, tmp_path, ("x", "\ud800"))
         assert path.read_bytes() == old
-        assert read_cell(path).ids == ("x", "y")
+        assert read_ids(path) == ["x", "y"]
 
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(rows=st.lists(
@@ -359,25 +368,25 @@ class TestLoadCorpus:
     ))
     def test_write_read_round_trip(self, tmp_path_factory, rows):
         ids, counts = zip(*rows)
-        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), counts, ids)
+        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), counts)
         path = tmp_path_factory.getbasetemp() / cell_filename(WORLD, cell.key)
         path.unlink(missing_ok=True)
         if any(c in article_id for article_id in ids for c in "\t\r\n"):
             with pytest.raises(CorpusError, match="contains a tab, CR or LF"):
-                write_cell(cell, path.parent)
+                write_cell(cell, path.parent, ids)
             assert not path.exists()
         else:
-            reread = read_cell(write_cell(cell, path.parent))
-            assert reread.counts.tolist() == list(counts)
-            assert reread.ids == (ids if any(ids) else None)
+            written = write_cell(cell, path.parent, ids)
+            assert read_cell(written).counts.tolist() == list(counts)
+            assert read_ids(written) == list(ids)
 
 
 def line_loop_read_cell(path):
-    """The line-by-line parser that read_cell replaced, kept as its reference.
+    """The cell and ids of the line-by-line parser that read_cell and read_ids replaced.
 
-    It reads lone CRs as line ends, and raises the codec's own error on
-    invalid UTF-8 and int()'s own on counts of over 4300 digits; read_cell
-    gives a file:line message for each.
+    It is kept as their reference.  It reads lone CRs as line ends, and
+    raises the codec's own error on invalid UTF-8 and int()'s own on counts
+    of over 4300 digits; read_cell gives a file:line message for each.
     """
     path = Path(path)
     group, key = _parse_filename(path)
@@ -410,17 +419,21 @@ def line_loop_read_cell(path):
             ids.append(article_id)
     if not counts:
         raise CorpusError(f"{path.name}: cell contains no articles")
-    has_ids = any(ids)
-    return ArticleSet(group, key, counts, tuple(ids) if has_ids else None)
+    return ArticleSet(group, key, counts), ids
+
+
+def read_cell_and_ids(path):
+    """read_cell's cell, with the ids read_ids reads once read_cell has checked the file."""
+    return read_cell(path), read_ids(path)
 
 
 def parse_outcome(reader, path):
     """(counts, ids) of a parsed cell, or the CorpusError message."""
     try:
-        cell = reader(path)
+        cell, ids = reader(path)
     except CorpusError as exc:
         return str(exc)
-    return cell.counts.tolist(), cell.ids
+    return cell.counts.tolist(), ids
 
 
 ARTICLE_IDS = st.one_of(
@@ -478,14 +491,14 @@ def cell_files(draw, valid_only: bool = False) -> bytes:
 
 
 class TestParserOracle:
-    """read_cell gives the counts, ids and error messages of the line loop."""
+    """read_cell and read_ids give the counts, ids and error messages of the line loop."""
 
     @settings(derandomize=True, deadline=None, max_examples=400, database=None)
     @given(data=cell_files())
     def test_matches_line_loop(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "G__F__2013.tsv"
         path.write_bytes(data)
-        assert parse_outcome(read_cell, path) == parse_outcome(line_loop_read_cell, path)
+        assert parse_outcome(read_cell_and_ids, path) == parse_outcome(line_loop_read_cell, path)
 
     @pytest.mark.parametrize(
         "data, expected",
@@ -495,8 +508,8 @@ class TestParserOracle:
             (b"article_id\tcount\r\n\r\n\n", "G__F__2013.tsv: cell contains no articles"),
             (b"article_id\tcount\n\t1\n\n\r\n\n\t-2\n", "G__F__2013.tsv:6: negative count -2"),
             (b"", "G__F__2013.tsv:1: expected header 'article_id\\tcount', got ''"),
-            (b"article_id\tcount\na\t3\n\nb\t0", ([3, 0], ("a", "b"))),
-            (b"article_id\tcount\n\t0000000000000000000000012\n", ([12], None)),
+            (b"article_id\tcount\na\t3\n\nb\t0", ([3, 0], ["a", "b"])),
+            (b"article_id\tcount\n\t0000000000000000000000012\n", ([12], [""])),
         ],
         ids=["header-only", "header-only-no-newline", "blank-lines-only", "after-blank-lines",
              "empty-file", "no-final-newline", "leading-zeros"],
@@ -504,7 +517,7 @@ class TestParserOracle:
     def test_edge_cases(self, tmp_path, data, expected):
         path = tmp_path / "G__F__2013.tsv"
         path.write_bytes(data)
-        assert parse_outcome(read_cell, path) == expected
+        assert parse_outcome(read_cell_and_ids, path) == expected
         assert parse_outcome(line_loop_read_cell, path) == expected
 
     @pytest.mark.parametrize(
@@ -554,14 +567,22 @@ class TestParserOracle:
 def load_outcome(reader, directory):
     """(cell key, counts, ids) of every cell in corpus order, or the error message."""
     try:
-        corpus = reader(directory)
+        return reader(directory)
     except CorpusError as exc:
         return str(exc)
-    return [(ck, cell.counts.tolist(), cell.ids) for ck, cell in corpus.cells.items()]
+
+
+def load_with_ids(directory):
+    """load_corpus's cells, with the ids read_ids reads once load_corpus has checked every file."""
+    return [(ck, cell.counts.tolist(), read_ids(Path(directory) / cell_filename(*ck)))
+            for ck, cell in load_corpus(directory).cells.items()]
 
 
 def line_loop_load_corpus(directory):
-    return Corpus.from_cells(line_loop_read_cell(p) for p in sorted(Path(directory).glob("*.tsv")))
+    cells = [line_loop_read_cell(p) for p in sorted(Path(directory).glob("*.tsv"))]
+    ids = {(cell.group, cell.key): ids for cell, ids in cells}
+    corpus = Corpus.from_cells(cell for cell, _ in cells)
+    return [(ck, cell.counts.tolist(), ids[ck]) for ck, cell in corpus.cells.items()]
 
 
 # One name in eight is malformed, and a G cell may lack its WORLD cell.
@@ -599,7 +620,7 @@ class TestCorpusOracle:
         write_directory(directory, files)
         expected = load_outcome(line_loop_load_corpus, directory)
         with mock.patch.object(corpus_module, "_BLOCK_BYTES", block_bytes):
-            assert load_outcome(load_corpus, directory) == expected
+            assert load_outcome(load_with_ids, directory) == expected
 
     @pytest.mark.parametrize("block_bytes", [1, 40, BLOCK_BYTES])
     def test_bad_line_before_bad_header(self, tmp_path, block_bytes):
@@ -617,9 +638,9 @@ class TestCorpusOracle:
         write_tsv(tmp_path, "WORLD__B__2013.tsv", ["x\t3", "\t4"])
         write_tsv(tmp_path, "WORLD__C__2013.tsv", ["\t5"])
         with mock.patch.object(corpus_module, "_BLOCK_BYTES", block_bytes):
-            cells = load_corpus(tmp_path).cells
-        assert [(c.counts.tolist(), c.ids) for c in cells.values()] == [
-            ([1, 2], None), ([3, 4], ("x", "")), ([5], None)
+            cells = load_with_ids(tmp_path)
+        assert [(counts, ids) for _, counts, ids in cells] == [
+            ([1, 2], ["", ""]), ([3, 4], ["x", ""]), ([5], [""])
         ]
 
     @pytest.mark.parametrize("rows, line", [(["55"], 2), (["a\t1", "77"], 3), (["\t1\t2", "3"], 2)])
@@ -659,7 +680,8 @@ class TestCorpusOracle:
         write_tsv(tmp_path, "WORLD__C__2013.tsv", ["\t70000", "\t5"])
         with mock.patch.object(corpus_module, "_BLOCK_BYTES", block_bytes):
             cells = list(load_corpus(tmp_path).cells.values())
-            assert parse_outcome(read_cell, path) == parse_outcome(line_loop_read_cell, path)
+            expected = parse_outcome(line_loop_read_cell, path)
+            assert parse_outcome(read_cell_and_ids, path) == expected
         assert [c.counts.tolist() for c in cells] == [
             [9], [1, 2, 70000, 3, 2**40, 4], [70000, 5]
         ]
@@ -797,12 +819,12 @@ class TestSampleCell:
         full, sub = Counter(counts), Counter(sampled.counts)
         assert all(sub[v] <= full[v] for v in sub)
 
-    def test_ids_stay_aligned(self):
-        counts = tuple(range(100))
-        ids = tuple(f"id{i}" for i in range(100))
-        cell = ArticleSet("G", FieldYearKey("F", 2013), counts, ids)
-        sampled = sample_cell(cell, SampleSpec(10, seed=5))
-        assert all(f"id{c}" == i for c, i in zip(sampled.counts, sampled.ids))
+    def test_ids_stay_aligned(self, tmp_path):
+        write_tsv(tmp_path, "WORLD__F__2013.tsv", [f"id{c}\t{c}" for c in range(100)])
+        assert sample_files(tmp_path, tmp_path / "out", 10, 5) == 1
+        cell_path = tmp_path / "out" / "WORLD__F__2013.tsv"
+        counts, ids = read_cell(cell_path).counts.tolist(), read_ids(cell_path)
+        assert len(counts) == 10 and ids == [f"id{c}" for c in counts]
 
     def test_binomial_concentration(self):
         # Half zeros, half ones: the sampled share of ones stays near 0.5.
@@ -811,6 +833,36 @@ class TestSampleCell:
         sampled = sample_cell(cell, SampleSpec(1000, seed=7))
         share = sum(sampled.counts) / 1000
         assert abs(share - 0.5) <= 0.05
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("spec, settings, message", [
+        (SampleSpec, {"size": 10.5}, "sample size must be an integer, got 10.5"),
+        (SampleSpec, {"seed": 1.5}, "sample seed must be an integer, got 1.5"),
+        (SampleSpec, {"size": True}, "sample size must be an integer, got True"),
+        (LognormalSpec, {"n": 10.5}, "lognormal n must be an integer, got 10.5"),
+        (LognormalSpec, {"seed": 1.5}, "lognormal seed must be an integer, got 1.5"),
+        (LognormalSpec, {"seed": False}, "lognormal seed must be an integer, got False"),
+        (ExclusionPolicy, {"min_articles": 100.5},
+         "exclusion min_articles must be an integer, got 100.5"),
+        (ExclusionPolicy, {"min_articles": "100"},
+         "exclusion min_articles must be an integer, got '100'"),
+    ])
+    def test_other_values_rejected(self, spec, settings, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spec(**settings)
+
+    def test_numpy_integers_taken_as_ints(self):
+        cell = make_cell("G", "F", 2013, range(100))
+        spec = SampleSpec(np.int64(10), np.int64(-1))
+        assert spec == SampleSpec(10, -1) and type(spec.seed) is int
+        assert sample_cell(cell, spec).counts.tolist() == sample_cell(
+            cell, SampleSpec(10, 2**64 - 1)).counts.tolist()
+        assert ExclusionPolicy(np.int32(5)) == ExclusionPolicy(5)
+        key = FieldYearKey("F", 2013)
+        drawn = generate_cell(LognormalSpec(n=np.int64(50), seed=np.uint64(2**64 - 3)), key, "G")
+        assert drawn.counts.tolist() == generate_cell(
+            LognormalSpec(n=50, seed=-3), key, "G").counts.tolist()
 
 
 class TestApplyExclusion:

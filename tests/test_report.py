@@ -72,10 +72,22 @@ class TestReportConfig:
          "resample_world must be None or a bool, got 'off'"),
         ({"ci_methods": ("bootstrap",), "bootstrap_iterations": 150.5},
          "bootstrap iterations must be an integer, got 150.5"),
+        ({"ci_methods": ("bootstrap",), "seed": 3.0}, "report seed must be an integer, got 3.0"),
+        ({"seed": True}, "report seed must be an integer, got True"),
     ])
     def test_config_that_yields_no_row_or_a_wrong_one_rejected(self, settings, message):
         with pytest.raises(ValueError, match=message):
             ReportConfig(**settings)
+
+    def test_numpy_integer_seed_runs_as_its_int(self, demo_corpus, tmp_path):
+        # The seed reaches derive_stream_seed, and the sidecar's JSON, as an int.
+        settings = dict(ci_methods=("bootstrap",), bootstrap_iterations=100,
+                        exclusion=ExclusionPolicy(1, 0.0))
+        config = ReportConfig(seed=np.int64(3), **settings)
+        assert type(config.seed) is int
+        report = build_report(demo_corpus, config)
+        assert report == build_report(demo_corpus, ReportConfig(seed=3, **settings))
+        assert json.loads(write_metadata(report, tmp_path / "r.csv").read_text())["seed"] == 3
 
     def test_fieller_with_mnlcs_among_others_accepted(self):
         ReportConfig(indicators=(MNCS, MNLCS), ci_methods=("fieller",))
