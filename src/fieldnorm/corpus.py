@@ -12,10 +12,9 @@ must also have a WORLD cell, otherwise normalisation is impossible.
 An ArticleSet is the one cell object from parse to kernel: it holds the
 cell's counts as a read-only array of the narrowest unsigned type, of at
 least 16 bits, that holds its largest count (``count_dtype``), built from
-integers only.  On their first read it computes, once, the statistics
-every indicator and analytic interval is computed from, and keeps them as
-plain attributes, beside no other array and no article id: ids stay in
-the files, for ``sample_files``.  A Corpus holds only its cells;
+integers only, and computes once, on their first read, the statistics
+every indicator and analytic interval reads.  Article ids stay in the
+files: ``sample_files`` alone copies them.  A Corpus holds only its cells;
 ``Corpus.scope`` turns a (group, key set) into a Scope of sorted keys and
 cells, and the code that builds a row calls it once and hands the Scope to
 every route of that row.  ``pair_cells`` alone checks raw group and world
@@ -27,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import os
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -44,6 +44,8 @@ _INT64_DIGITS = 18
 # Lines are parsed in blocks of at most this many bytes (a longer line gets
 # a block of its own), which bounds the parser's temporaries.
 _BLOCK_BYTES = 2**16
+# write_cell formats and writes this many lines at a time, never a whole cell.
+_WRITE_ROWS = 2**14
 # The statistics an ArticleSet computes together on their first read.
 _STATISTICS = ("cited", "raw_mean", "raw_m2", "log_mean", "log_m2")
 
@@ -334,10 +336,13 @@ def pair_cells(
 
 
 def cell_filename(group: str, key: FieldYearKey) -> str:
+    """The name of the file of a cell; a label that the name would not give back is refused."""
     for label in (group, key.field):
         for banned in (_NAME_SEP, "/", "\\"):
             if banned in label:
                 raise CorpusError(f"label {label!r} may not contain {banned!r}")
+        if not label or label.endswith("_"):
+            raise CorpusError(f"label {label!r} may not be empty or end in '_'")
     return f"{group}{_NAME_SEP}{key.field}{_NAME_SEP}{key.year}.tsv"
 
 
@@ -349,7 +354,9 @@ def _parse_filename(path: Path) -> tuple[str, FieldYearKey]:
     if not (len(year_text) == 4 and year_text.isascii() and year_text.isdigit()):
         raise CorpusError(f"{path.name}: year {year_text!r} is not four ASCII digits")
     try:
-        return group, FieldYearKey(field, int(year_text))
+        key = FieldYearKey(field, int(year_text))
+        cell_filename(group, key)  # the one rule for labels
+        return group, key
     except ValueError as exc:
         raise CorpusError(f"{path.name}: {exc}") from None
 
@@ -629,14 +636,7 @@ def _read_cells(paths: Iterable[Path]) -> Iterator[ArticleSet]:
 
 
 def read_cell(path: Path) -> ArticleSet:
-    """Parse one cell file; errors name the file and offending line.
-
-    The file is read once as bytes and checked whole: its name, lone CRs,
-    the header (and a BOM before it), and UTF-8.  Its lines are then
-    parsed in blocks of at most _BLOCK_BYTES bytes, cut at LFs, so the
-    parser's temporaries stay bounded however large the file; see
-    ``load_corpus``.
-    """
+    """Parse one cell file as ``load_corpus`` parses each; errors name the file and line."""
     (cell,) = _read_cells([Path(path)])
     return cell
 
@@ -661,42 +661,15 @@ def load_corpus(directory: Path | str) -> Corpus:
     return Corpus.from_cells(_read_cells(paths))
 
 
-def read_ids(path: Path | str) -> list[str]:
-    """The article ids of a cell file that ``load_corpus`` has checked, in article order.
-
-    Its lines end in LF or CRLF, and every line but a blank one holds a tab.
-    """
-    with open(path, encoding="utf-8", newline="") as lines:
-        next(lines)  # the header
-        return [line.partition("\t")[0] for line in lines if line not in ("\n", "\r\n")]
-
-
-def write_cell(aset: ArticleSet, directory: Path | str, ids: Sequence[str] | None = None) -> Path:
-    """Write one cell in the load_corpus file format (UTF-8, LF), ``ids`` as its article ids.
-
-    Without ``ids`` every id is empty.  Ids that are not one per article,
-    or an id containing a tab, CR or LF, which could not be read back, are
-    rejected before anything is written.  The text is encoded before the
-    file is opened, so an id UTF-8 cannot encode (a lone surrogate) raises
-    UnicodeEncodeError and leaves an existing file as it was.
-    """
-    cell = f"cell {aset.group}/{aset.key}"
-    if ids is None:
-        ids = [""] * aset.n
-    elif len(ids) != aset.n:
-        raise CorpusError(f"{cell}: {len(ids)} ids for {aset.n} articles")
-    breaks, joined = "\t\r\n", "".join(ids)
-    if any(c in joined for c in breaks):
-        i = next(i for i, id_ in enumerate(ids) if any(c in breaks for c in id_))
-        raise CorpusError(f"{cell}: the id of article {i + 1}, {ids[i]!r},"
-                          " contains a tab, CR or LF")
-    lines = [_HEADER]
-    lines.extend(f"{i}\t{c}" for i, c in zip(ids, aset.counts.tolist()))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / cell_filename(aset.group, aset.key)
-    path.write_bytes(data)
+def write_cell(aset: ArticleSet, directory: Path | str) -> Path:
+    """Write one cell in the load_corpus file format (UTF-8, LF), every article id empty."""
+    path = Path(directory, cell_filename(aset.group, aset.key))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as out:
+        out.write(f"{_HEADER}\n".encode())
+        for i in range(0, aset.n, _WRITE_ROWS):
+            rows = aset.counts[i:i + _WRITE_ROWS].tolist()
+            out.write("".join(f"\t{c}\n" for c in rows).encode())
     return path
 
 
@@ -724,11 +697,7 @@ def _kept(n: int, spec: SampleSpec) -> np.ndarray | None:
 
 
 def sample_cell(aset: ArticleSet, spec: SampleSpec) -> ArticleSet:
-    """Uniform sample without replacement of spec.size articles.
-
-    Cells already at or below the target size are returned unchanged.
-    The relative article order of the input is preserved.
-    """
+    """spec.size articles drawn without replacement, in input order; a smaller cell is returned."""
     kept = _kept(aset.n, spec)
     return aset if kept is None else ArticleSet(aset.group, aset.key, aset.counts[kept])
 
@@ -744,20 +713,48 @@ def sample_corpus(corpus: Corpus, size: int, seed: int) -> Corpus:
     return Corpus.from_cells(sample_cell(aset, spec) for aset, spec in _specs(corpus, size, seed))
 
 
-def sample_files(input_dir: Path | str, output_dir: Path | str, size: int, seed: int) -> int:
-    """Write ``sample_corpus``'s cells with their article ids; return how many.
+def _copy_kept(source: Path, target: Path, cell: ArticleSet, kept: np.ndarray | None) -> None:
+    """Write to ``target`` the lines at ``kept`` (None: all) of ``cell``'s checked file ``source``.
 
-    The ids are read once ``load_corpus`` has checked every file, one file at a time.
+    Ids are copied byte for byte, counts written from ``cell`` as by
+    ``write_cell``, and blank lines dropped.  The lines go to
+    ``<target>.part``, which ``load_corpus`` does not read, and replace
+    ``target`` once ``source`` is closed, if it held the cell's article count.
+    """
+    partial = target.with_name(target.name + ".part")
+    seen = taken = 0
+    try:
+        with open(source, "rb") as lines, open(partial, "wb") as out:
+            out.write(f"{_HEADER}\n".encode())
+            next(lines)
+            while batch := lines.readlines(_BLOCK_BYTES):
+                batch = [line for line in batch if line not in (b"\n", b"\r\n")]
+                start, seen = seen, seen + len(batch)
+                counts = cell.counts[start:seen]
+                if kept is not None:
+                    stop = int(np.searchsorted(kept, seen))
+                    at, taken = kept[taken:stop] - start, stop
+                    batch, counts = [batch[i] for i in at.tolist()], counts[at]
+                out.write(b"".join([b"%s\t%d\n" % (line.partition(b"\t")[0], count)
+                                    for line, count in zip(batch, counts.tolist())]))
+        if seen != cell.n:
+            raise CorpusError(f"{source.name}: {seen} articles, but {cell.n} when it was checked")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, target)
+
+
+def sample_files(input_dir: Path | str, output_dir: Path | str, size: int, seed: int) -> int:
+    """Copy the lines ``sample_corpus`` keeps to ``output_dir``, which may be ``input_dir``.
+
+    ``load_corpus`` checks every file first.  Returns the number of cells.
     """
     corpus = load_corpus(input_dir)
-    for aset, spec in _specs(corpus, size, seed):
-        ids = read_ids(Path(input_dir, cell_filename(aset.group, aset.key)))
-        kept = _kept(aset.n, spec)
-        if kept is not None and len(ids) == aset.n:  # a file changed since fails write_cell
-            aset = ArticleSet(aset.group, aset.key, aset.counts[kept])
-            ids = [ids[i] for i in kept.tolist()]
-        write_cell(aset, output_dir, ids)
-        del ids  # before the next file's are read
+    for aset, spec in _specs(corpus, size, seed):  # its first SampleSpec checks size
+        name = cell_filename(aset.group, aset.key)
+        Path(output_dir).mkdir(parents=True, exist_ok=True)
+        _copy_kept(Path(input_dir, name), Path(output_dir, name), aset, _kept(aset.n, spec))
     return len(corpus.cells)
 
 

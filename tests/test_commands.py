@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -22,7 +23,8 @@ import pytest
 
 import fieldnorm
 import fieldnorm.bootstrap
-from fieldnorm.cli import main
+import fieldnorm.corpus
+from fieldnorm.cli import build_parser, main
 
 from conftest import read_csv_rows
 
@@ -196,14 +198,66 @@ def write_id_fixture(cells: Path) -> None:
 SAMPLE_DIGEST = "c8247f554a9a785c000e9bd807491e2fe7f69cc21a4e1f31e7787b84c475970b"
 
 
+def files_of(directory: Path) -> list[tuple[str, bytes]]:
+    """The name and bytes of every file in ``directory``, in name order."""
+    return [(path.name, path.read_bytes()) for path in sorted(directory.iterdir())]
+
+
 def test_sample_output_is_pinned(tmp_path):
     write_id_fixture(tmp_path / "cells")
     assert run(["sample", "--input-dir", tmp_path / "cells", "--output-dir", tmp_path / "out",
                 "--size", "10", "--seed", "7"]) == 0
     digest = hashlib.sha256()
-    for path in sorted((tmp_path / "out").iterdir()):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    for name, data in files_of(tmp_path / "out"):
+        digest.update(name.encode() + b"\0" + data + b"\0")
     assert digest.hexdigest() == SAMPLE_DIGEST
+
+
+def test_sample_in_place_writes_the_bytes_of_a_sample_elsewhere(tmp_path):
+    # --output-dir equal to --input-dir replaces each file with its sample.
+    write_id_fixture(tmp_path / "cells")
+    shutil.copytree(tmp_path / "cells", tmp_path / "in-place")
+    flags = ["--size", "10", "--seed", "7"]
+    assert run(["sample", "--input-dir", tmp_path / "cells", "--output-dir", tmp_path / "out",
+                *flags]) == 0
+    assert run(["sample", "--input-dir", tmp_path / "in-place", "--output-dir",
+                tmp_path / "in-place", *flags]) == 0
+    assert files_of(tmp_path / "in-place") == files_of(tmp_path / "out")
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["elsewhere", "in-place"])
+@pytest.mark.parametrize("change, articles", [("grown", 31), ("shrunk", 29)])
+def test_sample_refuses_a_file_changed_since_it_was_checked(tmp_path, monkeypatch, capsys,
+                                                            in_place, change, articles):
+    # WORLD__F__2013.tsv holds 30 articles when load_corpus checks it, and
+    # one more or one fewer when sample copies its lines.
+    cells = tmp_path / "cells"
+    write_id_fixture(cells)
+    out = cells if in_place else tmp_path / "out"
+    argv = ["sample", "--input-dir", cells, "--output-dir", out, "--size", "10", "--seed", "7"]
+    if not in_place:
+        assert run(argv) == 0
+    changed = cells / "WORLD__F__2013.tsv"
+    data = changed.read_bytes()
+    data = data + b"x\t1\r\n" if change == "grown" else data[:data.rindex(b"w29")]
+    load = fieldnorm.corpus.load_corpus
+
+    def load_then_change(directory):
+        corpus = load(directory)
+        changed.write_bytes(data)
+        return corpus
+
+    earlier = files_of(out)
+    monkeypatch.setattr(fieldnorm.corpus, "load_corpus", load_then_change)
+    assert run(argv) == 1
+    error = f"error: WORLD__F__2013.tsv: {articles} articles, but 30 when it was checked\n"
+    assert capsys.readouterr().err == error
+    now = files_of(out)
+    if in_place:  # the two G cells, sorted first, were sampled; the rest is as it was
+        earlier = [(name, data if name == changed.name else old) for name, old in earlier]
+        assert [name for name, _ in now] == [name for name, _ in earlier]
+        now, earlier = now[2:], earlier[2:]
+    assert now == earlier
 
 
 def test_default_flags_give_the_report_of_no_flags(job, tmp_path):
@@ -238,17 +292,36 @@ def test_library_report_is_the_report_of_compute(job, tmp_path):
     assert library("keep-all.csv", exclusion=fieldnorm.ExclusionPolicy(1, 0.0)) != computed
 
 
+def readme_block(heading: str, fence: str) -> str:
+    """The first code block opened by ``fence`` after the README heading ``heading``."""
+    lines = iter(README.read_text(encoding="utf-8").splitlines())
+    for line in lines:
+        if line.startswith(heading):
+            break
+    for line in lines:
+        if line.startswith(fence):
+            break
+    return "\n".join(itertools.takewhile(lambda line: not line.startswith("```"), lines))
+
+
+def test_readme_command_lines_parse():
+    # Each fieldnorm line of "## Command line", continuation lines joined,
+    # parsed by the CLI's parser without being run: a renamed flag fails.
+    block = readme_block("## Command line", "```sh").replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("fieldnorm ")]
+    assert [argv[0] for argv in commands] == ["compute", "sample", "simulate", "compare-ci"]
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: fieldnorm {shlex.join(argv)}")
+
+
 def test_readme_library_example_runs(job, tmp_path, monkeypatch):
     # The first python block after "## Library", run as written on a copy of
     # cells/ in a directory of its own.
-    lines = iter(README.read_text(encoding="utf-8").splitlines())
-    for line in lines:
-        if line.startswith("## Library"):
-            break
-    for line in lines:
-        if line.startswith("```python"):
-            break
-    code = "\n".join(itertools.takewhile(lambda line: not line.startswith("```"), lines))
+    code = readme_block("## Library", "```python")
     assert "bootstrap_indicator" in code
     library = tmp_path / "library"
     shutil.copytree(job / "cells", library / "cells")
@@ -367,18 +440,36 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 
 @_LINUX_ONLY
+def test_simulate_writes_a_cell_a_batch_at_a_time(tmp_path):
+    """``simulate --n 1000000`` peaks below 78 MB.
+
+    ``write_cell`` formats and writes a batch of lines at a time. On a
+    2-vCPU Linux machine with Python 3.11 and numpy 2.4 the process peaks
+    at 61.9-62.0 MB, against 60.5 MB for building the grid alone and 124.1
+    MB when ``write_cell`` held a cell's text three times (its lines, their
+    join and its bytes). The ceiling is 62 MB plus the 16 MB margin that
+    the ceilings above take.
+    """
+    (peak_mb,) = forked_peaks(_PEAK_OF, "simulate", "--output-dir", tmp_path / "sim",
+                              "--n", "1000000", "--seed", "7")
+    assert peak_mb <= 78, f"simulate's ru_maxrss {peak_mb:.1f} MB exceeds 78 MB"
+
+
+@_LINUX_ONLY
 def test_article_ids_stay_in_their_files(tmp_path):
-    """A formula compute of two 10^6-article cells with ids peaks below 93 MB.
+    """Computes and samples of two 10^6-article cells with ids peak below 93 MB.
 
     Every line carries an 18-character id, as real inputs do: 21 MB a file.
     On a 2-vCPU Linux machine with Python 3.11 and numpy 2.4 the compute
     peaks at 76.5-76.9 MB, against 234.9-235.1 MB when every loaded cell
     decoded its ids into Python strings. Most of the rise over the 49 MB of
     the same cells without ids is a file's bytes, held whole while its
-    lines are parsed. The ceiling is 77 MB plus the 16 MB margin that the
-    ceiling above takes. ``sample``, the one command that reads ids, reads
-    one file's at a time and peaks at 125.0-125.3 MB, against 234.9-235.0
-    MB when the loaded cells held them all; its ceiling is 125 + 16 MB.
+    lines are parsed. ``sample``, the one command that reads ids, copies
+    the lines it keeps a batch at a time and peaks at 76.4-76.9 MB with
+    ``--size 500`` and 76.7-77.0 MB keeping every article, against 125.0
+    and 271.8 MB when it decoded a file's ids into strings and wrote the
+    kept cell whole. Each ceiling is 77 MB plus the 16 MB margin that the
+    ceilings above take.
     """
     assert run(["simulate", "--output-dir", tmp_path / "sim", "--n", "1000000",
                 "--seed", "7"]) == 0
@@ -395,6 +486,11 @@ def test_article_ids_stay_in_their_files(tmp_path):
                                  "--output", tmp_path / "r.csv", "--indicators", "mnlcs,prop",
                                  "--ci", "formula")
     assert compute_mb <= 93, f"compute's ru_maxrss {compute_mb:.1f} MB exceeds 93 MB"
-    (sample_mb,) = forked_peaks(_PEAK_OF, "sample", "--input-dir", cells,
-                                "--output-dir", tmp_path / "sampled", "--size", "500")
-    assert sample_mb <= 141, f"sample's ru_maxrss {sample_mb:.1f} MB exceeds 141 MB"
+    for size in ("500", "2000000"):
+        (sample_mb,) = forked_peaks(_PEAK_OF, "sample", "--input-dir", cells,
+                                    "--output-dir", tmp_path / size, "--size", size)
+        assert sample_mb <= 93, f"sample --size {size}: ru_maxrss {sample_mb:.1f} MB exceeds 93 MB"
+    # These cells have LF endings, no blank line and no leading zero, so a
+    # sample that keeps every article copies them byte for byte.
+    assert files_of(tmp_path / "2000000") == files_of(cells)
+    assert [data.count(b"\n") for _, data in files_of(tmp_path / "500")] == [501, 501]

@@ -5,6 +5,8 @@ import dataclasses
 import gc
 import pickle
 import re
+import shutil
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -31,7 +33,6 @@ from fieldnorm.corpus import (
     load_corpus,
     pair_cells,
     read_cell,
-    read_ids,
     sample_cell,
     sample_files,
     write_cell,
@@ -116,6 +117,45 @@ class TestKeysAndCells:
         with pytest.raises(CorpusError, match=re.escape(repr(label))):
             write_cell(cell, tmp_path)
         assert [p.name for p in tmp_path.rglob("*")] == ["G"]
+
+    @pytest.mark.parametrize("group, field", [("A_", "F"), ("G", "F_"), ("", "F")])
+    def test_label_that_would_not_read_back_is_rejected(self, tmp_path, group, field):
+        # A___F__2013.tsv is the name of the cell of group A and field _F.
+        label = group if group != "G" else field
+        cell = make_cell(group, field, 2013, [1, 2])
+        with pytest.raises(CorpusError) as raised:
+            write_cell(cell, tmp_path / "out")
+        assert str(raised.value) == f"label {label!r} may not be empty or end in '_'"
+        assert not (tmp_path / "out").exists()
+        assert cell_filename("A", FieldYearKey("_F", 2013)) == "A___F__2013.tsv"
+        assert _parse_filename(Path("A___F__2013.tsv")) == ("A", FieldYearKey("_F", 2013))
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(group=st.text("_/\\aBé .", max_size=6), field=st.text("_/\\aBé .", max_size=6),
+           year=st.integers(1000, 9999))
+    def test_every_name_written_reads_back(self, group, field, year):
+        try:
+            key = FieldYearKey(field, year)
+            name = cell_filename(group, key)
+        except ValueError:  # CorpusError among them
+            return
+        assert _parse_filename(Path(name)) == (group, key)
+
+    @pytest.mark.parametrize("name, message", [
+        ("A__F___2013.tsv", "A__F___2013.tsv: year '_2013' is not four ASCII digits"),
+        ("__F__2013.tsv", "__F__2013.tsv: malformed cell filename"),
+        pytest.param(r"Z\x__F__2013.tsv", r"Z\x__F__2013.tsv: label 'Z\\x' may not contain '\\'",
+                     marks=pytest.mark.skipif(sys.platform == "win32",
+                                              reason="a backslash separates paths on Windows")),
+    ])
+    def test_name_that_no_cell_is_written_under_is_refused(self, tmp_path, name, message):
+        write_tsv(tmp_path, "WORLD__F__2013.tsv", ["a\t1"])
+        write_tsv(tmp_path, name, ["b\t2"])
+        for read in (load_corpus, lambda cells: sample_files(cells, tmp_path / "out", 1, 0)):
+            with pytest.raises(CorpusError) as raised:
+                read(tmp_path)
+            assert str(raised.value) == message
+        assert not (tmp_path / "out").exists()
 
     def test_article_set_validation(self):
         key = FieldYearKey("BIOC", 2013)
@@ -326,63 +366,44 @@ class TestLoadCorpus:
         for ck, aset in demo_corpus.cells.items():
             assert np.array_equal(reloaded.cells[ck].counts, aset.counts)
 
-    def test_ids_preserved(self, tmp_path):
-        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), (1, 0))
-        write_cell(cell, tmp_path, ("x", "y"))
-        assert read_ids(tmp_path / cell_filename(WORLD, cell.key)) == ["x", "y"]
-
-    @pytest.mark.parametrize("bad_id", ["\t7\nb", "a\tb", "a\rb", "a\nb", "\r"])
-    def test_id_that_cannot_be_read_back_rejected(self, tmp_path, bad_id):
-        # Written verbatim, "\t7\nb" read back as two articles, counts [7, 3].
-        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), (1, 3))
-        error = r"^cell WORLD/BIOC/2013: the id of article 2, .* contains a tab, CR or LF$"
-        with pytest.raises(CorpusError, match=error):
-            write_cell(cell, tmp_path / "out", ("x", bad_id))
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("ids", [(), ("x",), ("x", "y", "z")])
-    def test_ids_not_one_per_article_rejected(self, tmp_path, ids):
-        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), (1, 3))
-        error = rf"^cell WORLD/BIOC/2013: {len(ids)} ids for 2 articles$"
-        with pytest.raises(CorpusError, match=error):
-            write_cell(cell, tmp_path / "out", ids)
-        assert not (tmp_path / "out").exists()
-
-    def test_unencodable_id_keeps_the_old_file(self, tmp_path):
-        cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), (1, 3))
-        path = write_cell(cell, tmp_path, ("x", "y"))
-        old = path.read_bytes()
-        with pytest.raises(UnicodeEncodeError):
-            write_cell(cell, tmp_path, ("x", "\ud800"))
-        assert path.read_bytes() == old
-        assert read_ids(path) == ["x", "y"]
-
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(rows=st.lists(
         st.tuples(
-            st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from("\t\r\n")),
-                    max_size=4),
+            st.text(st.characters(codec="utf-8", exclude_characters="\t\r\n"), max_size=4),
             st.integers(0, _COUNT_MAX),
         ),
         min_size=1, max_size=6,
     ))
     def test_write_read_round_trip(self, tmp_path_factory, rows):
+        # write_cell writes counts alone; the ids of a file go out through sample.
         ids, counts = zip(*rows)
         cell = ArticleSet(WORLD, FieldYearKey("BIOC", 2013), counts)
-        path = tmp_path_factory.getbasetemp() / cell_filename(WORLD, cell.key)
-        path.unlink(missing_ok=True)
-        if any(c in article_id for article_id in ids for c in "\t\r\n"):
-            with pytest.raises(CorpusError, match="contains a tab, CR or LF"):
-                write_cell(cell, path.parent, ids)
-            assert not path.exists()
-        else:
-            written = write_cell(cell, path.parent, ids)
-            assert read_cell(written).counts.tolist() == list(counts)
-            assert read_ids(written) == list(ids)
+        directory = tmp_path_factory.getbasetemp() / "round-trip"
+        written = write_cell(cell, directory)
+        assert read_cell(written).counts.tolist() == list(counts)
+        assert written_rows(written) == [("", str(c)) for c in counts]
+        write_tsv(directory, written.name, [f"{i}\t{c}" for i, c in rows])
+        assert load_with_ids(directory) == [((WORLD, cell.key), list(counts), list(ids))]
+
+
+# A sample size that keeps every article of any cell.
+KEEP_ALL = _COUNT_MAX
+
+
+def written_rows(path):
+    """The (id, count) fields of each line of a file write_cell or sample_files wrote.
+
+    Those files end every line in LF and hold no blank line.
+    """
+    text = path.read_bytes().decode("utf-8")
+    assert text.endswith("\n") and "\r" not in text and "\n\n" not in text
+    header, *lines = text[:-1].split("\n")
+    assert header == _HEADER
+    return [tuple(line.split("\t")) for line in lines]
 
 
 def line_loop_read_cell(path):
-    """The cell and ids of the line-by-line parser that read_cell and read_ids replaced.
+    """The cell and ids of the line-by-line parser that read_cell replaced.
 
     It is kept as their reference.  It reads lone CRs as line ends, and
     raises the codec's own error on invalid UTF-8 and int()'s own on counts
@@ -423,8 +444,18 @@ def line_loop_read_cell(path):
 
 
 def read_cell_and_ids(path):
-    """read_cell's cell, with the ids read_ids reads once read_cell has checked the file."""
-    return read_cell(path), read_ids(path)
+    """read_cell's cell, with the ids sample_files copies once read_cell has checked the file.
+
+    The ids are those of a copy of the file, named as a WORLD cell, in a
+    directory of its own.
+    """
+    cell = read_cell(path)
+    directory = path.parent / "single"
+    shutil.rmtree(directory, ignore_errors=True)
+    directory.mkdir()
+    shutil.copyfile(path, directory / ("WORLD__" + path.name.split("__", 1)[1]))
+    ((_, _, ids),) = load_with_ids(directory)
+    return cell, ids
 
 
 def parse_outcome(reader, path):
@@ -491,7 +522,7 @@ def cell_files(draw, valid_only: bool = False) -> bytes:
 
 
 class TestParserOracle:
-    """read_cell and read_ids give the counts, ids and error messages of the line loop."""
+    """read_cell, and sample_files keeping all, give the counts, ids and errors of the line loop."""
 
     @settings(derandomize=True, deadline=None, max_examples=400, database=None)
     @given(data=cell_files())
@@ -573,9 +604,21 @@ def load_outcome(reader, directory):
 
 
 def load_with_ids(directory):
-    """load_corpus's cells, with the ids read_ids reads once load_corpus has checked every file."""
-    return [(ck, cell.counts.tolist(), read_ids(Path(directory) / cell_filename(*ck)))
-            for ck, cell in load_corpus(directory).cells.items()]
+    """load_corpus's cells, with the ids sample_files copies from them when it keeps all.
+
+    It writes to ``kept`` beside ``directory``, and checks that each count
+    is written as the cell holds it, without leading zeros.
+    """
+    cells = load_corpus(directory).cells
+    out = Path(directory).parent / "kept"
+    shutil.rmtree(out, ignore_errors=True)
+    assert sample_files(directory, out, KEEP_ALL, 0) == len(cells)
+    outcome = []
+    for ck, cell in cells.items():
+        ids, counts = zip(*written_rows(out / cell_filename(*ck)))
+        assert list(counts) == [str(c) for c in cell.counts.tolist()]
+        outcome.append((ck, cell.counts.tolist(), list(ids)))
+    return outcome
 
 
 def line_loop_load_corpus(directory):
@@ -822,9 +865,8 @@ class TestSampleCell:
     def test_ids_stay_aligned(self, tmp_path):
         write_tsv(tmp_path, "WORLD__F__2013.tsv", [f"id{c}\t{c}" for c in range(100)])
         assert sample_files(tmp_path, tmp_path / "out", 10, 5) == 1
-        cell_path = tmp_path / "out" / "WORLD__F__2013.tsv"
-        counts, ids = read_cell(cell_path).counts.tolist(), read_ids(cell_path)
-        assert len(counts) == 10 and ids == [f"id{c}" for c in counts]
+        cell, ids = line_loop_read_cell(tmp_path / "out" / "WORLD__F__2013.tsv")
+        assert cell.n == 10 and ids == [f"id{c}" for c in cell.counts.tolist()]
 
     def test_binomial_concentration(self):
         # Half zeros, half ones: the sampled share of ones stays near 0.5.
