@@ -12,10 +12,10 @@ a row's: ``row_results`` takes it once for every interval of the run.
 
 Replicates resample every group cell with replacement at its original size;
 when ``resample_world`` is set the world cells are resampled too.  ``_cells``
-decides what each cell of a row records (``indicators.CELL_STATISTICS``), a
-one-article cell is every replicate of itself, and ``index_scheme.draw``
-fills the other cells.  ``indicators.indicator_estimate`` then evaluates all
-R replicates at once; undefined replicates come back as NaN and are counted,
+lists the cells a row draws and what each records, ``index_scheme.draw``
+fills them, and every other cell is read as itself, so a row that draws
+nothing is its point R times.  ``indicators.indicator_estimate`` evaluates
+all R replicates at once; undefined ones come back as NaN and are counted,
 and ``bootstrap_intervals`` takes the percentiles.  This module also holds
 the bootstrap defaults (``bootstrap_plan``) and the ``compare-ci`` comparison.
 """
@@ -41,7 +41,6 @@ from .indicators import (
     MNPC,
     PROP_CITED,
     PROPORTION_INDICATORS,
-    CellReplicates,
     IndicatorValue,
     check_indicators,
     indicator_estimate,
@@ -125,8 +124,11 @@ def percentile(sorted_replicates: Sequence[float], q: float) -> float:
     return sorted_replicates[rank]
 
 
-def _cells(row: tuple) -> list[tuple[ArticleSet, set[str]]]:
-    """A (Scope, indicator, spec) row's cells in draw order, each with the statistics it records."""
+def _cells(row: tuple) -> list[tuple[int, ArticleSet, set[str]]]:
+    """(slot, cell, statistics it records) of each cell a (Scope, indicator, spec) row draws.
+
+    Slots count the group cells, then the world cells; a one-article cell is never drawn.
+    """
     (_, group, world), indicator, spec = row
     group_stats, world_stats = CELL_STATISTICS[indicator]
     cells = [(cell, group_stats) for cell in group]
@@ -134,27 +136,22 @@ def _cells(row: tuple) -> list[tuple[ArticleSet, set[str]]]:
     # shifted, when the indicator reads nothing from the world cells.
     if spec.resample_world and world_stats:
         cells += [(cell, world_stats) for cell in world]
-    return cells
+    return [(slot, cell, stats) for slot, (cell, stats) in enumerate(cells) if cell.n > 1]
 
 
-def _row_values(row: tuple, drawn: list[CellReplicates]) -> np.ndarray:
-    """Entry r: the (Scope, indicator, spec) row on replicate r, NaN if undefined."""
+def _row_values(row: tuple, drawn: list) -> np.ndarray:
+    """Entry r: the row on replicate r, NaN if undefined; a cell not ``drawn`` is read as itself."""
     (keys, group, world), indicator, spec = row
-    drawn, reps = iter(drawn), []
-    for cell, stats in _cells(row):
-        if cell.n > 1:
-            reps.append(next(drawn))
-        else:  # any resample of one article is that article
-            reps.append(CellReplicates(1, stats, spec.iterations))
-            for name in stats:
-                getattr(reps[-1], name)[:] = getattr(cell, name)
-    # World cells that are not drawn are read as they are.
-    return indicator_estimate(indicator, keys, reps[:len(group)], reps[len(group):] or world)[0]
+    cells = [*group, *world]
+    for (slot, _, _), replicates in zip(_cells(row), drawn):
+        cells[slot] = replicates
+    value, _ = indicator_estimate(indicator, keys, cells[:len(group)], cells[len(group):])
+    return np.broadcast_to(value, spec.iterations)
 
 
 def _replicate_rows(rows: Sequence[tuple]) -> Iterator[np.ndarray]:
     """``_row_values`` of each row, in order; ``map`` keeps no row's replicates past its call."""
-    plans = ((row[-1].seed, row[-1].iterations, [c for c in _cells(row) if c[0].n > 1])
+    plans = ((row[-1].seed, row[-1].iterations, [(cell, stats) for _, cell, stats in _cells(row)])
              for row in rows)
     return map(_row_values, rows, draw(plans))
 

@@ -661,15 +661,24 @@ def load_corpus(directory: Path | str) -> Corpus:
     return Corpus.from_cells(_read_cells(paths))
 
 
+def _write_lines(path: Path, lines: Iterable[bytes]) -> None:
+    """Write the header and ``lines`` to ``<path>.part``: renamed ``path``, or removed on error."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".part")
+    try:
+        with open(partial, "wb") as out:
+            out.write(f"{_HEADER}\n".encode())
+            out.writelines(lines)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def write_cell(aset: ArticleSet, directory: Path | str) -> Path:
     """Write one cell in the load_corpus file format (UTF-8, LF), every article id empty."""
     path = Path(directory, cell_filename(aset.group, aset.key))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as out:
-        out.write(f"{_HEADER}\n".encode())
-        for i in range(0, aset.n, _WRITE_ROWS):
-            rows = aset.counts[i:i + _WRITE_ROWS].tolist()
-            out.write("".join(f"\t{c}\n" for c in rows).encode())
+    batches = (aset.counts[i:i + _WRITE_ROWS].tolist() for i in range(0, aset.n, _WRITE_ROWS))
+    _write_lines(path, ("".join(f"\t{c}\n" for c in rows).encode() for rows in batches))
     return path
 
 
@@ -713,36 +722,31 @@ def sample_corpus(corpus: Corpus, size: int, seed: int) -> Corpus:
     return Corpus.from_cells(sample_cell(aset, spec) for aset, spec in _specs(corpus, size, seed))
 
 
-def _copy_kept(source: Path, target: Path, cell: ArticleSet, kept: np.ndarray | None) -> None:
-    """Write to ``target`` the lines at ``kept`` (None: all) of ``cell``'s checked file ``source``.
+def _kept_lines(source: Path, cell: ArticleSet, spec: SampleSpec) -> Iterator[bytes]:
+    """The lines ``spec`` keeps of ``cell``'s checked file ``source``, in batches.
 
     Ids are copied byte for byte, counts written from ``cell`` as by
-    ``write_cell``, and blank lines dropped.  The lines go to
-    ``<target>.part``, which ``load_corpus`` does not read, and replace
-    ``target`` once ``source`` is closed, if it held the cell's article count.
+    ``write_cell``, and blank lines dropped.  Raises CorpusError, once
+    ``source`` is closed, if it no longer holds the cell's article count,
+    and at once if a kept line has no tab.
     """
-    partial = target.with_name(target.name + ".part")
-    seen = taken = 0
-    try:
-        with open(source, "rb") as lines, open(partial, "wb") as out:
-            out.write(f"{_HEADER}\n".encode())
-            next(lines)
-            while batch := lines.readlines(_BLOCK_BYTES):
-                batch = [line for line in batch if line not in (b"\n", b"\r\n")]
-                start, seen = seen, seen + len(batch)
-                counts = cell.counts[start:seen]
-                if kept is not None:
-                    stop = int(np.searchsorted(kept, seen))
-                    at, taken = kept[taken:stop] - start, stop
-                    batch, counts = [batch[i] for i in at.tolist()], counts[at]
-                out.write(b"".join([b"%s\t%d\n" % (line.partition(b"\t")[0], count)
-                                    for line, count in zip(batch, counts.tolist())]))
-        if seen != cell.n:
-            raise CorpusError(f"{source.name}: {seen} articles, but {cell.n} when it was checked")
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    os.replace(partial, target)
+    seen, taken, kept = 0, 0, _kept(cell.n, spec)
+    with open(source, "rb") as lines:
+        next(lines)
+        while batch := lines.readlines(_BLOCK_BYTES):
+            batch = [line for line in batch if line not in (b"\n", b"\r\n")]
+            start, seen = seen, seen + len(batch)
+            counts = cell.counts[start:seen]
+            if kept is not None:
+                stop = int(np.searchsorted(kept, seen))
+                at, taken = kept[taken:stop] - start, stop
+                batch, counts = [batch[i] for i in at.tolist()], counts[at]
+            if not all(b"\t" in line for line in batch):
+                raise CorpusError(f"{source.name}: a line lost its tab since it was checked")
+            yield b"".join([b"%s\t%d\n" % (line.partition(b"\t")[0], count)
+                            for line, count in zip(batch, counts.tolist())])
+    if seen != cell.n:
+        raise CorpusError(f"{source.name}: {seen} articles, but {cell.n} when it was checked")
 
 
 def sample_files(input_dir: Path | str, output_dir: Path | str, size: int, seed: int) -> int:
@@ -753,8 +757,7 @@ def sample_files(input_dir: Path | str, output_dir: Path | str, size: int, seed:
     corpus = load_corpus(input_dir)
     for aset, spec in _specs(corpus, size, seed):  # its first SampleSpec checks size
         name = cell_filename(aset.group, aset.key)
-        Path(output_dir).mkdir(parents=True, exist_ok=True)
-        _copy_kept(Path(input_dir, name), Path(output_dir, name), aset, _kept(aset.n, spec))
+        _write_lines(Path(output_dir, name), _kept_lines(Path(input_dir, name), aset, spec))
     return len(corpus.cells)
 
 

@@ -238,18 +238,15 @@ def replicate_words(
     is already in its order (``state_memory``).  ``raw`` is a ``'<u8'``
     matrix, so its ``'<u4'`` view holds the 32-bit words ``next_uint32``
     hands out: each raw output's low half, then its high half, on any byte
-    order.  A row longer than ``_RAW_CHUNK`` is drawn in chunks of that
-    many words, so it needs no row-sized temporary.
+    order.  A row is drawn in chunks of ``_RAW_CHUNK`` words, so it needs no
+    row-sized temporary.
     """
-    size = raw.shape[1]
+    width = raw.shape[1]
+    chunks = [(lo, min(_RAW_CHUNK, width - lo)) for lo in range(0, width, _RAW_CHUNK)]
     for row, state in zip(raw, states):
         memory[:] = state
-        if size <= _RAW_CHUNK:
-            row[:] = bit_generator.random_raw(size)
-        else:
-            for lo in range(0, size, _RAW_CHUNK):
-                part = row[lo:lo + _RAW_CHUNK]
-                part[:] = bit_generator.random_raw(part.size)
+        for lo, size in chunks:
+            row[lo:lo + size] = bit_generator.random_raw(size)
 
 
 def _repair(
@@ -401,7 +398,8 @@ def draw(rows: Iterable[tuple]) -> Iterator[list[CellReplicates]]:
     """Each (seed, iterations, cells) row's filled ``CellReplicates``, one per cell, in order.
 
     ``cells`` lists (ArticleSet, statistics) pairs, each cell of more than
-    one article, and holds exactly the named statistics.  One ``PCG64``
+    one article, and holds exactly the named statistics; the caller reads
+    every cell it does not hand over as itself.  One ``PCG64``
     draws every row.  Consecutive rows are seeded together in chunks of at
     most ``_SEED_LANES`` replicates or of one row, and only the current
     chunk's states are kept.  The rows draw their blocks in one

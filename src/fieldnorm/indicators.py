@@ -7,9 +7,9 @@ statistics straight off the cells: ``indicator_estimate`` computes all
 seven indicators, and ``score_moments`` and ``pooled_moments`` give the
 moments behind the NORMAL_T and heuristic-expansion intervals.
 Point estimates, analytic intervals and bootstrap replicates all call it;
-for the bootstrap, ``indicator_estimate`` takes ``CellReplicates``, the
-same statistics as arrays with one entry per replicate (which
-``fieldnorm.bootstrap`` fills), and evaluates every replicate in one call.
+for the bootstrap, any cell may be a ``CellReplicates``, the same statistics
+as arrays with one entry per replicate (``fieldnorm.index_scheme`` fills
+them), and ``indicator_estimate`` evaluates every replicate in one call.
 
 Mean-type indicators average a per-article score over all N articles of a
 scope.  Each cell contributes a term, and the terms are summed and divided
@@ -148,8 +148,8 @@ CELL_STATISTICS = {
 class CellReplicates:
     """One cell's statistics over R bootstrap replicates, as length-R arrays.
 
-    The statistics named in ``stats`` (of ``CELL_STATISTICS``) are left for
-    the bootstrap to fill; the others are None.
+    Only an index scheme makes one, of a cell of more than one article, and
+    fills the statistics in ``stats`` (of ``CELL_STATISTICS``); others are None.
     """
 
     def __init__(self, n: int, stats: set[str], replicates: int) -> None:
@@ -161,9 +161,9 @@ class CellReplicates:
         )
 
     @property
-    def log_sd(self) -> np.ndarray | None:
-        """Sample sd of ln(1+c) per replicate; None for a single article."""
-        return np.sqrt(self.log_m2 / (self.n - 1)) if self.n > 1 else None
+    def log_sd(self) -> np.ndarray:
+        """Sample sd of ln(1+c) per replicate."""
+        return np.sqrt(self.log_m2 / (self.n - 1))
 
 
 def _check(bad, masks: list | None, message: str, key: FieldYearKey | None = None) -> None:
@@ -231,11 +231,11 @@ def indicator_estimate(
     world proportions zero for EMNPC, cited articles over a zero world
     proportion for MNPC.
 
-    Given CellReplicates (length-R statistic arrays of bootstrap
-    replicates), the estimate is an array with one entry per replicate and
-    NaN where the indicator is undefined, instead of raising.
+    Given any CellReplicates (length-R statistic arrays of bootstrap
+    replicates) among the cells, the estimate is an array with one entry per
+    replicate and NaN where the indicator is undefined, instead of raising.
     """
-    masks = [] if any(isinstance(g, CellReplicates) for g in group) else None
+    masks = [] if any(isinstance(c, CellReplicates) for c in (*group, *world)) else None
     notes: list[str] = []
     if indicator in MEAN_INDICATORS:
         value = sum(

@@ -887,7 +887,12 @@ def vectorised(group_sets, world_sets, indicator, spec):
     group = {a.key: a for a in group_sets}
     world = {a.key: a for a in world_sets}
     scope = Scope(tuple(keys), tuple(group[k] for k in keys), tuple(world[k] for k in keys))
-    (values,) = fieldnorm.bootstrap._replicate_rows([(scope, indicator, spec)])
+    try:
+        (values,) = fieldnorm.bootstrap._replicate_rows([(scope, indicator, spec)])
+    except UndefinedNormalizationError:
+        # A row that draws nothing is its point in every replicate, and
+        # ``row_results`` draws no row whose point is undefined.
+        return [], spec.iterations
     undefined = np.isnan(values)
     return sorted(values[~undefined].tolist()), int(np.count_nonzero(undefined))
 
@@ -1135,6 +1140,40 @@ def test_what_each_row_hands_the_scheme(monkeypatch, indicator, resample_world, 
         assert row.upper == pytest.approx(row.estimate, rel=1e-12)
 
 
+@pytest.mark.parametrize("indicator", [MNLCS, EMNPC, MNPC])
+def test_kernel_takes_group_cells_with_replicate_world_cells(indicator):
+    # Replicate r of each world cell is the cell worlds[r] holds; the last
+    # replicate's world has no cited article, so the indicator is undefined.
+    group = [ArticleSet("G", KEY_A, (0, 2, 5)), ArticleSet("G", KEY_B, (1, 3))]
+    worlds = [
+        [ArticleSet(WORLD, KEY_A, (0, 1, 4, 2)), ArticleSet(WORLD, KEY_B, (2, 0, 7))],
+        [ArticleSet(WORLD, KEY_A, (3, 1, 1, 0)), ArticleSet(WORLD, KEY_B, (0, 0, 5))],
+        [ArticleSet(WORLD, KEY_A, (0, 0, 0, 0)), ArticleSet(WORLD, KEY_B, (0, 0, 0))],
+    ]
+    stats = CELL_STATISTICS[indicator][1]
+    world = [CellReplicates(cell.n, stats, len(worlds)) for cell in worlds[0]]
+    for rep, cells in zip(world, zip(*worlds)):
+        for name in stats:
+            getattr(rep, name)[:] = [getattr(cell, name) for cell in cells]
+    keys = [KEY_A, KEY_B]
+    values, _ = indicator_estimate(indicator, keys, group, world)
+    assert values[:2].tolist() == [indicator_estimate(indicator, keys, group, cells)[0]
+                                   for cells in worlds[:2]]
+    assert np.isnan(values[2])
+
+
+@pytest.mark.parametrize("indicator", [PROP_CITED, MNLCS])
+def test_row_that_draws_nothing_is_its_point(indicator):
+    # One-article group cells and a fixed world: every replicate is the data.
+    group = [ArticleSet("G", KEY_A, (3,)), ArticleSet("G", KEY_B, (0,))]
+    world = [ArticleSet(WORLD, KEY_A, WORLD_A), ArticleSet(WORLD, KEY_B, WORLD_B)]
+    spec = BootstrapSpec(100, seed=3, resample_world=False)
+    scope = Corpus.from_cells(group + world).scope("G", {KEY_A, KEY_B})
+    assert fieldnorm.bootstrap._cells((scope, indicator, spec)) == []
+    (row,) = row_results([(scope, indicator, "bootstrap", spec)], 0.05)
+    assert row.defined and row.lower == row.estimate == row.upper
+
+
 def imports_of(path):
     """(module, name) for each name a module imports; a module imported whole has name None."""
     found = []
@@ -1159,3 +1198,8 @@ def test_only_index_scheme_knows_the_index_stream():
             if any(module == "index_scheme" for module, _ in found)} == {"bootstrap": ["draw"]}
     forbidden = {"bootstrap", "scopes", "report", "cli"}
     assert not forbidden & {module.split(".")[0] for module, _ in imports["index_scheme"]}
+    # Only the scheme makes replicates; every other cell is read as itself.
+    assert {path.stem for path in Path(fieldnorm.bootstrap.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and "CellReplicates" in
+            (getattr(node.func, "id", None), getattr(node.func, "attr", None))} == {"index_scheme"}

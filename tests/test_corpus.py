@@ -366,6 +366,27 @@ class TestLoadCorpus:
         for ck, aset in demo_corpus.cells.items():
             assert np.array_equal(reloaded.cells[ck].counts, aset.counts)
 
+    @pytest.mark.parametrize("earlier", [None, (7, 8, 9)])
+    def test_interrupted_write_leaves_the_file_as_it_was(self, tmp_path, monkeypatch, earlier):
+        # A cell of four articles, written two lines at a time, whose second
+        # batch fails: no file, or the one written before, stays behind.
+        class Interrupted(np.ndarray):
+            def __getitem__(self, index):
+                if isinstance(index, slice) and index.start:
+                    raise RuntimeError("interrupted")
+                return super().__getitem__(index)
+
+        monkeypatch.setattr(corpus_module, "_WRITE_ROWS", 2)
+        key = FieldYearKey("F", 2013)
+        if earlier is not None:
+            write_cell(ArticleSet(WORLD, key, earlier), tmp_path)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        counts = np.array([1, 2, 3, 4], np.uint16).view(Interrupted)
+        cell = ArticleSet._adopt(WORLD, key, counts)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_cell(cell, tmp_path)
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(rows=st.lists(
         st.tuples(
@@ -867,6 +888,32 @@ class TestSampleCell:
         assert sample_files(tmp_path, tmp_path / "out", 10, 5) == 1
         cell, ids = line_loop_read_cell(tmp_path / "out" / "WORLD__F__2013.tsv")
         assert cell.n == 10 and ids == [f"id{c}" for c in cell.counts.tolist()]
+
+    @pytest.mark.parametrize("size, lines", [
+        (KEEP_ALL, b"a\t1\nnotab\n\t2\n"),
+        (2, b"notab\nnotab\n\t2\n"),  # any two of the three keep a line without a tab
+    ], ids=["all", "two"])
+    def test_kept_line_without_a_tab_refused(self, tmp_path, monkeypatch, size, lines):
+        # The file holds three articles when load_corpus checks it, and a
+        # line without a tab, but still three articles, when sample copies it.
+        (tmp_path / "cells").mkdir()
+        source = write_tsv(tmp_path / "cells", "WORLD__F__2013.tsv", ["a\t1", "b\t3", "\t2"])
+        out = tmp_path / "out"
+        assert sample_files(source.parent, out, size, 0) == 1
+        earlier = (out / source.name).read_bytes()
+        load = corpus_module.load_corpus
+
+        def load_then_change(directory):
+            corpus = load(directory)
+            source.write_bytes(b"article_id\tcount\n" + lines)
+            return corpus
+
+        monkeypatch.setattr(corpus_module, "load_corpus", load_then_change)
+        with pytest.raises(CorpusError, match=r"^WORLD__F__2013\.tsv: a line lost its tab"
+                                              r" since it was checked$"):
+            sample_files(source.parent, out, size, 0)
+        assert [p.name for p in out.iterdir()] == [source.name]
+        assert (out / source.name).read_bytes() == earlier
 
     def test_binomial_concentration(self):
         # Half zeros, half ones: the sampled share of ones stays near 0.5.
