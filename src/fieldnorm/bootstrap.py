@@ -12,18 +12,20 @@ a row's: ``row_results`` takes it once for every interval of the run.
 
 Replicates resample every group cell with replacement at its original size;
 when ``resample_world`` is set the world cells are resampled too.  ``_cells``
-lists the cells a row draws and what each records, ``index_scheme.draw``
-fills them, and every other cell is read as itself, so a row that draws
-nothing is its point R times.  ``indicators.indicator_estimate`` evaluates
-all R replicates at once; undefined ones come back as NaN and are counted,
-and ``bootstrap_intervals`` takes the percentiles.  This module also holds
-the bootstrap defaults (``bootstrap_plan``) and the ``compare-ci`` comparison.
+lists the cells a row draws and what each records, once per row, and
+``index_scheme.draw`` fills them; every other cell is read as itself.  A row
+that draws nothing never reaches the scheme and is its point R times.
+``indicators.indicator_estimate`` evaluates all R replicates at once;
+undefined ones come back as NaN and are counted, and ``bootstrap_intervals``
+takes the percentiles.  This module also holds the bootstrap defaults
+(``bootstrap_plan``) and the ``compare-ci`` comparison.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import tee
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -139,21 +141,22 @@ def _cells(row: tuple) -> list[tuple[int, ArticleSet, set[str]]]:
     return [(slot, cell, stats) for slot, (cell, stats) in enumerate(cells) if cell.n > 1]
 
 
-def _row_values(row: tuple, drawn: list) -> np.ndarray:
-    """Entry r: the row on replicate r, NaN if undefined; a cell not ``drawn`` is read as itself."""
+def _row_values(row: tuple, plan: list, drawn: list) -> np.ndarray:
+    """Entry r: the row on replicate r, NaN if undefined; ``drawn`` fills the slots of ``plan``."""
     (keys, group, world), indicator, spec = row
     cells = [*group, *world]
-    for (slot, _, _), replicates in zip(_cells(row), drawn):
+    for (slot, _, _), replicates in zip(plan, drawn):
         cells[slot] = replicates
     value, _ = indicator_estimate(indicator, keys, cells[:len(group)], cells[len(group):])
     return np.broadcast_to(value, spec.iterations)
 
 
 def _replicate_rows(rows: Sequence[tuple]) -> Iterator[np.ndarray]:
-    """``_row_values`` of each row, in order; ``map`` keeps no row's replicates past its call."""
-    plans = ((row[-1].seed, row[-1].iterations, [(cell, stats) for _, cell, stats in _cells(row)])
-             for row in rows)
-    return map(_row_values, rows, draw(plans))
+    """``_row_values`` of each row, in order; only a row that draws a cell reaches ``draw``."""
+    to_draw, to_read = tee((row, _cells(row)) for row in rows)
+    filled = draw((spec.seed, spec.iterations, [(cell, stats) for _, cell, stats in plan])
+                  for (_, _, spec), plan in to_draw if plan)
+    return (_row_values(row, plan, next(filled) if plan else []) for row, plan in to_read)
 
 
 def bootstrap_intervals(rows: Sequence[tuple], alpha: float) -> list[IntervalEstimate]:

@@ -7,12 +7,12 @@ do not depend on the input article order either.  This module alone knows
 how a replicate's words become drawn articles.
 
 Seeding.  Replicate r's generator is ``default_rng(SeedSequence([seed, r]))``
-and draws ``integers(0, n, n)`` for each cell of its row, in order; a
-one-article cell, for which ``integers(0, 1, 1)`` draws no word, is left out
-by the caller.  ``seed_words`` computes the SeedSequence output of many
-lanes at once, each with its own seed and r, on a (4, lanes) uint32 pool;
-``pcg64_states`` applies PCG64's seeding step (O'Neill 2014) to every lane
-in uint64 words.
+and draws ``integers(0, n, n)`` for each cell of its row, in order.  The
+caller leaves out a one-article cell, for which ``integers(0, 1, 1)`` draws
+no word, and a row with no other cell, so every row hands the scheme a cell.
+``seed_words`` computes the SeedSequence output of many lanes at once, each
+with its own seed and r, on a (4, lanes) uint32 pool; ``pcg64_states``
+applies PCG64's seeding step (O'Neill 2014) to every lane in uint64 words.
 
 Drawing.  ``integers`` itself is never called, and neither is the
 ``bit_generator.state`` setter per replicate.  ``state_memory`` locates the
@@ -356,7 +356,7 @@ def _draw_row(
             logs[cell] = np.log1p(np.sort(cell.counts), dtype=np.float64)
         drawn.append((cell, rep, sorted_counts.get(cell), logs.get(cell)))
     width = sum(cell.n for cell, *_ in drawn)
-    largest = max((cell.n for cell, *_ in drawn), default=1)
+    largest = max(cell.n for cell, *_ in drawn)
     # A draw from [0, n) rejects a word with probability (2**32 mod n) / 2**32.
     expected = sum(cell.n * (2**32 % cell.n) for cell, *_ in drawn) / 2**32
     spare = math.ceil(_SLACK * (1 + expected))
@@ -397,9 +397,9 @@ def _draw_row(
 def draw(rows: Iterable[tuple]) -> Iterator[list[CellReplicates]]:
     """Each (seed, iterations, cells) row's filled ``CellReplicates``, one per cell, in order.
 
-    ``cells`` lists (ArticleSet, statistics) pairs, each cell of more than
-    one article, and holds exactly the named statistics; the caller reads
-    every cell it does not hand over as itself.  One ``PCG64``
+    ``cells`` lists at least one (ArticleSet, statistics) pair, each cell of
+    more than one article, and holds exactly the named statistics; the
+    caller reads every cell it does not hand over as itself.  One ``PCG64``
     draws every row.  Consecutive rows are seeded together in chunks of at
     most ``_SEED_LANES`` replicates or of one row, and only the current
     chunk's states are kept.  The rows draw their blocks in one

@@ -575,6 +575,13 @@ def recorded_blocks(monkeypatch) -> list[tuple[int, int, int]]:
     return blocks
 
 
+def no_draws(rows):
+    """A scheme that fails on the first row it is handed."""
+    for row in rows:
+        raise AssertionError(f"a row reached the scheme: {row}")
+    return iter(())
+
+
 class TestBootstrapIntervals:
     """A batch equals separate bootstrap_indicator calls, whatever rows share a seeding chunk."""
 
@@ -619,6 +626,21 @@ class TestBootstrapIntervals:
 
     def test_no_jobs(self):
         assert bootstrap_intervals([], 0.05) == []
+
+    def test_cells_listed_once_per_row(self, monkeypatch):
+        # The draw plan and the read-back share one list of each row's cells.
+        listed = []
+        cells = fieldnorm.bootstrap._cells
+
+        def counted(row):
+            listed.append(row)
+            return cells(row)
+
+        monkeypatch.setattr(fieldnorm.bootstrap, "_cells", counted)
+        rows = self.rows(self.jobs())
+        bootstrap_intervals(rows, 0.05)
+        assert len(listed) == len(rows)
+        assert all(seen is row for seen, row in zip(listed, rows))
 
     @pytest.mark.parametrize("block_words, buffers", [(1, 0), (DEFAULT_BLOCK_WORDS, 1)])
     def test_rows_share_one_block_buffer(self, monkeypatch, block_words, buffers):
@@ -701,11 +723,6 @@ class TestBootstrapIntervals:
             "world-label": ((group, elsewhere[:1] + world[1:], MNLCS, BootstrapSpec(100)),
                             "world cells must be labelled WORLD, got ['G9']"),
         }[bad]
-
-        def no_draws(rows):
-            for row in rows:
-                raise AssertionError(f"a row reached the scheme: {row}")
-            return iter(())
 
         monkeypatch.setattr(fieldnorm.bootstrap, "draw", no_draws)
         with pytest.raises(ValueError) as rejected:
@@ -1105,7 +1122,14 @@ def constant_replicates(cell, stats, iterations):
     return rep
 
 
-@pytest.mark.parametrize("cell_sets", [one_article_scope, mixed_scope])
+def one_article_group():
+    """One-article group cells over the worked example's world cells."""
+    group = [ArticleSet("G", KEY_A, (3,)), ArticleSet("G", KEY_B, (0,))]
+    world = [ArticleSet(WORLD, KEY_A, WORLD_A), ArticleSet(WORLD, KEY_B, WORLD_B)]
+    return group, world
+
+
+@pytest.mark.parametrize("cell_sets", [one_article_scope, mixed_scope, one_article_group])
 @pytest.mark.parametrize("resample_world", [True, False])
 @pytest.mark.parametrize("indicator", ALL_INDICATORS)
 def test_what_each_row_hands_the_scheme(monkeypatch, indicator, resample_world, cell_sets):
@@ -1115,6 +1139,7 @@ def test_what_each_row_hands_the_scheme(monkeypatch, indicator, resample_world, 
 
     def fake_draw(rows):
         for seed, iterations, cells in rows:
+            assert cells, "a row that draws nothing reached the scheme"
             handed.append((seed, iterations, cells))
             yield [constant_replicates(cell, stats, iterations) for cell, stats in cells]
 
@@ -1132,7 +1157,7 @@ def test_what_each_row_hands_the_scheme(monkeypatch, indicator, resample_world, 
     spec = BootstrapSpec(100, seed=3, resample_world=resample_world)
     scope = Corpus.from_cells(group + world).scope("G", {cell.key for cell in group})
     bootstrap_intervals([(scope, indicator, spec)], 0.05)
-    assert handed == [(3, 100, expected)]
+    assert handed == ([(3, 100, expected)] if expected else [])
 
     (row,) = row_results([(scope, indicator, "bootstrap", spec)], 0.05)
     if row.defined:
@@ -1163,15 +1188,55 @@ def test_kernel_takes_group_cells_with_replicate_world_cells(indicator):
 
 
 @pytest.mark.parametrize("indicator", [PROP_CITED, MNLCS])
-def test_row_that_draws_nothing_is_its_point(indicator):
-    # One-article group cells and a fixed world: every replicate is the data.
-    group = [ArticleSet("G", KEY_A, (3,)), ArticleSet("G", KEY_B, (0,))]
-    world = [ArticleSet(WORLD, KEY_A, WORLD_A), ArticleSet(WORLD, KEY_B, WORLD_B)]
+def test_row_that_draws_nothing_is_its_point(monkeypatch, indicator):
+    # One-article group cells and a fixed world: every replicate is the
+    # data, and the row never reaches the scheme.
+    monkeypatch.setattr(fieldnorm.bootstrap, "draw", no_draws)
+    group, world = one_article_group()
     spec = BootstrapSpec(100, seed=3, resample_world=False)
     scope = Corpus.from_cells(group + world).scope("G", {KEY_A, KEY_B})
     assert fieldnorm.bootstrap._cells((scope, indicator, spec)) == []
     (row,) = row_results([(scope, indicator, "bootstrap", spec)], 0.05)
     assert row.defined and row.lower == row.estimate == row.upper
+
+
+@pytest.mark.parametrize("indicator, iterations", [(PROP_CITED, 10_000), (MNCS, 1000)])
+def test_row_that_draws_nothing_is_neither_seeded_nor_drawn(monkeypatch, indicator, iterations):
+    # A row that draws nothing, between two that draw, in one batch: the
+    # scheme seeds and draws words for the drawing rows alone, as their
+    # separate calls do, and every row is its separate call.
+    calls = []
+    seed_words = fieldnorm.index_scheme.seed_words
+    replicate_words = fieldnorm.index_scheme.replicate_words
+
+    def seeded(seeds, replicates):
+        calls.append(("seed_words", sorted(set(np.atleast_1d(seeds).tolist())), len(replicates)))
+        return seed_words(seeds, replicates)
+
+    def drawn(bit_generator, memory, states, raw):
+        calls.append(("replicate_words", len(states), raw.shape[1]))
+        return replicate_words(bit_generator, memory, states, raw)
+
+    monkeypatch.setattr(fieldnorm.index_scheme, "seed_words", seeded)
+    monkeypatch.setattr(fieldnorm.index_scheme, "replicate_words", drawn)
+    group, world = demo_sets()
+    one_article, _ = one_article_group()
+    jobs = [(cells, world, indicator, BootstrapSpec(iterations, seed, resample_world=False))
+            for seed, cells in enumerate([group, one_article, group], start=1)]
+    expected, made = [], []
+    for job in jobs:
+        expected.append(bootstrap_indicator(*job))
+        made.append(calls[:])
+        calls.clear()
+    assert made[0] and made[1] == [] and made[2]
+    intervals = bootstrap_intervals(TestBootstrapIntervals.rows(jobs), 0.05)
+    assert calls == made[0] + made[2]
+    assert {seed for call in calls if call[0] == "seed_words" for seed in call[1]} == {1, 3}
+    assert len(intervals) == len(expected)
+    for interval, alone in zip(intervals, expected):
+        for name in ("lower", "upper", "defined", "method", "alpha", "note"):
+            assert getattr(interval, name) == getattr(alone, name)
+    assert expected[1].lower == expected[1].estimate == expected[1].upper
 
 
 def imports_of(path):

@@ -260,6 +260,53 @@ def test_sample_refuses_a_file_changed_since_it_was_checked(tmp_path, monkeypatc
     assert now == earlier
 
 
+def write_one_article_year(cells: Path) -> None:
+    """Group G over fields F and H: several articles a cell in 2013, one in 2014."""
+    cells.mkdir()
+    counts = {
+        ("G", "F", 2013): [0, 3, 1, 7, 2, 0], ("G", "H", 2013): [1, 0, 4, 2, 2],
+        ("G", "F", 2014): [4], ("G", "H", 2014): [0],
+        ("WORLD", "F", 2013): [0, 3, 1, 7, 2, 0, 5, 0, 1, 1, 9, 2],
+        ("WORLD", "H", 2013): [1, 0, 4, 2, 2, 0, 0, 3, 1, 6],
+        ("WORLD", "F", 2014): [4, 0, 2, 1, 0, 3, 8, 1],
+        ("WORLD", "H", 2014): [0, 1, 1, 0, 5, 2, 0, 3],
+    }
+    for (group, field, year), values in counts.items():
+        lines = ["article_id\tcount", *(f"\t{count}" for count in values)]
+        (cells / f"{group}__{field}__{year}.tsv").write_bytes(
+            "".join(f"{line}\n" for line in lines).encode())
+
+
+# The SHA-256 of the report and sidecar that ``compute`` writes from
+# ``write_one_article_year`` (flags as below), recorded when a bootstrap row
+# that draws nothing was still handed to the index scheme.
+ONE_ARTICLE_YEAR_DIGESTS = {
+    ".csv": "4806ff0bcbbacc1ee547fd445ba0f2cfe28b2ec5f39f2d7ffac037ecb50f1fc8",
+    ".meta.json": "fcb8edf39ea113f2546d22aa30abf3d3445750d1f7fcd61fc64865d76df095b2",
+}
+
+
+def test_rows_that_draw_nothing_are_their_points(tmp_path, monkeypatch):
+    # Each of G's 2014 cells holds one article, and compute holds the world
+    # fixed for prop and mncs, so G's Y2014 rows draw no cell; --min-articles
+    # keeps those cells for EQ_PROP_CITED too.
+    monkeypatch.chdir(tmp_path)
+    write_one_article_year(Path("cells"))
+    flags = ["--ci", "bootstrap", "--indicators", "prop,mncs", "--bootstrap-iters", "1000",
+             "--seed", "7", "--min-articles", "1"]
+    for name in ("report", "rerun"):
+        compute("cells", f"{name}.csv", *flags)
+        written = {suffix: hashlib.sha256(Path(name + suffix).read_bytes()).hexdigest()
+                   for suffix in ONE_ARTICLE_YEAR_DIGESTS}
+        assert written == ONE_ARTICLE_YEAR_DIGESTS
+    rows = [row for row in read_csv_rows("report.csv") if row["group"] == "G"]
+    points = [row for row in rows if row["scope"] == "Y2014"]
+    assert sorted(row["indicator"] for row in points) == ["EQ_PROP_CITED", "MNCS", "PROP_CITED"]
+    assert all(row["defined"] and row["ci_lower"] == row["estimate"] == row["ci_upper"]
+               for row in points)
+    assert all(row["ci_lower"] < row["ci_upper"] for row in rows if row["scope"] != "Y2014")
+
+
 def test_default_flags_give_the_report_of_no_flags(job, tmp_path):
     # Each default is written once, in ReportConfig, and the flags read it there.
     bare = compute(job / "sampled", tmp_path / "bare.csv")
