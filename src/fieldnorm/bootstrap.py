@@ -19,14 +19,25 @@ that draws nothing never reaches the scheme and is its point R times.
 undefined ones come back as NaN and are counted, and ``bootstrap_intervals``
 takes the percentiles.  This module also holds the bootstrap defaults
 (``bootstrap_plan``) and the ``compare-ci`` comparison.
+
+Processes.  Replicate r of a row depends only on (seed, r) and the row's own
+cells, so ``bootstrap_intervals`` may draw its rows in any grouping.  Where
+the process can fork and may run on several CPUs, it splits the rows that
+draw into one bin per CPU, largest cost first, draws the first bin itself
+and each other bin in a forked child, which sends back only its intervals.
+A run with fewer than two drawing rows, or with another Python thread
+running, draws every row in this process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass, replace
-from itertools import tee
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -151,22 +162,20 @@ def _row_values(row: tuple, plan: list, drawn: list) -> np.ndarray:
     return np.broadcast_to(value, spec.iterations)
 
 
-def _replicate_rows(rows: Sequence[tuple]) -> Iterator[np.ndarray]:
+def _replicate_rows(rows: Sequence[tuple], plans: Sequence[list]) -> Iterator[np.ndarray]:
     """``_row_values`` of each row, in order; only a row that draws a cell reaches ``draw``."""
-    to_draw, to_read = tee((row, _cells(row)) for row in rows)
     filled = draw((spec.seed, spec.iterations, [(cell, stats) for _, cell, stats in plan])
-                  for (_, _, spec), plan in to_draw if plan)
-    return (_row_values(row, plan, next(filled) if plan else []) for row, plan in to_read)
+                  for (_, _, spec), plan in zip(rows, plans) if plan)
+    return (_row_values(row, plan, next(filled) if plan else [])
+            for row, plan in zip(rows, plans))
 
 
-def bootstrap_intervals(rows: Sequence[tuple], alpha: float) -> list[IntervalEstimate]:
-    """Each (Scope, indicator, BootstrapSpec) row's percentile interval at ``alpha``, in order.
-
-    Each scope is sorted with a world cell per key, as ``Corpus.scope`` builds
-    it, and its indicator is defined; the intervals carry no estimate or ``n``.
-    """
+def _intervals(
+    rows: Sequence[tuple], plans: Sequence[list], alpha: float,
+) -> list[IntervalEstimate]:
+    """``bootstrap_intervals`` of ``rows``, each drawing the cells of its ``_cells`` plan."""
     intervals = []
-    for (_, indicator, spec), replicates in zip(rows, _replicate_rows(rows)):
+    for (_, indicator, spec), replicates in zip(rows, _replicate_rows(rows, plans)):
         undefined_mask = np.isnan(replicates)
         undefined = int(np.count_nonzero(undefined_mask))
         note = f"resample_world={'true' if spec.resample_world else 'false'}"
@@ -185,6 +194,143 @@ def bootstrap_intervals(rows: Sequence[tuple], alpha: float) -> list[IntervalEst
             method=BOOTSTRAP_PERCENTILE, note=note,
         ))
     return intervals
+
+
+def bootstrap_intervals(rows: Sequence[tuple], alpha: float) -> list[IntervalEstimate]:
+    """Each (Scope, indicator, BootstrapSpec) row's percentile interval at ``alpha``, in order.
+
+    Each scope is sorted with a world cell per key, as ``Corpus.scope`` builds
+    it, and its indicator is defined; the intervals carry no estimate or ``n``.
+    The rows that draw are split over up to ``_cpus()`` processes (see the
+    module docstring); the intervals are the same for any split.
+    """
+    plans = [_cells(row) for row in rows]
+    # A row's cost is the articles it draws over all its replicates.
+    costs = {index: spec.iterations * sum(cell.n for _, cell, _ in plan)
+             for index, ((_, _, spec), plan) in enumerate(zip(rows, plans)) if plan}
+    # Another Python thread could hold a lock that a forked child needs.
+    count = min(_cpus(), len(costs)) if threading.active_count() == 1 else 1
+    if count < 2:
+        return _intervals(rows, plans, alpha)
+    bins = _bins(costs, count)
+    bins[0] = sorted(bins[0] + [index for index, plan in enumerate(plans) if not plan])
+
+    def drawn(b: int) -> list[IntervalEstimate]:
+        return _intervals([rows[i] for i in bins[b]], [plans[i] for i in bins[b]], alpha)
+
+    intervals: list = [None] * len(rows)
+    for indices, found in zip(bins, _forked(len(bins), drawn)):
+        for index, interval in zip(indices, found):
+            intervals[index] = interval
+    return intervals
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork or read its affinity mask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _bins(costs: Mapping[int, int], count: int) -> list[list[int]]:
+    """The rows of ``costs`` in ``count`` bins, each row, largest cost first, to the least-cost bin.
+
+    Each bin lists its rows in order; equal costs go in row order.
+    """
+    bins, loads = [[] for _ in range(count)], [0] * count
+    for index in sorted(costs, key=lambda index: -costs[index]):
+        least = loads.index(min(loads))
+        bins[least].append(index)
+        loads[least] += costs[index]
+    return [sorted(indices) for indices in bins]
+
+
+# CPython 3.12+ warns at every fork of a process with more than one thread,
+# and numpy's OpenBLAS pool alone is enough.  OpenBLAS quiesces its pool at
+# fork, and a child calls no BLAS routine, no logging and no import before
+# os._exit, so the warning is ignored; a Python thread keeps the run serial.
+_FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to"
+                 r" deadlocks in the child")
+_SIGKILL = 9  # POSIX; the signal module is not loaded
+
+
+def _forked(count: int, work: Callable[[int], list]) -> list[list]:
+    """[work(0), ..., work(count - 1)]: work(0) in this process, each other in a forked child.
+
+    An exception a child raises is raised here.  Every child is reaped
+    before this returns or raises; on any exception here, ``KeyboardInterrupt``
+    included, the children still running are killed first.
+    """
+    children = []  # (pid, read end) of each child not yet reaped
+    try:
+        for index in range(1, count):
+            read, write = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _send(write, work, index)
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+            children.append((pid, read))
+        results = [work(0)]
+        while children:
+            pid, read = children[0]
+            with open(read, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            os.close(read)
+            if not payload:
+                raise RuntimeError(f"bootstrap worker {pid} exited without a result (wait status"
+                                   f" {status}, exit code {os.waitstatus_to_exitcode(status)})")
+            done, result = pickle.loads(payload)
+            if not done:
+                raise result
+            results.append(result)
+        return results
+    finally:
+        for pid, read in children:
+            os.close(read)
+            try:
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, _SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already
+                pass
+
+
+def _send(write: int, work: Callable[[int], list], index: int) -> None:
+    """In a forked child: write ``work(index)``, or what it raised, to ``write``; never returns."""
+    try:
+        try:
+            payload = pickle.dumps((True, work(index)))
+        except BaseException as exc:
+            payload = pickle.dumps((False, _portable(exc)))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """``exc`` if it survives pickling, else a RuntimeError that carries its traceback text."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        lines = ["bootstrap worker failed; its traceback (most recent call last):"]
+        frame = exc.__traceback__
+        while frame is not None:
+            code = frame.tb_frame.f_code
+            lines.append(f'  File "{code.co_filename}", line {frame.tb_lineno}, in {code.co_name}')
+            frame = frame.tb_next
+        lines.append(f"{type(exc).__qualname__}: {exc}")
+        return RuntimeError("\n".join(lines))
 
 
 def bootstrap_indicator(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import os
 
 import pytest
 
@@ -25,6 +26,27 @@ def read_csv_rows(path) -> list[dict]:
             }
             for record in csv.DictReader(fh)
         ]
+
+
+# Bootstrap rows are drawn in forked processes only where the affinity
+# mask can be read; elsewhere a test that asks for several CPUs proves nothing.
+FORKS = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                           reason="bootstrap rows are split over processes on Linux only")
+
+
+def counted_forks(monkeypatch) -> list[int]:
+    """The pid of each child this process forks from now on, in order."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 KEY_A = FieldYearKey("A", 2013)

@@ -4,8 +4,12 @@ import ast
 import ctypes
 import gc
 import math
+import os
 import re
+import signal
+import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +56,14 @@ from fieldnorm.report import format_field
 from fieldnorm.scopes import indicator_value
 from fieldnorm.synthetic import LognormalSpec, generate_cell, scenario_grid
 
-from conftest import GROUP_A, GROUP_B, KEY_A, KEY_B, WORLD_A, WORLD_B, read_csv_rows
+from conftest import (
+    FORKS, GROUP_A, GROUP_B, KEY_A, KEY_B, WORLD_A, WORLD_B, counted_forks, read_csv_rows,
+)
+
+
+def one_cpu(monkeypatch):
+    """Draw every bootstrap row in this process, as on a machine of one CPU."""
+    monkeypatch.setattr(fieldnorm.bootstrap, "_cpus", lambda: 1)
 
 
 def demo_sets():
@@ -627,6 +638,38 @@ class TestBootstrapIntervals:
     def test_no_jobs(self):
         assert bootstrap_intervals([], 0.05) == []
 
+    @FORKS
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_any_number_of_bins_equals_separate_calls(self, monkeypatch, cpus):
+        # The six rows split into one bin per CPU, the first drawn here and
+        # each other in a child of its own.
+        jobs = self.jobs()
+        expected = [bootstrap_indicator(*job) for job in jobs]
+        monkeypatch.setattr(fieldnorm.bootstrap, "_cpus", lambda: cpus)
+        forks = counted_forks(monkeypatch)
+        intervals = bootstrap_intervals(self.rows(jobs), 0.05)
+        assert len(forks) == cpus - 1
+        assert intervals == [replace(alone, estimate=None, n=None) for alone in expected]
+
+    @FORKS
+    def test_a_row_that_draws_nothing_is_never_forked(self, monkeypatch):
+        # One drawing row, among rows that draw nothing, draws here.
+        group, world = demo_sets()
+        one_article, _ = one_article_group()
+        jobs = [(cells, world, PROP_CITED, BootstrapSpec(100, seed, resample_world=False))
+                for seed, cells in enumerate([one_article, group, one_article])]
+        monkeypatch.setattr(fieldnorm.bootstrap, "_cpus", lambda: 2)
+        forks = counted_forks(monkeypatch)
+        intervals = bootstrap_intervals(self.rows(jobs), 0.05)
+        assert forks == []
+        assert intervals == [replace(bootstrap_indicator(*job), estimate=None, n=None)
+                             for job in jobs]
+
+    def test_bins_take_the_largest_cost_first(self):
+        bins = fieldnorm.bootstrap._bins({0: 5, 2: 9, 3: 4, 5: 4, 7: 1}, 2)
+        assert bins == [[2, 5], [0, 3, 7]]
+        assert fieldnorm.bootstrap._bins({4: 1}, 3) == [[4], [], []]
+
     def test_cells_listed_once_per_row(self, monkeypatch):
         # The draw plan and the read-back share one list of each row's cells.
         listed = []
@@ -658,6 +701,7 @@ class TestBootstrapIntervals:
 
         monkeypatch.setattr(fieldnorm.index_scheme, "_WorkArrays", Recorded)
         monkeypatch.setattr(fieldnorm.index_scheme, "_BLOCK_WORDS", block_words)
+        one_cpu(monkeypatch)  # a forked child's buffers are out of the spy's sight
         blocks = recorded_blocks(monkeypatch)
         rows = self.rows(self.jobs()[:1]) * 3
         intervals = bootstrap_intervals(rows, 0.05)
@@ -728,6 +772,79 @@ class TestBootstrapIntervals:
         with pytest.raises(ValueError) as rejected:
             bootstrap_indicator(*job)
         assert str(rejected.value) == message
+
+
+@FORKS
+class TestWorkers:
+    """A child's error reaches the caller, and no child outlives a call."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(fieldnorm.bootstrap, "_cpus", lambda: 2)
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def draw_failing_in_children(monkeypatch, fail):
+        """``draw`` calls ``fail()`` first in a forked child, and draws as before here."""
+        parent, draw = os.getpid(), fieldnorm.bootstrap.draw
+
+        def failing(rows):
+            if os.getpid() != parent:
+                fail()
+            return draw(rows)
+
+        monkeypatch.setattr(fieldnorm.bootstrap, "draw", failing)
+
+    @staticmethod
+    def run():
+        return bootstrap_intervals(TestBootstrapIntervals.rows(TestBootstrapIntervals.jobs()),
+                                   0.05)
+
+    def test_error_in_a_child_is_raised_here(self, monkeypatch):
+        def fail():
+            raise ValueError("no draw in a child")
+
+        self.draw_failing_in_children(monkeypatch, fail)
+        with pytest.raises(ValueError, match="^no draw in a child$"):
+            self.run()
+
+    def test_error_that_cannot_be_pickled_is_raised_with_its_traceback(self, monkeypatch):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def fail():
+            raise Local("no draw in a child")
+
+        self.draw_failing_in_children(monkeypatch, fail)
+        with pytest.raises(RuntimeError) as raised:
+            self.run()
+        message = str(raised.value)
+        assert message.startswith("bootstrap worker failed; its traceback (most recent call")
+        assert "in fail\n" in message and message.endswith(".Local: no draw in a child")
+
+    def test_child_that_dies_is_named_by_its_wait_status(self, monkeypatch):
+        self.draw_failing_in_children(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match=r" exited without a result \(wait status 9, "
+                                               r"exit code -9\)$"):
+            self.run()
+
+    def test_interrupt_here_kills_the_children(self, monkeypatch):
+        # The child would sleep a minute; the interrupt ends it at once.
+        parent, draw = os.getpid(), fieldnorm.bootstrap.draw
+
+        def interrupted(rows):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return draw(rows)
+
+        monkeypatch.setattr(fieldnorm.bootstrap, "draw", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.run()
+        assert time.monotonic() - start < 30
 
 
 def pcg64_state(words):
@@ -905,7 +1022,8 @@ def vectorised(group_sets, world_sets, indicator, spec):
     world = {a.key: a for a in world_sets}
     scope = Scope(tuple(keys), tuple(group[k] for k in keys), tuple(world[k] for k in keys))
     try:
-        (values,) = fieldnorm.bootstrap._replicate_rows([(scope, indicator, spec)])
+        row = (scope, indicator, spec)
+        (values,) = fieldnorm.bootstrap._replicate_rows([row], [fieldnorm.bootstrap._cells(row)])
     except UndefinedNormalizationError:
         # A row that draws nothing is its point in every replicate, and
         # ``row_results`` draws no row whose point is undefined.
@@ -1219,6 +1337,7 @@ def test_row_that_draws_nothing_is_neither_seeded_nor_drawn(monkeypatch, indicat
 
     monkeypatch.setattr(fieldnorm.index_scheme, "seed_words", seeded)
     monkeypatch.setattr(fieldnorm.index_scheme, "replicate_words", drawn)
+    one_cpu(monkeypatch)  # a forked child's calls are out of the spy's sight
     group, world = demo_sets()
     one_article, _ = one_article_group()
     jobs = [(cells, world, indicator, BootstrapSpec(iterations, seed, resample_world=False))

@@ -17,6 +17,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ import fieldnorm.bootstrap
 import fieldnorm.corpus
 from fieldnorm.cli import build_parser, main
 
-from conftest import read_csv_rows
+from conftest import FORKS, counted_forks, read_csv_rows
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ALL = "mnlcs,mncs,lundberg,emnpc,mnpc,prop"
@@ -339,6 +340,28 @@ def test_library_report_is_the_report_of_compute(job, tmp_path):
     assert library("keep-all.csv", exclusion=fieldnorm.ExclusionPolicy(1, 0.0)) != computed
 
 
+@FORKS
+def test_a_python_thread_keeps_the_bootstrap_in_one_process(job, tmp_path, monkeypatch):
+    # A forked child could need a lock that another thread holds, so while
+    # one runs every row is drawn here, to the same bytes.
+    monkeypatch.setattr(fieldnorm.bootstrap, "_cpus", lambda: 2)
+    forks = counted_forks(monkeypatch)
+    flags = ["--indicators", ALL, "--ci", "bootstrap", "--bootstrap-iters", "100", "--seed", "7"]
+    split = compute(job / "sampled", tmp_path / "split.csv", *flags)
+    assert forks
+    forked = len(forks)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        serial = compute(job / "sampled", tmp_path / "serial.csv", *flags)
+    finally:
+        stop.set()
+        thread.join()
+    assert len(forks) == forked
+    assert serial == split
+
+
 def readme_block(heading: str, fence: str) -> str:
     """The first code block opened by ``fence`` after the README heading ``heading``."""
     lines = iter(README.read_text(encoding="utf-8").splitlines())
@@ -433,7 +456,8 @@ def test_two_cells_of_a_million_articles_stay_under_a_memory_ceiling(tmp_path):
 
 
 # The child prints the process's peak after a formula compute, then after a
-# bootstrap compute of the same cells.
+# bootstrap compute of the same cells, then the largest peak of the
+# processes that drew bootstrap rows beside it (0 if none did).
 _FORMULA_THEN_BOOTSTRAP = """
 import resource, sys
 from fieldnorm.cli import main
@@ -445,6 +469,7 @@ for ci in ("formula", "bootstrap"):
     if main(argv) != 0:
         raise SystemExit(f"compute --ci {ci} failed")
     peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+peaks.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
 print(*peaks)
 """
 
@@ -463,17 +488,21 @@ def test_bootstrap_blocks_stay_under_a_memory_ceiling(tmp_path):
     adds 10.0 MB and one of 2^22 adds 18.2 MB, so raising it again fails.
     (The 2^18 budget before added 3.2 MB.) The whole peak must also stay
     under 58 MB, the 41.4 MB measured plus the 16 MB margin for other Python
-    and numpy builds that the 10^6-article ceiling takes.
+    and numpy builds that the 10^6-article ceiling takes.  So must the peak
+    of each process forked to draw rows beside it, which the parent's
+    ru_maxrss does not see: 32.9-33.0 MB on that machine, where the run
+    forks one.
     """
     mus = [f"{0.5 + 0.1 * i:g}" for i in range(20)]
     assert run(["simulate", "--output-dir", tmp_path / "sim", "--mu", *mus, "--n", "1000",
                 "--seed", "7"]) == 0
     cells = merge_cells(sorted((tmp_path / "sim").iterdir()), tmp_path / "cells")
     assert len(list(cells.glob("*.tsv"))) == 40
-    formula_mb, bootstrap_mb = forked_peaks(_FORMULA_THEN_BOOTSTRAP, cells, tmp_path)
+    formula_mb, bootstrap_mb, worker_mb = forked_peaks(_FORMULA_THEN_BOOTSTRAP, cells, tmp_path)
     added = bootstrap_mb - formula_mb
     assert added <= 8, f"the bootstrap adds {added:.1f} MB of ru_maxrss, over the 8 MB ceiling"
     assert bootstrap_mb <= 58, f"ru_maxrss {bootstrap_mb:.1f} MB exceeds the 58 MB ceiling"
+    assert worker_mb <= 58, f"a worker's ru_maxrss {worker_mb:.1f} MB exceeds the 58 MB ceiling"
 
 
 # The child runs the command it is given and prints its peak, in MB.

@@ -11,9 +11,12 @@ from __future__ import annotations
 import hashlib
 from itertools import product
 
+import fieldnorm.bootstrap
 from fieldnorm.cli import main
 from fieldnorm.corpus import WORLD, FieldYearKey, write_cell
 from fieldnorm.synthetic import LognormalSpec, generate_cell
+
+from conftest import FORKS, counted_forks
 
 # SHA-256 of every file the pipeline writes, by path relative to the run
 # directory.  report.meta.json records the relative --input-dir.
@@ -103,6 +106,27 @@ def test_compare_ci_output_is_pinned(tmp_path):
                  "--sigma", "1.0", "--zero-inflation", "0.0", "0.95", "--n", "30", "40",
                  "--group-shift", "0.0", "0.3"]) == 0
     assert _digests(out) == COMPARE_CI_GOLDEN
+
+
+@FORKS
+def test_bootstrap_bytes_do_not_depend_on_the_cpus(tmp_path, monkeypatch):
+    # The pinned compute and compare-ci runs, and a compute --ci bootstrap,
+    # with every bootstrap row drawn here and with them split over two
+    # processes.
+    forks = counted_forks(monkeypatch)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(fieldnorm.bootstrap, "_cpus", lambda: cpus)
+        root = tmp_path / f"cpus{cpus}"
+        root.mkdir()
+        test_multi_cell_compute_output_is_pinned(root, monkeypatch)
+        test_compare_ci_output_is_pinned(root / "compare-ci")
+        assert main(["compute", "--input-dir", "cells", "--output", "boot/report.csv",
+                     "--indicators", "mnlcs,mncs,lundberg,emnpc,mnpc,prop",
+                     "--ci", "bootstrap", "--seed", "5", "--bootstrap-iters", "100"]) == 0
+        runs.append(_digests(root / "boot"))
+        assert bool(forks) == (cpus == 2)
+    assert runs[0] == runs[1]
 
 
 # A wider corpus: 3 fields x 3 years x 2 groups, so each year's scope and
