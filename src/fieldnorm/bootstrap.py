@@ -4,17 +4,18 @@ Rows.  ``report.build_report`` (``compute``) and ``comparison_suite``
 (``compare-ci``) only plan rows, and ``bootstrap_indicator`` plans one from
 raw cell sets that only ``corpus.pair_cells`` checks; ``row_results`` computes
 every row of all three, drawing all bootstrap rows of a run in one
-``bootstrap_intervals`` call.  A planned row is a ``Scope`` with its
-indicator, interval route and spec, and from plan to draw a bootstrap row
-is a ``Scope`` with its indicator and spec, a ``BootstrapSpec`` of
-iterations, seed and ``resample_world``.  The level alpha is the run's, not
-a row's: ``row_results`` takes it once for every interval of the run.
+``bootstrap_intervals`` call.  A planned row is one ``PlannedRow`` from plan
+to CSV: its group and label, its ``Scope``, indicator and interval route,
+and for a bootstrap row its ``BootstrapSpec`` of iterations, seed and
+``resample_world``.  The level alpha is the run's, not a row's:
+``row_results`` takes it once for every interval of the run.
 
 Replicates resample every group cell with replacement at its original size;
-when ``resample_world`` is set the world cells are resampled too.  ``_cells``
-lists the cells a row draws and what each records, once per row, and
-``index_scheme.draw`` fills them; every other cell is read as itself.  A row
-that draws nothing never reaches the scheme and is its point R times.
+when ``resample_world`` is set the world cells are resampled too.
+``PlannedRow.draws`` lists the cells a row draws and what each records, once
+per row, and ``index_scheme.draw`` fills them; every other cell is read as
+itself.  A row that draws nothing never reaches the scheme and is its point
+R times.
 ``indicators.indicator_estimate`` evaluates all R replicates at once;
 undefined ones come back as NaN and are counted, and ``bootstrap_intervals``
 takes the percentiles.  This module also holds the bootstrap defaults
@@ -26,17 +27,21 @@ the process can fork and may run on several CPUs, it splits the rows that
 draw into one bin per CPU, largest cost first, draws the first bin itself
 and each other bin in a forked child, which sends back only its intervals.
 A run with fewer than two drawing rows, or with another Python thread
-running, draws every row in this process.
+running, draws every row in this process.  The kernel kills a child when
+the process that forked it dies, however that process ends (Linux
+``prctl(PR_SET_PDEATHSIG)``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import pickle
 import threading
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -137,51 +142,72 @@ def percentile(sorted_replicates: Sequence[float], q: float) -> float:
     return sorted_replicates[rank]
 
 
-def _cells(row: tuple) -> list[tuple[int, ArticleSet, set[str]]]:
-    """(slot, cell, statistics it records) of each cell a (Scope, indicator, spec) row draws.
+@dataclass(frozen=True)
+class PlannedRow:
+    """One row of a run, from plan to CSV: (group, label, scope, indicator, route) and spec.
 
-    Slots count the group cells, then the world cells; a one-article cell is never drawn.
+    ``label`` names the scope within the group: its ``Y<year>`` or ``ALL`` in
+    ``compute``, the scenario in ``compare-ci``.  Construction refuses a
+    route that does not serve the indicator (``scopes.route_applies``), a
+    bootstrap row without a ``BootstrapSpec`` and any other row with one.
     """
-    (_, group, world), indicator, spec = row
-    group_stats, world_stats = CELL_STATISTICS[indicator]
-    cells = [(cell, group_stats) for cell in group]
-    # World draws come after every group draw, so they are skipped, not
-    # shifted, when the indicator reads nothing from the world cells.
-    if spec.resample_world and world_stats:
-        cells += [(cell, world_stats) for cell in world]
-    return [(slot, cell, stats) for slot, (cell, stats) in enumerate(cells) if cell.n > 1]
+
+    group: str
+    label: str
+    scope: Scope
+    indicator: str
+    route: str
+    spec: BootstrapSpec | None = None
+
+    def __post_init__(self) -> None:
+        if not route_applies(self.indicator, self.route):
+            raise ValueError(f"route {self.route!r} does not serve {self.indicator}")
+        if (self.spec is None) == (self.route == BOOTSTRAP):
+            raise ValueError(f"a {self.route} row for {self.indicator} with spec {self.spec!r}: a"
+                             " bootstrap row needs a BootstrapSpec and no other row takes one")
+
+    @cached_property
+    def draws(self) -> list[tuple[int, ArticleSet, set[str]]]:
+        """(slot, cell, statistics it records) of each cell a bootstrap row draws, listed once.
+
+        Slots count the group cells, then the world cells; a one-article cell is never drawn.
+        """
+        group_stats, world_stats = CELL_STATISTICS[self.indicator]
+        cells = [(cell, group_stats) for cell in self.scope.group]
+        # World draws come after every group draw, so they are skipped, not
+        # shifted, when the indicator reads nothing from the world cells.
+        if self.spec.resample_world and world_stats:
+            cells += [(cell, world_stats) for cell in self.scope.world]
+        return [(slot, cell, stats) for slot, (cell, stats) in enumerate(cells) if cell.n > 1]
 
 
-def _row_values(row: tuple, plan: list, drawn: list) -> np.ndarray:
-    """Entry r: the row on replicate r, NaN if undefined; ``drawn`` fills the slots of ``plan``."""
-    (keys, group, world), indicator, spec = row
+def _row_values(row: PlannedRow, drawn: list) -> np.ndarray:
+    """Entry r: the row on replicate r, NaN if undefined; ``drawn`` fills the slots of its draws."""
+    keys, group, world = row.scope
     cells = [*group, *world]
-    for (slot, _, _), replicates in zip(plan, drawn):
+    for (slot, _, _), replicates in zip(row.draws, drawn):
         cells[slot] = replicates
-    value, _ = indicator_estimate(indicator, keys, cells[:len(group)], cells[len(group):])
-    return np.broadcast_to(value, spec.iterations)
+    value, _ = indicator_estimate(row.indicator, keys, cells[:len(group)], cells[len(group):])
+    return np.broadcast_to(value, row.spec.iterations)
 
 
-def _replicate_rows(rows: Sequence[tuple], plans: Sequence[list]) -> Iterator[np.ndarray]:
+def _replicate_rows(rows: Sequence[PlannedRow]) -> Iterator[np.ndarray]:
     """``_row_values`` of each row, in order; only a row that draws a cell reaches ``draw``."""
-    filled = draw((spec.seed, spec.iterations, [(cell, stats) for _, cell, stats in plan])
-                  for (_, _, spec), plan in zip(rows, plans) if plan)
-    return (_row_values(row, plan, next(filled) if plan else [])
-            for row, plan in zip(rows, plans))
+    filled = draw((row.spec.seed, row.spec.iterations,
+                   [(cell, stats) for _, cell, stats in row.draws]) for row in rows if row.draws)
+    return (_row_values(row, next(filled) if row.draws else []) for row in rows)
 
 
-def _intervals(
-    rows: Sequence[tuple], plans: Sequence[list], alpha: float,
-) -> list[IntervalEstimate]:
-    """``bootstrap_intervals`` of ``rows``, each drawing the cells of its ``_cells`` plan."""
+def _intervals(rows: Sequence[PlannedRow], alpha: float) -> list[IntervalEstimate]:
+    """``bootstrap_intervals`` of ``rows``, drawn in this process."""
     intervals = []
-    for (_, indicator, spec), replicates in zip(rows, _replicate_rows(rows, plans)):
+    for row, replicates in zip(rows, _replicate_rows(rows)):
         undefined_mask = np.isnan(replicates)
         undefined = int(np.count_nonzero(undefined_mask))
-        note = f"resample_world={'true' if spec.resample_world else 'false'}"
+        note = f"resample_world={'true' if row.spec.resample_world else 'false'}"
         if undefined:
             note += f"; {undefined} undefined replicates excluded"
-        if undefined > alpha / 2.0 * spec.iterations:
+        if undefined > alpha / 2.0 * row.spec.iterations:
             intervals.append(IntervalEstimate.undefined(
                 BOOTSTRAP_PERCENTILE, alpha, note + "; undefined replicates exceed alpha/2"
             ))
@@ -196,33 +222,27 @@ def _intervals(
     return intervals
 
 
-def bootstrap_intervals(rows: Sequence[tuple], alpha: float) -> list[IntervalEstimate]:
-    """Each (Scope, indicator, BootstrapSpec) row's percentile interval at ``alpha``, in order.
+def bootstrap_intervals(rows: Sequence[PlannedRow], alpha: float) -> list[IntervalEstimate]:
+    """Each bootstrap row's percentile interval at ``alpha``, in order.
 
     Each scope is sorted with a world cell per key, as ``Corpus.scope`` builds
     it, and its indicator is defined; the intervals carry no estimate or ``n``.
     The rows that draw are split over up to ``_cpus()`` processes (see the
     module docstring); the intervals are the same for any split.
     """
-    plans = [_cells(row) for row in rows]
     # A row's cost is the articles it draws over all its replicates.
-    costs = {index: spec.iterations * sum(cell.n for _, cell, _ in plan)
-             for index, ((_, _, spec), plan) in enumerate(zip(rows, plans)) if plan}
+    costs = {index: row.spec.iterations * sum(cell.n for _, cell, _ in row.draws)
+             for index, row in enumerate(rows) if row.draws}
     # Another Python thread could hold a lock that a forked child needs.
     count = min(_cpus(), len(costs)) if threading.active_count() == 1 else 1
     if count < 2:
-        return _intervals(rows, plans, alpha)
+        return _intervals(rows, alpha)
     bins = _bins(costs, count)
-    bins[0] = sorted(bins[0] + [index for index, plan in enumerate(plans) if not plan])
-
-    def drawn(b: int) -> list[IntervalEstimate]:
-        return _intervals([rows[i] for i in bins[b]], [plans[i] for i in bins[b]], alpha)
-
-    intervals: list = [None] * len(rows)
-    for indices, found in zip(bins, _forked(len(bins), drawn)):
-        for index, interval in zip(indices, found):
-            intervals[index] = interval
-    return intervals
+    bins[0] = sorted(bins[0] + [index for index, row in enumerate(rows) if not row.draws])
+    drawn = _forked(len(bins), lambda b: _intervals([rows[i] for i in bins[b]], alpha))
+    found = {index: interval for indices, part in zip(bins, drawn)
+             for index, interval in zip(indices, part)}
+    return [found[index] for index in range(len(rows))]
 
 
 def _cpus() -> int:
@@ -261,7 +281,7 @@ def _forked(count: int, work: Callable[[int], list]) -> list[list]:
     before this returns or raises; on any exception here, ``KeyboardInterrupt``
     included, the children still running are killed first.
     """
-    children = []  # (pid, read end) of each child not yet reaped
+    children, parent = [], os.getpid()  # (pid, read end) of each child not yet reaped
     try:
         for index in range(1, count):
             read, write = os.pipe()
@@ -270,7 +290,7 @@ def _forked(count: int, work: Callable[[int], list]) -> list[list]:
                     warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
                     pid = os.fork()
                 if pid == 0:
-                    _send(write, work, index)
+                    _send(write, work, index, parent)
             except BaseException:
                 os.close(read)
                 raise
@@ -304,9 +324,17 @@ def _forked(count: int, work: Callable[[int], list]) -> list[list]:
                 pass
 
 
-def _send(write: int, work: Callable[[int], list], index: int) -> None:
-    """In a forked child: write ``work(index)``, or what it raised, to ``write``; never returns."""
+def _send(write: int, work: Callable[[int], list], index: int, parent: int) -> None:
+    """In a forked child of ``parent``: write ``work(index)``, or what it raised, to ``write``.
+
+    The child is killed when the thread that forked it ends, so that no
+    child outlives a command killed by a signal; it exits at once if
+    ``parent`` died before that was set.  Never returns.
+    """
     try:
+        ctypes.CDLL(None).prctl(ctypes.c_int(1), ctypes.c_ulong(_SIGKILL))  # PR_SET_PDEATHSIG
+        if os.getppid() != parent:
+            return
         try:
             payload = pickle.dumps((True, work(index)))
         except BaseException as exc:
@@ -350,59 +378,46 @@ def bootstrap_indicator(
     flagged undefined.
     """
     scope = pair_cells(group_sets, world_sets, same_keys=indicator in PROPORTION_INDICATORS)
-    (row,) = row_results([(scope, indicator, BOOTSTRAP, spec)], alpha)
-    if row.estimate is None:  # an undefined point is flagged without a draw
+    row = PlannedRow(scope.group[0].group, "", scope, indicator, BOOTSTRAP, spec)
+    (result,) = row_results([row], alpha)
+    if result.estimate is None:  # an undefined point is flagged without a draw
         raise ValueError(f"{indicator} is undefined on the original data")
-    return row
+    return result
 
 
 def row_results(
-    plan: Sequence[tuple], alpha: float, continuity: str = CONTINUITY_DEFAULT,
+    plan: Sequence[PlannedRow], alpha: float, continuity: str = CONTINUITY_DEFAULT,
     expansion_mode: str = EXPANSION_DEFAULT,
 ) -> list[IntervalEstimate]:
-    """The interval of each planned (Scope, indicator, route, BootstrapSpec | None) row.
+    """The interval of each planned row, in plan order.
 
     Each holds the point, computed once per (Scope, indicator), the group's
     article count as ``n``, and the point's and interval's notes joined as
     ``note``.  A row whose point is undefined, or whose scope is empty, is
     flagged with the method tag it would have carried (``scopes.method_tag``).
-    Raises ValueError before any row is computed when a row's route does not
-    serve its indicator (``scopes.route_applies``), or when a bootstrap row
-    has no spec or another row has one.
     """
     check_run(alpha, continuity, expansion_mode)
-    for _, indicator, route, spec in plan:
-        if not route_applies(indicator, route):
-            raise ValueError(f"route {route!r} does not serve {indicator}")
-        if (spec is None) == (route == BOOTSTRAP):
-            raise ValueError(f"a {route} row for {indicator} with spec {spec!r}: a bootstrap"
-                             " row needs a BootstrapSpec and no other row takes one")
-    points: dict[tuple[Scope, str], IndicatorValue] = {}
-    rows, draws = [], []
-    for scope, indicator, method, spec in plan:
-        if (scope, indicator) not in points:
-            points[scope, indicator] = (
-                indicator_result(indicator, *scope) if scope.keys
-                else IndicatorValue(indicator, None, False, _EMPTY_SCOPE)
-            )
-        point = points[scope, indicator]
-        if not point.defined:
-            tag = method_tag(indicator, method, scope.keys)
-            interval = IntervalEstimate.undefined(tag, alpha, "")
-        elif method == BOOTSTRAP:
-            draws.append((scope, indicator, spec))
-            interval = None
-        elif method == FORMULA:
-            interval = formula_interval(scope, indicator, alpha, continuity)
-        else:
-            interval = fieller_interval(scope, alpha, expansion_mode)
-        rows.append((scope, point, interval))
-    boots = iter(bootstrap_intervals(draws, alpha))
+    points: dict[tuple[Scope, str], IndicatorValue] = {
+        (scope, indicator): indicator_result(indicator, *scope) if scope.keys
+        else IndicatorValue(indicator, None, False, _EMPTY_SCOPE)
+        for scope, indicator in dict.fromkeys((row.scope, row.indicator) for row in plan)
+    }
+    boots = iter(bootstrap_intervals([row for row in plan if row.route == BOOTSTRAP
+                                      and points[row.scope, row.indicator].defined], alpha))
     results = []
-    for scope, point, interval in rows:
-        interval = next(boots) if interval is None else interval
+    for row in plan:
+        point = points[row.scope, row.indicator]
+        if not point.defined:
+            tag = method_tag(row.indicator, row.route, row.scope.keys)
+            interval = IntervalEstimate.undefined(tag, alpha, "")
+        elif row.route == BOOTSTRAP:
+            interval = next(boots)
+        elif row.route == FORMULA:
+            interval = formula_interval(row.scope, row.indicator, alpha, continuity)
+        else:
+            interval = fieller_interval(row.scope, alpha, expansion_mode)
         note = "; ".join(n for n in (point.note, interval.note) if n)
-        n = sum(cell.n for cell in scope.group)
+        n = sum(cell.n for cell in row.scope.group)
         results.append(replace(interval, estimate=point.estimate, n=n, note=note))
     return results
 
@@ -482,29 +497,28 @@ def comparison_suite(
                          f" extra {extra}")
     if not any(corpus.groups for corpus in scenarios):
         raise ValueError(f"no scenario has a group other than {WORLD}")
-    labels, plan = [], []
+    formulas, boots = [], []
     for corpus in scenarios:
         label = corpus_label(corpus)
         for group in sorted(corpus.groups):
             scope = corpus.scope(group, corpus.keys_for(group))
             for indicator in indicators:
-                spec = specs[indicator]
-                seed = derive_stream_seed(spec.seed, label, group, indicator)
-                labels.append((label, group, indicator))
-                plan += [(scope, indicator, FORMULA, None),
-                         (scope, indicator, BOOTSTRAP, replace(spec, seed=seed))]
-    results = row_results(plan, alpha, continuity)
+                spec = replace(specs[indicator], seed=derive_stream_seed(
+                    specs[indicator].seed, label, group, indicator))
+                formulas.append(PlannedRow(group, label, scope, indicator, FORMULA))
+                boots.append(PlannedRow(group, label, scope, indicator, BOOTSTRAP, spec))
+    # The formula rows' results, then the bootstrap rows', each in plan order.
+    results = row_results(formulas + boots, alpha, continuity)
     rows = []
-    for (label, group, indicator), formula, boot in zip(labels, results[::2], results[1::2]):
+    for row, formula, boot in zip(formulas, results, results[len(formulas):]):
+        name = (row.label, row.group, row.indicator)
         try:
             diff = compare_ci(formula, boot, formula.estimate)
-            rows.append(ComparisonRow(
-                label, group, indicator, diff.lower_pct_diff, diff.upper_pct_diff, True
-            ))
+            rows.append(ComparisonRow(*name, diff.lower_pct_diff, diff.upper_pct_diff, True))
         except ValueError as exc:
             # An undefined formula row says why it is undefined.
             note = str(exc) if formula.defined else formula.note
-            rows.append(ComparisonRow(label, group, indicator, None, None, False, note))
+            rows.append(ComparisonRow(*name, None, None, False, note))
     return rows
 
 

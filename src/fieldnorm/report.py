@@ -4,9 +4,10 @@ A report holds one row per (group, scope, indicator, interval method).
 Scopes are each publication year on its own (label ``Y<year>``, all fields
 combined) plus everything together (label ``ALL``).  World rows are
 included so the stability of the reference set itself is visible.
-``build_report`` plans the rows, with compute's seed streams and resample
-rule, and ``bootstrap.row_results`` computes them at the run's alpha,
-continuity rule and expansion mode.
+``build_report`` plans the rows, one ``bootstrap.PlannedRow`` each named by
+its group and scope label, with compute's seed streams and resample rule;
+``bootstrap.row_results`` computes them at the run's alpha, continuity rule
+and expansion mode, and each planned row maps to one ``ReportRow``.
 
 CSV schema: ``group,scope,n,indicator,estimate,ci_lower,ci_upper,method,
 defined,notes`` with UTF-8, LF line endings and RFC-4180 quoting.  Floats
@@ -22,12 +23,13 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bootstrap import (
     BOOTSTRAP_ITERATIONS_DEFAULT,
     RESAMPLE_WORLD_DEFAULT,
     BootstrapSpec,
+    PlannedRow,
     bootstrap_plan,
     row_results,
 )
@@ -102,9 +104,8 @@ class IndicatorReport:
     metadata: dict
 
 
-def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
-    """One row per (group, scope, indicator, method); flags, never aborts."""
-    plan, labels = [], []
+def _planned_rows(corpus: Corpus, config: ReportConfig) -> Iterator[PlannedRow]:
+    """The rows of a ``compute`` run, one per (group, scope, indicator, method) a route serves."""
     # Only the equalised indicators read the exclusion-retained scopes.
     equalised = EQUALISED_INDICATORS & set(config.indicators)
     for group in sorted(corpus.groups) + [WORLD]:
@@ -131,14 +132,15 @@ def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
                         spec = bootstrap_plan(indicator, RESAMPLE_WORLD_DEFAULT,
                                               config.bootstrap_iterations, config.resample_world,
                                               seed)
-                    plan.append((scope, indicator, method, spec))
-                    labels.append((group, scope_label, indicator))
+                    yield PlannedRow(group, scope_label, scope, indicator, method, spec)
+
+
+def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
+    """One row per (group, scope, indicator, method); flags, never aborts."""
+    plan = list(_planned_rows(corpus, config))
     results = row_results(plan, config.alpha, config.continuity, config.expansion_mode)
-    rows = tuple(
-        ReportRow(group, label, r.n, indicator, r.estimate, r.lower, r.upper, r.method,
-                  r.defined, r.note)
-        for (group, label, indicator), r in zip(labels, results)
-    )
+    rows = tuple(ReportRow(row.group, row.label, r.n, row.indicator, r.estimate, r.lower,
+                           r.upper, r.method, r.defined, r.note) for row, r in zip(plan, results))
     settings = asdict(config)
     extra = settings.pop("extra_metadata")
     metadata = {

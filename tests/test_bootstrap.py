@@ -7,9 +7,12 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,7 @@ from fieldnorm.bootstrap import (
     COMPARE_CI_RESAMPLE_WORLD_DEFAULT,
     RESAMPLE_WORLD_DEFAULT,
     BootstrapSpec,
+    PlannedRow,
     bootstrap_plan,
     bootstrap_indicator,
     bootstrap_intervals,
@@ -612,8 +616,9 @@ class TestBootstrapIntervals:
     @staticmethod
     def rows(jobs):
         """The engine's rows: each job's cells resolved by Corpus.scope."""
-        return [(Corpus.from_cells([*group, *world]).scope("G", {a.key for a in group}),
-                 indicator, spec) for group, world, indicator, spec in jobs]
+        return [PlannedRow("G", "", Corpus.from_cells([*group, *world]).scope(
+                    "G", {a.key for a in group}), indicator, "bootstrap", spec)
+                for group, world, indicator, spec in jobs]
 
     # The cases at the default block size keep ids that name the lanes alone.
     @pytest.mark.parametrize("lanes, block_words", [
@@ -673,13 +678,15 @@ class TestBootstrapIntervals:
     def test_cells_listed_once_per_row(self, monkeypatch):
         # The draw plan and the read-back share one list of each row's cells.
         listed = []
-        cells = fieldnorm.bootstrap._cells
+        draws = PlannedRow.draws.func
 
         def counted(row):
             listed.append(row)
-            return cells(row)
+            return draws(row)
 
-        monkeypatch.setattr(fieldnorm.bootstrap, "_cells", counted)
+        spy = cached_property(counted)
+        spy.__set_name__(PlannedRow, "draws")
+        monkeypatch.setattr(PlannedRow, "draws", spy)
         rows = self.rows(self.jobs())
         bootstrap_intervals(rows, 0.05)
         assert len(listed) == len(rows)
@@ -726,7 +733,7 @@ class TestBootstrapIntervals:
         group, world = demo_sets()
         scope = Corpus.from_cells(group + world).scope("G", {KEY_A, KEY_B})
         with pytest.raises(ValueError, match=f"^{message}$"):
-            row_results([(scope, MNLCS, "formula", None)], *settings)
+            row_results([PlannedRow("G", "Y2013", scope, MNLCS, "formula")], *settings)
 
     @pytest.mark.parametrize("row, message", [
         ((MNLCS, "fieler", None), "route 'fieler' does not serve MNLCS"),
@@ -736,6 +743,7 @@ class TestBootstrapIntervals:
          r"a formula row for MNLCS with spec BootstrapSpec\(iterations=100, "),
     ], ids=["unknown-route", "fieller-mncs", "bootstrap-without-spec", "formula-with-spec"])
     def test_row_no_route_serves_rejected_before_any_row(self, monkeypatch, row, message):
+        # A planned row is refused when it is built, so no plan holds it.
         def no_rows(*args):
             raise AssertionError("a row was computed")
 
@@ -743,7 +751,8 @@ class TestBootstrapIntervals:
         group, world = demo_sets()
         scope = Corpus.from_cells(group + world).scope("G", {KEY_A, KEY_B})
         with pytest.raises(ValueError, match=f"^{message}"):
-            row_results([(scope, MNLCS, "formula", None), (scope, *row)], 0.05)
+            row_results([PlannedRow("G", "Y2013", scope, MNLCS, "formula"),
+                         PlannedRow("G", "Y2013", scope, *row)], 0.05)
 
     @pytest.mark.parametrize(
         "bad", ["duplicate", "missing", "proportion", "undefined", "mixed", "world-label"]
@@ -772,6 +781,41 @@ class TestBootstrapIntervals:
         with pytest.raises(ValueError) as rejected:
             bootstrap_indicator(*job)
         assert str(rejected.value) == message
+
+
+# A command whose bootstrap rows are split over two processes: the forked
+# one writes its pid to the file named by argv[1], and both sleep in draw.
+SLEEPING_COMMAND = """
+import os, sys, time
+import fieldnorm.bootstrap
+from fieldnorm.corpus import WORLD, ArticleSet, Corpus, FieldYearKey
+from fieldnorm.report import ReportConfig, build_report
+
+parent, draw = os.getpid(), fieldnorm.bootstrap.draw
+
+def sleeping(rows):
+    if os.getpid() != parent:
+        with open(sys.argv[1] + ".part", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.rename(sys.argv[1] + ".part", sys.argv[1])
+    time.sleep(60)
+    return draw(rows)
+
+fieldnorm.bootstrap._cpus = lambda: 2
+fieldnorm.bootstrap.draw = sleeping
+cells = [ArticleSet(group, FieldYearKey("A", year), (0, 1, 2, 5, 9))
+         for group in ("G", WORLD) for year in (2013, 2014)]
+build_report(Corpus.from_cells(cells), ReportConfig(ci_methods=("bootstrap",)))
+"""
+
+
+def process_state(pid):
+    """The state letter of process ``pid`` (``Z`` for a zombie), or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
 
 
 @FORKS
@@ -845,6 +889,34 @@ class TestWorkers:
         with pytest.raises(KeyboardInterrupt):
             self.run()
         assert time.monotonic() - start < 30
+
+    def test_children_die_with_a_command_killed_by_a_signal(self, tmp_path):
+        # SIGTERM ends the command without running any of its code, so the
+        # child that sleeps a minute must be ended by the kernel.  A child
+        # re-parented to a pid 1 that does not reap stays a zombie.
+        pid_file = tmp_path / "child.pid"
+        package_root = str(Path(fieldnorm.bootstrap.__file__).resolve().parents[1])
+        command = subprocess.Popen([sys.executable, "-c", SLEEPING_COMMAND, str(pid_file)],
+                                   env={**os.environ, "PYTHONPATH": package_root})
+        child, state = None, None
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists():
+                assert command.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            child = int(pid_file.read_text())
+            command.send_signal(signal.SIGTERM)
+            assert command.wait(timeout=30) == -signal.SIGTERM
+            deadline = time.monotonic() + 5
+            while (state := process_state(child)) not in (None, "Z") \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            command.kill()
+            command.wait(timeout=30)
+            if child is not None and process_state(child) not in (None, "Z"):
+                os.kill(child, signal.SIGKILL)
+        assert state in (None, "Z"), f"child {child} outlived its command (state {state})"
 
 
 def pcg64_state(words):
@@ -1022,8 +1094,8 @@ def vectorised(group_sets, world_sets, indicator, spec):
     world = {a.key: a for a in world_sets}
     scope = Scope(tuple(keys), tuple(group[k] for k in keys), tuple(world[k] for k in keys))
     try:
-        row = (scope, indicator, spec)
-        (values,) = fieldnorm.bootstrap._replicate_rows([row], [fieldnorm.bootstrap._cells(row)])
+        row = PlannedRow("G", "", scope, indicator, "bootstrap", spec)
+        (values,) = fieldnorm.bootstrap._replicate_rows([row])
     except UndefinedNormalizationError:
         # A row that draws nothing is its point in every replicate, and
         # ``row_results`` draws no row whose point is undefined.
@@ -1274,10 +1346,10 @@ def test_what_each_row_hands_the_scheme(monkeypatch, indicator, resample_world, 
 
     spec = BootstrapSpec(100, seed=3, resample_world=resample_world)
     scope = Corpus.from_cells(group + world).scope("G", {cell.key for cell in group})
-    bootstrap_intervals([(scope, indicator, spec)], 0.05)
+    bootstrap_intervals([PlannedRow("G", "", scope, indicator, "bootstrap", spec)], 0.05)
     assert handed == ([(3, 100, expected)] if expected else [])
 
-    (row,) = row_results([(scope, indicator, "bootstrap", spec)], 0.05)
+    (row,) = row_results([PlannedRow("G", "", scope, indicator, "bootstrap", spec)], 0.05)
     if row.defined:
         assert row.lower == pytest.approx(row.estimate, rel=1e-12)
         assert row.upper == pytest.approx(row.estimate, rel=1e-12)
@@ -1313,8 +1385,8 @@ def test_row_that_draws_nothing_is_its_point(monkeypatch, indicator):
     group, world = one_article_group()
     spec = BootstrapSpec(100, seed=3, resample_world=False)
     scope = Corpus.from_cells(group + world).scope("G", {KEY_A, KEY_B})
-    assert fieldnorm.bootstrap._cells((scope, indicator, spec)) == []
-    (row,) = row_results([(scope, indicator, "bootstrap", spec)], 0.05)
+    assert PlannedRow("G", "", scope, indicator, "bootstrap", spec).draws == []
+    (row,) = row_results([PlannedRow("G", "", scope, indicator, "bootstrap", spec)], 0.05)
     assert row.defined and row.lower == row.estimate == row.upper
 
 
@@ -1376,7 +1448,15 @@ def test_only_index_scheme_knows_the_index_stream():
     imports = {path.stem: imports_of(path)
                for path in Path(fieldnorm.bootstrap.__file__).parent.glob("*.py")}
     assert {stem for stem, found in imports.items()
-            if any(module.split(".")[0] == "ctypes" for module, _ in found)} == {"index_scheme"}
+            if any(module.split(".")[0] == "ctypes" for module, _ in found)} == \
+        {"index_scheme", "bootstrap"}
+    # bootstrap imports ctypes whole and reads only CDLL and two integer
+    # types from it: a forked child's prctl, never a generator's memory.
+    assert [(module, name) for module, name in imports["bootstrap"]
+            if module.split(".")[0] == "ctypes"] == [("ctypes", None)]
+    tree = ast.parse(Path(fieldnorm.bootstrap.__file__).read_text(encoding="utf-8"))
+    assert {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "ctypes"} == {"CDLL", "c_int", "c_ulong"}
     assert {stem: [name for module, name in found if module == "index_scheme"]
             for stem, found in imports.items()
             if any(module == "index_scheme" for module, _ in found)} == {"bootstrap": ["draw"]}
