@@ -22,14 +22,14 @@ takes the percentiles.  This module also holds the bootstrap defaults
 (``bootstrap_plan``) and the ``compare-ci`` comparison.
 
 Processes.  Replicate r of a row depends only on (seed, r) and the row's own
-cells, so ``bootstrap_intervals`` may draw its rows in any grouping.  Where
-the process can fork and may run on several CPUs, it splits the rows that
+cells, so ``bootstrap_intervals`` may draw its rows in any grouping.  On
+Linux, when the process may run on several CPUs, it splits the rows that
 draw into one bin per CPU, largest cost first, draws the first bin itself
 and each other bin in a forked child, which sends back only its intervals.
-A run with fewer than two drawing rows, or with another Python thread
-running, draws every row in this process.  The kernel kills a child when
-the process that forked it dies, however that process ends (Linux
-``prctl(PR_SET_PDEATHSIG)``).
+A run on any other system, with fewer than two drawing rows, or with
+another Python thread running, draws every row in this process.  The kernel
+kills a child when the process that forked it dies, however that process
+ends (``prctl(PR_SET_PDEATHSIG)``).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import ctypes
 import math
 import os
 import pickle
+import sys
 import threading
 import warnings
 from dataclasses import dataclass, replace
@@ -246,8 +247,8 @@ def bootstrap_intervals(rows: Sequence[PlannedRow], alpha: float) -> list[Interv
 
 
 def _cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork or read its affinity mask."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    """The CPUs this process may run on; 1 on every system but Linux, the one with ``prctl``."""
+    if sys.platform != "linux":
         return 1
     return len(os.sched_getaffinity(0))
 

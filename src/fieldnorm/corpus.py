@@ -394,7 +394,8 @@ class _CellFile:
 
     ``data`` is the file with CRLF turned into LF, and its lines start at
     ``body``, after the header.  Each block the lines fall in adds the
-    piece's counts, until the last makes the cell.
+    piece's counts as an array of its own, and the last piece joins them
+    into the cell.
     """
 
     def __init__(self, path: Path) -> None:
@@ -419,39 +420,28 @@ class _CellFile:
             _decode(data, name)  # the whole file must be UTF-8, not only the lines read one by one
         self.name, self.group, self.key, self.data = name, group, key, data
         self.body = min(len(header) + 1, len(data))
-        self.counts: np.ndarray | None = None
-        self.size = 0  # of the counts parsed so far
+        self.pieces: list[np.ndarray] = []
 
     def add(self, counts: np.ndarray, last: bool, dtype: np.dtype | None) -> ArticleSet | None:
         """Keep one piece's counts; return the cell once the last piece is in.
 
-        Each piece is copied out of the block's int64 counts into one array
-        of ``count_dtype`` of the largest count so far, so that a cell never
-        pins the block, nor another file's counts.  The array has room for
-        the piece alone if it is the file's only one, and otherwise for
-        every line of the file, so its counts are never held twice; a later
-        piece with a larger count widens it by one copy.  The cell takes the
-        array over, cut down by a copy only where blank lines left room
-        unused.  ``dtype`` is ``count_dtype`` of the piece's largest count
-        when the block already knows it, else None.
+        Each piece is copied out of the block's int64 counts, so that a cell
+        never pins the block, nor another file's counts, in ``count_dtype``
+        of its largest count; ``dtype`` is that type when the block already
+        knows it, else None.  The pieces are held until the last, which
+        joins them in one array of the widest piece type: ``count_dtype``
+        of the file's largest count.  A file of one piece is taken as it is.
         """
         if dtype is None:
             dtype = count_dtype(counts.max(initial=0))
-        if self.counts is None:
-            room = counts.size
-            if not last:
-                room = self.data.count(b"\n", self.body) + (not self.data.endswith(b"\n"))
-            self.counts = np.empty(room, dtype)
-        elif dtype.itemsize > self.counts.itemsize:
-            self.counts = self.counts.astype(dtype)
-        self.counts[self.size:self.size + counts.size] = counts
-        self.size += counts.size
+        self.pieces.append(counts.astype(dtype))
         if not last:
             return None
-        if not self.size:
+        # The reader holds this object until its next file.
+        pieces, self.pieces, self.data = self.pieces, [], b""
+        counts = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        if not counts.size:
             raise CorpusError(f"{self.name}: cell contains no articles")
-        counts = self.counts if self.size == self.counts.size else self.counts[:self.size].copy()
-        self.counts, self.data = None, b""  # the reader holds this object until its next file
         return ArticleSet._adopt(self.group, self.key, counts)
 
 

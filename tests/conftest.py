@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import os
+import sys
 
 import pytest
 
@@ -28,9 +29,9 @@ def read_csv_rows(path) -> list[dict]:
         ]
 
 
-# Bootstrap rows are drawn in forked processes only where the affinity
-# mask can be read; elsewhere a test that asks for several CPUs proves nothing.
-FORKS = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+# Bootstrap rows are drawn in forked processes only on Linux; elsewhere a
+# test that asks for several CPUs proves nothing.
+FORKS = pytest.mark.skipif(sys.platform != "linux",
                            reason="bootstrap rows are split over processes on Linux only")
 
 

@@ -362,6 +362,24 @@ def test_a_python_thread_keeps_the_bootstrap_in_one_process(job, tmp_path, monke
     assert serial == split
 
 
+@FORKS
+def test_the_bootstrap_forks_on_linux_only(job, tmp_path, monkeypatch):
+    # A forked child asks the kernel to kill it with the command through
+    # Linux's prctl, so a system that can fork and read two CPUs from its
+    # affinity mask, but is not Linux, draws every row here, to the same bytes.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = counted_forks(monkeypatch)
+    flags = ["--indicators", ALL, "--ci", "bootstrap", "--bootstrap-iters", "100", "--seed", "7"]
+    split = compute(job / "sampled", tmp_path / "split.csv", *flags)
+    assert forks
+    forked = len(forks)
+    monkeypatch.setattr(sys, "platform", "freebsd14")
+    assert fieldnorm.bootstrap._cpus() == 1
+    serial = compute(job / "sampled", tmp_path / "serial.csv", *flags)
+    assert len(forks) == forked
+    assert serial == split
+
+
 def readme_block(heading: str, fence: str) -> str:
     """The first code block opened by ``fence`` after the README heading ``heading``."""
     lines = iter(README.read_text(encoding="utf-8").splitlines())

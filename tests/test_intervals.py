@@ -18,6 +18,7 @@ from fieldnorm.intervals import (
     MNPC_WEIGHTED,
     NORMAL_T,
     RISK_RATIO,
+    TOO_FEW_VALUES,
     IntervalEstimate,
     SampleMoments,
     fieller_ci,
@@ -304,8 +305,12 @@ class TestNormalCi:
         assert ci.upper - ci.lower == pytest.approx(2 * 1.96 / 100, rel=0.05)
 
     def test_needs_two_values(self):
-        with pytest.raises(ValueError):
-            mnlcs_normal_ci(np.array([1.0]))
+        # From the values themselves or from their size, mean and m2 alike.
+        for values in ([], [1.0]):
+            with pytest.raises(ValueError, match=f"^{TOO_FEW_VALUES}$"):
+                mnlcs_normal_ci(np.array(values))
+            with pytest.raises(ValueError, match=f"^{TOO_FEW_VALUES}$"):
+                SampleMoments.from_m2(len(values), sum(values), 0.0)
 
     def test_width_scales_with_root_n(self):
         rng = np.random.default_rng(11)
