@@ -22,14 +22,17 @@ takes the percentiles.  This module also holds the bootstrap defaults
 (``bootstrap_plan``) and the ``compare-ci`` comparison.
 
 Processes.  Replicate r of a row depends only on (seed, r) and the row's own
-cells, so ``bootstrap_intervals`` may draw its rows in any grouping.  On
-Linux, when the process may run on several CPUs, it splits the rows that
-draw into one bin per CPU, largest cost first, draws the first bin itself
-and each other bin in a forked child, which sends back only its intervals.
-A run on any other system, with fewer than two drawing rows, or with
-another Python thread running, draws every row in this process.  The kernel
-kills a child when the process that forked it dies, however that process
-ends (``prctl(PR_SET_PDEATHSIG)``).
+cells, so ``bootstrap_intervals`` may draw its rows in any grouping.  It has
+one path.  The rows that draw go into one bin per process that ``_cpus``
+allows, but never into more bins than there are such rows; each row, largest
+``PlannedRow.cost`` first, goes to the least-loaded bin.  The rows that draw
+nothing join the first bin.  The first bin is drawn here and each other bin
+in a forked child, which sends back only its intervals, so a run of one bin
+forks nothing: that is the serial run.  ``_cpus`` holds the whole rule: one
+process on every system but Linux and while another Python thread runs,
+otherwise one per CPU of the affinity mask.  The kernel kills a child when
+the process that forked it dies, however that process ends
+(``prctl(PR_SET_PDEATHSIG)``).
 """
 
 from __future__ import annotations
@@ -181,6 +184,11 @@ class PlannedRow:
             cells += [(cell, world_stats) for cell in self.scope.world]
         return [(slot, cell, stats) for slot, (cell, stats) in enumerate(cells) if cell.n > 1]
 
+    @cached_property
+    def cost(self) -> int:
+        """The articles a bootstrap row draws over all its replicates; 0 if it draws none."""
+        return self.spec.iterations * sum(cell.n for _, cell, _ in self.draws)
+
 
 def _row_values(row: PlannedRow, drawn: list) -> np.ndarray:
     """Entry r: the row on replicate r, NaN if undefined; ``drawn`` fills the slots of its draws."""
@@ -231,15 +239,9 @@ def bootstrap_intervals(rows: Sequence[PlannedRow], alpha: float) -> list[Interv
     The rows that draw are split over up to ``_cpus()`` processes (see the
     module docstring); the intervals are the same for any split.
     """
-    # A row's cost is the articles it draws over all its replicates.
-    costs = {index: row.spec.iterations * sum(cell.n for _, cell, _ in row.draws)
-             for index, row in enumerate(rows) if row.draws}
-    # Another Python thread could hold a lock that a forked child needs.
-    count = min(_cpus(), len(costs)) if threading.active_count() == 1 else 1
-    if count < 2:
-        return _intervals(rows, alpha)
-    bins = _bins(costs, count)
-    bins[0] = sorted(bins[0] + [index for index, row in enumerate(rows) if not row.draws])
+    costs = {index: row.cost for index, row in enumerate(rows) if row.cost}
+    bins = _bins(costs, max(1, min(_cpus(), len(costs))))
+    bins[0] = sorted(bins[0] + [index for index, row in enumerate(rows) if not row.cost])
     drawn = _forked(len(bins), lambda b: _intervals([rows[i] for i in bins[b]], alpha))
     found = {index: interval for indices, part in zip(bins, drawn)
              for index, interval in zip(indices, part)}
@@ -247,8 +249,13 @@ def bootstrap_intervals(rows: Sequence[PlannedRow], alpha: float) -> list[Interv
 
 
 def _cpus() -> int:
-    """The CPUs this process may run on; 1 on every system but Linux, the one with ``prctl``."""
-    if sys.platform != "linux":
+    """The processes a bootstrap run may use: the CPUs this process may run on.
+
+    It is 1 on every system but Linux, the one with ``prctl``, and while
+    another Python thread runs, since it could hold a lock that a forked
+    child needs.
+    """
+    if sys.platform != "linux" or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -268,8 +275,10 @@ def _bins(costs: Mapping[int, int], count: int) -> list[list[int]]:
 
 # CPython 3.12+ warns at every fork of a process with more than one thread,
 # and numpy's OpenBLAS pool alone is enough.  OpenBLAS quiesces its pool at
-# fork, and a child calls no BLAS routine, no logging and no import before
-# os._exit, so the warning is ignored; a Python thread keeps the run serial.
+# fork, and a child calls no BLAS routine and no logging before os._exit; it
+# imports only ``traceback``, when its error does not pickle, and no other
+# Python thread can hold an import lock, since ``_cpus`` keeps a run with one
+# in a single process.  So the warning is ignored.
 _FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to"
                  r" deadlocks in the child")
 _SIGKILL = 9  # POSIX; the signal module is not loaded
@@ -352,14 +361,10 @@ def _portable(exc: BaseException) -> BaseException:
         pickle.loads(pickle.dumps(exc))
         return exc
     except Exception:
-        lines = ["bootstrap worker failed; its traceback (most recent call last):"]
-        frame = exc.__traceback__
-        while frame is not None:
-            code = frame.tb_frame.f_code
-            lines.append(f'  File "{code.co_filename}", line {frame.tb_lineno}, in {code.co_name}')
-            frame = frame.tb_next
-        lines.append(f"{type(exc).__qualname__}: {exc}")
-        return RuntimeError("\n".join(lines))
+        import traceback  # here, on the failure path, so that no run pays for the import
+
+        text = "".join(traceback.format_exception(exc)).rstrip("\n")
+        return RuntimeError(f"bootstrap worker failed:\n{text}")
 
 
 def bootstrap_indicator(

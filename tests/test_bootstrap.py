@@ -670,6 +670,39 @@ class TestBootstrapIntervals:
         assert intervals == [replace(bootstrap_indicator(*job), estimate=None, n=None)
                              for job in jobs]
 
+    @FORKS
+    def test_a_plan_that_draws_nothing_forks_nothing(self, monkeypatch):
+        # One-article group cells over a fixed world: one bin, drawn here.
+        one_article, world = one_article_group()
+        jobs = [(one_article, world, indicator, BootstrapSpec(100, seed, resample_world=False))
+                for seed, indicator in enumerate([PROP_CITED, MNCS, MNLCS])]
+        rows = self.rows(jobs)
+        assert [row.cost for row in rows] == [0, 0, 0]
+        monkeypatch.setattr(fieldnorm.bootstrap, "_cpus", lambda: 2)
+        forks = counted_forks(monkeypatch)
+        intervals = bootstrap_intervals(rows, 0.05)
+        assert forks == []
+        assert intervals == [replace(bootstrap_indicator(*job), estimate=None, n=None)
+                             for job in jobs]
+
+    def test_cost_is_the_articles_a_row_draws(self):
+        # Iterations times the articles of each drawn cell: a fixed world and
+        # one-article cells add nothing.
+        group, world = demo_sets()
+        one_article, _ = one_article_group()
+
+        def cost(cells, indicator, resample_world):
+            spec = BootstrapSpec(150, seed=1, resample_world=resample_world)
+            (row,) = self.rows([(cells, world, indicator, spec)])
+            return row.cost
+
+        assert cost(group, MNLCS, True) == 150 * (5 + 5 + 10 + 10)
+        assert cost(group, MNLCS, False) == cost(group, PROP_CITED, True) == 150 * (5 + 5)
+        assert cost(one_article, MNLCS, True) == 150 * (10 + 10)
+        assert cost(one_article, MNCS, False) == 0
+        assert all(row.cost == row.spec.iterations * sum(cell.n for _, cell, _ in row.draws)
+                   for row in self.rows(self.jobs()))
+
     def test_bins_take_the_largest_cost_first(self):
         bins = fieldnorm.bootstrap._bins({0: 5, 2: 9, 3: 4, 5: 4, 7: 1}, 2)
         assert bins == [[2, 5], [0, 3, 7]]
@@ -865,8 +898,8 @@ class TestWorkers:
         with pytest.raises(RuntimeError) as raised:
             self.run()
         message = str(raised.value)
-        assert message.startswith("bootstrap worker failed; its traceback (most recent call")
-        assert "in fail\n" in message and message.endswith(".Local: no draw in a child")
+        assert message.startswith("bootstrap worker failed:\nTraceback (most recent call last):")
+        assert ", in fail\n" in message and message.endswith(".Local: no draw in a child")
 
     def test_child_that_dies_is_named_by_its_wait_status(self, monkeypatch):
         self.draw_failing_in_children(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))

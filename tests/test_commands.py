@@ -343,8 +343,9 @@ def test_library_report_is_the_report_of_compute(job, tmp_path):
 @FORKS
 def test_a_python_thread_keeps_the_bootstrap_in_one_process(job, tmp_path, monkeypatch):
     # A forked child could need a lock that another thread holds, so while
-    # one runs every row is drawn here, to the same bytes.
-    monkeypatch.setattr(fieldnorm.bootstrap, "_cpus", lambda: 2)
+    # one runs ``_cpus`` allows one process and every row is drawn here, to
+    # the same bytes.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks = counted_forks(monkeypatch)
     flags = ["--indicators", ALL, "--ci", "bootstrap", "--bootstrap-iters", "100", "--seed", "7"]
     split = compute(job / "sampled", tmp_path / "split.csv", *flags)
@@ -354,6 +355,7 @@ def test_a_python_thread_keeps_the_bootstrap_in_one_process(job, tmp_path, monke
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
+        assert fieldnorm.bootstrap._cpus() == 1
         serial = compute(job / "sampled", tmp_path / "serial.csv", *flags)
     finally:
         stop.set()

@@ -3,11 +3,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 import gc
+import math
 import pickle
 import re
 import shutil
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -837,6 +839,26 @@ class TestCellMemory:
         assert cell.counts.dtype == width_rule(largest)
         moments = (cell.cited, cell.raw_mean, cell.raw_m2, cell.log_mean, cell.log_m2)
         assert moments == sorted_snapshot_moments(counts)
+
+    @pytest.mark.parametrize("sigma, dtype", [(1.0, np.uint16), (3.0, np.uint32)])
+    def test_statistics_of_a_million_articles_match_exact_sums(self, sigma, dtype):
+        # The mean is the exact mean rounded once; M2 and the log statistics
+        # are within 1e-12 of exact or fsum references.  Measured: raw_m2 is
+        # 1 ulp off at sigma 1 and exact at sigma 3, the log statistics
+        # within 1.5e-16, so the float64 sums are not bit-exact for every cell.
+        cell = generate_cell(LognormalSpec(1.0, sigma, 0.0, 10**6, seed=11),
+                             FieldYearKey("BIOC", 2013), "G")
+        assert cell.counts.dtype == dtype
+        values, freqs = (array.tolist() for array in np.unique(cell.counts, return_counts=True))
+        total = sum(v * f for v, f in zip(values, freqs))
+        m2 = sum(v * v * f for v, f in zip(values, freqs)) - Fraction(total**2, cell.n)
+        logs = [math.log1p(v) for v in values]
+        log_mean = math.fsum(f * log for f, log in zip(freqs, logs)) / cell.n
+        log_m2 = math.fsum(f * (log - log_mean) ** 2 for f, log in zip(freqs, logs))
+        assert cell.raw_mean == float(Fraction(total, cell.n))
+        assert cell.raw_m2 == pytest.approx(float(m2), rel=1e-12, abs=0)
+        assert cell.log_mean == pytest.approx(log_mean, rel=1e-12, abs=0)
+        assert cell.log_m2 == pytest.approx(log_m2, rel=1e-12, abs=0)
 
     def test_cell_holds_only_its_counts(self):
         n = 10**5
