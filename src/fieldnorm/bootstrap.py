@@ -11,7 +11,10 @@ and for a bootstrap row its ``BootstrapSpec`` of iterations, seed and
 ``row_results`` takes it once for every interval of the run.
 
 Replicates resample every group cell with replacement at its original size;
-when ``resample_world`` is set the world cells are resampled too.
+when ``resample_world`` is set the world cells are resampled too.  A row
+whose indicator reads no world statistic (the proportions) holds
+``resample_world=False`` whatever it was planned with, so its draws, cost
+and note agree.
 ``PlannedRow.draws`` lists the cells a row draws and what each records, once
 per row, and ``index_scheme.draw`` fills them; every other cell is read as
 itself.  A row that draws nothing never reaches the scheme and is its point
@@ -85,14 +88,14 @@ BOOTSTRAP_ITERATIONS_DEFAULT = {
 # What ``--resample-world auto`` means, per command.  ``compute`` holds the
 # world fixed for MNCS (world mean treated as exact) and the group-side
 # proportions; ``compare-ci`` resamples it only where the formula limits
-# carry the world's variance (the proportions draw nothing from it anyway).
+# carry the world's variance.
 RESAMPLE_WORLD_DEFAULT = {
     MNLCS: True, LUNDBERG_Z: True, EMNPC: True, MNPC: True,
     MNCS: False, PROP_CITED: False, EQ_PROP_CITED: False,
 }
 COMPARE_CI_RESAMPLE_WORLD_DEFAULT = {
     MNLCS: False, MNCS: False, LUNDBERG_Z: False,
-    EMNPC: True, MNPC: True, PROP_CITED: True, EQ_PROP_CITED: True,
+    EMNPC: True, MNPC: True, PROP_CITED: False, EQ_PROP_CITED: False,
 }
 
 
@@ -154,6 +157,8 @@ class PlannedRow:
     ``compute``, the scenario in ``compare-ci``.  Construction refuses a
     route that does not serve the indicator (``scopes.route_applies``), a
     bootstrap row without a ``BootstrapSpec`` and any other row with one.
+    A bootstrap row whose indicator reads no world statistic is stored with
+    ``resample_world=False``.
     """
 
     group: str
@@ -169,6 +174,8 @@ class PlannedRow:
         if (self.spec is None) == (self.route == BOOTSTRAP):
             raise ValueError(f"a {self.route} row for {self.indicator} with spec {self.spec!r}: a"
                              " bootstrap row needs a BootstrapSpec and no other row takes one")
+        if self.spec is not None and not CELL_STATISTICS[self.indicator][1]:
+            object.__setattr__(self, "spec", replace(self.spec, resample_world=False))
 
     @cached_property
     def draws(self) -> list[tuple[int, ArticleSet, set[str]]]:
@@ -178,9 +185,7 @@ class PlannedRow:
         """
         group_stats, world_stats = CELL_STATISTICS[self.indicator]
         cells = [(cell, group_stats) for cell in self.scope.group]
-        # World draws come after every group draw, so they are skipped, not
-        # shifted, when the indicator reads nothing from the world cells.
-        if self.spec.resample_world and world_stats:
+        if self.spec.resample_world:
             cells += [(cell, world_stats) for cell in self.scope.world]
         return [(slot, cell, stats) for slot, (cell, stats) in enumerate(cells) if cell.n > 1]
 

@@ -40,7 +40,7 @@ from .indicators import (
     MNPC,
     PROP_CITED,
 )
-from .intervals import EXPANSION_MODES
+from .intervals import EXPANSION_MODES, check_alpha
 from .report import (
     CI_METHODS,
     ReportConfig,
@@ -157,9 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.input_dir)
+    # Every flag is checked before any cell is read.
     if args.sample_size is not None:
-        corpus = sample_corpus(corpus, args.sample_size, args.seed)
+        SampleSpec(args.sample_size)
     methods = CI_METHODS if args.ci == "all" else (args.ci,)
     config = ReportConfig(
         indicators=args.indicators,
@@ -176,6 +176,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "sample_size": args.sample_size,
         },
     )
+    corpus = load_corpus(args.input_dir)
+    if args.sample_size is not None:
+        corpus = sample_corpus(corpus, args.sample_size, args.seed)
     report = build_report(corpus, config)
     write_csv(report, args.output)
     write_metadata(report, args.output)
@@ -217,17 +220,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_ci(args: argparse.Namespace) -> int:
-    if args.input_dir is not None:
-        if given := _grid_flags(args):
-            raise ValueError(f"{', '.join(given)} set the synthetic grid"
-                             " and cannot be used with --input-dir")
-        scenarios = [load_corpus(args.input_dir)]
-    else:
-        scenarios = _grid(args)
+    if args.input_dir is not None and (given := _grid_flags(args)):
+        raise ValueError(f"{', '.join(given)} set the synthetic grid"
+                         " and cannot be used with --input-dir")
+    # Every flag is checked before any cell is read or generated.
     resample_world = _RESAMPLE_WORLD[args.resample_world]
     specs = {indicator: bootstrap_plan(indicator, COMPARE_CI_RESAMPLE_WORLD_DEFAULT,
                                        args.iterations, resample_world, args.seed)
              for indicator in args.indicators}
+    check_alpha(args.alpha)
+    scenarios = _grid(args) if args.input_dir is None else [load_corpus(args.input_dir)]
     rows = comparison_suite(scenarios, args.indicators, specs, args.alpha, args.continuity)
     write_table(args.output, [f.name for f in fields(ComparisonSummary)],
                 summarize_comparisons(rows))

@@ -742,10 +742,12 @@ def _kept_lines(source: Path, cell: ArticleSet, spec: SampleSpec) -> Iterator[by
 def sample_files(input_dir: Path | str, output_dir: Path | str, size: int, seed: int) -> int:
     """Copy the lines ``sample_corpus`` keeps to ``output_dir``, which may be ``input_dir``.
 
-    ``load_corpus`` checks every file first.  Returns the number of cells.
+    ``size`` and ``seed`` are checked, then ``load_corpus`` checks every file.
+    Returns the number of cells.
     """
+    SampleSpec(size, seed)
     corpus = load_corpus(input_dir)
-    for aset, spec in _specs(corpus, size, seed):  # its first SampleSpec checks size
+    for aset, spec in _specs(corpus, size, seed):
         name = cell_filename(aset.group, aset.key)
         _write_lines(Path(output_dir, name), _kept_lines(Path(input_dir, name), aset, spec))
     return len(corpus.cells)

@@ -253,6 +253,13 @@ class TestBootstrapIndicator:
         assert "resample_world=true" in on.note
         assert "resample_world=false" in off.note
 
+    def test_proportion_row_notes_a_fixed_world(self):
+        # PROP_CITED reads no world statistic, so its row never resamples the
+        # world, whatever the spec asked for.
+        group, world = demo_sets()
+        ci = bootstrap_indicator(group, world, PROP_CITED, BootstrapSpec(100))
+        assert ci.note == "resample_world=false"
+
     @pytest.mark.parametrize("indicator", [MNLCS, MNCS])
     def test_no_snapshot_survives(self, indicator):
         rng = np.random.default_rng(5)
@@ -702,6 +709,17 @@ class TestBootstrapIntervals:
         assert cost(one_article, MNCS, False) == 0
         assert all(row.cost == row.spec.iterations * sum(cell.n for _, cell, _ in row.draws)
                    for row in self.rows(self.jobs()))
+
+    def test_a_proportion_row_holds_a_fixed_world(self):
+        # The row stores resample_world=False, so its draws, cost and note
+        # read one spec.
+        group, world = demo_sets()
+        on, off = self.rows([(group, world, EQ_PROP_CITED, BootstrapSpec(150, 1, resample))
+                             for resample in (True, False)])
+        assert on.spec.resample_world is False
+        assert on.spec == off.spec
+        assert on.draws == off.draws
+        assert on.cost == off.cost == 150 * (5 + 5)
 
     def test_bins_take_the_largest_cost_first(self):
         bins = fieldnorm.bootstrap._bins({0: 5, 2: 9, 3: 4, 5: 4, 7: 1}, 2)

@@ -25,6 +25,13 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def write_malformed_dir(directory):
+    """A directory whose one cell file holds ``x`` as a count."""
+    directory.mkdir()
+    (directory / "G__A__2013.tsv").write_text("article_id\tcount\na\tx\n")
+    return directory
+
+
 class TestCompute:
     def test_worked_example_mnlcs(self, tmp_path, demo_corpus, capsys):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
@@ -107,6 +114,39 @@ class TestCompute:
         assert status == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "0.9"], "alpha must lie in (0, 0.5)"),
+        (["--sample-size", "0"], "sample size must be >= 1"),
+    ], ids=["alpha", "sample-size"])
+    def test_bad_flag_reported_before_any_cell_is_read(self, tmp_path, capsys, flags, message):
+        indir = write_malformed_dir(tmp_path / "cells")
+        out = tmp_path / "r.csv"
+        assert run(["compute", "--input-dir", indir, "--output", out, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not metadata_path(out).exists()
+
+    def test_proportion_rows_ignore_resample_world(self, tmp_path, demo_corpus, capsys):
+        # The proportions read no world statistic: their rows under "on" are
+        # their rows under "off", and every other row still resamples it.
+        indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
+        lines = {}
+        for mode in ("on", "off"):
+            out = tmp_path / f"{mode}.csv"
+            assert run(["compute", "--input-dir", indir, "--output", out,
+                        "--indicators", "prop,mnlcs,emnpc,mnpc", "--ci", "bootstrap",
+                        "--bootstrap-iters", "100", "--min-articles", "1",
+                        "--resample-world", mode]) == 0
+            lines[mode] = out.read_text().splitlines()[1:]
+
+        def rows(mode, indicators):
+            return [line for line in lines[mode] if line.split(",")[3] in indicators]
+
+        proportions = ("PROP_CITED", "EQ_PROP_CITED")
+        assert len(rows("on", proportions)) == 8
+        assert rows("on", proportions) == rows("off", proportions)
+        means = rows("on", ("MNLCS", "EMNPC", "MNPC"))
+        assert len(means) == 12 and all("resample_world=true" in line for line in means)
 
     def test_zero_bootstrap_iterations_fail(self, tmp_path, demo_corpus, capsys):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
@@ -229,6 +269,13 @@ class TestSample:
         assert capsys.readouterr().err == "error: sample size must be >= 1\n"
         assert not outdir.exists()
 
+    def test_zero_size_reported_before_any_cell_is_read(self, tmp_path, capsys):
+        indir = write_malformed_dir(tmp_path / "cells")
+        outdir = tmp_path / "sampled"
+        assert run(["sample", "--input-dir", indir, "--output-dir", outdir, "--size", "0"]) == 1
+        assert capsys.readouterr().err == "error: sample size must be >= 1\n"
+        assert not outdir.exists()
+
     def test_rerun_identical(self, tmp_path, demo_corpus, capsys):
         indir = write_demo_corpus(tmp_path / "cells", demo_corpus)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -308,6 +355,27 @@ class TestCompareCi:
         assert status == 1
         assert "alpha must lie in (0, 0.5)" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "0.9"], "alpha must lie in (0, 0.5)"),
+        (["--iterations", "5"], "at least 100 bootstrap iterations are required"),
+    ], ids=["alpha", "iterations"])
+    @pytest.mark.parametrize("source", ["input-dir", "grid"])
+    def test_bad_flag_reported_before_any_cell_is_read_or_generated(
+        self, tmp_path, capsys, monkeypatch, source, flags, message
+    ):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a scenario was generated")
+
+        monkeypatch.setattr(cli, "scenario_grid", no_grid)
+        scenarios = {
+            "input-dir": ["--input-dir", write_malformed_dir(tmp_path / "cells")],
+            "grid": ["--n", "1000000", "--mu", "0.5", "1", "2", "--sigma", "0.7", "1.2"],
+        }[source]
+        out = tmp_path / "summary.csv"
+        assert run(["compare-ci", "--output", out, *scenarios, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--mu", "44"], "above 2**63 - 1"),
