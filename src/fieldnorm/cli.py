@@ -79,9 +79,11 @@ def _parse_indicators(text: str) -> tuple[str, ...]:
 # --resample-world: None leaves each row to its command's auto rule.
 _RESAMPLE_WORLD = {"auto": None, "on": True, "off": False}
 
-# The flags the commands share, each declared once with ReportConfig's
-# default ("auto" is its resample_world of None).
+# The flags compute and compare-ci share, each declared once with
+# ReportConfig's default ("auto" is its resample_world of None).
 _RUN_FLAGS = {
+    "--indicators": dict(type=_parse_indicators, default=ReportConfig.indicators,
+                         help="comma-separated subset of mnlcs,mncs,lundberg,emnpc,mnpc,prop"),
     "--alpha": dict(type=float, default=ReportConfig.alpha),
     "--seed": dict(type=int, default=ReportConfig.seed),
     "--continuity": dict(choices=CONTINUITY_MODES, default=ReportConfig.continuity),
@@ -116,20 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="compute indicators and intervals")
     compute.add_argument("--input-dir", type=Path, required=True)
     compute.add_argument("--output", type=Path, required=True)
-    compute.add_argument("--indicators", type=_parse_indicators, default=ReportConfig.indicators,
-                         help="comma-separated subset of mnlcs,mncs,lundberg,emnpc,mnpc,prop")
     compute.add_argument("--ci", choices=(*CI_METHODS, "all"), default=ReportConfig.ci_methods[0])
-    compute.add_argument("--alpha", **_RUN_FLAGS["--alpha"])
     compute.add_argument("--bootstrap-iters", type=int, default=ReportConfig.bootstrap_iterations)
-    compute.add_argument("--seed", **_RUN_FLAGS["--seed"])
     compute.add_argument("--sample-size", type=int, default=None)
     compute.add_argument("--min-articles", type=int, default=ExclusionPolicy.min_articles)
     compute.add_argument("--min-fraction-of-mean", type=float,
                          default=ExclusionPolicy.min_fraction_of_mean)
-    compute.add_argument("--continuity", **_RUN_FLAGS["--continuity"])
     compute.add_argument("--expansion-mode", choices=EXPANSION_MODES,
                          default=ReportConfig.expansion_mode)
-    compute.add_argument("--resample-world", **_RUN_FLAGS["--resample-world"])
 
     sample = sub.add_parser("sample", help="down-sample every cell to a target size")
     sample.add_argument("--input-dir", type=Path, required=True)
@@ -148,11 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--output", type=Path, required=True)
     compare.add_argument("--details", type=Path, default=None,
                          help="optional per-scenario comparison CSV")
-    compare.add_argument("--indicators", type=_parse_indicators, default=ReportConfig.indicators)
     compare.add_argument("--iterations", type=int, default=None)
-    for flag in ("--seed", "--alpha", "--resample-world", "--continuity"):
-        compare.add_argument(flag, **_RUN_FLAGS[flag])
     _add_grid_arguments(compare)
+    for command in (compute, compare):
+        for flag, settings in _RUN_FLAGS.items():
+            command.add_argument(flag, **settings)
     return parser
 
 

@@ -378,7 +378,10 @@ def mnpc_field_ci(
     """Per-cell ratio limits with both variance terms over the pooled size.
 
     Differs from risk_ratio_ci in dividing the summed (uncited/cited) terms
-    by the pooled n_g + n_w rather than each by its own arm size.
+    by the pooled n_g + n_w rather than each by its own arm size.  No source
+    is cited for this pooled divisor.  A world cell much larger than the
+    group's shrinks the group's term: simulated coverage at nominal 95% was
+    0.60-0.62 for one cell of 650 against a world of 5,000.
     """
     return _log_ratio_ci(
         group, world, alpha, continuity, lambda g, w: (g + w) / (group[1] + world[1])

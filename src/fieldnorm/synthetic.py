@@ -80,9 +80,10 @@ def scenario_grid(
     Every scenario holds a WORLD cell at the grid mu plus one group cell
     per entry of ``group_shifts``, generated at mu + shift (an additive
     shift of the log-scale location, hence multiplicative on 1 + c).
-    Cell seeds derive from the grid coordinates, so any sub-grid of a
-    larger grid reproduces the same corpora.  An axis left out holds one
-    value, ``LognormalSpec``'s default.
+    Cell seeds derive from the grid coordinates and the member's index
+    (0 for WORLD, g for G<g>), so any sub-grid of a larger grid reproduces
+    the same corpora.  An axis left out holds one value,
+    ``LognormalSpec``'s default.
     """
     if not (mus and sigmas and zero_inflations and ns):
         raise ValueError("every parameter axis must be non-empty")
@@ -90,17 +91,11 @@ def scenario_grid(
     axes = product(enumerate(mus), enumerate(sigmas), enumerate(zero_inflations), enumerate(ns))
     for (i, mu), (j, sigma), (k, zi), (m, n) in axes:
         key = FieldYearKey(scenario_label(mu, sigma, zi, n), _SCENARIO_YEAR)
-        cells = [
-            generate_cell(
-                LognormalSpec(mu, sigma, zi, n, seed=_coordinate_seed(base_seed, i, j, k, m, 0)),
-                key,
-                WORLD,
-            )
-        ]
-        for g, shift in enumerate(group_shifts, start=1):
-            spec = LognormalSpec(
-                mu + shift, sigma, zi, n, seed=_coordinate_seed(base_seed, i, j, k, m, g)
-            )
-            cells.append(generate_cell(spec, key, f"G{g}"))
-        corpora.append(Corpus.from_cells(cells))
+        members = [(WORLD, mu)] + [(f"G{g}", mu + shift) for g, shift in enumerate(group_shifts, 1)]
+        corpora.append(Corpus.from_cells(
+            generate_cell(LognormalSpec(loc, sigma, zi, n,
+                                        seed=_coordinate_seed(base_seed, i, j, k, m, g)),
+                          key, group)
+            for g, (group, loc) in enumerate(members)
+        ))
     return corpora

@@ -462,3 +462,36 @@ class TestCompareCi:
         assert status == 1
         assert "no scenario has a group other than WORLD" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRunFlags:
+    """compute and compare-ci take their shared flags from one table, cli._RUN_FLAGS."""
+
+    REQUIRED = {"compute": ["--input-dir", "in", "--output", "out.csv"],
+                "compare-ci": ["--output", "out.csv"]}
+    NON_DEFAULT = {"--indicators": "mnpc,prop", "--alpha": "0.1", "--seed": "7",
+                   "--continuity": "on", "--resample-world": "off"}
+
+    def parse(self, command, *flags):
+        return vars(cli.build_parser().parse_args([command, *self.REQUIRED[command], *flags]))
+
+    @staticmethod
+    def dest(flag):
+        return flag.lstrip("-").replace("-", "_")
+
+    def test_compare_ci_help_names_the_indicators(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare-ci", "--help"])
+        assert exit_info.value.code == 0
+        assert "mnlcs,mncs,lundberg,emnpc,mnpc,prop" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", list(cli._RUN_FLAGS))
+    def test_both_commands_parse_a_run_flag_alike(self, flag):
+        parsed = [self.parse(command, flag, self.NON_DEFAULT[flag])[self.dest(flag)]
+                  for command in self.REQUIRED]
+        assert parsed[0] == parsed[1] != cli._RUN_FLAGS[flag]["default"]
+
+    def test_both_commands_share_the_run_flag_defaults(self):
+        dests = [self.dest(flag) for flag in cli._RUN_FLAGS]
+        compute, compare = ({d: self.parse(command)[d] for d in dests} for command in self.REQUIRED)
+        assert compute == compare

@@ -1,7 +1,8 @@
 """The commands end to end, run through ``cli.main`` as a user runs them.
 
 Every check here reads only numpy and the package: the ``runtime-only`` CI job
-installs neither scipy nor hypothesis and runs this module alone. Outputs are
+installs neither scipy nor hypothesis and runs this module and
+``tests/test_golden.py``. Outputs are
 compared byte for byte. pyproject.toml's ``filterwarnings`` turns a
 RuntimeWarning (a division or log that a mask missed) into an error here; the
 subprocesses are started with ``-W error::RuntimeWarning`` for the same reason.
@@ -436,6 +437,33 @@ def forked_peaks(script: str, *args) -> list[float]:
     )
     assert child.returncode == 0, child.stderr
     return [float(peak) for peak in child.stdout.splitlines()[-1].split()]
+
+
+# The child prints the modules that importing the command line loads beyond
+# those that importing numpy loads.
+_IMPORT_FOOTPRINT = """
+import sys
+import numpy
+loaded = set(sys.modules)
+import fieldnorm.cli
+print(" ".join(sorted(set(sys.modules) - loaded)))
+"""
+# Modules that no command needs at import; each would add to every command's
+# start-up (concurrent.futures.process alone takes 14-18 ms).
+_HEAVY_MODULES = ("scipy", "numpy.random", "concurrent.futures", "multiprocessing",
+                  "subprocess")
+
+
+def test_importing_the_command_line_loads_no_heavy_module():
+    package_root = str(Path(fieldnorm.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], capture_output=True,
+                           text=True, timeout=300, env={**os.environ, "PYTHONPATH": package_root})
+    assert child.returncode == 0, child.stderr
+    added = child.stdout.split()
+    assert "fieldnorm.cli" in added
+    heavy = [name for name in added
+             if any(name == m or name.startswith(m + ".") for m in _HEAVY_MODULES)]
+    assert heavy == [], f"import fieldnorm.cli loads {', '.join(heavy)}"
 
 
 _LINUX_ONLY = pytest.mark.skipif(
