@@ -28,8 +28,7 @@ from .bootstrap import (
     summarize_comparisons,
 )
 from .corpus import (
-    WORLD, CorpusError, ExclusionPolicy, SampleSpec, load_corpus, sample_corpus, sample_files,
-    write_corpus,
+    WORLD, CorpusError, ExclusionPolicy, SampleSpec, load_corpus, sample_files, write_corpus,
 )
 from .indicators import (
     EMNPC,
@@ -120,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--output", type=Path, required=True)
     compute.add_argument("--ci", choices=(*CI_METHODS, "all"), default=ReportConfig.ci_methods[0])
     compute.add_argument("--bootstrap-iters", type=int, default=ReportConfig.bootstrap_iterations)
-    compute.add_argument("--sample-size", type=int, default=None)
+    compute.add_argument("--sample-size", type=int, default=ReportConfig.sample_size)
     compute.add_argument("--min-articles", type=int, default=ExclusionPolicy.min_articles)
     compute.add_argument("--min-fraction-of-mean", type=float,
                          default=ExclusionPolicy.min_fraction_of_mean)
@@ -153,9 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    # Every flag is checked before any cell is read.
-    if args.sample_size is not None:
-        SampleSpec(args.sample_size)
+    # Every flag is checked, by ReportConfig, before any cell is read.
     methods = CI_METHODS if args.ci == "all" else (args.ci,)
     config = ReportConfig(
         indicators=args.indicators,
@@ -167,17 +164,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
         exclusion=ExclusionPolicy(args.min_articles, args.min_fraction_of_mean),
         continuity=args.continuity,
         expansion_mode=args.expansion_mode,
-        extra_metadata={
-            "input_dir": str(args.input_dir),
-            "sample_size": args.sample_size,
-        },
+        sample_size=args.sample_size,
     )
     corpus = load_corpus(args.input_dir)
-    if args.sample_size is not None:
-        corpus = sample_corpus(corpus, args.sample_size, args.seed)
     report = build_report(corpus, config)
     write_csv(report, args.output)
-    write_metadata(report, args.output)
+    write_metadata(report, args.output, input_dir=str(args.input_dir))
     for group in sorted(corpus.groups) + [WORLD]:
         summary = [
             f"{row.indicator}={row.estimate:.3f}" if row.estimate is not None

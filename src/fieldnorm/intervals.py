@@ -121,6 +121,11 @@ def check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 0.5)")
 
 
+def check_expansion(mode: str) -> None:
+    if mode not in EXPANSION_MODES:
+        raise ValueError(f"unknown expansion mode {mode!r}")
+
+
 # The critical values are cached per (df, alpha): a report asks for the same
 # few many times.  Both invert p = 1 - alpha/2 as rounded.  z is Wichura's
 # AS241 (``NormalDist.inv_cdf``).  t is ``student_t.t_quantile``: Halley steps
@@ -225,8 +230,7 @@ def heuristic_expanded_ci(
     from the combined mean, reducing to the plain normal limits at rate 0
     and recovering the cell's Fieller interval for a single cell.
     """
-    if mode not in EXPANSION_MODES:
-        raise ValueError(f"unknown expansion mode {mode!r}")
+    check_expansion(mode)
     if not per_cell:
         raise ValueError("no per-cell intervals supplied")
     note = f"expansion_mode={mode}"

@@ -13,15 +13,15 @@ CSV schema: ``group,scope,n,indicator,estimate,ci_lower,ci_upper,method,
 defined,notes`` with UTF-8, LF line endings and RFC-4180 quoting.  Floats
 carry 6 significant digits; undefined estimates or limits serialise as
 empty fields.  The JSON sidecar next to the CSV is the ``ReportConfig``
-(``extra_metadata`` merged in) plus the bootstrap default tables and the
-percentile definition, so a run can be reproduced exactly.
+plus the bootstrap default tables, the percentile definition and the inputs
+``write_metadata`` is given, so a run can be reproduced exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -34,7 +34,8 @@ from .bootstrap import (
     row_results,
 )
 from .corpus import (
-    WORLD, Corpus, ExclusionPolicy, apply_exclusion, check_integers, derive_stream_seed,
+    WORLD, Corpus, ExclusionPolicy, SampleSpec, apply_exclusion, check_integers,
+    derive_stream_seed, sample_corpus,
 )
 from .indicators import EMNPC, EQ_PROP_CITED, MNLCS, check_indicators
 from .intervals import ALPHA_DEFAULT, EXPANSION_DEFAULT
@@ -50,7 +51,11 @@ EQUALISED_INDICATORS = frozenset((EMNPC, EQ_PROP_CITED))
 
 @dataclass(frozen=True)
 class ReportConfig:
-    """A ``compute`` run's settings: ``ReportConfig()`` is ``compute`` with no flags."""
+    """A ``compute`` run's settings: ``ReportConfig()`` is ``compute`` with no flags.
+
+    Each is held as the run uses it: the seed mod 2**64, and a set
+    ``sample_size`` as the int every cell is first down-sampled to.
+    """
 
     indicators: tuple[str, ...] = (MNLCS,)
     ci_methods: tuple[str, ...] = (FORMULA,)
@@ -61,7 +66,7 @@ class ReportConfig:
     exclusion: ExclusionPolicy = ExclusionPolicy()
     continuity: str = CONTINUITY_DEFAULT
     expansion_mode: str = EXPANSION_DEFAULT
-    extra_metadata: dict = field(default_factory=dict)
+    sample_size: int | None = None
 
     def __post_init__(self) -> None:
         check_indicators(self.indicators)
@@ -75,6 +80,9 @@ class ReportConfig:
                              f" {list(self.indicators)} (fieller is MNLCS only)")
         check_run(self.alpha, self.continuity, self.expansion_mode)
         check_integers(self, "report", "seed")
+        object.__setattr__(self, "seed", self.seed & (2**64 - 1))
+        if self.sample_size is not None:
+            object.__setattr__(self, "sample_size", SampleSpec(self.sample_size).size)
         if not isinstance(self.exclusion, ExclusionPolicy):
             raise ValueError(f"exclusion must be an ExclusionPolicy, got {self.exclusion!r}"
                              " (ExclusionPolicy(1, 0.0) keeps every cell)")
@@ -137,18 +145,17 @@ def _planned_rows(corpus: Corpus, config: ReportConfig) -> Iterator[PlannedRow]:
 
 def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
     """One row per (group, scope, indicator, method); flags, never aborts."""
+    if config.sample_size is not None:
+        corpus = sample_corpus(corpus, config.sample_size, config.seed)
     plan = list(_planned_rows(corpus, config))
     results = row_results(plan, config.alpha, config.continuity, config.expansion_mode)
     rows = tuple(ReportRow(row.group, row.label, r.n, row.indicator, r.estimate, r.lower,
                            r.upper, r.method, r.defined, r.note) for row, r in zip(plan, results))
-    settings = asdict(config)
-    extra = settings.pop("extra_metadata")
     metadata = {
-        **settings,
+        **asdict(config),
         "resample_world_defaults": RESAMPLE_WORLD_DEFAULT,
         "bootstrap_iteration_defaults": BOOTSTRAP_ITERATIONS_DEFAULT,
         "percentile_definition": "nearest-rank",
-        **extra,
     }
     return IndicatorReport(rows=rows, metadata=metadata)
 
@@ -189,9 +196,9 @@ def metadata_path(csv_path: Path | str) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
 
 
-def write_metadata(report: IndicatorReport, csv_path: Path | str) -> Path:
+def write_metadata(report: IndicatorReport, csv_path: Path | str, **inputs) -> Path:
+    """The sidecar of ``csv_path``: the report's metadata with ``inputs`` merged over it."""
     path = metadata_path(csv_path)
-    path.write_text(
-        json.dumps(report.metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps({**report.metadata, **inputs}, indent=2, sort_keys=True)
+    path.write_text(text + "\n", encoding="utf-8")
     return path

@@ -31,7 +31,6 @@ from .indicators import (
 )
 from .intervals import (
     BOOTSTRAP_PERCENTILE,
-    EXPANSION_MODES,
     FIELLER,
     HEURISTIC_EXPANSION,
     MNPC_WEIGHTED,
@@ -42,6 +41,7 @@ from .intervals import (
     IntervalEstimate,
     SampleMoments,
     check_alpha,
+    check_expansion,
     fieller_ci,
     heuristic_expanded_ci,
     mnpc_combined_ci,
@@ -76,17 +76,12 @@ def check_run(alpha: float, continuity: str, expansion_mode: str) -> None:
     """The one check of a run's level, continuity rule and expansion mode."""
     check_alpha(alpha)
     _check_continuity(continuity)
-    _check_expansion(expansion_mode)
+    check_expansion(expansion_mode)
 
 
 def _check_continuity(mode: str) -> None:
     if mode not in CONTINUITY_MODES:
         raise ValueError(f"unknown continuity mode {mode!r}")
-
-
-def _check_expansion(mode: str) -> None:
-    if mode not in EXPANSION_MODES:
-        raise ValueError(f"unknown expansion mode {mode!r}")
 
 
 def route_applies(indicator: str, route: str) -> bool:
@@ -187,7 +182,7 @@ def fieller_interval(scope: Scope, alpha: float, expansion_mode: str) -> Interva
     expansion mode even over one key, which does not use it.
     """
     check_alpha(alpha)
-    _check_expansion(expansion_mode)
+    check_expansion(expansion_mode)
     ordered, group_cells, world_cells = scope
     try:
         cells = score_moments(MNLCS, ordered, group_cells, world_cells)

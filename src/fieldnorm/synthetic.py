@@ -8,6 +8,7 @@ An optional extra probability mass at zero mimics sparse web indicators.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -83,14 +84,18 @@ def scenario_grid(
     Cell seeds derive from the grid coordinates and the member's index
     (0 for WORLD, g for G<g>), so any sub-grid of a larger grid reproduces
     the same corpora.  An axis left out holds one value,
-    ``LognormalSpec``'s default.
+    ``LognormalSpec``'s default.  Grid points must differ in their labels,
+    which print each value to 6 significant digits.
     """
     if not (mus and sigmas and zero_inflations and ns):
         raise ValueError("every parameter axis must be non-empty")
+    labels = [scenario_label(*point) for point in product(mus, sigmas, zero_inflations, ns)]
+    if shared := sorted(label for label, count in Counter(labels).items() if count > 1):
+        raise ValueError(f"grid points share the scenario labels {shared}")
     corpora = []
     axes = product(enumerate(mus), enumerate(sigmas), enumerate(zero_inflations), enumerate(ns))
-    for (i, mu), (j, sigma), (k, zi), (m, n) in axes:
-        key = FieldYearKey(scenario_label(mu, sigma, zi, n), _SCENARIO_YEAR)
+    for label, ((i, mu), (j, sigma), (k, zi), (m, n)) in zip(labels, axes):
+        key = FieldYearKey(label, _SCENARIO_YEAR)
         members = [(WORLD, mu)] + [(f"G{g}", mu + shift) for g, shift in enumerate(group_shifts, 1)]
         corpora.append(Corpus.from_cells(
             generate_cell(LognormalSpec(loc, sigma, zi, n,

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import inspect
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,7 +199,7 @@ class TestCompute:
         monkeypatch.setattr(cli, "build_report", captured)
         assert run(["compute", "--input-dir", indir, "--output", tmp_path / "r.csv"]) == 0
         (config,) = configs
-        assert replace(config, extra_metadata={}) == ReportConfig()
+        assert config == ReportConfig()
 
     def test_grid_flags_default_to_the_library_defaults(self, tmp_path, monkeypatch, capsys):
         # A grid flag left out takes scenario_grid's axis, one LognormalSpec
@@ -308,6 +307,18 @@ class TestSimulate:
         assert len(dirs) == 2
         corpus = load_corpus(outdir / dirs[0])
         assert corpus.groups == {"G1"}
+
+    def test_grid_points_that_share_a_label_write_nothing(self, tmp_path, capsys):
+        outdir = tmp_path / "sim"
+        assert run(["simulate", "--output-dir", outdir, "--mu", "1", "1.0000001",
+                    "--n", "50"]) == 1
+        assert "mu1-sg1-zi0-n50" in capsys.readouterr().err
+        assert not outdir.exists()
+        details = tmp_path / "details.csv"
+        assert run(["compare-ci", "--output", tmp_path / "summary.csv", "--details", details,
+                    "--mu", "1", "1.0000001", "--n", "200"]) == 1
+        assert "mu1-sg1-zi0-n200" in capsys.readouterr().err
+        assert not details.exists()
 
     def test_deterministic_tree(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,8 +1,8 @@
 """The commands end to end, run through ``cli.main`` as a user runs them.
 
 Every check here reads only numpy and the package: the ``runtime-only`` CI job
-installs neither scipy nor hypothesis and runs this module and
-``tests/test_golden.py``. Outputs are
+installs neither scipy nor hypothesis and runs this module,
+``tests/test_golden.py`` and ``tests/test_acceptance.py``. Outputs are
 compared byte for byte. pyproject.toml's ``filterwarnings`` turns a
 RuntimeWarning (a division or log that a mask missed) into an error here; the
 subprocesses are started with ``-W error::RuntimeWarning`` for the same reason.
@@ -319,6 +319,17 @@ def test_default_flags_give_the_report_of_no_flags(job, tmp_path):
     assert spelled == bare
     sidecars = [(tmp_path / f"{name}.meta.json").read_bytes() for name in ("bare", "spelled")]
     assert sidecars[0] == sidecars[1]
+
+
+def test_seeds_equal_mod_2_64_write_the_same_files(job, tmp_path):
+    # The sidecar records the seed the run used, so -1 and 2**64 - 1 agree.
+    flags = ["--ci", "bootstrap", "--bootstrap-iters", "100", "--sample-size", "100"]
+    files = []
+    for name, seed in (("minus", "-1"), ("top", "18446744073709551615")):
+        report = compute(job / "cells", tmp_path / f"{name}.csv", *flags, "--seed", seed)
+        files.append((report, (tmp_path / f"{name}.meta.json").read_bytes()))
+    assert files[0] == files[1]
+    assert b'"seed": 18446744073709551615\n' in files[0][1]
 
 
 def test_library_report_is_the_report_of_compute(job, tmp_path):

@@ -10,7 +10,9 @@ import pytest
 
 import fieldnorm.bootstrap
 import fieldnorm.report
-from fieldnorm.corpus import WORLD, ArticleSet, Corpus, ExclusionPolicy, apply_exclusion
+from fieldnorm.corpus import (
+    WORLD, ArticleSet, Corpus, ExclusionPolicy, apply_exclusion, sample_corpus,
+)
 from fieldnorm.indicators import (
     EMNPC,
     EQ_PROP_CITED,
@@ -88,6 +90,33 @@ class TestReportConfig:
         report = build_report(demo_corpus, config)
         assert report == build_report(demo_corpus, ReportConfig(seed=3, **settings))
         assert json.loads(write_metadata(report, tmp_path / "r.csv").read_text())["seed"] == 3
+
+    def test_sample_size_samples_each_cell_as_sample_corpus(self, demo_corpus):
+        # build_report is where a run samples, library and compute alike.
+        settings = dict(indicators=(MNLCS, MNPC), exclusion=ExclusionPolicy(1, 0.0), seed=5)
+        report = build_report(demo_corpus, ReportConfig(sample_size=4, **settings))
+        sampled = build_report(sample_corpus(demo_corpus, 4, 5), ReportConfig(**settings))
+        assert report.rows == sampled.rows
+        assert report.rows != build_report(demo_corpus, ReportConfig(**settings)).rows
+        assert {r.n for r in report.rows if r.scope == "Y2013"} == {8}
+
+    def test_numpy_integer_sample_size_held_as_its_int(self, demo_corpus, tmp_path):
+        config = ReportConfig(sample_size=np.int64(100))
+        assert type(config.sample_size) is int
+        report = build_report(demo_corpus, config)
+        text = write_metadata(report, tmp_path / "r.csv").read_text()
+        assert '"sample_size": 100,' in text
+
+    @pytest.mark.parametrize("size", [0, 1.5, True])
+    def test_invalid_sample_size_rejected(self, size):
+        with pytest.raises(ValueError, match="sample size must be"):
+            ReportConfig(sample_size=size)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 1, np.int64(-1), 2**65 - 1])
+    def test_seed_held_mod_2_64(self, seed):
+        # Seeds equal mod 2**64 give the same streams, so the same config.
+        assert ReportConfig(seed=seed) == ReportConfig(seed=2**64 - 1)
+        assert type(ReportConfig(seed=seed).seed) is int
 
     def test_fieller_with_mnlcs_among_others_accepted(self):
         ReportConfig(indicators=(MNCS, MNLCS), ci_methods=("fieller",))
@@ -357,15 +386,15 @@ class TestCsvOutput:
         assert data_row[8] == "false"
 
     def test_sidecar_is_the_config(self, demo_corpus, tmp_path):
-        extra = {"input_dir": "cells", "sample_size": None}
-        config = ReportConfig(exclusion=ExclusionPolicy(), extra_metadata=extra)
+        config = ReportConfig(exclusion=ExclusionPolicy())
         report = build_report(demo_corpus, config)
         path = tmp_path / "report.csv"
-        meta = json.loads(write_metadata(report, path).read_text())
-        fields = {f.name for f in dataclasses.fields(ReportConfig)} - {"extra_metadata"}
+        meta = json.loads(write_metadata(report, path, input_dir="cells").read_text())
+        fields = {f.name for f in dataclasses.fields(ReportConfig)}
         derived = {"resample_world_defaults", "bootstrap_iteration_defaults",
                    "percentile_definition"}
-        assert set(meta) == fields | set(extra) | derived
+        assert set(meta) == fields | {"input_dir"} | derived
+        assert meta["input_dir"] == "cells" and meta["sample_size"] is None
         assert meta["exclusion"] == {"min_articles": 100, "min_fraction_of_mean": 0.25}
         assert meta["indicators"] == [MNLCS]
 

@@ -123,3 +123,11 @@ class TestScenarioGrid:
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
             scenario_grid([], [1.0], [0.0], [100])
+
+    def test_grid_points_that_share_a_label_rejected(self):
+        # Labels print 6 significant digits: one scenario would overwrite
+        # the other's directory and share its bootstrap seed streams.
+        with pytest.raises(ValueError, match=r"share the scenario labels \['mu1-sg1-zi0-n50'\]"):
+            scenario_grid([1.0, 1.0000001], [1.0], [0.0], [50])
+        with pytest.raises(ValueError, match=r"\['mu1-sg1-zi0-n50', 'mu2-sg1-zi0-n50'\]"):
+            scenario_grid([1.0, 2.0, 1.0, 2.0], [1.0], [0.0], [50])
