@@ -74,8 +74,7 @@ from .indicators import (
 from .index_scheme import draw
 from .intervals import ALPHA_DEFAULT, BOOTSTRAP_PERCENTILE, EXPANSION_DEFAULT, IntervalEstimate
 from .scopes import (
-    BOOTSTRAP, CONTINUITY_DEFAULT, FORMULA, check_run, fieller_interval, formula_interval,
-    method_tag, route_applies,
+    BOOTSTRAP, CONTINUITY_DEFAULT, FORMULA, check_run, method_tag, route_applies, route_interval,
 )
 
 # The note of a row with no cell.
@@ -406,6 +405,8 @@ def row_results(
     article count as ``n``, and the point's and interval's notes joined as
     ``note``.  A row whose point is undefined, or whose scope is empty, is
     flagged with the method tag it would have carried (``scopes.method_tag``).
+    The run's settings are checked before any row is drawn; every formula and
+    Fieller interval is ``scopes.route_interval``'s.
     """
     check_run(alpha, continuity, expansion_mode)
     points: dict[tuple[Scope, str], IndicatorValue] = {
@@ -423,10 +424,9 @@ def row_results(
             interval = IntervalEstimate.undefined(tag, alpha, "")
         elif row.route == BOOTSTRAP:
             interval = next(boots)
-        elif row.route == FORMULA:
-            interval = formula_interval(row.scope, row.indicator, alpha, continuity)
         else:
-            interval = fieller_interval(row.scope, alpha, expansion_mode)
+            interval = route_interval(row.scope, row.indicator, row.route, alpha, continuity,
+                                      expansion_mode)
         note = "; ".join(n for n in (point.note, interval.note) if n)
         n = sum(cell.n for cell in row.scope.group)
         results.append(replace(interval, estimate=point.estimate, n=n, note=note))

@@ -27,9 +27,7 @@ from .bootstrap import (
     corpus_label,
     summarize_comparisons,
 )
-from .corpus import (
-    WORLD, CorpusError, ExclusionPolicy, SampleSpec, load_corpus, sample_files, write_corpus,
-)
+from .corpus import WORLD, ExclusionPolicy, SampleSpec, load_corpus, sample_files, write_corpus
 from .indicators import (
     EMNPC,
     EQ_PROP_CITED,
@@ -242,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CorpusError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,8 @@ files: ``sample_files`` alone copies them.  A Corpus holds only its cells;
 cells, and the code that builds a row calls it once and hands the Scope to
 every route of that row.  ``pair_cells`` alone checks raw group and world
 cell sets, as the library entry points take them, and makes them a Scope.
+
+Every seed meets one rule where it enters, ``check_seed``.
 """
 
 from __future__ import annotations
@@ -60,13 +62,23 @@ def count_dtype(largest: int) -> np.dtype:
     return np.promote_types(np.min_scalar_type(largest), np.uint16)
 
 
+def _check_integer(value: object, name: str) -> int:
+    """``value`` as an int: numpy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_seed(seed: object, name: str = "seed") -> int:
+    """The seed rule: an integer, held mod 2**64, so -1 and 2**64 - 1 are one seed."""
+    return _check_integer(seed, name) & (2**64 - 1)
+
+
 def check_integers(spec: object, label: str, *names: str) -> None:
-    """Store the fields ``names`` of frozen ``spec`` as ints: numpy integers pass, bools do not."""
+    """Store the fields ``names`` of frozen ``spec`` as ints, a seed by ``check_seed``."""
     for name in names:
-        value = getattr(spec, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{label} {name} must be an integer, got {value!r}")
-        object.__setattr__(spec, name, int(value))
+        check = check_seed if name == "seed" else _check_integer
+        object.__setattr__(spec, name, check(getattr(spec, name), f"{label} {name}"))
 
 
 class CorpusError(ValueError):
@@ -680,10 +692,9 @@ def write_corpus(corpus: Corpus, directory: Path | str) -> None:
 def derive_stream_seed(master_seed: int, *parts: str) -> int:
     """Stable seed of one stream, so multi-stream runs are order-independent.
 
-    ``master_seed`` is taken mod 2**64, as every seed is, so -1 and
-    2**64 - 1 give the same streams.
+    ``master_seed`` is held by ``check_seed``, as every seed is.
     """
-    text = f"{operator.index(master_seed) & (2**64 - 1)}|" + "|".join(parts)
+    text = f"{check_seed(master_seed, 'master_seed')}|" + "|".join(parts)
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
@@ -691,7 +702,7 @@ def _kept(n: int, spec: SampleSpec) -> np.ndarray | None:
     """The sorted positions of the articles a sample of ``n`` keeps; None keeps them all."""
     if spec.size >= n:
         return None
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed & (2**64 - 1)))
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     return np.sort(rng.choice(n, size=spec.size, replace=False))
 
 
@@ -701,15 +712,15 @@ def sample_cell(aset: ArticleSet, spec: SampleSpec) -> ArticleSet:
     return aset if kept is None else ArticleSet(aset.group, aset.key, aset.counts[kept])
 
 
-def _specs(corpus: Corpus, size: int, seed: int) -> Iterator[tuple[ArticleSet, SampleSpec]]:
-    """Each cell in sorted order, with the spec of its sample: a seed derived from ``seed``."""
+def _specs(corpus: Corpus, run: SampleSpec) -> Iterator[tuple[ArticleSet, SampleSpec]]:
+    """Each cell in sorted order, with the spec of its sample: a seed derived from ``run``'s."""
     for (group, k), aset in sorted(corpus.cells.items()):
-        yield aset, SampleSpec(size, derive_stream_seed(seed, group, k.field, str(k.year)))
+        yield aset, SampleSpec(run.size, derive_stream_seed(run.seed, group, k.field, str(k.year)))
 
 
 def sample_corpus(corpus: Corpus, size: int, seed: int) -> Corpus:
-    """Every cell down-sampled to ``size`` articles, each from its own derived seed."""
-    return Corpus.from_cells(sample_cell(aset, spec) for aset, spec in _specs(corpus, size, seed))
+    """Every cell down-sampled to ``size`` articles, each from a seed derived from ``seed``."""
+    return Corpus.from_cells(sample_cell(*pair) for pair in _specs(corpus, SampleSpec(size, seed)))
 
 
 def _kept_lines(source: Path, cell: ArticleSet, spec: SampleSpec) -> Iterator[bytes]:
@@ -745,9 +756,9 @@ def sample_files(input_dir: Path | str, output_dir: Path | str, size: int, seed:
     ``size`` and ``seed`` are checked, then ``load_corpus`` checks every file.
     Returns the number of cells.
     """
-    SampleSpec(size, seed)
+    run = SampleSpec(size, seed)
     corpus = load_corpus(input_dir)
-    for aset, spec in _specs(corpus, size, seed):
+    for aset, spec in _specs(corpus, run):
         name = cell_filename(aset.group, aset.key)
         _write_lines(Path(output_dir, name), _kept_lines(Path(input_dir, name), aset, spec))
     return len(corpus.cells)

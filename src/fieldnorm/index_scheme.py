@@ -397,6 +397,7 @@ def _draw_row(
 def draw(rows: Iterable[tuple]) -> Iterator[list[CellReplicates]]:
     """Each (seed, iterations, cells) row's filled ``CellReplicates``, one per cell, in order.
 
+    ``seed`` lies in [0, 2**64) (``corpus.check_seed``).
     ``cells`` lists at least one (ArticleSet, statistics) pair, each cell of
     more than one article, and holds exactly the named statistics; the
     caller reads every cell it does not hand over as itself.  One ``PCG64``
@@ -413,7 +414,7 @@ def draw(rows: Iterable[tuple]) -> Iterator[list[CellReplicates]]:
     for row in chain(rows, [None]):
         if chunk and (row is None or sum(r[1] for r in chunk) + row[1] > _SEED_LANES):
             counts = [iterations for _, iterations, _ in chunk]
-            seeds = np.array([int(seed) & (2**64 - 1) for seed, *_ in chunk], np.uint64)
+            seeds = np.array([seed for seed, *_ in chunk], np.uint64)
             replicates = np.concatenate([np.arange(count, dtype=np.uint64) for count in counts])
             states = pcg64_states(seed_words(np.repeat(seeds, counts), replicates))[:, order]
             for (*_, cells), row_states in zip(chunk, np.split(states, np.cumsum(counts[:-1]))):

@@ -353,9 +353,9 @@ def equalised_proportion(sets: ProportionCells) -> tuple[IndicatorValue, float]:
     """Unweighted average of per-cell proportions, plus the equalised cell size.
 
     The second return value is the mean cell size.  No interval reads it:
-    the WILSON interval of EQ_PROP_CITED (``scopes.formula_interval``)
-    counts round(p * N) cited articles out of N, the scope's total article
-    count.
+    the WILSON interval of EQ_PROP_CITED (the formula route of
+    ``scopes.route_interval``) counts round(p * N) cited articles out of N,
+    the scope's total article count.
     """
     value = indicator_result(EQ_PROP_CITED, *pair_cells(sets))
     return value, sum(s.n for s in sets) / len(sets)

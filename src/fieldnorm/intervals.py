@@ -64,8 +64,8 @@ class SampleMoments:
         n = len(values)
         if n < 2:
             raise ValueError(TOO_FEW_VALUES)
-        sd = float(values.std(ddof=1))
-        return cls(mean=float(values.mean()), sd=sd, se=sd / math.sqrt(n), n=n)
+        mean = float(values.mean())
+        return cls.from_m2(n, mean, float(np.square(values - mean).sum()))
 
     @classmethod
     def from_m2(cls, n: int, mean: float, m2: float) -> "SampleMoments":

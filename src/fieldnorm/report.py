@@ -80,7 +80,6 @@ class ReportConfig:
                              f" {list(self.indicators)} (fieller is MNLCS only)")
         check_run(self.alpha, self.continuity, self.expansion_mode)
         check_integers(self, "report", "seed")
-        object.__setattr__(self, "seed", self.seed & (2**64 - 1))
         if self.sample_size is not None:
             object.__setattr__(self, "sample_size", SampleSpec(self.sample_size).size)
         if not isinstance(self.exclusion, ExclusionPolicy):

@@ -2,12 +2,12 @@
 
 A scope is a set of field/year keys for one group.  The code that builds a
 row resolves it once, with ``Corpus.scope``, into a ``Scope``: the sorted
-keys with the group's and the world's cell of each.  The interval routes
-(``CI_METHODS``) take that Scope and hand its cells to the kernel in
-``indicators`` for the moments or counts of the indicator's interval, and
-``method_tag`` names the method each route's row carries; the point
-estimate is ``indicators.indicator_result`` over the same Scope, a flagged
-value that never raises for data-dependent degeneracies.
+keys with the group's and the world's cell of each.  ``route_interval``,
+the one entry to the analytic routes (formula, Fieller), hands its cells to
+the kernel in ``indicators`` for the moments or counts of the indicator's
+interval, and ``method_tag`` names the method each route's row carries; the
+point estimate is ``indicators.indicator_result`` over the same Scope, a
+flagged value that never raises for data-dependent degeneracies.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .indicators import (
 )
 from .intervals import (
     BOOTSTRAP_PERCENTILE,
+    EXPANSION_DEFAULT,
     FIELLER,
     HEURISTIC_EXPANSION,
     MNPC_WEIGHTED,
@@ -125,24 +126,34 @@ def _equalised(cells: tuple[ArticleSet, ...]) -> float:
     return indicator_estimate(EQ_PROP_CITED, (), cells, ())[0]
 
 
-def formula_interval(
+def route_interval(
+    scope: Scope, indicator: str, route: str, alpha: float,
+    continuity: str = CONTINUITY_DEFAULT, expansion_mode: str = EXPANSION_DEFAULT,
+) -> IntervalEstimate:
+    """The formula or Fieller interval of ``indicator`` over the scope.
+
+    The run's settings (``check_run``) and the route are checked before the
+    scope is read; the bootstrap route, or one that does not serve the
+    indicator, raises ValueError.  A data fault, such as an undefined
+    normalisation, gives a flagged interval.
+    """
+    check_run(alpha, continuity, expansion_mode)
+    if route == BOOTSTRAP or not route_applies(indicator, route):
+        raise ValueError(f"route {route!r} gives no analytic interval for {indicator}")
+    try:
+        return (_formula_interval(scope, indicator, alpha, continuity) if route == FORMULA
+                else _fieller_interval(scope, alpha, expansion_mode))
+    except UndefinedNormalizationError as exc:
+        return IntervalEstimate.undefined(method_tag(indicator, route, scope.keys), alpha, str(exc))
+
+
+def _formula_interval(
     scope: Scope, indicator: str, alpha: float, continuity: str
 ) -> IntervalEstimate:
-    """The analytic interval belonging to ``indicator`` over the scope.
-
-    ``alpha`` and ``continuity`` are checked before the scope is read,
-    whether or not the indicator's interval reads the continuity rule.
-    """
-    check_alpha(alpha)
-    _check_continuity(continuity)
+    """The analytic interval belonging to ``indicator`` over the scope."""
     ordered, group_cells, world_cells = scope
     if indicator in MEAN_INDICATORS:
-        try:
-            n, mean, m2 = pooled_moments(
-                score_moments(indicator, ordered, group_cells, world_cells)
-            )
-        except UndefinedNormalizationError as exc:
-            return IntervalEstimate.undefined(NORMAL_T, alpha, str(exc))
+        n, mean, m2 = pooled_moments(score_moments(indicator, ordered, group_cells, world_cells))
         if n < 2:
             return IntervalEstimate.undefined(NORMAL_T, alpha, "fewer than two articles in scope")
         return normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha)
@@ -172,26 +183,13 @@ def formula_interval(
     raise ValueError(f"no formula interval for indicator {indicator!r}")
 
 
-def fieller_interval(scope: Scope, alpha: float, expansion_mode: str) -> IntervalEstimate:
-    """Fieller limits for one cell, heuristic expansion across several.
-
-    Only defined for the log-ratio indicator; the moments entering the
-    ratio are those of the ln(1+c) values.  The data faults, an undefined
-    normalisation or a cell of fewer than two articles, give a flagged row;
-    an invalid argument raises ValueError before the scope is read, the
-    expansion mode even over one key, which does not use it.
-    """
-    check_alpha(alpha)
-    check_expansion(expansion_mode)
+def _fieller_interval(scope: Scope, alpha: float, expansion_mode: str) -> IntervalEstimate:
+    """MNLCS's Fieller limits for one cell, from its ln(1+c) moments; expanded over several."""
     ordered, group_cells, world_cells = scope
-    try:
-        cells = score_moments(MNLCS, ordered, group_cells, world_cells)
-    except UndefinedNormalizationError as exc:
-        fault = str(exc)
-    else:
-        fault = TOO_FEW_VALUES if any(c.n < 2 for c in group_cells + world_cells) else ""
-    if fault:
-        return IntervalEstimate.undefined(method_tag(MNLCS, FIELLER_METHOD, ordered), alpha, fault)
+    cells = score_moments(MNLCS, ordered, group_cells, world_cells)
+    if any(c.n < 2 for c in group_cells + world_cells):
+        tag = method_tag(MNLCS, FIELLER_METHOD, ordered)
+        return IntervalEstimate.undefined(tag, alpha, TOO_FEW_VALUES)
     # Each cell's Fieller limits, from the moments of its ln(1+c) values.
     fiellers = (
         fieller_ci(*(SampleMoments.from_m2(c.n, c.log_mean, c.log_m2) for c in pair), alpha)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey, check_integers
+from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey, check_integers, check_seed
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class LognormalSpec:
 
 def generate_cell(spec: LognormalSpec, key: FieldYearKey, group: str) -> ArticleSet:
     """One cell of spec.n seeded draws; identical spec gives identical output."""
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed & (2**64 - 1)))
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     x = rng.normal(spec.mu, spec.sigma, spec.n)
     with np.errstate(over="ignore"):
         counts = np.clip(np.rint(np.expm1(x)), 0, None)
@@ -64,8 +64,7 @@ def scenario_label(mu: float, sigma: float, zero_inflation: float, n: int) -> st
 
 
 def _coordinate_seed(base_seed: int, *coords: int) -> int:
-    ss = np.random.SeedSequence([base_seed & (2**64 - 1), *coords])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence([base_seed, *coords]).generate_state(1, np.uint64)[0])
 
 
 def scenario_grid(
@@ -84,11 +83,13 @@ def scenario_grid(
     Cell seeds derive from the grid coordinates and the member's index
     (0 for WORLD, g for G<g>), so any sub-grid of a larger grid reproduces
     the same corpora.  An axis left out holds one value,
-    ``LognormalSpec``'s default.  Grid points must differ in their labels,
-    which print each value to 6 significant digits.
+    ``LognormalSpec``'s default, and none may be empty.  Grid points must
+    differ in their labels, which print each value to 6 significant digits.
+    ``base_seed`` is held by ``corpus.check_seed``.
     """
-    if not (mus and sigmas and zero_inflations and ns):
+    if not (mus and sigmas and zero_inflations and ns and group_shifts):
         raise ValueError("every parameter axis must be non-empty")
+    base_seed = check_seed(base_seed, "base_seed")
     labels = [scenario_label(*point) for point in product(mus, sigmas, zero_inflations, ns)]
     if shared := sorted(label for label, count in Counter(labels).items() if count > 1):
         raise ValueError(f"grid points share the scenario labels {shared}")

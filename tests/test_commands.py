@@ -330,6 +330,24 @@ def test_seeds_equal_mod_2_64_write_the_same_files(job, tmp_path):
         files.append((report, (tmp_path / f"{name}.meta.json").read_bytes()))
     assert files[0] == files[1]
     assert b'"seed": 18446744073709551615\n' in files[0][1]
+    # So do the other commands' outputs.
+    grid = ["--mu", "1.2", "--n", "100", "--group-shift", "0.2"]
+    commands = {
+        "sample": lambda out, seed: ["sample", "--input-dir", job / "cells", "--output-dir", out,
+                                     "--size", "50", "--seed", seed],
+        "simulate": lambda out, seed: ["simulate", "--output-dir", out, *grid, "--seed", seed],
+        "compare-ci": lambda out, seed: ["compare-ci", "--output", out / "summary.csv",
+                                         "--details", out / "details.csv", "--indicators", ALL,
+                                         "--iterations", "100", *grid, "--seed", seed],
+    }
+    for command, argv in commands.items():
+        outs = [tmp_path / command / name for name in ("minus", "top")]
+        for out, seed in zip(outs, ("-1", "18446744073709551615")):
+            out.mkdir(parents=True)
+            assert run(argv(out, seed)) == 0
+        written = [sorted((path.relative_to(out), path.read_bytes())
+                          for path in out.rglob("*") if path.is_file()) for out in outs]
+        assert written[0] == written[1] and written[0], command
 
 
 def test_library_report_is_the_report_of_compute(job, tmp_path):

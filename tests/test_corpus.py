@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldnorm import corpus as corpus_module
-from fieldnorm.synthetic import LognormalSpec, generate_cell
+from fieldnorm.bootstrap import BootstrapSpec
+from fieldnorm.report import ReportConfig
+from fieldnorm.synthetic import LognormalSpec, generate_cell, scenario_grid
 from fieldnorm.corpus import (
     _COUNT_MAX,
     _HEADER,
@@ -32,10 +34,12 @@ from fieldnorm.corpus import (
     SampleSpec,
     apply_exclusion,
     cell_filename,
+    derive_stream_seed,
     load_corpus,
     pair_cells,
     read_cell,
     sample_cell,
+    sample_corpus,
     sample_files,
     write_cell,
     write_corpus,
@@ -974,6 +978,40 @@ class TestIntegerFields:
         drawn = generate_cell(LognormalSpec(n=np.int64(50), seed=np.uint64(2**64 - 3)), key, "G")
         assert drawn.counts.tolist() == generate_cell(
             LognormalSpec(n=50, seed=-3), key, "G").counts.tolist()
+
+
+def held(value):
+    """``value`` with each Corpus in it, at any depth of lists, as its cells' counts."""
+    if isinstance(value, list):
+        return [held(item) for item in value]
+    if isinstance(value, Corpus):
+        return {key: cell.counts.tolist() for key, cell in value.cells.items()}
+    return value
+
+
+SAMPLED = Corpus.from_cells([make_cell(group, "F", 2013, range(50)) for group in ("G", WORLD)])
+# Each place a seed enters, as a function of that seed.
+SEED_ENTRIES = {
+    "SampleSpec": lambda seed: SampleSpec(10, seed),
+    "BootstrapSpec": lambda seed: BootstrapSpec(100, seed),
+    "LognormalSpec": lambda seed: LognormalSpec(seed=seed),
+    "ReportConfig": lambda seed: ReportConfig(seed=seed),
+    "sample_corpus": lambda seed: sample_corpus(SAMPLED, 10, seed),
+    "scenario_grid": lambda seed: scenario_grid(ns=[20], base_seed=seed),
+    "derive_stream_seed": lambda seed: derive_stream_seed(seed, "G", "F"),
+}
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRIES)
+def test_seed_rule_holds_where_a_seed_enters(entry):
+    # One rule, corpus.check_seed: an integer, held mod 2**64.
+    make = SEED_ENTRIES[entry]
+    assert held(make(-1)) == held(make(2**64 - 1)) == held(make(np.int64(-1)))
+    assert held(make(-1)) != held(make(0))
+    for seed in (True, 1.5, "3"):
+        message = f"seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            make(seed)
 
 
 class TestApplyExclusion:

@@ -12,6 +12,7 @@ from fieldnorm.indicators import (
     MNCS,
     MNLCS,
     MNPC,
+    PROPORTION_INDICATORS,
     ProportionSummary,
     UndefinedNormalizationError,
     compute_baseline,
@@ -34,10 +35,12 @@ from fieldnorm.intervals import (
     mnlcs_normal_ci,
 )
 from fieldnorm.scopes import (
-    fieller_interval,
-    formula_interval,
+    BOOTSTRAP,
+    FIELLER_METHOD,
+    FORMULA,
     indicator_value,
     resolve_continuity,
+    route_interval,
 )
 from fieldnorm.synthetic import scenario_grid
 
@@ -418,7 +421,7 @@ class TestKernel:
             value = indicator_value(corpus, "G1", keys, indicator)
             assert value.estimate == pytest.approx(values.mean(), rel=1e-12, abs=1e-14)
             reference = mnlcs_normal_ci(values)
-            interval = formula_interval(corpus.scope("G1", keys), indicator, ALPHA_DEFAULT, "auto")
+            interval = route_interval(corpus.scope("G1", keys), indicator, FORMULA, ALPHA_DEFAULT)
             assert interval.lower == pytest.approx(reference.lower, rel=1e-12, abs=1e-14)
             assert interval.upper == pytest.approx(reference.upper, rel=1e-12, abs=1e-14)
 
@@ -437,11 +440,11 @@ class TestKernel:
 
     @pytest.mark.parametrize("call, message", [
         (lambda scope: indicator_estimate("MNLSC", *scope), "unknown indicator 'MNLSC'"),
-        (lambda scope: formula_interval(scope, "MNLSC", ALPHA_DEFAULT, "auto"),
+        (lambda scope: route_interval(scope, "MNLSC", FORMULA, ALPHA_DEFAULT, "auto"),
          "no formula interval for indicator 'MNLSC'"),
         (lambda scope: resolve_continuity("of", scope.group, scope.world),
          "unknown continuity mode 'of'"),
-        (lambda scope: fieller_interval(scope, ALPHA_DEFAULT, "bogus"),
+        (lambda scope: route_interval(scope, MNLCS, FIELLER_METHOD, ALPHA_DEFAULT, "auto", "bogus"),
          "unknown expansion mode 'bogus'"),
     ], ids=["estimate", "formula-interval", "continuity", "fieller-interval"])
     def test_invalid_argument_rejected(self, demo_corpus, call, message):
@@ -449,12 +452,13 @@ class TestKernel:
             call(demo_corpus.scope("G", {KEY_A, KEY_B}))
 
     @pytest.mark.parametrize("call, message", [
-        (lambda scope: formula_interval(scope, MNLCS, 0.7, "auto"),
+        (lambda scope: route_interval(scope, MNLCS, FORMULA, 0.7, "auto"),
          r"alpha must lie in \(0, 0\.5\)"),
-        (lambda scope: formula_interval(scope, MNLCS, ALPHA_DEFAULT, "bogus"),
+        (lambda scope: route_interval(scope, MNLCS, FORMULA, ALPHA_DEFAULT, "bogus"),
          "unknown continuity mode 'bogus'"),
-        (lambda scope: fieller_interval(scope, 0.7, "bogus"), r"alpha must lie in \(0, 0\.5\)"),
-        (lambda scope: fieller_interval(scope, ALPHA_DEFAULT, "bogus"),
+        (lambda scope: route_interval(scope, MNLCS, FIELLER_METHOD, 0.7, "auto", "bogus"),
+         r"alpha must lie in \(0, 0\.5\)"),
+        (lambda scope: route_interval(scope, MNLCS, FIELLER_METHOD, ALPHA_DEFAULT, "auto", "bogus"),
          "unknown expansion mode 'bogus'"),
     ], ids=["formula-alpha", "formula-continuity", "fieller-alpha", "fieller-expansion"])
     def test_unread_setting_rejected(self, demo_corpus, call, message):
@@ -484,14 +488,24 @@ class TestKernel:
         if group_b is not None:
             cells.append(ArticleSet("G", KEY_B, group_b))
         corpus = Corpus.from_cells(cells)
-        interval = fieller_interval(corpus.scope("G", corpus.keys_for("G")), ALPHA_DEFAULT,
-                                    "literal")
+        interval = route_interval(corpus.scope("G", corpus.keys_for("G")), MNLCS, FIELLER_METHOD,
+                                  ALPHA_DEFAULT, "auto", "literal")
         assert (interval.defined, interval.method, interval.note) == (False, method, note)
 
     @pytest.mark.parametrize("indicator", [MNLCS, MNCS, LUNDBERG_Z])
     def test_formula_interval_over_zero_world_is_flagged(self, indicator):
         corpus = Corpus.from_cells([ArticleSet("G", KEY_A, (1, 2, 0)), world_cell(KEY_A, [0] * 3)])
-        interval = formula_interval(corpus.scope("G", {KEY_A}), indicator, ALPHA_DEFAULT, "auto")
+        interval = route_interval(corpus.scope("G", {KEY_A}), indicator, FORMULA, ALPHA_DEFAULT)
         assert (interval.defined, interval.method) == (False, NORMAL_T)
         assert interval.note == one_cell(indicator, [1, 2, 0], [0, 0, 0]).note
         assert interval.note.endswith(f"for {KEY_A}")
+
+    @pytest.mark.parametrize("indicator, route", [
+        *((indicator, BOOTSTRAP) for indicator in (MNLCS, MNCS, MNPC)),
+        *((indicator, FIELLER_METHOD) for indicator in (MNCS, LUNDBERG_Z, *PROPORTION_INDICATORS)),
+        (MNLCS, "delta"),
+    ])
+    def test_route_without_analytic_interval_rejected(self, demo_corpus, indicator, route):
+        with pytest.raises(ValueError, match=f"^route '{route}' gives no analytic interval"
+                                             f" for {indicator}$"):
+            route_interval(demo_corpus.scope("G", {KEY_A}), indicator, route, ALPHA_DEFAULT)

@@ -24,9 +24,10 @@ from fieldnorm.indicators import (
 from fieldnorm.intervals import ALPHA_DEFAULT, EXPAND_FROM_MEAN, LITERAL
 from fieldnorm.scopes import (
     CONTINUITY_MODES,
-    fieller_interval,
-    formula_interval,
+    FIELLER_METHOD,
+    FORMULA,
     indicator_value,
+    route_interval,
 )
 
 ALL_INDICATORS = (MNLCS, MNCS, LUNDBERG_Z, EMNPC, MNPC, PROP_CITED, EQ_PROP_CITED)
@@ -105,10 +106,10 @@ def test_defined_analytic_intervals_bracket_the_estimate(sets, continuity):
         keys = corpus.keys_for(group)
         for indicator in ALL_INDICATORS:
             scope = corpus.scope(group, keys)
-            intervals = [formula_interval(scope, indicator, ALPHA_DEFAULT, continuity)]
+            intervals = [route_interval(scope, indicator, FORMULA, ALPHA_DEFAULT, continuity)]
             if indicator == MNLCS:
                 intervals += [
-                    fieller_interval(scope, ALPHA_DEFAULT, mode)
+                    route_interval(scope, MNLCS, FIELLER_METHOD, ALPHA_DEFAULT, continuity, mode)
                     for mode in (LITERAL, EXPAND_FROM_MEAN)
                 ]
             estimate = indicator_value(corpus, group, keys, indicator).estimate

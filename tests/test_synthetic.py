@@ -121,8 +121,10 @@ class TestScenarioGrid:
         assert 0.98 <= np.mean(values) <= 1.02
 
     def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError):
-            scenario_grid([], [1.0], [0.0], [100])
+        # Without group shifts a scenario would hold only WORLD.
+        for axis in ("mus", "sigmas", "zero_inflations", "ns", "group_shifts"):
+            with pytest.raises(ValueError, match="^every parameter axis must be non-empty$"):
+                scenario_grid(**{axis: ()})
 
     def test_grid_points_that_share_a_label_rejected(self):
         # Labels print 6 significant digits: one scenario would overwrite
