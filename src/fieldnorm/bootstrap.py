@@ -54,7 +54,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .corpus import (
-    WORLD, ArticleSet, Corpus, Scope, check_integers, derive_stream_seed, pair_cells,
+    WORLD, ArticleSet, Corpus, Scope, check_numbers, derive_stream_seed, pair_cells,
 )
 from .indicators import (
     CELL_STATISTICS,
@@ -105,7 +105,7 @@ class BootstrapSpec:
     resample_world: bool = True
 
     def __post_init__(self) -> None:
-        check_integers(self, "bootstrap", "iterations", "seed")
+        check_numbers(self, "bootstrap", "iterations", "seed")
         if self.iterations < 100:
             raise ValueError("at least 100 bootstrap iterations are required")
         if not isinstance(self.resample_world, bool):
@@ -196,11 +196,11 @@ class PlannedRow:
 
 def _row_values(row: PlannedRow, drawn: list) -> np.ndarray:
     """Entry r: the row on replicate r, NaN if undefined; ``drawn`` fills the slots of its draws."""
-    keys, group, world = row.scope
+    group, world = row.scope
     cells = [*group, *world]
     for (slot, _, _), replicates in zip(row.draws, drawn):
         cells[slot] = replicates
-    value, _ = indicator_estimate(row.indicator, keys, cells[:len(group)], cells[len(group):])
+    value, _ = indicator_estimate(row.indicator, cells[:len(group)], cells[len(group):])
     return np.broadcast_to(value, row.spec.iterations)
 
 
@@ -410,7 +410,7 @@ def row_results(
     """
     check_run(alpha, continuity, expansion_mode)
     points: dict[tuple[Scope, str], IndicatorValue] = {
-        (scope, indicator): indicator_result(indicator, *scope) if scope.keys
+        (scope, indicator): indicator_result(indicator, *scope) if scope.group
         else IndicatorValue(indicator, None, False, _EMPTY_SCOPE)
         for scope, indicator in dict.fromkeys((row.scope, row.indicator) for row in plan)
     }
@@ -420,7 +420,7 @@ def row_results(
     for row in plan:
         point = points[row.scope, row.indicator]
         if not point.defined:
-            tag = method_tag(row.indicator, row.route, row.scope.keys)
+            tag = method_tag(row.indicator, row.route, row.scope)
             interval = IntervalEstimate.undefined(tag, alpha, "")
         elif row.route == BOOTSTRAP:
             interval = next(boots)

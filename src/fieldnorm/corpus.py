@@ -15,10 +15,11 @@ least 16 bits, that holds its largest count (``count_dtype``), built from
 integers only, and computes once, on their first read, the statistics
 every indicator and analytic interval reads.  Article ids stay in the
 files: ``sample_files`` alone copies them.  A Corpus holds only its cells;
-``Corpus.scope`` turns a (group, key set) into a Scope of sorted keys and
-cells, and the code that builds a row calls it once and hands the Scope to
-every route of that row.  ``pair_cells`` alone checks raw group and world
-cell sets, as the library entry points take them, and makes them a Scope.
+``Corpus.scope`` turns a (group, key set) into a Scope of the group's and
+the world's cells in key order, and the code that builds a row calls it
+once and hands the Scope to every route of that row.  ``pair_cells`` alone
+checks raw group and world cell sets, as the library entry points take
+them, and makes them a Scope.
 
 Every seed meets one rule where it enters, ``check_seed``.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, field as dataclass_field
@@ -74,10 +76,20 @@ def check_seed(seed: object, name: str = "seed") -> int:
     return _check_integer(seed, name) & (2**64 - 1)
 
 
-def check_integers(spec: object, label: str, *names: str) -> None:
-    """Store the fields ``names`` of frozen ``spec`` as ints, a seed by ``check_seed``."""
-    for name in names:
-        check = check_seed if name == "seed" else _check_integer
+def _check_real(value: object, name: str) -> float:
+    """``value`` as a float: numpy reals pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def check_numbers(spec: object, label: str, *names: str, reals: tuple[str, ...] = ()) -> None:
+    """Store the fields ``names`` of frozen ``spec`` as ints, a seed by ``check_seed``.
+
+    The fields ``reals`` are stored as floats.
+    """
+    for name in names + reals:
+        check = _check_real if name in reals else check_seed if name == "seed" else _check_integer
         object.__setattr__(spec, name, check(getattr(spec, name), f"{label} {name}"))
 
 
@@ -228,7 +240,7 @@ class SampleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_integers(self, "sample", "size", "seed")
+        check_numbers(self, "sample", "size", "seed")
         if self.size < 1:
             raise ValueError("sample size must be >= 1")
 
@@ -241,7 +253,7 @@ class ExclusionPolicy:
     min_fraction_of_mean: float = 0.25
 
     def __post_init__(self) -> None:
-        check_integers(self, "exclusion", "min_articles")
+        check_numbers(self, "exclusion", "min_articles", reals=("min_fraction_of_mean",))
         if self.min_articles < 1:
             raise ValueError("min_articles must be >= 1")
         if not 0.0 <= self.min_fraction_of_mean <= 1.0:
@@ -249,9 +261,8 @@ class ExclusionPolicy:
 
 
 class Scope(NamedTuple):
-    """Sorted keys with the group's and the world's cell of each."""
+    """The group's cells and the world's cell of each, in key order."""
 
-    keys: tuple[FieldYearKey, ...]
     group: tuple[ArticleSet, ...]
     world: tuple[ArticleSet, ...]
 
@@ -264,7 +275,9 @@ class Corpus:
 
     def __post_init__(self) -> None:
         world_keys = {k for (g, k) in self.cells if g == WORLD}
-        for group, key in self.cells:
+        for (group, key), cell in self.cells.items():
+            if (cell.group, cell.key) != (group, key):
+                raise CorpusError(f"cell {cell.group}/{cell.key} filed under {group}/{key}")
             if group != WORLD and key not in world_keys:
                 raise CorpusError(f"missing world cell for {group}/{key}")
 
@@ -293,13 +306,10 @@ class Corpus:
         return self.cells[(WORLD, key)]
 
     def scope(self, group: str, keys: Iterable[FieldYearKey]) -> Scope:
-        """The Scope of ``group`` over ``keys``: the keys sorted, with their cells."""
-        ordered = tuple(sorted(set(keys)))
-        return Scope(
-            ordered,
-            tuple(self.cells[group, k] for k in ordered),
-            tuple(self.cells[WORLD, k] for k in ordered),
-        )
+        """The Scope of ``group`` over ``keys``: its cells and the world's, in key order."""
+        ordered = sorted(set(keys))
+        return Scope(tuple(self.cells[group, k] for k in ordered),
+                     tuple(self.cells[WORLD, k] for k in ordered))
 
     def keys_for(self, group: str) -> set[FieldYearKey]:
         if group != WORLD and group not in self.groups:
@@ -311,7 +321,7 @@ def pair_cells(
     group_sets: Sequence[ArticleSet], world_sets: Sequence[ArticleSet] | None = None,
     same_keys: bool = False,
 ) -> Scope:
-    """The Scope of raw group and world cell sets: the group's keys sorted, with their cells.
+    """The Scope of raw group and world cell sets, in the group's key order.
 
     One ValueError per fault: an empty group set, mixed groups, a duplicate
     key, a world cell not labelled WORLD, a group key with no world cell
@@ -327,10 +337,10 @@ def pair_cells(
     group = {s.key: s for s in group_sets}
     if len(group) != len(group_sets):
         raise ValueError("duplicate cell keys")
-    keys = tuple(sorted(group))
+    keys = sorted(group)
     cells = tuple(group[k] for k in keys)
     if world_sets is None:
-        return Scope(keys, cells, ())
+        return Scope(cells, ())
     labels = {s.group for s in world_sets} - {WORLD}
     if labels:
         raise ValueError(f"world cells must be labelled {WORLD}, got {sorted(labels)}")
@@ -344,7 +354,7 @@ def pair_cells(
                          + ", ".join(f"{label}/{key}" for key in sorted(missing)))
     if same_keys and world.keys() != group.keys():
         raise ValueError("group and world must cover the same cell keys")
-    return Scope(keys, cells, tuple(world[k] for k in keys))
+    return Scope(cells, tuple(world[k] for k in keys))
 
 
 def cell_filename(group: str, key: FieldYearKey) -> str:

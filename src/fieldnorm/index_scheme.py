@@ -346,7 +346,7 @@ def _draw_row(
     logs: dict[ArticleSet, np.ndarray] = {}
     drawn = []
     for cell, stats in cells:
-        rep = CellReplicates(cell.n, stats, len(states))
+        rep = CellReplicates(cell, stats, len(states))
         # int64 and float64 whatever the width of the cell's counts: the
         # draws take into int64 scratch, and log1p would pick float32 for
         # uint16 counts.

@@ -150,10 +150,11 @@ class CellReplicates:
 
     Only an index scheme makes one, of a cell of more than one article, and
     fills the statistics in ``stats`` (of ``CELL_STATISTICS``); others are None.
+    Its n and key are those of the cell it replicates.
     """
 
-    def __init__(self, n: int, stats: set[str], replicates: int) -> None:
-        self.n = n
+    def __init__(self, cell: ArticleSet, stats: set[str], replicates: int) -> None:
+        self.n, self.key = cell.n, cell.key
         self.cited = np.empty(replicates, np.int64) if "cited" in stats else None
         self.raw_mean, self.log_mean, self.log_m2 = (
             np.empty(replicates) if name in stats else None
@@ -191,7 +192,7 @@ def _where(condition, if_true, if_false):
     return if_true if condition else if_false
 
 
-def _normaliser(indicator: str, key: FieldYearKey, world: ArticleSet, masks=None):
+def _normaliser(indicator: str, world: ArticleSet, masks=None):
     """(shift, scale) that turn a cell's x into the scores (x - shift) / scale."""
     if indicator == MNLCS:
         scale = world.log_mean
@@ -203,33 +204,30 @@ def _normaliser(indicator: str, key: FieldYearKey, world: ArticleSet, masks=None
         scale = world.log_sd
         message = "undefined standardisation: world log-sd is zero or undefined for {}"
     bad = True if scale is None else scale <= 0.0
-    _check(bad, masks, message, key)
+    _check(bad, masks, message, world.key)
     shift = world.log_mean if indicator == LUNDBERG_Z else 0.0
     return shift, _where(bad, 1.0, scale)
 
 
-def _score_mean(
-    indicator: str, key: FieldYearKey, group: ArticleSet, world: ArticleSet, masks=None
-):
-    shift, scale = _normaliser(indicator, key, world, masks)
+def _score_mean(indicator: str, group: ArticleSet, world: ArticleSet, masks=None):
+    shift, scale = _normaliser(indicator, world, masks)
     return ((group.raw_mean if indicator == MNCS else group.log_mean) - shift) / scale
 
 
 def indicator_estimate(
     indicator: str,
-    keys: Sequence[FieldYearKey],
     group: Sequence[ArticleSet | CellReplicates],
     world: Sequence[ArticleSet | CellReplicates],
 ) -> tuple[float | np.ndarray, str]:
     """Point estimate of ``indicator`` over a scope, with its note.
 
-    ``group[i]`` and ``world[i]`` are the cells of ``keys[i]``; only the
-    statistics ``CELL_STATISTICS`` names are read, so the proportion
-    indicators also take ProportionSummary objects.  Raises
-    UndefinedNormalizationError when the indicator is undefined: a zero
-    world baseline (log-mean, mean or log-sd) for a mean indicator, all
-    world proportions zero for EMNPC, cited articles over a zero world
-    proportion for MNPC.
+    ``group[i]`` and ``world[i]`` are the cells of one key, and a note reads
+    the key off the cell; only that key and the statistics
+    ``CELL_STATISTICS`` names are read, so the proportion indicators also
+    take ProportionSummary objects.  Raises UndefinedNormalizationError
+    when the indicator is undefined: a zero world baseline (log-mean, mean
+    or log-sd) for a mean indicator, all world proportions zero for EMNPC,
+    cited articles over a zero world proportion for MNPC.
 
     Given any CellReplicates (length-R statistic arrays of bootstrap
     replicates) among the cells, the estimate is an array with one entry per
@@ -239,7 +237,7 @@ def indicator_estimate(
     notes: list[str] = []
     if indicator in MEAN_INDICATORS:
         value = sum(
-            g.n * _score_mean(indicator, k, g, w, masks) for k, g, w in zip(keys, group, world)
+            g.n * _score_mean(indicator, g, w, masks) for g, w in zip(group, world)
         ) / sum(g.n for g in group)
     elif indicator == PROP_CITED:
         value = sum(g.cited for g in group) / sum(g.n for g in group)
@@ -253,15 +251,15 @@ def indicator_estimate(
     elif indicator == MNPC:
         n_group = sum(g.n for g in group)
         value = 0.0
-        for key, g, w in zip(keys, group, world):
+        for g, w in zip(group, world):
             weight = g.n / n_group
             zero = w.cited == 0
             _check(
                 zero & (g.cited > 0), masks,
-                "positive numerator over zero world proportion for {}", key,
+                "positive numerator over zero world proportion for {}", g.key,
             )
             if masks is None and zero and g.cited == 0:
-                notes.append(f"0/0 field ratio replaced by 1 for {key}")
+                notes.append(f"0/0 field ratio replaced by 1 for {g.key}")
             ratio = (g.cited / g.n) / (_where(zero, 1, w.cited) / w.n)
             value = value + _where(zero, weight, weight * ratio)
     else:
@@ -272,15 +270,12 @@ def indicator_estimate(
 
 
 def score_moments(
-    indicator: str,
-    keys: Sequence[FieldYearKey],
-    group: Sequence[ArticleSet],
-    world: Sequence[ArticleSet],
+    indicator: str, group: Sequence[ArticleSet], world: Sequence[ArticleSet]
 ) -> list[tuple[int, float, float]]:
     """(n, mean, M2) of each group cell's scores under a mean indicator."""
     moments = []
-    for key, g, w in zip(keys, group, world):
-        shift, scale = _normaliser(indicator, key, w)
+    for g, w in zip(group, world):
+        shift, scale = _normaliser(indicator, w)
         x, m2 = (g.raw_mean, g.raw_m2) if indicator == MNCS else (g.log_mean, g.log_m2)
         moments.append((g.n, (x - shift) / scale, m2 / (scale * scale)))
     return moments
@@ -300,14 +295,11 @@ def pooled_moments(cells: Sequence[tuple[int, float, float]]) -> tuple[int, floa
 
 
 def indicator_result(
-    indicator: str,
-    keys: Sequence[FieldYearKey],
-    group: Sequence[ArticleSet],
-    world: Sequence[ArticleSet],
+    indicator: str, group: Sequence[ArticleSet], world: Sequence[ArticleSet]
 ) -> IndicatorValue:
     """``indicator_estimate`` as a value that is flagged, not raised, when undefined."""
     try:
-        estimate, note = indicator_estimate(indicator, keys, group, world)
+        estimate, note = indicator_estimate(indicator, group, world)
     except UndefinedNormalizationError as exc:
         return IndicatorValue(indicator, None, defined=False, note=str(exc))
     return IndicatorValue(indicator, estimate, note=note)

@@ -34,7 +34,7 @@ from .bootstrap import (
     row_results,
 )
 from .corpus import (
-    WORLD, Corpus, ExclusionPolicy, SampleSpec, apply_exclusion, check_integers,
+    WORLD, Corpus, ExclusionPolicy, SampleSpec, apply_exclusion, check_numbers,
     derive_stream_seed, sample_corpus,
 )
 from .indicators import EMNPC, EQ_PROP_CITED, MNLCS, check_indicators
@@ -78,8 +78,8 @@ class ReportConfig:
         if not any(route_applies(i, m) for i in self.indicators for m in self.ci_methods):
             raise ValueError(f"no ci method of {list(self.ci_methods)} applies to"
                              f" {list(self.indicators)} (fieller is MNLCS only)")
+        check_numbers(self, "report", "seed", reals=("alpha",))
         check_run(self.alpha, self.continuity, self.expansion_mode)
-        check_integers(self, "report", "seed")
         if self.sample_size is not None:
             object.__setattr__(self, "sample_size", SampleSpec(self.sample_size).size)
         if not isinstance(self.exclusion, ExclusionPolicy):

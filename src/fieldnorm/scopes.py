@@ -1,12 +1,12 @@
 """Assembly of indicator values and intervals over a scope of cells.
 
 A scope is a set of field/year keys for one group.  The code that builds a
-row resolves it once, with ``Corpus.scope``, into a ``Scope``: the sorted
-keys with the group's and the world's cell of each.  ``route_interval``,
-the one entry to the analytic routes (formula, Fieller), hands its cells to
-the kernel in ``indicators`` for the moments or counts of the indicator's
-interval, and ``method_tag`` names the method each route's row carries; the
-point estimate is ``indicators.indicator_result`` over the same Scope, a
+row resolves it once, with ``Corpus.scope``, into a ``Scope``: the group's
+cells and the world's cell of each, in key order; each cell carries its
+key.  ``route_interval``, the one entry to the analytic routes (formula,
+Fieller), hands its cells to the kernel in ``indicators`` for the moments
+or counts of the indicator's interval, and ``method_tag`` names the method
+each route's row carries; the point estimate is ``indicators.indicator_result`` over the same Scope, a
 flagged value that never raises for data-dependent degeneracies.
 """
 
@@ -92,12 +92,12 @@ def route_applies(indicator: str, route: str) -> bool:
     return route in (FORMULA, BOOTSTRAP)
 
 
-def method_tag(indicator: str, route: str, keys: tuple[FieldYearKey, ...]) -> str:
-    """The interval method a row of ``route`` over ``keys`` carries, defined or flagged."""
+def method_tag(indicator: str, route: str, scope: Scope) -> str:
+    """The interval method a row of ``route`` over ``scope`` carries, defined or flagged."""
     if route == FORMULA:
         return FORMULA_METHOD[indicator]
     if route == FIELLER_METHOD:
-        return FIELLER if len(keys) == 1 else HEURISTIC_EXPANSION
+        return FIELLER if len(scope.group) == 1 else HEURISTIC_EXPANSION
     return BOOTSTRAP_PERCENTILE
 
 
@@ -123,7 +123,7 @@ def resolve_continuity(
 
 
 def _equalised(cells: tuple[ArticleSet, ...]) -> float:
-    return indicator_estimate(EQ_PROP_CITED, (), cells, ())[0]
+    return indicator_estimate(EQ_PROP_CITED, cells, ())[0]
 
 
 def route_interval(
@@ -144,16 +144,16 @@ def route_interval(
         return (_formula_interval(scope, indicator, alpha, continuity) if route == FORMULA
                 else _fieller_interval(scope, alpha, expansion_mode))
     except UndefinedNormalizationError as exc:
-        return IntervalEstimate.undefined(method_tag(indicator, route, scope.keys), alpha, str(exc))
+        return IntervalEstimate.undefined(method_tag(indicator, route, scope), alpha, str(exc))
 
 
 def _formula_interval(
     scope: Scope, indicator: str, alpha: float, continuity: str
 ) -> IntervalEstimate:
     """The analytic interval belonging to ``indicator`` over the scope."""
-    ordered, group_cells, world_cells = scope
+    group_cells, world_cells = scope
     if indicator in MEAN_INDICATORS:
-        n, mean, m2 = pooled_moments(score_moments(indicator, ordered, group_cells, world_cells))
+        n, mean, m2 = pooled_moments(score_moments(indicator, group_cells, world_cells))
         if n < 2:
             return IntervalEstimate.undefined(NORMAL_T, alpha, "fewer than two articles in scope")
         return normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha)
@@ -173,29 +173,29 @@ def _formula_interval(
         )
     if indicator == MNPC:
         per_field = []
-        for key, g, w in zip(ordered, group_cells, world_cells):
+        for g, w in zip(group_cells, world_cells):
             cell = mnpc_field_ci((g.cited, g.n), (w.cited, w.n), alpha, correct)
             if not cell.defined:
-                return IntervalEstimate.undefined(MNPC_WEIGHTED, alpha, f"{cell.note} for {key}")
+                return IntervalEstimate.undefined(MNPC_WEIGHTED, alpha, f"{cell.note} for {g.key}")
             per_field.append((g.n / n_group, cell.estimate, cell))
-        point, _ = indicator_estimate(MNPC, ordered, group_cells, world_cells)
+        point, _ = indicator_estimate(MNPC, group_cells, world_cells)
         return mnpc_combined_ci(per_field, point)
     raise ValueError(f"no formula interval for indicator {indicator!r}")
 
 
 def _fieller_interval(scope: Scope, alpha: float, expansion_mode: str) -> IntervalEstimate:
     """MNLCS's Fieller limits for one cell, from its ln(1+c) moments; expanded over several."""
-    ordered, group_cells, world_cells = scope
-    cells = score_moments(MNLCS, ordered, group_cells, world_cells)
+    group_cells, world_cells = scope
+    cells = score_moments(MNLCS, group_cells, world_cells)
     if any(c.n < 2 for c in group_cells + world_cells):
-        tag = method_tag(MNLCS, FIELLER_METHOD, ordered)
+        tag = method_tag(MNLCS, FIELLER_METHOD, scope)
         return IntervalEstimate.undefined(tag, alpha, TOO_FEW_VALUES)
     # Each cell's Fieller limits, from the moments of its ln(1+c) values.
     fiellers = (
         fieller_ci(*(SampleMoments.from_m2(c.n, c.log_mean, c.log_m2) for c in pair), alpha)
         for pair in zip(group_cells, world_cells)
     )
-    if len(ordered) == 1:
+    if len(group_cells) == 1:
         return next(fiellers)
     per_cell = [
         (n, normal_t_ci(SampleMoments.from_m2(n, mean, m2), alpha), fieller, mean)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey, check_integers, check_seed
+from .corpus import WORLD, ArticleSet, Corpus, FieldYearKey, check_numbers, check_seed
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class LognormalSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_integers(self, "lognormal", "n", "seed")
+        check_numbers(self, "lognormal", "n", "seed", reals=("mu", "sigma", "zero_inflation"))
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise ValueError("mu and sigma must be finite")
         if self.sigma <= 0.0:

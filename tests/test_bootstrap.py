@@ -1099,12 +1099,12 @@ def sorted_counts(aset):
 
 
 class DrawnCell:
-    """The statistics of the articles at positions ``idx`` of sorted ``counts``."""
+    """The statistics of the articles at positions ``idx`` of cell ``key``'s sorted ``counts``."""
 
-    def __init__(self, counts, idx):
+    def __init__(self, key, counts, idx):
         raw = counts[idx]
         logs = np.log1p(counts)[idx]
-        self.n = len(idx)
+        self.key, self.n = key, len(idx)
         self.cited = int(np.count_nonzero(raw > 0))
         self.raw_mean = float(raw.mean())
         self.log_mean = float(logs.mean())
@@ -1125,15 +1125,16 @@ def per_replicate_loop(group_sets, world_sets, indicator, spec):
     values, undefined = [], 0
     for r in range(spec.iterations):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed & (2**64 - 1), r]))
-        rep_group = [DrawnCell(group[k], rng.integers(0, len(group[k]), len(group[k]))) for k in keys]
+        rep_group = [DrawnCell(k, group[k], rng.integers(0, len(group[k]), len(group[k])))
+                     for k in keys]
         rep_world = fixed_world
         if spec.resample_world:
             rep_world = []
             for k in keys:
                 counts = sorted_counts(world[k])
-                rep_world.append(DrawnCell(counts, rng.integers(0, len(counts), len(counts))))
+                rep_world.append(DrawnCell(k, counts, rng.integers(0, len(counts), len(counts))))
         try:
-            values.append(indicator_estimate(indicator, keys, rep_group, rep_world)[0])
+            values.append(indicator_estimate(indicator, rep_group, rep_world)[0])
         except UndefinedNormalizationError:
             undefined += 1
     return sorted(values), undefined
@@ -1143,7 +1144,7 @@ def vectorised(group_sets, world_sets, indicator, spec):
     keys = sorted(a.key for a in group_sets)
     group = {a.key: a for a in group_sets}
     world = {a.key: a for a in world_sets}
-    scope = Scope(tuple(keys), tuple(group[k] for k in keys), tuple(world[k] for k in keys))
+    scope = Scope(tuple(group[k] for k in keys), tuple(world[k] for k in keys))
     try:
         row = PlannedRow("G", "", scope, indicator, "bootstrap", spec)
         (values,) = fieldnorm.bootstrap._replicate_rows([row])
@@ -1357,7 +1358,7 @@ def test_random_scopes_match_per_replicate_loop(indicator, resample_world, scope
 
 def constant_replicates(cell, stats, iterations):
     """Replicates that all equal ``cell``: each named statistic holds the cell's own value."""
-    rep = CellReplicates(cell.n, stats, iterations)
+    rep = CellReplicates(cell, stats, iterations)
     for name in stats:
         getattr(rep, name)[:] = getattr(cell, name)
     return rep
@@ -1417,13 +1418,12 @@ def test_kernel_takes_group_cells_with_replicate_world_cells(indicator):
         [ArticleSet(WORLD, KEY_A, (0, 0, 0, 0)), ArticleSet(WORLD, KEY_B, (0, 0, 0))],
     ]
     stats = CELL_STATISTICS[indicator][1]
-    world = [CellReplicates(cell.n, stats, len(worlds)) for cell in worlds[0]]
+    world = [CellReplicates(cell, stats, len(worlds)) for cell in worlds[0]]
     for rep, cells in zip(world, zip(*worlds)):
         for name in stats:
             getattr(rep, name)[:] = [getattr(cell, name) for cell in cells]
-    keys = [KEY_A, KEY_B]
-    values, _ = indicator_estimate(indicator, keys, group, world)
-    assert values[:2].tolist() == [indicator_estimate(indicator, keys, group, cells)[0]
+    values, _ = indicator_estimate(indicator, group, world)
+    assert values[:2].tolist() == [indicator_estimate(indicator, group, cells)[0]
                                    for cells in worlds[:2]]
     assert np.isnan(values[2])
 

@@ -46,7 +46,7 @@ from fieldnorm.corpus import (
     _parse_filename,
 )
 
-from conftest import make_cell
+from conftest import KEY_A, KEY_B, make_cell
 
 BLOCK_BYTES = corpus_module._BLOCK_BYTES
 
@@ -248,6 +248,15 @@ class TestKeysAndCells:
         with pytest.raises(CorpusError, match="^missing world cell for G/BIOC/2013$"):
             Corpus({(cell.group, cell.key): cell})
 
+    @pytest.mark.parametrize("group, field", [("G", "B"), (WORLD, "A")])
+    def test_corpus_index_must_name_its_own_cell(self, group, field):
+        # G's A/2013 entry holds another key's or another group's cell.
+        stray = make_cell(group, field, 2013, [1, 2])
+        cells = {("G", KEY_A): stray, (WORLD, KEY_A): make_cell(WORLD, "A", 2013, [0, 3])}
+        message = f"^cell {group}/{field}/2013 filed under G/A/2013$"
+        with pytest.raises(CorpusError, match=message):
+            Corpus(cells)
+
     def test_corpus_rejects_duplicates(self):
         cells = [
             make_cell(WORLD, "BIOC", 2013, [1]),
@@ -264,11 +273,21 @@ class TestPairCells:
     GROUP = [make_cell("G", "B", 2013, [1, 0]), make_cell("G", "A", 2013, [2])]
 
     def test_group_side_alone(self):
-        keys, group, world = pair_cells(self.GROUP)
-        assert keys == (FieldYearKey("A", 2013), FieldYearKey("B", 2013))
+        group, world = pair_cells(self.GROUP)
+        assert [cell.key for cell in group] == [FieldYearKey("A", 2013), FieldYearKey("B", 2013)]
         assert group == tuple(self.GROUP[::-1]) and world == ()
         with pytest.raises(ValueError, match=r"^mixed groups \['G', 'H'\]$"):
             pair_cells(self.GROUP + [make_cell("H", "C", 2013, [1])])
+
+    def test_corpus_and_pair_cells_give_one_scope(self):
+        # The same cells, in whatever order they arrive, make equal scopes in key order.
+        world = [make_cell(WORLD, "A", 2013, [1]), make_cell(WORLD, "B", 2013, [0, 2])]
+        corpus = Corpus.from_cells(world + self.GROUP)
+        scope = corpus.scope("G", [KEY_B, KEY_A])
+        assert scope == corpus.scope("G", {KEY_A, KEY_B}) == pair_cells(self.GROUP, world)
+        assert scope == pair_cells(self.GROUP[::-1], world[::-1])
+        assert [(c.group, c.key) for c in scope.group + scope.world] == [
+            ("G", KEY_A), ("G", KEY_B), (WORLD, KEY_A), (WORLD, KEY_B)]
 
     def test_missing_world_keys_named_as_corpus_names_them(self):
         world = [make_cell(WORLD, "C", 2013, [1])]
@@ -1000,6 +1019,30 @@ SEED_ENTRIES = {
     "scenario_grid": lambda seed: scenario_grid(ns=[20], base_seed=seed),
     "derive_stream_seed": lambda seed: derive_stream_seed(seed, "G", "F"),
 }
+
+
+# Each real-valued setting, by the name its error gives, as a function of its value.
+REAL_ENTRIES = {
+    "report alpha": lambda value: ReportConfig(alpha=value).alpha,
+    "exclusion min_fraction_of_mean":
+        lambda value: ExclusionPolicy(100, value).min_fraction_of_mean,
+    "lognormal mu": lambda value: LognormalSpec(mu=value).mu,
+    "lognormal sigma": lambda value: LognormalSpec(sigma=value).sigma,
+    "lognormal zero_inflation": lambda value: LognormalSpec(zero_inflation=value).zero_inflation,
+}
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRIES)
+def test_real_rule_holds_where_a_real_setting_enters(entry):
+    # One rule, beside the integers': a real number, numpy reals included, held as a float.
+    make = REAL_ENTRIES[entry]
+    for value in (0.25, np.float32(0.25), np.float64(0.25), Fraction(1, 4)):
+        held = make(value)
+        assert type(held) is float and held == 0.25
+    for value in (True, np.bool_(True), "0.25", None):
+        message = f"^{entry} must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            make(value)
 
 
 @pytest.mark.parametrize("entry", SEED_ENTRIES)

@@ -120,7 +120,7 @@ class TestTransforms:
     def test_lundberg_standardisation_identity(self):
         # the world cell's own z-scores have mean 0 and sample sd 1
         s = world_cell(KEY_B, WORLD_B)
-        [(n, mean, m2)] = score_moments(LUNDBERG_Z, [KEY_B], [s], [s])
+        [(n, mean, m2)] = score_moments(LUNDBERG_Z, [s], [s])
         assert mean == 0.0
         assert math.sqrt(m2 / (n - 1)) == pytest.approx(1.0, abs=1e-12)
 

@@ -91,6 +91,15 @@ class TestReportConfig:
         assert report == build_report(demo_corpus, ReportConfig(seed=3, **settings))
         assert json.loads(write_metadata(report, tmp_path / "r.csv").read_text())["seed"] == 3
 
+    def test_numpy_float_alpha_sidecar_written(self, demo_corpus, tmp_path):
+        # A numpy alpha is held as its float, so the sidecar's JSON takes it.
+        config = ReportConfig(alpha=np.float32(0.1))
+        assert type(config.alpha) is float
+        report = build_report(demo_corpus, config)
+        write_csv(report, tmp_path / "r.csv")
+        meta = json.loads(write_metadata(report, tmp_path / "r.csv").read_text())
+        assert meta["alpha"] == float(np.float32(0.1))
+
     def test_sample_size_samples_each_cell_as_sample_corpus(self, demo_corpus):
         # build_report is where a run samples, library and compute alike.
         settings = dict(indicators=(MNLCS, MNPC), exclusion=ExclusionPolicy(1, 0.0), seed=5)
@@ -278,15 +287,15 @@ class TestBuildReport:
         estimate = fieldnorm.bootstrap.indicator_result
         kernel = fieldnorm.bootstrap.indicator_estimate
 
-        def counted(indicator, keys, group, world):
+        def counted(indicator, group, world):
             points.append((indicator, group[0].group))
-            return estimate(indicator, keys, group, world)
+            return estimate(indicator, group, world)
 
-        def counted_kernel(indicator, keys, group, world):
+        def counted_kernel(indicator, group, world):
             # Replicates come as CellReplicates; a point comes as the ArticleSets.
             if all(isinstance(cell, ArticleSet) for cell in group):
                 redrawn_points.append(indicator)
-            return kernel(indicator, keys, group, world)
+            return kernel(indicator, group, world)
 
         monkeypatch.setattr(fieldnorm.bootstrap, "indicator_result", counted)
         monkeypatch.setattr(fieldnorm.bootstrap, "indicator_estimate", counted_kernel)
