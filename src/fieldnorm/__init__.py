@@ -2,7 +2,6 @@
 
 from .bootstrap import (
     BootstrapSpec,
-    CiComparison,
     bootstrap_indicator,
     compare_ci,
     comparison_suite,
@@ -32,7 +31,6 @@ from .indicators import (
     MNPC,
     PROP_CITED,
     IndicatorValue,
-    NormalizationBaseline,
     NormalizedScores,
     ProportionSummary,
     compute_baseline,

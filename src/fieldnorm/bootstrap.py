@@ -128,15 +128,6 @@ def bootstrap_plan(
     return BootstrapSpec(iterations, seed, resample_world)
 
 
-@dataclass(frozen=True)
-class CiComparison:
-    """Signed per-side half-width differences, positive = formula narrower."""
-
-    lower_pct_diff: float
-    upper_pct_diff: float
-    basis: float
-
-
 def percentile(sorted_replicates: Sequence[float], q: float) -> float:
     """Nearest-rank percentile: element ceil(q*N) of the ascending list."""
     n = len(sorted_replicates)
@@ -433,12 +424,14 @@ def row_results(
     return results
 
 
-def compare_ci(formula: IntervalEstimate, boot: IntervalEstimate, point: float) -> CiComparison:
-    """Per-side half-width differences relative to the bootstrap width.
+def compare_ci(
+    formula: IntervalEstimate, boot: IntervalEstimate, point: float
+) -> tuple[float, float]:
+    """(lower, upper) half-width differences relative to the bootstrap width.
 
     Each side's difference is (bootstrap half - formula half) divided by the
-    full bootstrap width, reported as ``basis``, so positive values mean
-    the formula is narrower on that side.
+    full bootstrap width, so positive values mean the formula is narrower
+    on that side.
     """
     if not formula.defined or not boot.defined:
         raise ValueError("both intervals must be defined")
@@ -449,9 +442,7 @@ def compare_ci(formula: IntervalEstimate, boot: IntervalEstimate, point: float) 
         raise ValueError("zero-width bootstrap interval")
     lower_diff = (point - boot.lower) - (point - formula.lower)
     upper_diff = (boot.upper - point) - (formula.upper - point)
-    return CiComparison(
-        lower_pct_diff=lower_diff / width, upper_pct_diff=upper_diff / width, basis=width
-    )
+    return lower_diff / width, upper_diff / width
 
 
 @dataclass(frozen=True)
@@ -524,8 +515,7 @@ def comparison_suite(
     for row, formula, boot in zip(formulas, results, results[len(formulas):]):
         name = (row.label, row.group, row.indicator)
         try:
-            diff = compare_ci(formula, boot, formula.estimate)
-            rows.append(ComparisonRow(*name, diff.lower_pct_diff, diff.upper_pct_diff, True))
+            rows.append(ComparisonRow(*name, *compare_ci(formula, boot, formula.estimate), True))
         except ValueError as exc:
             # An undefined formula row says why it is undefined.
             note = str(exc) if formula.defined else formula.note

@@ -210,6 +210,8 @@ def cmd_compare_ci(args: argparse.Namespace) -> int:
         raise ValueError(f"{', '.join(given)} set the synthetic grid"
                          " and cannot be used with --input-dir")
     # Every flag is checked before any cell is read or generated.
+    if args.details is not None and args.details.resolve() == args.output.resolve():
+        raise ValueError("--details and --output name the same file")
     resample_world = _RESAMPLE_WORLD[args.resample_world]
     specs = {indicator: bootstrap_plan(indicator, COMPARE_CI_RESAMPLE_WORLD_DEFAULT,
                                        args.iterations, resample_world, args.seed)

@@ -71,22 +71,6 @@ class UndefinedNormalizationError(ValueError):
 
 
 @dataclass(frozen=True)
-class NormalizationBaseline:
-    """Per-cell world statistics every indicator divides by.
-
-    log_sd is None for single-article world cells, where the sample
-    standard deviation does not exist.
-    """
-
-    key: FieldYearKey
-    log_mean: float
-    log_sd: float | None
-    raw_mean: float
-    prop_cited: float
-    n_world: int
-
-
-@dataclass(frozen=True)
 class NormalizedScores:
     """Per-article ln(1+c) / world log-mean scores of one cell."""
 
@@ -121,13 +105,11 @@ class IndicatorValue:
     note: str = ""
 
 
-def compute_baseline(world: ArticleSet) -> NormalizationBaseline:
-    """World-cell statistics: natural-log mean/sd, raw mean, proportion cited."""
+def compute_baseline(world: ArticleSet) -> ArticleSet:
+    """The world cell, checked to be one: every indicator divides by its statistics."""
     if world.group != WORLD:
         raise ValueError(f"baseline requires a {WORLD} cell, got group {world.group!r}")
-    return NormalizationBaseline(
-        world.key, world.log_mean, world.log_sd, world.raw_mean, world.cited / world.n, world.n
-    )
+    return world
 
 
 # ---------------------------------------------------------------- kernel
@@ -308,7 +290,8 @@ def indicator_result(
 # ------------------------------------------------- per-article reference
 
 
-def normalize_log(aset: ArticleSet, baseline: NormalizationBaseline) -> NormalizedScores:
+def normalize_log(aset: ArticleSet, baseline: ArticleSet) -> NormalizedScores:
+    """Per-article ln(1+c) of ``aset`` over the log-mean of ``baseline``, its world cell."""
     if aset.key != baseline.key:
         raise ValueError(f"baseline key {baseline.key} does not match cell key {aset.key}")
     if baseline.log_mean <= 0.0:

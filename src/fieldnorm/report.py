@@ -143,7 +143,9 @@ def _planned_rows(corpus: Corpus, config: ReportConfig) -> Iterator[PlannedRow]:
 
 
 def build_report(corpus: Corpus, config: ReportConfig) -> IndicatorReport:
-    """One row per (group, scope, indicator, method); flags, never aborts."""
+    """One row per (group, scope, indicator, method) of a corpus with cells; flags, never aborts."""
+    if not corpus.cells:
+        raise ValueError("corpus has no cells")
     if config.sample_size is not None:
         corpus = sample_corpus(corpus, config.sample_size, config.seed)
     plan = list(_planned_rows(corpus, config))

@@ -388,6 +388,18 @@ class TestCompareCi:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_details_on_the_output_file_fails(self, tmp_path, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a scenario was generated")
+
+        monkeypatch.setattr(cli, "scenario_grid", no_grid)
+        monkeypatch.chdir(tmp_path)
+        status = run(["compare-ci", "--output", "s.csv", "--details", tmp_path / "s.csv",
+                      "--iterations", "100", "--n", "100"])
+        assert status == 1
+        assert capsys.readouterr().err == "error: --details and --output name the same file\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags, message", [
         (["--mu", "44"], "above 2**63 - 1"),
         (["--mu", "nan"], "mu and sigma must be finite"),

@@ -69,19 +69,21 @@ def summaries(group, spec):
 
 class TestBaseline:
     def test_two_field_worked_example(self):
-        ba = compute_baseline(world_cell(KEY_A, WORLD_A))
+        world_a = world_cell(KEY_A, WORLD_A)
+        ba = compute_baseline(world_a)
         bb = compute_baseline(world_cell(KEY_B, WORLD_B))
+        assert ba is world_a
         assert round(ba.log_mean, 2) == 0.64
         assert round(bb.log_mean, 2) == 0.83
         assert ba.log_mean == pytest.approx(0.63869, abs=5e-6)
-        assert ba.prop_cited == 0.5
-        assert bb.prop_cited == 0.8
+        assert ba.cited / ba.n == 0.5
+        assert bb.cited / bb.n == 0.8
         assert ba.raw_mean == pytest.approx(1.7)
 
     def test_all_zero_cell(self):
         b = compute_baseline(world_cell(KEY_A, [0, 0, 0]))
         assert b.log_mean == 0.0
-        assert b.prop_cited == 0.0
+        assert b.cited / b.n == 0.0
 
     def test_single_article_has_no_sd(self):
         assert compute_baseline(world_cell(KEY_A, [3])).log_sd is None
@@ -376,7 +378,7 @@ class TestCrossIndicatorProperties:
         value = mnpc(group_cells, world_cells)
         per_article = np.concatenate(
             [
-                np.where(g.counts_array() > 0, 1.0 / compute_baseline(w).prop_cited, 0.0)
+                np.where(g.counts_array() > 0, w.n / compute_baseline(w).cited, 0.0)
                 for g, w in zip(group_cells, world_cells)
             ]
         )

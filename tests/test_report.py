@@ -157,6 +157,16 @@ class TestBuildReport:
             world = row(demo_report, group=WORLD, scope="ALL", indicator=indicator)
             assert world.estimate == pytest.approx(1.0, abs=1e-9)
 
+    def test_refuses_a_corpus_with_no_cells(self):
+        with pytest.raises(ValueError, match="corpus has no cells"):
+            build_report(Corpus.from_cells([]), ReportConfig())
+
+    def test_world_only_corpus_gets_its_world_rows(self):
+        corpus = Corpus.from_cells([make_cell(WORLD, "A", 2013, [0, 1, 3])])
+        report = build_report(corpus, ReportConfig(indicators=(MNLCS,), ci_methods=("formula",)))
+        assert {(r.group, r.scope) for r in report.rows} == {(WORLD, "Y2013"), (WORLD, "ALL")}
+        assert row(report, group=WORLD, scope="ALL", indicator=MNLCS).estimate == 1.0
+
     def test_per_year_and_all_scopes_present(self, demo_corpus):
         report = build_report(demo_corpus, ReportConfig(indicators=(MNLCS,)))
         scopes = {r.scope for r in report.rows}
